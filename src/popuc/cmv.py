@@ -2,12 +2,14 @@
 
 The unitary matrix U = M2 @ M1 acts on the Laurent-polynomial basis built
 from the ladder; its eigenvalues are exactly the spectrum of the final
-polynomial.  Two entry conventions for the 2x2 rotation blocks circulate in
-the literature, differing by conjugation of the coefficient.  The one used
-by ``factors`` (conjugated coefficient on the upper-left, plain negated
-coefficient on the lower-right, scalar tail conj(omega)) is the one that
-reproduces the spectrum; the calibration test demonstrates the other choice
-produces the conjugate system.
+polynomial, and ``opuc_core.spectrum`` computes the nodes that way.  The
+builder itself (``theta_block``, ``factors``, ``cmv_matrix``) lives in
+``opuc_core`` and is re-exported here.  Two entry conventions for the 2x2
+rotation blocks circulate in the literature, differing by conjugation of
+the coefficient.  The one built (conjugated coefficient on the upper-left,
+plain negated coefficient on the lower-right, scalar tail conj(omega)) is
+the one that reproduces the spectrum; the calibration test demonstrates the
+other choice produces the conjugate system.
 """
 
 from __future__ import annotations
@@ -19,55 +21,9 @@ import numpy as np
 from .complex_poly import Polynomial, UnitCirclePoint, evaluate
 from .errors import NotPersymmetricError, PersymmetryViolationError, ShapeError
 from .mirror import is_persymmetric, mirror_dual, principal_sqrt_unimodular
-from .opuc_core import OpucSystem, VerblunskySequence, build_system, spectrum
+from .opuc_core import OpucSystem, VerblunskySequence, build_system, factors, spectrum
+from .opuc_core import cmv_matrix, theta_block  # noqa: F401  (public names of this module)
 from .tolerances import DEFAULT, Tolerances
-
-
-def theta_block(a: complex) -> np.ndarray:
-    """2x2 rotation block [[a, rho], [rho, -conj(a)]] with rho = sqrt(1 - |a|^2)."""
-    a = complex(a)
-    if abs(a) >= 1.0 - DEFAULT.verblunsky_margin:
-        raise ValueError(f"|a| = {abs(a)!r} must stay strictly inside the unit disc")
-    rho = np.sqrt(1.0 - abs(a) ** 2)
-    return np.array([[a, rho], [rho, -np.conj(a)]], dtype=np.complex128)
-
-
-def _factors(v: VerblunskySequence, conjugate_blocks: bool) -> tuple[np.ndarray, np.ndarray]:
-    # calibration knob: True is the convention validated by the spectral tests
-    size = v.n + 1
-    m1 = np.zeros((size, size), dtype=np.complex128)
-    m2 = np.zeros((size, size), dtype=np.complex128)
-
-    def block(a: complex) -> np.ndarray:
-        return theta_block(np.conj(a)) if conjugate_blocks else theta_block(a)
-
-    tail = np.conj(v.omega) if conjugate_blocks else v.omega
-    m1[0, 0] = 1.0
-    for k in range(1, v.n, 2):
-        m1[k : k + 2, k : k + 2] = block(v.a[k])
-    if v.n % 2 == 1:
-        m1[v.n, v.n] = tail
-    for k in range(0, v.n, 2):
-        m2[k : k + 2, k : k + 2] = block(v.a[k])
-    if v.n % 2 == 0:
-        m2[v.n, v.n] = tail
-    return m1, m2
-
-
-def factors(v: VerblunskySequence) -> tuple[np.ndarray, np.ndarray]:
-    """Block-diagonal unitary factors (M1, M2) of the CMV matrix U = M2 @ M1.
-
-    M1 carries a leading scalar 1 and the odd-index blocks, M2 the
-    even-index blocks; whichever factor runs out of blocks first ends in
-    the scalar conj(omega).
-    """
-    return _factors(v, conjugate_blocks=True)
-
-
-def cmv_matrix(v: VerblunskySequence) -> np.ndarray:
-    """The (N+1) x (N+1) unitary five-diagonal matrix U = M2 @ M1."""
-    m1, m2 = factors(v)
-    return m2 @ m1
 
 
 def unitarity_residual(m: np.ndarray) -> float:

@@ -2,10 +2,11 @@
 
 The mirror dual of (a_0 .. a_{N-1}, omega) is (-omega conj(a_{N-1}) ..
 -omega conj(a_0), omega).  Dual data share the final polynomial, hence the
-spectrum, while their weights multiply to h_N / |Phi'_{N+1}|^2 node by node.
-Data equal to its own dual is called persymmetric; such a system is pinned
-down by its spectrum alone, which drives the inverse problem elsewhere in
-the package.
+spectrum, while their weights multiply to h_N / |Phi'_{N+1}|^2 node by node;
+the dual weights are the Christoffel numbers of the dual data at the shared
+nodes.  Data equal to its own dual is called persymmetric; such a system is
+pinned down by its spectrum alone, which drives the inverse problem
+elsewhere in the package.
 """
 
 from __future__ import annotations
@@ -15,18 +16,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .complex_poly import (
-    UnitCirclePoint,
-    as_complex_array,
-    derivative_at,
-    evaluate,
-    from_roots,
-)
-from .errors import NotPersymmetricError, ShapeError, WeightError
+from .complex_poly import UnitCirclePoint, as_complex_array
+from .errors import NotPersymmetricError, ShapeError
 from .opuc_core import (
     OpucSystem,
     VerblunskySequence,
     build_system,
+    christoffel_weights,
+    ladder_values,
     spectrum,
     weights,
 )
@@ -107,43 +104,32 @@ def make_persymmetric(seed: PersymmetricSeed) -> VerblunskySequence:
 
 
 def dual_weights(sys: OpucSystem, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Weights of the mirror dual read off the primal ladder.
+    """Weights of the mirror dual at the theta-sorted nodes of the system.
 
-    At each node, dual weight = Phi_N(z_s) / Phi'_{N+1}(z_s); the product
-    with the primal weight is h_N / |Phi'_{N+1}(z_s)|^2.
+    The dual shares the nodes, so these are the Christoffel numbers of
+    mirror_dual(v) there.  They equal Phi_N(z_s) / Phi'_{N+1}(z_s), and
+    their product with the primal weight is h_N / |Phi'_{N+1}(z_s)|^2.
     """
-    nodes = spectrum(sys, tol)
-    z = as_complex_array(nodes)
-    raw = np.array(
-        [evaluate(sys.phis[-2], zz) / derivative_at(sys.phis[-1], zz) for zz in z]
-    )
-    bad = np.abs(raw.imag) > tol.weight_realness * np.abs(raw) + 1e-30
-    if np.any(bad):
-        k = int(np.argmax(np.abs(raw.imag)))
-        raise WeightError(f"dual weight {k} has imaginary part {raw.imag[k]!r}")
-    w = raw.real
-    if np.any(w <= 0.0):
-        raise WeightError(f"non-positive dual weight {float(np.min(w))!r}")
-    total = float(np.sum(w))
-    if abs(total - 1.0) > tol.weight_sum:
-        raise WeightError(f"dual weights sum to {total!r}, expected 1")
-    return w
+    z = as_complex_array(spectrum(sys, tol))
+    return christoffel_weights(mirror_dual(sys.v), z, tol)
 
 
 def persymmetric_weights(nodes: Sequence[UnitCirclePoint], h_final: float) -> np.ndarray:
     """Closed-form weights sqrt(h_N) / |Phi'_{N+1}(z_s)| from nodes alone.
 
-    Valid only for persymmetric systems, where primal and dual weights agree
-    node by node.  No normalization is applied; for valid input the sum
-    comes out as one on its own, and silently rescaling would hide bugs.
+    Phi_{N+1} is monic with these roots, so |Phi'_{N+1}(z_s)| is the product
+    of the distances |z_s - z_j| over j != s; it is summed as logarithms,
+    which neither overflows nor underflows at large N.  Valid only for
+    persymmetric systems, where primal and dual weights agree node by node.
+    No normalization is applied; for valid input the sum comes out as one on
+    its own, and silently rescaling would hide bugs.
     """
     if h_final <= 0.0:
         raise ValueError("h_final must be positive")
-    top = from_roots(as_complex_array(nodes))
-    scale = float(np.sqrt(h_final))
-    return np.array(
-        [scale / abs(derivative_at(top, complex(p))) for p in nodes]
-    )
+    z = as_complex_array(nodes)
+    gaps = np.abs(z[:, None] - z[None, :])
+    np.fill_diagonal(gaps, 1.0)
+    return np.exp(0.5 * np.log(h_final) - np.sum(np.log(gaps), axis=1))
 
 
 def phi_n_values(
@@ -210,8 +196,7 @@ def verify_persymmetry_characterizations(
     w_closed = persymmetric_weights(nodes, h_final)
     weight_residual = float(np.max(np.abs(data.weights - w_closed)))
 
-    z = as_complex_array(nodes)
-    vals = np.array([evaluate(sys.phis[-2], zz) for zz in z])
+    vals = ladder_values(v, as_complex_array(nodes))[-1]
     modulus_residual = float(np.max(np.abs(np.abs(vals) - np.sqrt(h_final))))
 
     best_eps, best = 1, np.inf

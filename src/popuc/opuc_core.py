@@ -8,8 +8,11 @@ recurrence
 
 where the final step substitutes a_N = omega.  That closure pushes every
 root of Phi_{N+1} onto the unit circle and turns the system into an
-(N+1)-point discrete orthogonality problem: nodes are the roots, weights
-come from the derivative of the final polynomial.
+(N+1)-point discrete orthogonality problem.  The nodes are computed as the
+eigenvalues of the unitary CMV matrix U = M2 M1, whose characteristic
+polynomial is Phi_{N+1} (Cantero-Moral-Velazquez 2003); the weights are the
+Christoffel numbers, from the ladder's values at the nodes.  Those values
+come from the same recurrence run on numbers rather than coefficients.
 """
 
 from __future__ import annotations
@@ -19,15 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .complex_poly import (
-    Polynomial,
-    UnitCirclePoint,
-    as_complex_array,
-    derivative_at,
-    evaluate,
-    roots,
-    star,
-)
+from .complex_poly import TWO_PI, Polynomial, UnitCirclePoint, as_complex_array, star
 from .errors import ShapeError, SpectralValidityError, WeightError
 from .tolerances import DEFAULT, Tolerances
 
@@ -72,11 +67,10 @@ class OpucSystem:
         n = self.v.n
         if len(self.phis) != n + 2:
             raise ShapeError(f"expected {n + 2} polynomials, got {len(self.phis)}")
-        for k, p in enumerate(self.phis):
-            if p.degree != k:
-                raise ShapeError(f"ladder entry {k} has degree {p.degree}")
-            if abs(p.leading - 1.0) > 1e-9:
-                raise ShapeError(f"ladder entry {k} is not monic")
+        # spectrum and weights read only v, so the ladder must encode the same data
+        drift = np.max(np.abs(verblunsky_from_polys(self.phis) - np.append(self.v.a, self.v.omega)))
+        if drift > DEFAULT.residual:
+            raise ShapeError(f"ladder constant terms miss the coefficients by {drift:.3e}")
         h = np.asarray(self.h, dtype=np.float64)
         if h.shape != (n + 1,):
             raise ShapeError(f"expected {n + 1} squared norms, got shape {h.shape}")
@@ -112,6 +106,13 @@ class SpectralData:
         object.__setattr__(self, "weights", w)
 
 
+def squared_norms(a: np.ndarray) -> np.ndarray:
+    """h_0 .. h_N with h_0 = 1 and h_{k+1} = h_k (1 - |a_k|^2)."""
+    h = np.ones(a.size + 1)
+    h[1:] = np.cumprod(1.0 - np.abs(a) ** 2)
+    return h
+
+
 def build_system(v: VerblunskySequence) -> OpucSystem:
     """Run the Szego recurrence through the unimodular closure a_N = omega."""
     phis = [Polynomial(np.array([1.0 + 0.0j]))]
@@ -120,11 +121,9 @@ def build_system(v: VerblunskySequence) -> OpucSystem:
         prev = phis[-1]
         nxt = np.zeros(k + 2, dtype=np.complex128)
         nxt[1:] = prev.coeffs
-        nxt[: k + 1] -= np.conj(a_k) * star(prev, k).coeffs
+        nxt[: k + 1] -= np.conj(a_k) * np.conj(prev.coeffs[::-1])  # star(prev, k)
         phis.append(Polynomial(nxt))
-    h = np.ones(v.n + 1)
-    h[1:] = np.cumprod(1.0 - np.abs(v.a) ** 2)
-    return OpucSystem(v, tuple(phis), h)
+    return OpucSystem(v, tuple(phis), squared_norms(v.a))
 
 
 def verblunsky_from_polys(phis: Sequence[Polynomial]) -> np.ndarray:
@@ -139,53 +138,112 @@ def verblunsky_from_polys(phis: Sequence[Polynomial]) -> np.ndarray:
     return np.array([-np.conj(p.coeffs[0]) for p in phis[1:]])
 
 
+def theta_block(a: complex) -> np.ndarray:
+    """2x2 rotation block [[a, rho], [rho, -conj(a)]] with rho = sqrt(1 - |a|^2)."""
+    a = complex(a)
+    if abs(a) >= 1.0 - DEFAULT.verblunsky_margin:
+        raise ValueError(f"|a| = {abs(a)!r} must stay strictly inside the unit disc")
+    rho = np.sqrt(1.0 - abs(a) ** 2)
+    return np.array([[a, rho], [rho, -np.conj(a)]], dtype=np.complex128)
+
+
+def factors(v: VerblunskySequence) -> tuple[np.ndarray, np.ndarray]:
+    """Block-diagonal unitary factors (M1, M2) of the CMV matrix U = M2 @ M1.
+
+    Block k sits at rows k, k+1 and is theta_block(conj(a_k)); M1 carries a
+    leading scalar 1 and the odd-index blocks, M2 the even-index blocks.
+    Whichever factor runs out of blocks first ends in the scalar conj(omega).
+    """
+    size = v.n + 1
+    m1 = np.zeros((size, size), dtype=np.complex128)
+    m2 = np.zeros((size, size), dtype=np.complex128)
+    m1[0, 0] = 1.0
+    for k in range(v.n):
+        (m2 if k % 2 == 0 else m1)[k : k + 2, k : k + 2] = theta_block(np.conj(v.a[k]))
+    (m1 if v.n % 2 == 1 else m2)[v.n, v.n] = np.conj(v.omega)
+    return m1, m2
+
+
+def cmv_matrix(v: VerblunskySequence) -> np.ndarray:
+    """The (N+1) x (N+1) unitary five-diagonal matrix U = M2 @ M1."""
+    m1, m2 = factors(v)
+    return m2 @ m1
+
+
+def ladder_values(v: VerblunskySequence, z: np.ndarray) -> np.ndarray:
+    """Values of Phi_0 .. Phi_N at the points z; row k holds Phi_k.
+
+    The recurrence runs on values, carrying the reversed polynomials along:
+    Phi_{k+1} = z Phi_k - conj(a_k) Phi_k^* and
+    Phi_{k+1}^* = Phi_k^* - a_k z Phi_k.
+    """
+    vals = np.empty((v.n + 1, z.size), dtype=np.complex128)
+    vals[0] = 1.0
+    rev = np.ones(z.size, dtype=np.complex128)
+    for k, a_k in enumerate(v.a.tolist()):
+        shifted = z * vals[k]
+        vals[k + 1] = shifted - a_k.conjugate() * rev
+        rev = rev - a_k * shifted
+    return vals
+
+
+def christoffel_weights(v: VerblunskySequence, z: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """Christoffel numbers w_s = 1 / sum_{k <= N} |Phi_k(z_s)|^2 / h_k.
+
+    Real and positive by construction.  They sum to one only when the z_s
+    are the zeros of Phi_{N+1}; a sum off by more than tol.weight_sum
+    raises WeightError.
+    """
+    terms = np.abs(ladder_values(v, z)) ** 2 / squared_norms(v.a)[:, None]
+    w = 1.0 / np.sum(terms, axis=0)
+    total = float(np.sum(w))
+    if not abs(total - 1.0) <= tol.weight_sum:
+        raise WeightError(f"Christoffel weights sum to {total!r}, expected 1")
+    return w
+
+
 def spectrum(sys: OpucSystem, tol: Tolerances = DEFAULT) -> list[UnitCirclePoint]:
-    """Theta-sorted roots of the final polynomial, snapped onto the circle."""
-    pts = []
-    for r in roots(sys.phis[-1], tol):
-        drift = abs(abs(r) - 1.0)
-        if drift > tol.spectrum_radius:
-            raise SpectralValidityError(f"root radius off the circle by {drift:.3e}")
-        pts.append(UnitCirclePoint(float(np.angle(r))))
-    pts.sort()
-    return pts
+    """Theta-sorted eigenvalues of the CMV matrix, snapped onto the circle.
+
+    They are the roots of Phi_{N+1}.  An eigenvalue whose radius drifts
+    from one by more than tol.spectrum_radius raises SpectralValidityError.
+    Angles within tol.unimodular below 2 pi are mapped to 0, so a node on
+    the seam sorts first whichever side of it rounding put it.
+    """
+    lam = np.linalg.eigvals(cmv_matrix(sys.v))
+    drift = float(np.max(np.abs(np.abs(lam) - 1.0)))
+    if drift > tol.spectrum_radius:
+        raise SpectralValidityError(f"eigenvalue radius off the circle by {drift:.3e}")
+    theta = np.angle(lam) % TWO_PI
+    theta[theta > TWO_PI - tol.unimodular] = 0.0
+    return [UnitCirclePoint(t) for t in np.sort(theta).tolist()]
 
 
 def weights(sys: OpucSystem, nodes: Sequence[UnitCirclePoint], tol: Tolerances = DEFAULT) -> SpectralData:
-    """Quadrature weights w_s = h_N / (Phi'_{N+1}(z_s) conj(Phi_N(z_s))).
+    """Quadrature weights at the nodes: the Christoffel numbers of the system.
 
-    On the circle conj(Phi_N)(1/z) equals conj(Phi_N(z)), which is what the
-    denominator uses.  Each weight must come out real and positive, and the
-    family must sum to one; violations raise WeightError.
+    See ``christoffel_weights``; SpectralData further requires the nodes to
+    be strictly increasing in theta.
     """
-    z = as_complex_array(nodes)
-    top = sys.phis[-1]
-    under = sys.phis[-2]
-    dvals = np.array([derivative_at(top, zz) for zz in z])
-    nvals = np.array([evaluate(under, zz) for zz in z])
-    raw = sys.h[-1] / (dvals * np.conj(nvals))
-    bad = np.abs(raw.imag) > tol.weight_realness * np.abs(raw) + 1e-30
-    if np.any(bad):
-        k = int(np.argmax(np.abs(raw.imag)))
-        raise WeightError(f"weight {k} has imaginary part {raw.imag[k]!r}")
-    return SpectralData(tuple(nodes), raw.real)
+    return SpectralData(tuple(nodes), christoffel_weights(sys.v, as_complex_array(nodes), tol))
 
 
 def paraorthogonality_residual(sys: OpucSystem) -> float:
-    """Max coefficient magnitude of star(Phi_{N+1}) + omega * Phi_{N+1}.
+    """Max coefficient magnitude of star(Phi_{N+1}) + omega * Phi_{N+1}, relative.
 
     The closure a_N = omega forces Phi_{N+1}^* = -omega Phi_{N+1}, so this
-    vanishes for every valid system regardless of omega's phase.
+    vanishes for every valid system regardless of omega's phase.  The defect
+    is divided by max(1, max |coefficient of Phi_{N+1}|), so at large N,
+    where the coefficients grow, rounding does not read as a defect.
     """
     top = sys.phis[-1]
     resid = star(top, top.degree).coeffs + sys.v.omega * top.coeffs
-    return float(np.max(np.abs(resid)))
+    return float(np.max(np.abs(resid))) / max(1.0, float(np.max(np.abs(top.coeffs))))
 
 
 def orthogonality_residual(sys: OpucSystem, data: SpectralData) -> float:
     """Max deviation of the weighted Gram matrix of Phi_0 .. Phi_N from diag(h)."""
-    z = as_complex_array(data.nodes)
-    vals = np.array([[evaluate(p, zz) for zz in z] for p in sys.phis[:-1]])
+    vals = ladder_values(sys.v, as_complex_array(data.nodes))
     gram = (vals * data.weights) @ np.conj(vals.T)
     gram[np.diag_indices_from(gram)] -= sys.h
     return float(np.max(np.abs(gram)))

@@ -14,9 +14,8 @@ class Tolerances:
     residual: float = 1e-10          # root / identity residual bound
     unimodular: float = 1e-12        # slack on |z| = 1 for circle points
     node_separation: float = 1e-12   # minimum pairwise node distance
-    weight_realness: float = 1e-9    # relative imaginary part allowed in weights
     weight_sum: float = 1e-9         # slack on sum of weights = 1
-    spectrum_radius: float = 1e-7    # root radius slack before a spectrum is rejected
+    spectrum_radius: float = 1e-7    # eigenvalue radius slack before a spectrum is rejected
     verblunsky_margin: float = 1e-12 # strictness margin for |a| < 1
     interpolation: float = 1e-9      # relative interpolation residual bound
     aberth_sweeps: int = 500         # iteration cap for the simultaneous root solve

@@ -258,3 +258,18 @@ def test_bad_json_input(capsys):
 def test_unknown_family_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["generate", "--family", "nope", "--n", "2"])
+
+
+@pytest.mark.parametrize(
+    "family_args",
+    [
+        ["--family", "single_moment_persymmetric", "--n", "40"],
+        ["--family", "krawtchouk", "--n", "24", "--omega-arg", "0.9"],
+    ],
+)
+def test_check_all_passes_on_large_self_dual_families(capsys, family_args):
+    code, out, err = run(capsys, "check", *family_args, "--all")
+    assert code == 0, err
+    checks = json.loads(out)["payload"]["checks"]
+    assert checks["passed"] is True
+    assert checks["persymmetry_characterizations"]["weight_residual"] <= 1e-12

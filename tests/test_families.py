@@ -135,3 +135,20 @@ def test_verify_family_rejects_wrong_ladder_length():
     )
     with pytest.raises(ShapeError):
         verify_family(broken)
+
+
+def test_families_clean_at_large_n():
+    for fam in (free_family(64, 0.3), single_moment(64), single_moment_dual(64), single_moment_persymmetric(64)):
+        _assert_clean(verify_family(fam))
+
+
+def test_krawtchouk_clean_at_large_n():
+    # the closed-form ladder comes from an expansion in powers of z + 1/z
+    # whose rounding grows with its coefficients (up to 2.5e10 at n = 52),
+    # so its deviation is bounded relative to the largest coefficient
+    for n in (40, 52):
+        fam = krawtchouk_family(n, np.exp(0.9j))
+        report = verify_family(fam)
+        scale = max(float(np.max(np.abs(p.coeffs))) for p in fam.closed_form_phis)
+        assert report.pop("phi") <= 1e-8 * scale
+        _assert_clean(report)

@@ -118,6 +118,12 @@ def test_dual_weights_of_running_sum_are_flat():
         assert np.allclose(hat, np.full(n + 1, 1.0 / (n + 1)), atol=1e-12)
 
 
+def test_dual_weights_of_running_sum_are_flat_at_large_n():
+    for n in (32, 64):
+        hat = dual_weights(build_system(single_moment(n).v))
+        assert np.allclose(hat, np.full(n + 1, 1.0 / (n + 1)), rtol=0.0, atol=1e-13)
+
+
 def test_weight_product_identity():
     # w * w_dual * |phi_top'|^2 / h_n == 1 at every node
     rng = np.random.default_rng(47)

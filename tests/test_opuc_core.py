@@ -9,11 +9,11 @@ from popuc import (
     Polynomial,
     ShapeError,
     SpectralData,
-    SpectralValidityError,
     UnitCirclePoint,
     VerblunskySequence,
     WeightError,
     build_system,
+    cmv_matrix,
     orthogonality_residual,
     paraorthogonality_residual,
     spectrum,
@@ -98,12 +98,12 @@ def test_spectrum_rotated_monomials():
 
 
 def test_spectrum_rejects_off_circle_roots():
-    # hand-built ladder whose top polynomial has roots off the circle
+    # hand-built ladder whose top polynomial has roots off the circle; its
+    # constant term does not give back omega, so the system is never built
     v = VerblunskySequence([0.0j], 1.0)
     phis = (Polynomial([1.0]), Polynomial([0, 1.0]), Polynomial([-4.0, 0, 1.0]))
-    fake = OpucSystem(v, phis, np.array([1.0, 1.0]))
-    with pytest.raises(SpectralValidityError):
-        spectrum(fake)
+    with pytest.raises(ShapeError):
+        OpucSystem(v, phis, np.array([1.0, 1.0]))
 
 
 def test_weights_flat_for_monomials():
@@ -177,3 +177,37 @@ def test_spectrum_gaps_are_positive():
         nodes = spectrum(build_system(v))
         gaps = np.diff([p.theta for p in nodes])
         assert np.all(gaps > 1e-9)
+
+
+# the n = 10 and 12 seeds each include a draw on which the weight formula
+# h_N / (Phi'_{N+1}(z) conj(Phi_N(z))) in the monomial basis loses accuracy
+@pytest.mark.parametrize("n, seed", [(10, 1578), (12, 47), (16, 0), (32, 0)])
+def test_large_n_forward_matches_cmv_eigenproblem(n, seed):
+    # reference: the unit eigenvectors of the CMV matrix, each weight the
+    # squared modulus of its first component
+    rng = np.random.default_rng([n, seed])
+    for _ in range(5):
+        v = random_verblunsky(rng, n)
+        sys_ = build_system(v)
+        data = weights(sys_, spectrum(sys_))
+        lam, vecs = np.linalg.eig(cmv_matrix(v))
+        order = np.argsort(np.angle(lam) % (2.0 * np.pi))
+        ref_z = lam[order] / np.abs(lam[order])
+        ref_w = np.abs(vecs[0, order]) ** 2
+        got_z = np.array([complex(p) for p in data.nodes])
+        assert float(np.max(np.abs(got_z - ref_z))) <= 1e-12
+        assert float(np.max(np.abs(data.weights - ref_w))) <= 1e-10
+        assert orthogonality_residual(sys_, data) <= 1e-8
+
+
+def test_paraorthogonality_flags_a_moved_coefficient():
+    # the residual is relative to the largest coefficient of Phi_{N+1}; a
+    # real defect on an interior coefficient must still stand out
+    rng = np.random.default_rng(43)
+    v = random_verblunsky(rng, 12)
+    sys_ = build_system(v)
+    top = sys_.phis[-1].coeffs.copy()
+    top[6] += 1e-6
+    moved = OpucSystem(v, sys_.phis[:-1] + (Polynomial(top),), sys_.h)
+    assert paraorthogonality_residual(sys_) <= 1e-14
+    assert paraorthogonality_residual(moved) > 1e-8
