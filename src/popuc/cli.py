@@ -5,7 +5,8 @@ verifications, exit 1 on failure), reconstruct (persymmetric recovery from
 a spectrum file), export (JSON or CSV to a path).
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 reconstruction failure, 4 I/O failure.
+3 reconstruction failure, 4 I/O failure, 5 numerical failure on valid
+input (weights, convergence or spectrum validity).
 
 JSON output is canonical: keys sorted, floats printed with 17 significant
 digits (enough to round-trip doubles bit-exactly), complex numbers as
@@ -26,10 +27,13 @@ from . import cmv as cmv_mod
 from . import families as fam_mod
 from .complex_poly import UnitCirclePoint
 from .errors import (
+    ConvergenceError,
     NotPersymmetricError,
     PopucError,
+    SpectralValidityError,
     SpectrumInconsistencyError,
     SzegoClassError,
+    WeightError,
 )
 from .inverse_spectral import reconstruct_persymmetric
 from .mirror import (
@@ -53,6 +57,16 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_RECONSTRUCTION = 3
 EXIT_IO = 4
+EXIT_NUMERICAL = 5
+
+# --family name -> the family instance built from the parsed arguments
+FAMILIES = {
+    "free": lambda args: fam_mod.free_family(args.n, args.nu),
+    "single_moment": lambda args: fam_mod.single_moment(args.n),
+    "single_moment_dual": lambda args: fam_mod.single_moment_dual(args.n),
+    "single_moment_persymmetric": lambda args: fam_mod.single_moment_persymmetric(args.n),
+    "krawtchouk": lambda args: fam_mod.krawtchouk_family(args.n, complex(np.exp(1j * args.omega_arg))),
+}
 
 
 def _format_float(x: float) -> str:
@@ -106,18 +120,7 @@ def _system_from_args(args: argparse.Namespace) -> VerblunskySequence:
         raise ValueError("provide either --verblunsky or --family")
     if args.n is None:
         raise ValueError("--family needs --n")
-    name = args.family
-    if name == "free":
-        return fam_mod.free_family(args.n, args.nu).v
-    if name == "single_moment":
-        return fam_mod.single_moment(args.n).v
-    if name == "single_moment_dual":
-        return fam_mod.single_moment_dual(args.n).v
-    if name == "single_moment_persymmetric":
-        return fam_mod.single_moment_persymmetric(args.n).v
-    if name == "krawtchouk":
-        return fam_mod.krawtchouk_family(args.n, complex(np.exp(1j * args.omega_arg))).v
-    raise ValueError(f"unknown family {name!r}")
+    return FAMILIES[args.family](args).v
 
 
 def _payload(v: VerblunskySequence, emit: str) -> dict[str, Any]:
@@ -187,19 +190,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     persym = is_persymmetric(v)
     checks["persymmetric"] = persym
     checks["persymmetry_defect"] = persymmetry_defect(v)
-    if args.persymmetric:
-        if persym:
-            chars = verify_persymmetry_characterizations(v)
-            checks["persymmetry_characterizations"] = {
-                "weight_residual": chars.weight_residual,
-                "modulus_residual": chars.modulus_residual,
-                "phase_residual": chars.phase_residual,
-                "epsilon": chars.epsilon,
-            }
-            passed = passed and chars.max_residual <= 1e-8
-        else:
-            passed = False
-    elif run_all and persym:
+    if persym and (args.persymmetric or run_all):
         chars = verify_persymmetry_characterizations(v)
         checks["persymmetry_characterizations"] = {
             "weight_residual": chars.weight_residual,
@@ -208,6 +199,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             "epsilon": chars.epsilon,
         }
         passed = passed and chars.max_residual <= 1e-8
+    elif args.persymmetric:
+        passed = False
     checks["passed"] = passed
     print(_document("check", {"n": v.n, "checks": checks}))
     return EXIT_OK if passed else EXIT_CHECK_FAILED
@@ -254,16 +247,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 def _add_system_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--verblunsky", help="inline JSON or path: {\"a\": [[re,im],..], \"omega\": [re,im]}")
-    p.add_argument(
-        "--family",
-        choices=[
-            "free",
-            "single_moment",
-            "single_moment_dual",
-            "single_moment_persymmetric",
-            "krawtchouk",
-        ],
-    )
+    p.add_argument("--family", choices=list(FAMILIES))
     p.add_argument("--n", type=int, help="number of coefficients below the closure")
     p.add_argument("--nu", type=float, default=0.0, help="free family rotation (turns)")
     p.add_argument("--omega-arg", type=float, default=0.0, help="arg(omega) in radians")
@@ -314,6 +298,9 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_RECONSTRUCTION
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except (WeightError, ConvergenceError, SpectralValidityError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ValueError, KeyError, TypeError, json.JSONDecodeError, PopucError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -18,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_poly import Polynomial, UnitCirclePoint, evaluate
+from .complex_poly import Polynomial, UnitCirclePoint, as_complex_array
 from .errors import NotPersymmetricError, PersymmetryViolationError, ShapeError
 from .mirror import is_persymmetric, mirror_dual, principal_sqrt_unimodular
-from .opuc_core import OpucSystem, VerblunskySequence, build_system, factors, spectrum
+from .opuc_core import OpucSystem, VerblunskySequence, build_system, factors, ladder_values, spectrum
 from .opuc_core import cmv_matrix, theta_block  # noqa: F401  (public names of this module)
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT
 
 
 def unitarity_residual(m: np.ndarray) -> float:
@@ -47,24 +47,25 @@ class LaurentEigenvector:
         object.__setattr__(self, "components", c)
 
 
-def laurent_eigenvector(sys: OpucSystem, z: UnitCirclePoint) -> LaurentEigenvector:
-    """Eigenvector of the CMV matrix at a spectral point z.
+def laurent_eigenvectors(sys: OpucSystem, z: np.ndarray) -> np.ndarray:
+    """Eigenvectors of the CMV matrix at the points z, one per column.
 
     Component 2m is z^(-m) Phi_2m(z) / sqrt(h_2m); component 2m+1 is
     z^m conj(Phi_{2m+1}(z)) / sqrt(h_{2m+1}), using that 1/z = conj(z) on
-    the circle.  At roots of the final polynomial this satisfies
-    U psi = z psi.
+    the circle.  The Phi_k(z) come from one run of the recurrence on the
+    values (``ladder_values``).  At roots of the final polynomial each
+    column psi satisfies U psi = z psi.
     """
-    zz = complex(z)
-    comps = np.empty(sys.v.n + 1, dtype=np.complex128)
-    for k in range(sys.v.n + 1):
-        val = evaluate(sys.phis[k], zz)
-        root_h = np.sqrt(float(sys.h[k]))
-        if k % 2 == 0:
-            comps[k] = zz ** (-(k // 2)) * val / root_h
-        else:
-            comps[k] = zz ** ((k - 1) // 2) * np.conj(val) / root_h
-    return LaurentEigenvector(comps)
+    vals = ladder_values(sys.v, z)
+    vals[1::2] = np.conj(vals[1::2])
+    k = np.arange(sys.v.n + 1)
+    powers = np.where(k % 2 == 0, -(k // 2), k // 2)
+    return z ** powers[:, None] * vals / np.sqrt(sys.h)[:, None]
+
+
+def laurent_eigenvector(sys: OpucSystem, z: UnitCirclePoint) -> LaurentEigenvector:
+    """Eigenvector of the CMV matrix at a spectral point z; see ``laurent_eigenvectors``."""
+    return LaurentEigenvector(laurent_eigenvectors(sys, np.array([complex(z)]))[:, 0])
 
 
 @dataclass(frozen=True)
@@ -82,11 +83,20 @@ class QuasiReflection:
 
     @property
     def matrix(self) -> np.ndarray:
-        q = np.zeros((self.size, self.size), dtype=np.complex128)
-        tau = complex(self.tau)
-        for i in range(self.size):
-            q[i, self.size - 1 - i] = tau if i % 2 == 0 else 1.0 / tau
-        return q
+        return np.fliplr(np.diag(_reflection_diagonal(complex(self.tau), self.size)))
+
+
+def _reflection_diagonal(tau: complex, size: int) -> np.ndarray:
+    # row i of Q(tau) holds tau (i even) or 1/tau (i odd), in column size - 1 - i
+    d = np.full(size, 1.0 / tau, dtype=np.complex128)
+    d[::2] = tau
+    return d
+
+
+def _reflect(left: complex, m: np.ndarray, right: complex) -> np.ndarray:
+    """Q(left) @ m @ Q(right), with each Q applied as a reversal and a diagonal."""
+    d_left, d_right = _reflection_diagonal(left, m.shape[0]), _reflection_diagonal(right, m.shape[0])
+    return d_left[:, None] * m[::-1, ::-1] * d_right[::-1]
 
 
 def quasi_reflection(n: int, tau: complex) -> QuasiReflection:
@@ -138,16 +148,15 @@ def verify_mirror_relations(v: VerblunskySequence) -> MirrorRelationReport:
     best: MirrorRelationReport | None = None
     for flipped in (False, True):
         tau = -tau0 if flipped else tau0
-        q = quasi_reflection(v.n, tau).matrix
-        qi = quasi_reflection(v.n, 1.0 / tau).matrix
+        inv = 1.0 / tau
         if odd:
-            r1 = float(np.max(np.abs(qi @ m1 @ q - mh1)))
-            r2 = float(np.max(np.abs(q @ m2 @ qi - mh2)))
-            r3 = float(np.max(np.abs(q @ u @ q - uh)))
+            r1 = float(np.max(np.abs(_reflect(inv, m1, tau) - mh1)))
+            r2 = float(np.max(np.abs(_reflect(tau, m2, inv) - mh2)))
+            r3 = float(np.max(np.abs(_reflect(tau, u, tau) - uh)))
         else:
-            r1 = float(np.max(np.abs(qi @ m1 @ qi - mh2)))
-            r2 = float(np.max(np.abs(q @ m2 @ q - mh1)))
-            r3 = float(np.max(np.abs(q @ u @ qi - uh.T)))
+            r1 = float(np.max(np.abs(_reflect(inv, m1, inv) - mh2)))
+            r2 = float(np.max(np.abs(_reflect(tau, m2, tau) - mh1)))
+            r3 = float(np.max(np.abs(_reflect(tau, u, inv) - uh.T)))
         report = MirrorRelationReport(
             "odd" if odd else "even", complex(tau), flipped, r1, r2, r3
         )
@@ -165,51 +174,45 @@ def persymmetric_sign_pattern(v: VerblunskySequence, tol: float = 1e-8) -> list[
     Q(tau) with eigenvalue epsilon (-1)^s for one global sign epsilon
     (nodes in theta-sorted order).  Componentwise this is the transport
     identity psi_{N-k} = epsilon (-1)^s omega^(+-1/2) psi_k, with exponent
-    +1/2 for even k and -1/2 for odd k; both are verified here.
+    +1/2 for even k and -1/2 for odd k; both are verified here, for all
+    nodes at once on the matrix of eigenvectors (``laurent_eigenvectors``).
 
-    Returns the per-node signs; raises PersymmetryViolationError when the
-    pattern fails.
+    Returns the per-node signs; raises PersymmetryViolationError naming the
+    first node (and component) where the pattern fails.
     """
     if v.n % 2 == 0:
         raise ShapeError("the sign pattern needs odd n")
     if not is_persymmetric(v, 1e-10):
         raise NotPersymmetricError("coefficient list is not self-dual")
     sys = build_system(v)
-    nodes = spectrum(sys)
+    psi = laurent_eigenvectors(sys, as_complex_array(spectrum(sys)))
     tau = np.conj(principal_sqrt_unimodular(v.omega))
-    q = quasi_reflection(v.n, tau).matrix
+    qpsi = _reflection_diagonal(tau, v.n + 1)[:, None] * psi[::-1]  # Q(tau) psi
+    mu = np.sum(np.conj(psi) * qpsi, axis=0) / np.sum(np.abs(psi) ** 2, axis=0)
+    scale = np.maximum(1.0, np.max(np.abs(psi), axis=0))
+    resid = np.max(np.abs(qpsi - mu * psi), axis=0) / scale
+    signs = np.where(np.abs(mu - 1.0) <= 1e-6, 1, np.where(np.abs(mu + 1.0) <= 1e-6, -1, 0))
+    # componentwise transport across the middle of the vector
     omega_half = principal_sqrt_unimodular(v.omega)
-    signs: list[int] = []
-    for s, node in enumerate(nodes):
-        psi = laurent_eigenvector(sys, node).components
-        qpsi = q @ psi
-        mu = complex(np.vdot(psi, qpsi) / np.vdot(psi, psi))
-        scale = max(1.0, float(np.max(np.abs(psi))))
-        resid = float(np.max(np.abs(qpsi - mu * psi))) / scale
-        if resid > tol:
+    twist = np.resize([omega_half, np.conj(omega_half)], v.n + 1)[:, None]
+    transport = np.abs(psi[::-1] - signs * twist * psi)
+    off = transport > tol * scale
+    failing = (resid > tol) | (signs == 0) | np.any(off, axis=0)
+    if np.any(failing):
+        s = int(np.argmax(failing))
+        if resid[s] > tol:
             raise PersymmetryViolationError(
-                f"node {s}: eigenvector not reproduced, residual {resid:.3e}"
+                f"node {s}: eigenvector not reproduced, residual {resid[s]:.3e}"
             )
-        if abs(mu - 1.0) <= 1e-6:
-            sign = 1
-        elif abs(mu + 1.0) <= 1e-6:
-            sign = -1
-        else:
-            raise PersymmetryViolationError(f"node {s}: eigenvalue {mu!r} is not +-1")
-        signs.append(sign)
-        # componentwise transport across the middle of the vector
-        for k in range(sys.v.n + 1):
-            twist = omega_half if k % 2 == 0 else np.conj(omega_half)
-            predicted = sign * twist * psi[k]
-            if abs(psi[sys.v.n - k] - predicted) > tol * scale:
-                raise PersymmetryViolationError(
-                    f"node {s}, component {k}: transport identity off by "
-                    f"{abs(psi[sys.v.n - k] - predicted):.3e}"
-                )
-    for s, sign in enumerate(signs):
-        if sign != signs[0] * (-1) ** s:
-            raise PersymmetryViolationError("signs do not alternate from a single epsilon")
-    return signs
+        if signs[s] == 0:
+            raise PersymmetryViolationError(f"node {s}: eigenvalue {complex(mu[s])!r} is not +-1")
+        k = int(np.argmax(off[:, s]))
+        raise PersymmetryViolationError(
+            f"node {s}, component {k}: transport identity off by {transport[k, s]:.3e}"
+        )
+    if np.any(signs != signs[0] * (-1) ** np.arange(v.n + 1)):
+        raise PersymmetryViolationError("signs do not alternate from a single epsilon")
+    return signs.tolist()
 
 
 def characteristic_polynomial(m: np.ndarray) -> Polynomial:

@@ -7,6 +7,7 @@ small (below roughly 70), so the solver favors robustness over speed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -52,7 +53,7 @@ class UnitCirclePoint:
 
     def __post_init__(self) -> None:
         t = float(self.theta)
-        if not np.isfinite(t):
+        if not math.isfinite(t):
             raise ValueError("theta must be finite")
         t = t % TWO_PI
         if t >= TWO_PI:  # the modulo can land exactly on the seam in floats
@@ -77,6 +78,8 @@ class UnitCirclePoint:
 
 def as_complex_array(points: Iterable) -> np.ndarray:
     """Coerce a sequence of numbers or UnitCirclePoint values to complex128."""
+    if isinstance(points, np.ndarray):
+        return points.astype(np.complex128)
     return np.array([complex(p) for p in points], dtype=np.complex128)
 
 

@@ -19,7 +19,6 @@ from .complex_poly import (
     UnitCirclePoint,
     as_complex_array,
     lagrange_interpolate,
-    star,
 )
 from .errors import (
     NotPersymmetricError,
@@ -32,19 +31,18 @@ from .opuc_core import VerblunskySequence, build_system, spectrum
 from .tolerances import DEFAULT, Tolerances
 
 
-def _descend_once(phi_next: Polynomial) -> tuple[complex, Polynomial, float]:
-    d = phi_next.degree
+def _descend(coeffs: np.ndarray) -> tuple[complex, np.ndarray, float]:
+    """inverse_szego_step on ascending coefficients, plus the remainder of the division by z."""
+    d = coeffs.size - 1
     if d < 1:
         raise ShapeError("descent needs degree >= 1")
-    if abs(phi_next.leading - 1.0) > 1e-9:
+    if abs(coeffs[-1] - 1.0) > 1e-9:
         raise ShapeError("descent input must be monic")
-    a = -np.conj(phi_next.coeffs[0])
+    a = complex(-np.conj(coeffs[0]))
     if abs(a) >= 1.0 - 1e-10:
         raise SzegoClassError(f"recovered |a_{d - 1}| = {abs(a)!r} is not inside the disc")
-    num = phi_next.coeffs + np.conj(a) * star(phi_next, d).coeffs
-    remainder = float(abs(num[0]))
-    lower = Polynomial(num[1:] / (1.0 - abs(a) ** 2))
-    return complex(a), lower, remainder
+    num = coeffs + a.conjugate() * np.conj(coeffs[::-1])
+    return a, num[1:] / (1.0 - abs(a) ** 2), float(abs(num[0]))
 
 
 def inverse_szego_step(phi_next: Polynomial) -> tuple[complex, Polynomial]:
@@ -56,8 +54,8 @@ def inverse_szego_step(phi_next: Polynomial) -> tuple[complex, Polynomial]:
     outside the unit circle are rejected: the final unimodular closure step
     is not invertible this way and is handled by the caller.
     """
-    a, lower, _ = _descend_once(phi_next)
-    return a, lower
+    a, lower, _ = _descend(phi_next.coeffs)
+    return a, Polynomial(lower)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +112,7 @@ def reconstruct_persymmetric(
     signs = np.where(np.arange(count) % 2 == 0, 1.0, -1.0)
     half = np.exp(-0.5j * np.angle(w))
     g = signs * half * np.exp(0.5j * (n_top - 1) * thetas)
-    interp = lagrange_interpolate(nodes, g, tol)
+    interp = lagrange_interpolate(z, g, tol)
     c = complex(interp.coeffs[-1])
 
     epsilon = 0
@@ -129,11 +127,11 @@ def reconstruct_persymmetric(
         )
     h_final = float(1.0 / abs(c)) ** 2
 
-    phi = Polynomial(interp.coeffs / c)  # equals epsilon sqrt(h_N) * interpolant
+    phi = interp.coeffs / c  # equals epsilon sqrt(h_N) * interpolant
     coeffs_rev: list[complex] = []
     remainders: list[float] = []
     for _ in range(n_top):
-        a, phi, rem = _descend_once(phi)
+        a, phi, rem = _descend(phi)
         coeffs_rev.append(a)
         remainders.append(rem)
     v = VerblunskySequence(np.array(coeffs_rev[::-1]), w)

@@ -25,7 +25,7 @@ from .opuc_core import (
     christoffel_weights,
     ladder_values,
     spectrum,
-    weights,
+    squared_norms,
 )
 from .tolerances import DEFAULT, Tolerances
 
@@ -110,8 +110,9 @@ def dual_weights(sys: OpucSystem, tol: Tolerances = DEFAULT) -> np.ndarray:
     mirror_dual(v) there.  They equal Phi_N(z_s) / Phi'_{N+1}(z_s), and
     their product with the primal weight is h_N / |Phi'_{N+1}(z_s)|^2.
     """
-    z = as_complex_array(spectrum(sys, tol))
-    return christoffel_weights(mirror_dual(sys.v), z, tol)
+    vh = mirror_dual(sys.v)
+    vals = ladder_values(vh, as_complex_array(spectrum(sys, tol)))
+    return christoffel_weights(vals, squared_norms(vh.a), tol)
 
 
 def persymmetric_weights(nodes: Sequence[UnitCirclePoint], h_final: float) -> np.ndarray:
@@ -183,7 +184,8 @@ def verify_persymmetry_characterizations(
 
     Rejects input whose coefficient list is not self-dual (defect above
     1e-10); for valid input, returns the worst residual of each identity
-    and the phase sign that fits.
+    and the phase sign that fits.  The Christoffel weights and the Phi_N
+    values come from one evaluation of the ladder at the nodes.
     """
     if not is_persymmetric(v, 1e-10):
         raise NotPersymmetricError(
@@ -191,18 +193,18 @@ def verify_persymmetry_characterizations(
         )
     sys = build_system(v)
     nodes = spectrum(sys, tol)
-    data = weights(sys, nodes, tol)
+    z = as_complex_array(nodes)
+    vals = ladder_values(v, z)
     h_final = float(sys.h[-1])
-    w_closed = persymmetric_weights(nodes, h_final)
-    weight_residual = float(np.max(np.abs(data.weights - w_closed)))
-
-    vals = ladder_values(v, as_complex_array(nodes))[-1]
-    modulus_residual = float(np.max(np.abs(np.abs(vals) - np.sqrt(h_final))))
+    w_closed = persymmetric_weights(z, h_final)
+    weight_residual = float(np.max(np.abs(christoffel_weights(vals, sys.h, tol) - w_closed)))
+    phi_n = vals[-1]
+    modulus_residual = float(np.max(np.abs(np.abs(phi_n) - np.sqrt(h_final))))
 
     best_eps, best = 1, np.inf
     for eps in (1, -1):
         predicted = phi_n_values(nodes, v.omega, h_final, eps)
-        resid = float(np.max(np.abs(vals - predicted)))
+        resid = float(np.max(np.abs(phi_n - predicted)))
         if resid < best:
             best_eps, best = eps, resid
     return PersymmetryCharacterizations(weight_residual, modulus_residual, best, best_eps)

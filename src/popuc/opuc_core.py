@@ -17,7 +17,8 @@ come from the same recurrence run on numbers rather than coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -57,27 +58,30 @@ class VerblunskySequence:
 
 @dataclass(frozen=True, eq=False)
 class OpucSystem:
-    """Verblunsky data plus the polynomial ladder Phi_0 .. Phi_{N+1} and norms h_0 .. h_N."""
+    """Verblunsky data with the squared norms h_0 .. h_N, built from v alone in O(N).
+
+    The ladder ``phis`` is run on first access; the spectral stages read only v and h.
+    """
 
     v: VerblunskySequence
-    phis: tuple[Polynomial, ...]
-    h: np.ndarray
+    h: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        n = self.v.n
-        if len(self.phis) != n + 2:
-            raise ShapeError(f"expected {n + 2} polynomials, got {len(self.phis)}")
-        # spectrum and weights read only v, so the ladder must encode the same data
-        drift = np.max(np.abs(verblunsky_from_polys(self.phis) - np.append(self.v.a, self.v.omega)))
-        if drift > DEFAULT.residual:
-            raise ShapeError(f"ladder constant terms miss the coefficients by {drift:.3e}")
-        h = np.asarray(self.h, dtype=np.float64)
-        if h.shape != (n + 1,):
-            raise ShapeError(f"expected {n + 1} squared norms, got shape {h.shape}")
-        if h[0] != 1.0 or np.any(h <= 0.0):
-            raise ValueError("squared norms must be positive with h_0 = 1")
-        object.__setattr__(self, "phis", tuple(self.phis))
-        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "h", squared_norms(self.v.a))
+
+    @cached_property
+    def phis(self) -> tuple[Polynomial, ...]:
+        """The ladder Phi_0 .. Phi_{N+1}, through the closure a_N = omega."""
+        v = self.v
+        phis = [Polynomial(np.array([1.0 + 0.0j]))]
+        for k in range(v.n + 1):
+            a_k = v.omega if k == v.n else complex(v.a[k])
+            prev = phis[-1].coeffs
+            nxt = np.zeros(k + 2, dtype=np.complex128)
+            nxt[1:] = prev
+            nxt[: k + 1] -= np.conj(a_k) * np.conj(prev[::-1])  # star(prev, k)
+            phis.append(Polynomial(nxt))
+        return tuple(phis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,16 +118,8 @@ def squared_norms(a: np.ndarray) -> np.ndarray:
 
 
 def build_system(v: VerblunskySequence) -> OpucSystem:
-    """Run the Szego recurrence through the unimodular closure a_N = omega."""
-    phis = [Polynomial(np.array([1.0 + 0.0j]))]
-    for k in range(v.n + 1):
-        a_k = v.omega if k == v.n else complex(v.a[k])
-        prev = phis[-1]
-        nxt = np.zeros(k + 2, dtype=np.complex128)
-        nxt[1:] = prev.coeffs
-        nxt[: k + 1] -= np.conj(a_k) * np.conj(prev.coeffs[::-1])  # star(prev, k)
-        phis.append(Polynomial(nxt))
-    return OpucSystem(v, tuple(phis), squared_norms(v.a))
+    """The system of v: squared norms now, the ladder ``phis`` on first use."""
+    return OpucSystem(v)
 
 
 def verblunsky_from_polys(phis: Sequence[Polynomial]) -> np.ndarray:
@@ -140,10 +136,10 @@ def verblunsky_from_polys(phis: Sequence[Polynomial]) -> np.ndarray:
 
 def theta_block(a: complex) -> np.ndarray:
     """2x2 rotation block [[a, rho], [rho, -conj(a)]] with rho = sqrt(1 - |a|^2)."""
-    a = complex(a)
-    if abs(a) >= 1.0 - DEFAULT.verblunsky_margin:
-        raise ValueError(f"|a| = {abs(a)!r} must stay strictly inside the unit disc")
-    rho = np.sqrt(1.0 - abs(a) ** 2)
+    a = np.complex128(a)
+    if np.abs(a) >= 1.0 - DEFAULT.verblunsky_margin:
+        raise ValueError(f"|a| = {float(np.abs(a))!r} must stay strictly inside the unit disc")
+    rho = np.sqrt(1.0 - np.abs(a) ** 2)  # numpy's modulus, as in ``factors``
     return np.array([[a, rho], [rho, -np.conj(a)]], dtype=np.complex128)
 
 
@@ -154,13 +150,18 @@ def factors(v: VerblunskySequence) -> tuple[np.ndarray, np.ndarray]:
     leading scalar 1 and the odd-index blocks, M2 the even-index blocks.
     Whichever factor runs out of blocks first ends in the scalar conj(omega).
     """
-    size = v.n + 1
+    n, size = v.n, v.n + 1
     m1 = np.zeros((size, size), dtype=np.complex128)
     m2 = np.zeros((size, size), dtype=np.complex128)
     m1[0, 0] = 1.0
-    for k in range(v.n):
-        (m2 if k % 2 == 0 else m1)[k : k + 2, k : k + 2] = theta_block(np.conj(v.a[k]))
-    (m1 if v.n % 2 == 1 else m2)[v.n, v.n] = np.conj(v.omega)
+    rho = np.sqrt(1.0 - np.abs(v.a) ** 2)
+    for m, first in ((m2, 0), (m1, 1)):
+        flat = m.reshape(-1)  # views of the main, upper and lower diagonals
+        main, upper, lower = flat[:: size + 1], flat[1 :: size + 1], flat[size :: size + 1]
+        main[first:n:2] = np.conj(v.a[first::2])
+        main[first + 1 :: 2] = -v.a[first::2]
+        upper[first::2] = lower[first::2] = rho[first::2]
+    (m1 if n % 2 == 1 else m2)[n, n] = np.conj(v.omega)
     return m1, m2
 
 
@@ -187,15 +188,15 @@ def ladder_values(v: VerblunskySequence, z: np.ndarray) -> np.ndarray:
     return vals
 
 
-def christoffel_weights(v: VerblunskySequence, z: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+def christoffel_weights(vals: np.ndarray, h: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
     """Christoffel numbers w_s = 1 / sum_{k <= N} |Phi_k(z_s)|^2 / h_k.
 
-    Real and positive by construction.  They sum to one only when the z_s
-    are the zeros of Phi_{N+1}; a sum off by more than tol.weight_sum
-    raises WeightError.
+    vals holds the ladder values at the z_s (``ladder_values``), h the
+    squared norms.  The weights are real and positive by construction.  They
+    sum to one only when the z_s are the zeros of Phi_{N+1}; a sum off by
+    more than tol.weight_sum raises WeightError.
     """
-    terms = np.abs(ladder_values(v, z)) ** 2 / squared_norms(v.a)[:, None]
-    w = 1.0 / np.sum(terms, axis=0)
+    w = 1.0 / np.sum(np.abs(vals) ** 2 / h[:, None], axis=0)
     total = float(np.sum(w))
     if not abs(total - 1.0) <= tol.weight_sum:
         raise WeightError(f"Christoffel weights sum to {total!r}, expected 1")
@@ -225,7 +226,8 @@ def weights(sys: OpucSystem, nodes: Sequence[UnitCirclePoint], tol: Tolerances =
     See ``christoffel_weights``; SpectralData further requires the nodes to
     be strictly increasing in theta.
     """
-    return SpectralData(tuple(nodes), christoffel_weights(sys.v, as_complex_array(nodes), tol))
+    vals = ladder_values(sys.v, as_complex_array(nodes))
+    return SpectralData(tuple(nodes), christoffel_weights(vals, sys.h, tol))
 
 
 def paraorthogonality_residual(sys: OpucSystem) -> float:

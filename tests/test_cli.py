@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from popuc import WeightError
 from popuc.cli import main
 
 
@@ -273,3 +274,13 @@ def test_check_all_passes_on_large_self_dual_families(capsys, family_args):
     checks = json.loads(out)["payload"]["checks"]
     assert checks["passed"] is True
     assert checks["persymmetry_characterizations"]["weight_residual"] <= 1e-12
+
+
+def test_numerical_failure_has_its_own_exit_code(capsys, monkeypatch):
+    def breakdown(*_args, **_kwargs):
+        raise WeightError("Christoffel weights sum to 0.5, expected 1")
+
+    monkeypatch.setattr("popuc.cli.weights", breakdown)
+    code, out, err = run(capsys, "check", "--family", "single_moment", "--n", "3", "--orthogonality")
+    assert code == 5 and out == ""
+    assert err.startswith("numerical failure:") and "0.5" in err

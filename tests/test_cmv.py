@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from conftest import random_persymmetric, random_verblunsky
 from popuc import (
     LaurentEigenvector,
+    krawtchouk_family,
     NotPersymmetricError,
     ShapeError,
     VerblunskySequence,
@@ -24,6 +25,7 @@ from popuc import (
     verify_mirror_relations,
     persymmetric_sign_pattern,
 )
+from popuc.cmv import laurent_eigenvectors
 
 
 def test_theta_block_values():
@@ -34,6 +36,20 @@ def test_theta_block_values():
     assert np.isclose(b[1, 1], 0.3j)  # -conj(0.3j) = 0.3j
     with pytest.raises(ValueError):
         theta_block(1.0)
+
+
+def test_factors_equal_a_block_loop():
+    # reference: one theta_block per coefficient, placed at rows k, k+1
+    rng = np.random.default_rng(5)
+    for n in range(1, 13):
+        v = random_verblunsky(rng, n)
+        ref = [np.zeros((n + 1, n + 1), dtype=complex) for _ in range(2)]
+        ref[0][0, 0] = 1.0
+        for k in range(n):
+            ref[(k + 1) % 2][k : k + 2, k : k + 2] = theta_block(np.conj(v.a[k]))
+        ref[(n + 1) % 2][n, n] = np.conj(v.omega)
+        m1, m2 = factors(v)
+        assert np.array_equal(m1, ref[0]) and np.array_equal(m2, ref[1])
 
 
 def test_factor_layout_odd():
@@ -136,6 +152,29 @@ def test_eigenvector_relation():
             psi = laurent_eigenvector(sys_, node).components
             resid = np.max(np.abs(u @ psi - complex(node) * psi))
             assert float(resid) / max(1.0, float(np.max(np.abs(psi)))) <= 1e-9
+
+
+def test_laurent_matrix_matches_per_node_horner():
+    # reference: each ladder entry evaluated by Horner's scheme at each node;
+    # the recurrence sums in another order, so agreement is to rounding
+    tol = 1e-12
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 5, 8, 11, 12):
+        v = random_verblunsky(rng, n)
+        sys_ = build_system(v)
+        z = np.array([complex(p) for p in spectrum(sys_)])
+        ref = np.empty((n + 1, n + 1), dtype=complex)
+        for s, zz in enumerate(z):
+            for k in range(n + 1):
+                val = 0.0j
+                for c in sys_.phis[k].coeffs[::-1]:
+                    val = val * zz + c
+                if k % 2 == 0:
+                    ref[k, s] = zz ** (-(k // 2)) * val / np.sqrt(sys_.h[k])
+                else:
+                    ref[k, s] = zz ** ((k - 1) // 2) * np.conj(val) / np.sqrt(sys_.h[k])
+        got = laurent_eigenvectors(sys_, z)
+        assert float(np.max(np.abs(got - ref))) <= tol * max(1.0, float(np.max(np.abs(ref))))
 
 
 def test_characteristic_polynomial_matches_ladder_top():
@@ -280,6 +319,14 @@ def test_sign_pattern_random_corpus():
         assert len(signs) == n + 1
         eps = signs[0]
         assert signs == [eps * (-1) ** s for s in range(n + 1)]
+
+
+@pytest.mark.parametrize("n", [23, 31, 43])
+def test_sign_pattern_krawtchouk_large_odd_n(n):
+    # the monomial ladder evaluated by Horner's scheme loses the eigenvector
+    # relation here; the recurrence on the node values keeps it
+    signs = persymmetric_sign_pattern(krawtchouk_family(n, complex(np.exp(0.9j))).v)
+    assert signs == [signs[0] * (-1) ** s for s in range(n + 1)]
 
 
 def test_sign_pattern_input_gates():

@@ -9,6 +9,8 @@ from popuc import (
     Polynomial,
     ShapeError,
     SpectralData,
+    SpectralValidityError,
+    Tolerances,
     UnitCirclePoint,
     VerblunskySequence,
     WeightError,
@@ -98,12 +100,14 @@ def test_spectrum_rotated_monomials():
 
 
 def test_spectrum_rejects_off_circle_roots():
-    # hand-built ladder whose top polynomial has roots off the circle; its
-    # constant term does not give back omega, so the system is never built
-    v = VerblunskySequence([0.0j], 1.0)
-    phis = (Polynomial([1.0]), Polynomial([0, 1.0]), Polynomial([-4.0, 0, 1.0]))
-    with pytest.raises(ShapeError):
-        OpucSystem(v, phis, np.array([1.0, 1.0]))
+    # rounding leaves the eigenvalues a little off the circle; a radius
+    # slack below that drift must make spectrum refuse them
+    v = random_verblunsky(np.random.default_rng(101), 12)
+    drift = float(np.max(np.abs(np.abs(np.linalg.eigvals(cmv_matrix(v))) - 1.0)))
+    assert drift > 0.0
+    spectrum(build_system(v), Tolerances(spectrum_radius=2 * drift))
+    with pytest.raises(SpectralValidityError):
+        spectrum(build_system(v), Tolerances(spectrum_radius=drift / 2))
 
 
 def test_weights_flat_for_monomials():
@@ -208,6 +212,7 @@ def test_paraorthogonality_flags_a_moved_coefficient():
     sys_ = build_system(v)
     top = sys_.phis[-1].coeffs.copy()
     top[6] += 1e-6
-    moved = OpucSystem(v, sys_.phis[:-1] + (Polynomial(top),), sys_.h)
+    moved = OpucSystem(v)
+    vars(moved)["phis"] = sys_.phis[:-1] + (Polynomial(top),)  # fill the cached ladder by hand
     assert paraorthogonality_residual(sys_) <= 1e-14
     assert paraorthogonality_residual(moved) > 1e-8
