@@ -235,12 +235,10 @@ def cmd_export(args: argparse.Namespace) -> int:
         text = _document("export", _payload(v, args.emit)) + "\n"
         path.write_text(text)
     else:
-        sys_ = build_system(v)
-        nodes = spectrum(sys_)
-        data = weights(sys_, nodes)
+        payload = _payload(v, "weights")
         lines = ["s,theta,weight"]
-        for s, (node, wgt) in enumerate(zip(data.nodes, data.weights)):
-            lines.append(f"{s},{_format_float(node.theta)},{_format_float(float(wgt))}")
+        for s, (theta, wgt) in enumerate(zip(payload["spectrum"]["theta"], payload["weights"])):
+            lines.append(f"{s},{_format_float(theta)},{_format_float(wgt)}")
         path.write_text("\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -113,8 +113,7 @@ class MirrorRelationReport:
     """Residuals of the reflection identities linking a system to its mirror dual."""
 
     parity: str               # "odd" or "even" (parity of n)
-    tau: complex              # branch of the square root that matched
-    branch_flipped: bool      # True when -principal was the matching branch
+    tau: complex              # principal square root branch used
     m1_residual: float
     m2_residual: float
     u_residual: float
@@ -134,8 +133,7 @@ def verify_mirror_relations(v: VerblunskySequence) -> MirrorRelationReport:
         Q(1/tau) M1 Q(1/tau) = dual M2,  Q(tau) M2 Q(tau) = dual M1,
         Q(tau) U Q(1/tau) = transpose of dual U.
     Every identity involves tau quadratically, so both square root branches
-    satisfy them simultaneously; the report records the branch that scored
-    the smaller residual anyway.
+    give the same residuals; tau is the principal branch.
     """
     vh = mirror_dual(v)
     m1, m2 = factors(v)
@@ -144,26 +142,17 @@ def verify_mirror_relations(v: VerblunskySequence) -> MirrorRelationReport:
     uh = mh2 @ mh1
     odd = v.n % 2 == 1
     root = principal_sqrt_unimodular(v.omega)
-    tau0 = np.conj(root) if odd else root
-    best: MirrorRelationReport | None = None
-    for flipped in (False, True):
-        tau = -tau0 if flipped else tau0
-        inv = 1.0 / tau
-        if odd:
-            r1 = float(np.max(np.abs(_reflect(inv, m1, tau) - mh1)))
-            r2 = float(np.max(np.abs(_reflect(tau, m2, inv) - mh2)))
-            r3 = float(np.max(np.abs(_reflect(tau, u, tau) - uh)))
-        else:
-            r1 = float(np.max(np.abs(_reflect(inv, m1, inv) - mh2)))
-            r2 = float(np.max(np.abs(_reflect(tau, m2, tau) - mh1)))
-            r3 = float(np.max(np.abs(_reflect(tau, u, inv) - uh.T)))
-        report = MirrorRelationReport(
-            "odd" if odd else "even", complex(tau), flipped, r1, r2, r3
-        )
-        if best is None or report.max_residual < best.max_residual:
-            best = report
-    assert best is not None
-    return best
+    tau = np.conj(root) if odd else root
+    inv = 1.0 / tau
+    if odd:
+        r1 = float(np.max(np.abs(_reflect(inv, m1, tau) - mh1)))
+        r2 = float(np.max(np.abs(_reflect(tau, m2, inv) - mh2)))
+        r3 = float(np.max(np.abs(_reflect(tau, u, tau) - uh)))
+    else:
+        r1 = float(np.max(np.abs(_reflect(inv, m1, inv) - mh2)))
+        r2 = float(np.max(np.abs(_reflect(tau, m2, tau) - mh1)))
+        r3 = float(np.max(np.abs(_reflect(tau, u, inv) - uh.T)))
+    return MirrorRelationReport("odd" if odd else "even", complex(tau), r1, r2, r3)
 
 
 def persymmetric_sign_pattern(v: VerblunskySequence, tol: float = 1e-8) -> list[int]:

@@ -140,20 +140,6 @@ def single_moment_persymmetric(n: int) -> FamilyInstance:
     )
 
 
-def _symmetric_poly_in_z(coeffs: np.ndarray, m: int) -> np.ndarray:
-    # turn sum_j c_j x^j into z^m * (value at x = z + 1/z), ascending in z
-    acc = np.zeros(2 * m + 1, dtype=np.complex128)
-    base = np.array([1.0, 0.0, 1.0], dtype=np.complex128)  # 1 + z^2
-    power = np.array([1.0 + 0.0j])
-    for j in range(m + 1):
-        c = coeffs[j] if j < coeffs.size else 0.0
-        if c != 0.0:
-            shifted = np.concatenate([np.zeros(m - j, dtype=np.complex128), power])
-            acc[: shifted.size] += c * shifted
-        power = np.convolve(power, base)
-    return acc
-
-
 def _divide_out_linear(coeffs: np.ndarray, root: complex) -> tuple[np.ndarray, complex]:
     # synthetic division of an ascending-coefficient polynomial by (w - root)
     d = coeffs.size - 1
@@ -165,19 +151,40 @@ def _divide_out_linear(coeffs: np.ndarray, root: complex) -> tuple[np.ndarray, c
     return q, complex(remainder)
 
 
-def krawtchouk_family(n: int, omega: complex, tol: Tolerances = DEFAULT) -> FamilyInstance:
+def _krawtchouk_ladder(n: int, omega: complex, kappa_sq: float) -> list[tuple[np.ndarray, complex, float]]:
+    # (R_{m+1} - A_m R_m) / (w - omega) for m = 0 .. n+1, each as (quotient,
+    # remainder, max(1, largest numerator coefficient)), where
+    # R_0 = 1, R_1 = 1 + w, R_{m+1} = (w + 1) R_m - kappa^2 m (n + 2 - m) / 4 w R_{m-1}
+    r_prev = np.ones(1, dtype=np.complex128)
+    r = np.ones(2, dtype=np.complex128)
+    out = []
+    for m in range(n + 2):
+        num = r.copy()
+        num[:-1] -= (omega + 1.0) * (n - m + 1.0) / (n + 1.0) * r_prev
+        quotient, remainder = _divide_out_linear(num, omega)
+        out.append((quotient, remainder, max(1.0, float(np.max(np.abs(num))))))
+        nxt = np.zeros(r.size + 1, dtype=np.complex128)
+        nxt[:-1] += r
+        nxt[1:] += r
+        nxt[1:-1] -= kappa_sq * (m + 1.0) * (n + 1.0 - m) / 4.0 * r_prev
+        r_prev, r = r, nxt
+    return out
+
+
+def krawtchouk_family(n: int, omega: complex) -> FamilyInstance:
     """Linear-coefficient family a_k = (omega + 1)(k + 1)/(n + 1) - 1.
 
-    The ladder comes from symmetric Krawtchouk polynomials K_m rescaled by
-    kappa with kappa^2 = 4 (omega + 1)^2 / (omega (n + 1)^2), a positive
-    real.  With P_m(z) = z^m K_m((z + 1/z) / kappa) kappa^m the ladder is
-    Phi_m(z^2) = (P_{m+1}(z) - A_m P_m(z)) / (z^2 - omega),
+    The ladder comes from symmetric Krawtchouk polynomials rescaled by kappa
+    with kappa^2 = 4 |omega + 1|^2 / (n + 1)^2.  In w = z^2 they satisfy
+    R_0 = 1, R_1 = 1 + w and
+    R_{m+1} = (w + 1) R_m - kappa^2 m (n + 2 - m) / 4 w R_{m-1},
+    and the ladder is Phi_m(w) = (R_{m+1}(w) - A_m R_m(w)) / (w - omega),
     A_m = (omega + 1)(n - m + 1)/(n + 1).  Nodes come from
     cos(theta_k / 2) = (2k/(n+1) - 1) cos(sigma/2), k = 0 .. n+1 with
     sigma = arg(omega); the candidate equal to omega itself is dropped.
     Weights are 1/(k! (n+1-k)!) times |sin(theta_k/2 - sigma/2)/sin(theta_k/2)|,
-    normalized to sum one.  All node angles stay outside the arc
-    |theta| < |sigma|.
+    formed in the log domain and normalized to sum one.  All node angles
+    stay outside the arc |theta| < |sigma|.
     """
     if n < 1:
         raise ShapeError("need n >= 1")
@@ -193,26 +200,8 @@ def krawtchouk_family(n: int, omega: complex, tol: Tolerances = DEFAULT) -> Fami
     v = VerblunskySequence(a, w_om)
 
     kappa_sq = 4.0 * abs(1.0 + w_om) ** 2 / (n + 1.0) ** 2
-    # scaled symmetric Krawtchouk ladder, ascending coefficients in x
-    ktilde = [np.array([1.0 + 0.0j]), np.array([0.0, 1.0 + 0.0j])]
-    for m in range(1, n + 2):
-        recur = m * (n + 2.0 - m) / 4.0
-        nxt = np.zeros(m + 2, dtype=np.complex128)
-        nxt[1:] = ktilde[m]
-        nxt[: ktilde[m - 1].size] -= kappa_sq * recur * ktilde[m - 1]
-        ktilde.append(nxt)
-    p_polys = [_symmetric_poly_in_z(ktilde[m], m) for m in range(n + 3)]
-
     phis = []
-    for m in range(n + 2):
-        a_m = (w_om + 1.0) * (n - m + 1.0) / (n + 1.0)
-        num = p_polys[m + 1].copy()
-        num[: p_polys[m].size] -= a_m * p_polys[m]
-        odd_worst = float(np.max(np.abs(num[1::2]))) if num.size > 1 else 0.0
-        if odd_worst > 1e-10:
-            raise ValueError(f"ladder entry {m}: odd powers did not cancel ({odd_worst:.3e})")
-        quotient, remainder = _divide_out_linear(num[::2], w_om)
-        scale = max(1.0, float(np.max(np.abs(num))))
+    for m, (quotient, remainder, scale) in enumerate(_krawtchouk_ladder(n, w_om, kappa_sq)):
         if abs(remainder) > 1e-8 * scale:
             raise ValueError(f"ladder entry {m}: division remainder {abs(remainder):.3e}")
         phis.append(Polynomial(quotient))
@@ -225,26 +214,26 @@ def krawtchouk_family(n: int, omega: complex, tol: Tolerances = DEFAULT) -> Fami
     drop = int(np.argmin(np.abs(cand - w_om)))
     if abs(cand[drop] - w_om) > 1e-6:
         raise ValueError("no root candidate matches the closure parameter")
-    kept = [int(k) for k in ks if k != drop]
-    raw = np.empty(len(kept))
-    for i, k in enumerate(kept):
-        s_half = float(np.sin(half_angles[k]))
-        if abs(s_half) < 1e-12:
-            # reachable only when sigma = 0, where the two endpoint candidates
-            # coincide at z = 1 and contribute jointly; the limit of the ratio
-            # along sigma -> 0 is 2 cos(sigma / 2) -> 2, matching the merged
-            # binomial masses C(n+1, 0) + C(n+1, n+1)
-            ratio = 2.0
-        else:
-            ratio = abs(np.sin(half_angles[k] - sigma / 2.0)) / abs(s_half)
-        raw[i] = ratio / (math.factorial(k) * math.factorial(n + 1 - k))
+    kept = np.delete(ks, drop)
+    half = half_angles[kept]
+    s_half = np.abs(np.sin(half))
+    # a vanishing sin(theta_k / 2) is reachable only when sigma = 0, where the
+    # two endpoint candidates coincide at z = 1 and contribute jointly; the
+    # limit of the ratio along sigma -> 0 is 2 cos(sigma / 2) -> 2, matching
+    # the merged binomial masses C(n+1, 0) + C(n+1, n+1)
+    ratio = np.full(kept.size, 2.0)
+    inner = s_half >= 1e-12
+    ratio[inner] = np.abs(np.sin(half[inner] - sigma / 2.0)) / s_half[inner]
+    log_mass = np.log(ratio) - np.array(
+        [math.lgamma(k + 1.0) + math.lgamma(n + 2.0 - k) for k in kept]
+    )
+    raw = np.exp(log_mass - log_mass.max())
     raw /= raw.sum()
-    nodes = [UnitCirclePoint(2.0 * float(half_angles[k])) for k in kept]
+    nodes = [UnitCirclePoint(2.0 * float(t)) for t in half]
     order = np.argsort([p.theta for p in nodes])
     nodes_sorted = tuple(nodes[i] for i in order)
-    w_sorted = raw[order]
     return FamilyInstance(
-        "krawtchouk", v, tuple(phis), nodes_sorted, w_sorted, persymmetric=True
+        "krawtchouk", v, tuple(phis), nodes_sorted, raw[order], persymmetric=True
     )
 
 

@@ -276,6 +276,12 @@ def test_check_all_passes_on_large_self_dual_families(capsys, family_args):
     assert checks["persymmetry_characterizations"]["weight_residual"] <= 1e-12
 
 
+def test_generate_krawtchouk_at_large_n(capsys):
+    code, out, err = run(capsys, "generate", "--family", "krawtchouk", "--n", "64", "--omega-arg", "0.9")
+    assert code == 0, err
+    assert len(json.loads(out)["payload"]["weights"]) == 65
+
+
 def test_numerical_failure_has_its_own_exit_code(capsys, monkeypatch):
     def breakdown(*_args, **_kwargs):
         raise WeightError("Christoffel weights sum to 0.5, expected 1")

@@ -21,7 +21,7 @@ from popuc import (
     weights,
 )
 from popuc.cmv import factors
-from popuc.families import _divide_out_linear, _symmetric_poly_in_z
+from popuc.families import _krawtchouk_ladder
 
 
 def test_running_sum_weight_prefactor():
@@ -83,22 +83,7 @@ def test_krawtchouk_scaling_constant():
     omega = np.exp(0.8j)
 
     def worst_remainder(kappa_sq):
-        ktilde = [np.array([1.0 + 0.0j]), np.array([0.0, 1.0 + 0.0j])]
-        for m in range(1, n + 2):
-            recur = m * (n + 2.0 - m) / 4.0
-            nxt = np.zeros(m + 2, dtype=np.complex128)
-            nxt[1:] = ktilde[m]
-            nxt[: ktilde[m - 1].size] -= kappa_sq * recur * ktilde[m - 1]
-            ktilde.append(nxt)
-        p_polys = [_symmetric_poly_in_z(ktilde[m], m) for m in range(n + 3)]
-        worst = 0.0
-        for m in range(n + 2):
-            a_m = (omega + 1.0) * (n - m + 1.0) / (n + 1.0)
-            num = p_polys[m + 1].copy()
-            num[: p_polys[m].size] -= a_m * p_polys[m]
-            _, remainder = _divide_out_linear(num[::2], omega)
-            worst = max(worst, abs(remainder))
-        return worst
+        return max(abs(remainder) for _, remainder, _ in _krawtchouk_ladder(n, omega, kappa_sq))
 
     implemented = 4.0 * abs(1.0 + omega) ** 2 / (n + 1.0) ** 2
     variant = abs(1.0 + omega) ** 2 / (n + 1.0)
