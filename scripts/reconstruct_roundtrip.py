@@ -3,10 +3,12 @@
 
 For each n, draws self-dual coefficient sequences, computes their nodes,
 reconstructs from the nodes alone and reports the error distribution.
-Useful for judging how the recovery conditions with depth.
+Useful for judging how the recovery conditions with depth.  Exits 1 when a
+worst |da|, relative dh or node drift exceeds ``Tolerances.residual``.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -17,6 +19,7 @@ from popuc import (
     reconstruct_persymmetric,
     spectrum,
 )
+from popuc.tolerances import DEFAULT
 
 
 def draw(rng, n, max_mag):
@@ -40,6 +43,8 @@ def main():
     parser.add_argument("--max-mag", type=float, default=0.8)
     args = parser.parse_args()
 
+    bound = DEFAULT.residual
+    over = []
     rng = np.random.default_rng(args.seed)
     print(f"{'n':>3}  {'median |da|':>12}  {'worst |da|':>12}  {'worst rel dh':>13}  {'worst node drift':>17}")
     for n in range(1, args.n_max + 1):
@@ -52,11 +57,17 @@ def main():
             errs.append(float(np.max(np.abs(result.v.a - v.a))))
             herrs.append(abs(result.h_final - float(sys_.h[-1])) / float(sys_.h[-1]))
             drifts.append(result.spectrum_residual)
+        worst = {"|da|": max(errs), "rel dh": max(herrs), "node drift": max(drifts)}
+        over.extend(f"{k} {x:.3e} at n = {n}" for k, x in worst.items() if not x <= bound)
         print(
-            f"{n:>3}  {np.median(errs):>12.3e}  {np.max(errs):>12.3e}"
-            f"  {np.max(herrs):>13.3e}  {np.max(drifts):>17.3e}"
+            f"{n:>3}  {np.median(errs):>12.3e}  {worst['|da|']:>12.3e}"
+            f"  {worst['rel dh']:>13.3e}  {worst['node drift']:>17.3e}"
         )
+    if over:
+        print(f"over the bound {bound:.0e}: {'; '.join(over)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Residual battery over the closed-form families and random systems.
 
-Prints one row per check with the worst observed residual, so a glance
-shows how much headroom each identity has.  Use --json for a
-machine-readable dump of the same numbers.
+Prints one row per check with the worst observed residual and its
+``Tolerances`` bound, so a glance shows how much headroom each identity has.
+Use --json for a machine-readable dump of the same residuals.  Exits 1 when
+any residual exceeds its bound.
 """
 
 import argparse
 import json
+import sys
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from popuc import (
     verify_persymmetry_characterizations,
     weights,
 )
+from popuc.tolerances import DEFAULT
 
 
 def random_verblunsky(rng, n, max_mag=0.85):
@@ -52,7 +55,7 @@ def family_rows(n_values):
             krawtchouk_family(n, np.exp(0.9j)),
         ):
             report = verify_family(inst)
-            rows.append((f"{inst.name} n={n}", max(report.values()), report))
+            rows.append((f"{inst.name} n={n}", max(report.values()), DEFAULT.residual))
     return rows
 
 
@@ -85,7 +88,14 @@ def random_rows(seed, count, n_max):
         worst["mirror relations"] = max(
             worst["mirror relations"], verify_mirror_relations(v).max_residual
         )
-    return [(f"random ({count} draws, n <= {n_max}): {k}", v, None) for k, v in worst.items()]
+    bounds = {
+        "orthogonality": DEFAULT.orthogonality,
+        "paraorthogonality": DEFAULT.paraorthogonality,
+        "cmv unitarity": DEFAULT.residual,
+        "cmv eigenpairs": DEFAULT.residual,
+        "mirror relations": DEFAULT.mirror_relations,
+    }
+    return [(f"random ({count} draws, n <= {n_max}): {k}", v, bounds[k]) for k, v in worst.items()]
 
 
 def persymmetric_rows(seed, count, n_max):
@@ -105,7 +115,8 @@ def persymmetric_rows(seed, count, n_max):
         v = make_persymmetric(seed_obj)
         report = verify_persymmetry_characterizations(v)
         worst = max(worst, report.max_residual)
-    return [(f"persymmetric characterizations ({count} draws, n <= {n_max})", worst, None)]
+    name = f"persymmetric characterizations ({count} draws, n <= {n_max})"
+    return [(name, worst, DEFAULT.persymmetry_identities)]
 
 
 def main():
@@ -121,16 +132,21 @@ def main():
     rows.extend(random_rows(args.seed, args.count, args.n_max))
     rows.extend(persymmetric_rows(args.seed + 1, args.count, args.n_max))
 
+    over = [name for name, value, bound in rows if not value <= bound]
     if args.json:
         print(json.dumps({name: value for name, value, _ in rows}, indent=2, sort_keys=True))
-        return
-
-    width = max(len(name) for name, _, _ in rows)
-    print(f"{'check':<{width}}  worst residual")
-    print("-" * (width + 16))
-    for name, value, _ in rows:
-        print(f"{name:<{width}}  {value:.3e}")
+    else:
+        width = max(len(name) for name, _, _ in rows)
+        print(f"{'check':<{width}}  worst residual      bound")
+        print("-" * (width + 27))
+        for name, value, bound in rows:
+            mark = "  OVER" if name in over else ""
+            print(f"{name:<{width}}  {value:>14.3e}  {bound:>9.0e}{mark}")
+    if over:
+        print(f"{len(over)} residual(s) over their bound: {', '.join(over)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -8,14 +8,19 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 reconstruction failure, 4 I/O failure, 5 numerical failure on valid
 input (weights, convergence or spectrum validity).
 
-JSON output is canonical: keys sorted, floats printed with 17 significant
-digits (enough to round-trip doubles bit-exactly), complex numbers as
-[real, imag] pairs.
+JSON output is canonical and byte-stable: keys sorted, floats printed with
+17 significant digits (enough to round-trip doubles bit-exactly, -0 kept),
+complex numbers as [real, imag] pairs.  Arrays are rendered straight from
+their ndarrays, one join per row.
+
+``main`` builds its argument parser once per process, so callers that run
+it in-process repeatedly pay only for the numerical work of each command.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -25,7 +30,7 @@ import numpy as np
 
 from . import cmv as cmv_mod
 from . import families as fam_mod
-from .complex_poly import UnitCirclePoint
+from .complex_poly import UnitCirclePoint, as_complex_array
 from .errors import (
     ConvergenceError,
     NotPersymmetricError,
@@ -37,9 +42,9 @@ from .errors import (
 )
 from .inverse_spectral import reconstruct_persymmetric
 from .mirror import (
+    _persymmetry_characterizations,
     is_persymmetric,
     persymmetry_defect,
-    verify_persymmetry_characterizations,
 )
 from .opuc_core import (
     VerblunskySequence,
@@ -49,6 +54,7 @@ from .opuc_core import (
     spectrum,
     weights,
 )
+from .tolerances import DEFAULT
 
 SCHEMA_VERSION = "1"
 
@@ -69,12 +75,21 @@ FAMILIES = {
 }
 
 
-def _format_float(x: float) -> str:
-    return f"{x:.17g}"
+def _array(arr: np.ndarray) -> str:
+    """A real or complex array as nested JSON lists, complex entries as [re, im]."""
+    if arr.ndim > 1:
+        return "[" + ",".join(map(_array, arr)) + "]"
+    if arr.dtype.kind == "c":
+        return "[" + ",".join(f"[{z.real:.17g},{z.imag:.17g}]" for z in arr.tolist()) + "]"
+    return "[" + ",".join(f"{x:.17g}" for x in arr.tolist()) + "]"
 
 
 def _canonical(value: Any) -> str:
     """Render a JSON document with sorted keys and fixed float formatting."""
+    if type(value) is np.ndarray:
+        return _array(value)
+    if type(value) is float:
+        return f"{value:.17g}"
     if isinstance(value, dict):
         items = sorted(value.items())
         inner = ",".join(f"{json.dumps(k)}:{_canonical(v)}" for k, v in items)
@@ -86,7 +101,7 @@ def _canonical(value: Any) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _format_float(float(value))
+        return f"{float(value):.17g}"
     if value is None:
         return "null"
     return json.dumps(value)
@@ -127,28 +142,22 @@ def _payload(v: VerblunskySequence, emit: str) -> dict[str, Any]:
     sys_ = build_system(v)
     out: dict[str, Any] = {
         "n": v.n,
-        "verblunsky": {"a": [_pair(z) for z in v.a], "omega": _pair(v.omega)},
+        "verblunsky": {"a": v.a, "omega": _pair(v.omega)},
     }
     if emit in ("phis", "all"):
-        out["phis"] = [[_pair(c) for c in p.coeffs] for p in sys_.phis]
-        out["h"] = [float(x) for x in sys_.h]
+        out["phis"] = [p.coeffs for p in sys_.phis]
+        out["h"] = sys_.h
     if emit in ("spectrum", "weights", "all"):
         nodes = spectrum(sys_)
         out["spectrum"] = {
-            "theta": [p.theta for p in nodes],
-            "z": [_pair(p.value) for p in nodes],
+            "theta": np.array([p.theta for p in nodes]),
+            "z": as_complex_array(nodes),
         }
         if emit in ("weights", "all"):
-            data = weights(sys_, nodes)
-            out["weights"] = [float(x) for x in data.weights]
+            out["weights"] = weights(sys_, nodes).weights
     if emit in ("cmv", "all"):
         m1, m2 = cmv_mod.factors(v)
-        u = m2 @ m1
-        out["cmv"] = {
-            "m1": [[_pair(x) for x in row] for row in m1],
-            "m2": [[_pair(x) for x in row] for row in m2],
-            "u": [[_pair(x) for x in row] for row in u],
-        }
+        out["cmv"] = {"m1": m1, "m2": m2, "u": m2 @ m1}
     return out
 
 
@@ -169,15 +178,16 @@ def cmd_check(args: argparse.Namespace) -> int:
     run_all = args.all or not (args.persymmetric or args.mirror_relations or args.orthogonality)
     checks: dict[str, Any] = {}
     passed = True
+    sys_ = build_system(v)
+    nodes = None
     if args.orthogonality or run_all:
-        sys_ = build_system(v)
         nodes = spectrum(sys_)
         data = weights(sys_, nodes)
         ortho = orthogonality_residual(sys_, data)
         para = paraorthogonality_residual(sys_)
         checks["orthogonality_residual"] = ortho
         checks["paraorthogonality_residual"] = para
-        passed = passed and ortho <= 1e-8 and para <= 1e-10
+        passed = passed and ortho <= DEFAULT.orthogonality and para <= DEFAULT.paraorthogonality
     if args.mirror_relations or run_all:
         report = cmv_mod.verify_mirror_relations(v)
         checks["mirror_relations"] = {
@@ -186,19 +196,20 @@ def cmd_check(args: argparse.Namespace) -> int:
             "u_residual": report.u_residual,
             "parity": report.parity,
         }
-        passed = passed and report.max_residual <= 1e-10
+        passed = passed and report.max_residual <= DEFAULT.mirror_relations
     persym = is_persymmetric(v)
     checks["persymmetric"] = persym
     checks["persymmetry_defect"] = persymmetry_defect(v)
     if persym and (args.persymmetric or run_all):
-        chars = verify_persymmetry_characterizations(v)
+        # reuse the forward pass above when it ran
+        chars = _persymmetry_characterizations(sys_, nodes or spectrum(sys_))
         checks["persymmetry_characterizations"] = {
             "weight_residual": chars.weight_residual,
             "modulus_residual": chars.modulus_residual,
             "phase_residual": chars.phase_residual,
             "epsilon": chars.epsilon,
         }
-        passed = passed and chars.max_residual <= 1e-8
+        passed = passed and chars.max_residual <= DEFAULT.persymmetry_identities
     elif args.persymmetric:
         passed = False
     checks["passed"] = passed
@@ -216,12 +227,12 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     omega = complex(np.exp(1j * args.omega_arg))
     result = reconstruct_persymmetric(nodes, omega)
     payload = {
-        "a": [_pair(z) for z in result.v.a],
+        "a": result.v.a,
         "omega": _pair(result.v.omega),
         "n": result.v.n,
         "epsilon": result.epsilon,
         "h_final": result.h_final,
-        "division_residuals": [float(x) for x in result.division_residuals],
+        "division_residuals": result.division_residuals,
         "spectrum_residual": result.spectrum_residual,
     }
     print(_document("reconstruct", payload))
@@ -238,7 +249,7 @@ def cmd_export(args: argparse.Namespace) -> int:
         payload = _payload(v, "weights")
         lines = ["s,theta,weight"]
         for s, (theta, wgt) in enumerate(zip(payload["spectrum"]["theta"], payload["weights"])):
-            lines.append(f"{s},{_format_float(theta)},{_format_float(wgt)}")
+            lines.append(f"{s},{theta:.17g},{wgt:.17g}")
         path.write_text("\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -251,7 +262,9 @@ def _add_system_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--omega-arg", type=float, default=0.0, help="arg(omega) in radians")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The popuc parser, built on first use; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="popuc",
         description="Finite paraorthogonal polynomials on the unit circle.",

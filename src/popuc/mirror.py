@@ -192,9 +192,15 @@ def verify_persymmetry_characterizations(
             f"coefficient list has mirror defect {persymmetry_defect(v):.3e}"
         )
     sys = build_system(v)
-    nodes = spectrum(sys, tol)
+    return _persymmetry_characterizations(sys, spectrum(sys, tol), tol)
+
+
+def _persymmetry_characterizations(
+    sys: OpucSystem, nodes: Sequence[UnitCirclePoint], tol: Tolerances = DEFAULT
+) -> PersymmetryCharacterizations:
+    """``verify_persymmetry_characterizations`` on persymmetric sys at its sorted spectrum."""
     z = as_complex_array(nodes)
-    vals = ladder_values(v, z)
+    vals = ladder_values(sys.v, z)
     h_final = float(sys.h[-1])
     w_closed = persymmetric_weights(z, h_final)
     weight_residual = float(np.max(np.abs(christoffel_weights(vals, sys.h, tol) - w_closed)))
@@ -203,7 +209,7 @@ def verify_persymmetry_characterizations(
 
     best_eps, best = 1, np.inf
     for eps in (1, -1):
-        predicted = phi_n_values(nodes, v.omega, h_final, eps)
+        predicted = phi_n_values(nodes, sys.v.omega, h_final, eps)
         resid = float(np.max(np.abs(phi_n - predicted)))
         if resid < best:
             best_eps, best = eps, resid

@@ -19,6 +19,11 @@ class Tolerances:
     verblunsky_margin: float = 1e-12 # strictness margin for |a| < 1
     aberth_sweeps: int = 500         # iteration cap for the simultaneous root solve
     aberth_correction: float = 1e-13 # per-root correction size that counts as converged
+    # pass bounds of ``popuc check``
+    orthogonality: float = 1e-8          # weighted Gram matrix versus diag(h)
+    paraorthogonality: float = 1e-10     # Phi_{N+1}^* + omega Phi_{N+1}
+    mirror_relations: float = 1e-10      # reflected CMV factors
+    persymmetry_identities: float = 1e-8 # weight, modulus and phase forms
 
 
 DEFAULT = Tolerances()

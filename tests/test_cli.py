@@ -1,12 +1,18 @@
 """End-to-end command line tests through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from popuc import WeightError
 from popuc.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -290,3 +296,95 @@ def test_numerical_failure_has_its_own_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "check", "--family", "single_moment", "--n", "3", "--orthogonality")
     assert code == 5 and out == ""
     assert err.startswith("numerical failure:") and "0.5" in err
+
+
+# Full stdout, byte for byte.  The spectrum, weight and u digits come from
+# LAPACK and BLAS; everything else is exact elementwise arithmetic.
+GOLDEN_SINGLE_MOMENT_3 = (
+    '{"command":"generate","payload":{"cmv":{"m1":[[[1,0],[0,0],[0,0],[0,0]],'
+    '[[0,0],[-0.33333333333333331,-0],[0.94280904158206336,0],[0,0]],'
+    '[[0,0],[0.94280904158206336,0],[0.33333333333333331,-0],[0,0]],'
+    '[[0,0],[0,0],[0,0],[-1,-0]]],'
+    '"m2":[[[-0.5,-0],[0.8660254037844386,0],[0,0],[0,0]],'
+    '[[0.8660254037844386,0],[0.5,-0],[0,0],[0,0]],'
+    '[[0,0],[0,0],[-0.25,-0],[0.96824583655185426,0]],'
+    '[[0,0],[0,0],[0.96824583655185426,0],[0.25,-0]]],'
+    '"u":[[[-0.5,0],[-0.28867513459481287,0],[0.81649658092772592,0],[0,0]],'
+    '[[0.8660254037844386,0],[-0.16666666666666666,0],[0.47140452079103168,0],[0,0]],'
+    '[[0,0],[-0.23570226039551584,0],[-0.083333333333333329,0],[-0.96824583655185426,0]],'
+    '[[0,0],[0.9128709291752769,0],[0.3227486121839514,0],[-0.25,0]]]},'
+    '"h":[1,0.75,0.66666666666666663,0.625],"n":3,'
+    '"phis":[[[1,0]],[[0.5,0],[1,0]],[[0.33333333333333331,0],[0.66666666666666663,0],[1,0]],'
+    '[[0.25,0],[0.5,0],[0.75,0],[1,0]],[[1,0],[1,0],[1,0],[1,0],[1,0]]],'
+    '"spectrum":{"theta":[1.2566370614359172,2.5132741228718345,3.7699111843077513,5.026548245743669],'
+    '"z":[[0.30901699437494745,0.95105651629515353],[-0.80901699437494734,0.58778525229247325],'
+    '[-0.80901699437494778,-0.58778525229247269],[0.30901699437494723,-0.95105651629515364]]},'
+    '"verblunsky":{"a":[[-0.5,0],[-0.33333333333333331,0],[-0.25,0]],"omega":[-1,0]},'
+    '"weights":[0.1381966011250105,0.36180339887498936,0.36180339887498952,0.13819660112501056]},'
+    '"schema_version":"1"}\n'
+)
+
+# -0 parts, a subnormal-adjacent 5e-301 and integer-valued floats
+GOLDEN_TINY_PHIS = (
+    '{"command":"generate","payload":{"h":[1,1,0.75],"n":2,'
+    '"phis":[[[1,0]],[[0,5.0000000000000001e-301],[1,0]],'
+    '[[-0.5,0],[0,7.5000000000000006e-301],[1,0]],'
+    '[[-1,0],[-0.5,7.5000000000000006e-301],[0.5,7.5000000000000006e-301],[1,0]]],'
+    '"verblunsky":{"a":[[-0,5.0000000000000001e-301],[0.5,-0]],"omega":[1,0]}},'
+    '"schema_version":"1"}\n'
+)
+
+
+def test_canonical_output_is_byte_exact(capsys):
+    code, out, _ = run(capsys, "generate", "--family", "single_moment", "--n", "3", "--emit", "all")
+    assert code == 0 and out == GOLDEN_SINGLE_MOMENT_3
+    tiny = '{"a": [[-0.0, 5e-301], [0.5, -0.0]], "omega": [1, 0]}'
+    code, out, _ = run(capsys, "generate", "--verblunsky", tiny, "--emit", "phis")
+    assert code == 0 and out == GOLDEN_TINY_PHIS
+
+
+def test_nothing_leaks_between_in_process_runs(capsys):
+    check = ["check", "--family", "krawtchouk", "--n", "7", "--omega-arg", "0.9"]
+    sequence = [
+        check + ["--all"],
+        check + ["--orthogonality"],
+        ["generate", "--family", "free", "--n", "3", "--emit", "weights"],
+        check + ["--all"],
+    ]
+    fresh = {}
+    for argv in sequence:
+        key = tuple(argv)
+        if key not in fresh:
+            proc = subprocess.run(
+                [sys.executable, "-m", "popuc.cli", *argv],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")},
+            )
+            fresh[key] = (proc.returncode, proc.stdout)
+    for argv in sequence:
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == fresh[tuple(argv)]
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--family", "nope", "--n", "2"])
+    assert exc.value.code == 2
+
+
+def test_check_all_runs_one_forward_pass_on_self_dual_data(capsys, monkeypatch):
+    import popuc.cli as cli
+    import popuc.mirror as mirror
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return spectrum(*args, **kwargs)
+
+    spectrum = cli.spectrum
+    for module in (cli, mirror):
+        monkeypatch.setattr(module, "spectrum", counted)
+    code, out, _ = run(capsys, "check", "--family", "krawtchouk", "--n", "9", "--omega-arg", "0.9", "--all")
+    assert code == 0 and "persymmetry_characterizations" in json.loads(out)["payload"]["checks"]
+    assert len(calls) == 1
+    code, _, _ = run(capsys, "check", "--family", "krawtchouk", "--n", "9", "--persymmetric")
+    assert code == 0 and len(calls) == 2
