@@ -145,7 +145,7 @@ def _payload(v: VerblunskySequence, emit: str) -> dict[str, Any]:
         "verblunsky": {"a": v.a, "omega": _pair(v.omega)},
     }
     if emit in ("phis", "all"):
-        out["phis"] = [p.coeffs for p in sys_.phis]
+        out["phis"] = list(sys_.phis)
         out["h"] = sys_.h
     if emit in ("spectrum", "weights", "all"):
         nodes = spectrum(sys_)

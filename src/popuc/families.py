@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_poly import Polynomial, UnitCirclePoint, as_complex_array
+from .complex_poly import UnitCirclePoint, as_complex_array
 from .errors import ShapeError
 from .mirror import persymmetry_defect
 from .opuc_core import (
@@ -32,11 +32,15 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True, eq=False)
 class FamilyInstance:
-    """Coefficient data plus the closed forms a family is known to satisfy."""
+    """Coefficient data plus the closed forms a family is known to satisfy.
+
+    closed_form_phis, when present, holds Phi_0 .. Phi_{N+1} as ascending
+    complex coefficient arrays, entry k of length k + 1, like ``OpucSystem.phis``.
+    """
 
     name: str
     v: VerblunskySequence
-    closed_form_phis: tuple[Polynomial, ...] | None = None
+    closed_form_phis: tuple[np.ndarray, ...] | None = None
     closed_form_nodes: tuple[UnitCirclePoint, ...] | None = None
     closed_form_weights: np.ndarray | None = None
     persymmetric: bool = False
@@ -54,14 +58,11 @@ def free_family(n: int, nu: float = 0.0) -> FamilyInstance:
     omega = complex(np.exp(2j * np.pi * nu))
     v = VerblunskySequence(np.zeros(n, dtype=np.complex128), omega)
     phis = []
-    for m in range(n + 1):
+    for m in range(n + 2):
         c = np.zeros(m + 1, dtype=np.complex128)
         c[m] = 1.0
-        phis.append(Polynomial(c))
-    top = np.zeros(n + 2, dtype=np.complex128)
-    top[n + 1] = 1.0
-    top[0] = -np.conj(omega)
-    phis.append(Polynomial(top))
+        phis.append(c)
+    phis[-1][0] = -np.conj(omega)
     nodes = sorted(
         UnitCirclePoint(TWO_PI * (s - nu) / (n + 1)) for s in range(n + 1)
     )
@@ -69,9 +70,9 @@ def free_family(n: int, nu: float = 0.0) -> FamilyInstance:
     return FamilyInstance("free", v, tuple(phis), tuple(nodes), w, persymmetric=True)
 
 
-def _running_sum_poly(m: int, scale: float) -> Polynomial:
+def _running_sum_poly(m: int, scale: float) -> np.ndarray:
     # scale * (1 + 2 z + ... + (m + 1) z^m)
-    return Polynomial(scale * np.arange(1, m + 2, dtype=np.float64))
+    return (scale * np.arange(1, m + 2, dtype=np.float64)).astype(np.complex128)
 
 
 def single_moment(n: int) -> FamilyInstance:
@@ -87,7 +88,7 @@ def single_moment(n: int) -> FamilyInstance:
     a = np.array([-1.0 / (k + 2) for k in range(n)], dtype=np.complex128)
     v = VerblunskySequence(a, -1.0 + 0.0j)
     phis = [_running_sum_poly(m, 1.0 / (m + 1)) for m in range(n + 1)]
-    phis.append(Polynomial(np.ones(n + 2, dtype=np.complex128)))
+    phis.append(np.ones(n + 2, dtype=np.complex128))
     half = np.pi * (np.arange(n + 1) + 1.0) / (n + 2)
     nodes = tuple(UnitCirclePoint(2.0 * t) for t in half)
     w = (2.0 / (n + 2)) * np.sin(half) ** 2
@@ -110,7 +111,7 @@ def single_moment_dual(n: int) -> FamilyInstance:
         c = np.zeros(m + 1, dtype=np.complex128)
         c[m] = 1.0
         c[:m] += 1.0 / (n - m + 2)  # geometric sum (z^m - 1)/(z - 1)
-        phis.append(Polynomial(c))
+        phis.append(c)
     half = np.pi * (np.arange(n + 1) + 1.0) / (n + 2)
     nodes = tuple(UnitCirclePoint(2.0 * t) for t in half)
     w = np.full(n + 1, 1.0 / (n + 1))
@@ -204,7 +205,7 @@ def krawtchouk_family(n: int, omega: complex) -> FamilyInstance:
     for m, (quotient, remainder, scale) in enumerate(_krawtchouk_ladder(n, w_om, kappa_sq)):
         if abs(remainder) > 1e-8 * scale:
             raise ValueError(f"ladder entry {m}: division remainder {abs(remainder):.3e}")
-        phis.append(Polynomial(quotient))
+        phis.append(quotient)
 
     sigma = float(np.angle(w_om))
     ks = np.arange(n + 2)
@@ -252,7 +253,7 @@ def verify_family(inst: FamilyInstance, tol: Tolerances = DEFAULT) -> dict[str, 
             raise ShapeError("closed-form ladder has the wrong length")
         worst = 0.0
         for ours, closed in zip(sys.phis, inst.closed_form_phis):
-            worst = max(worst, float(np.max(np.abs(ours.coeffs - closed.coeffs))))
+            worst = max(worst, float(np.max(np.abs(ours - closed))))
         report["phi"] = worst
     nodes = spectrum(sys, tol)
     if inst.closed_form_nodes is not None:

@@ -32,12 +32,8 @@ from .tolerances import DEFAULT, Tolerances
 
 
 def _descend(coeffs: np.ndarray) -> tuple[complex, np.ndarray, float]:
-    """inverse_szego_step on ascending coefficients, plus the remainder of the division by z."""
+    """inverse_szego_step on monic ascending coefficients, plus the remainder of the division by z."""
     d = coeffs.size - 1
-    if d < 1:
-        raise ShapeError("descent needs degree >= 1")
-    if abs(coeffs[-1] - 1.0) > 1e-9:
-        raise ShapeError("descent input must be monic")
     a = complex(-np.conj(coeffs[0]))
     if abs(a) >= 1.0 - 1e-10:
         raise SzegoClassError(f"recovered |a_{d - 1}| = {abs(a)!r} is not inside the disc")
@@ -50,10 +46,15 @@ def inverse_szego_step(phi_next: Polynomial) -> tuple[complex, Polynomial]:
 
     a_n is read off the constant term, then
     Phi_n = (Phi_{n+1} + conj(a_n) Phi_{n+1}^*) / (z (1 - |a_n|^2)); the
-    numerator's constant term cancels identically.  Coefficients on or
-    outside the unit circle are rejected: the final unimodular closure step
-    is not invertible this way and is handled by the caller.
+    numerator's constant term cancels identically.  A constant or non-monic
+    input raises ShapeError.  Coefficients on or outside the unit circle
+    are rejected: the final unimodular closure step is not invertible this
+    way and is handled by the caller.
     """
+    if phi_next.degree < 1:
+        raise ShapeError("descent needs degree >= 1")
+    if abs(phi_next.leading - 1.0) > DEFAULT.monic:
+        raise ShapeError("descent input must be monic")
     a, lower, _ = _descend(phi_next.coeffs)
     return a, Polynomial(lower)
 
@@ -130,7 +131,13 @@ def reconstruct_persymmetric(
     phi = interp.coeffs / c  # equals epsilon sqrt(h_N) * interpolant
     coeffs_rev: list[complex] = []
     remainders: list[float] = []
-    for _ in range(n_top):
+    for step in range(n_top):
+        deviation = abs(phi[-1] - 1.0)
+        if deviation > tol.monic:
+            raise NotPersymmetricError(
+                f"descent step {step} (degree {phi.size - 1}) lost monicity:"
+                f" leading coefficient off 1 by {deviation:.3e}"
+            )
         a, phi, rem = _descend(phi)
         coeffs_rev.append(a)
         remainders.append(rem)

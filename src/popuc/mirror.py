@@ -41,8 +41,8 @@ def mirror_dual(v: VerblunskySequence) -> VerblunskySequence:
 
 
 def persymmetry_defect(v: VerblunskySequence) -> float:
-    """Max distance between the data and its own mirror dual."""
-    return float(np.max(np.abs(v.a - mirror_dual(v).a)))
+    """Max distance between the data and its own mirror dual, max |a + omega conj(a reversed)|."""
+    return float(np.max(np.abs(v.a + v.omega * np.conj(v.a[::-1]))))
 
 
 def is_persymmetric(v: VerblunskySequence, tol: float = 1e-10) -> bool:

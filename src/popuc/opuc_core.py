@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .complex_poly import TWO_PI, Polynomial, UnitCirclePoint, as_complex_array, star
+from .complex_poly import TWO_PI, UnitCirclePoint, as_complex_array
 from .errors import ShapeError, SpectralValidityError, WeightError
 from .tolerances import DEFAULT, Tolerances
 
@@ -70,18 +70,24 @@ class OpucSystem:
         object.__setattr__(self, "h", squared_norms(self.v.a))
 
     @cached_property
-    def phis(self) -> tuple[Polynomial, ...]:
-        """The ladder Phi_0 .. Phi_{N+1}, through the closure a_N = omega."""
-        v = self.v
-        phis = [Polynomial(np.array([1.0 + 0.0j]))]
-        for k in range(v.n + 1):
-            a_k = v.omega if k == v.n else complex(v.a[k])
-            prev = phis[-1].coeffs
-            nxt = np.zeros(k + 2, dtype=np.complex128)
-            nxt[1:] = prev
-            nxt[: k + 1] -= np.conj(a_k) * np.conj(prev[::-1])  # star(prev, k)
-            phis.append(Polynomial(nxt))
-        return tuple(phis)
+    def phis(self) -> tuple[np.ndarray, ...]:
+        """The ladder Phi_0 .. Phi_{N+1}, through the closure a_N = omega.
+
+        Entry k holds the k + 1 ascending coefficients of Phi_k; the entries
+        are read-only rows of one (N+2) x (N+2) array.
+        """
+        size = self.v.n + 2
+        ladder = np.zeros((size, size), dtype=np.complex128)
+        ladder[0, 0] = 1.0
+        conj_a = np.conj(np.append(self.v.a, self.v.omega))
+        for k in range(size - 1):
+            prev = ladder[k, : k + 1]
+            ladder[k + 1, 1 : k + 2] = prev
+            ladder[k + 1, : k + 1] -= conj_a[k] * np.conj(prev[::-1])  # z Phi_k - conj(a_k) Phi_k^*
+        if not np.all(np.isfinite(ladder)):
+            raise ValueError("ladder coefficients must be finite")
+        ladder.flags.writeable = False
+        return tuple(ladder[k, : k + 1] for k in range(size))
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,16 +128,20 @@ def build_system(v: VerblunskySequence) -> OpucSystem:
     return OpucSystem(v)
 
 
-def verblunsky_from_polys(phis: Sequence[Polynomial]) -> np.ndarray:
-    """Read coefficients back off the ladder: a_k = -conj(Phi_{k+1}(0))."""
+def verblunsky_from_polys(phis: Sequence[np.ndarray]) -> np.ndarray:
+    """Read coefficients back off the ladder: a_k = -conj(Phi_{k+1}(0)).
+
+    phis holds ascending coefficient arrays, entry k of length k + 1 with a
+    leading coefficient within Tolerances.monic of one.
+    """
     if len(phis) < 2:
         raise ShapeError("need at least Phi_0 and Phi_1")
     for k, p in enumerate(phis):
-        if p.degree != k:
-            raise ShapeError(f"entry {k} has degree {p.degree}, expected {k}")
-        if abs(p.leading - 1.0) > 1e-9:
+        if np.shape(p) != (k + 1,):
+            raise ShapeError(f"entry {k} has shape {np.shape(p)}, expected ({k + 1},)")
+        if abs(p[-1] - 1.0) > DEFAULT.monic:
             raise ShapeError(f"entry {k} is not monic")
-    return np.array([-np.conj(p.coeffs[0]) for p in phis[1:]])
+    return np.array([-np.conj(p[0]) for p in phis[1:]])
 
 
 def theta_block(a: complex) -> np.ndarray:
@@ -231,7 +241,7 @@ def weights(sys: OpucSystem, nodes: Sequence[UnitCirclePoint], tol: Tolerances =
 
 
 def paraorthogonality_residual(sys: OpucSystem) -> float:
-    """Max coefficient magnitude of star(Phi_{N+1}) + omega * Phi_{N+1}, relative.
+    """Max coefficient magnitude of Phi_{N+1}^* + omega * Phi_{N+1}, read off ``phis[-1]``, relative.
 
     The closure a_N = omega forces Phi_{N+1}^* = -omega Phi_{N+1}, so this
     vanishes for every valid system regardless of omega's phase.  The defect
@@ -239,8 +249,8 @@ def paraorthogonality_residual(sys: OpucSystem) -> float:
     where the coefficients grow, rounding does not read as a defect.
     """
     top = sys.phis[-1]
-    resid = star(top, top.degree).coeffs + sys.v.omega * top.coeffs
-    return float(np.max(np.abs(resid))) / max(1.0, float(np.max(np.abs(top.coeffs))))
+    resid = np.conj(top[::-1]) + sys.v.omega * top
+    return float(np.max(np.abs(resid))) / max(1.0, float(np.max(np.abs(top))))
 
 
 def orthogonality_residual(sys: OpucSystem, data: SpectralData) -> float:

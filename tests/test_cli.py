@@ -162,6 +162,19 @@ def test_reconstruct_wrong_omega_fails(capsys):
     assert "reconstruction failed" in err
 
 
+def test_reconstruct_reports_lost_monicity_as_reconstruction_failure(capsys):
+    # the descent on valid Krawtchouk nodes at n = 36 drifts off monic partway
+    # down; that is a recovery breakdown (exit 3), not invalid input (exit 2)
+    code, out, _ = run(
+        capsys, "generate", "--family", "krawtchouk", "--n", "36", "--omega-arg", "0.9", "--emit", "spectrum"
+    )
+    assert code == 0
+    theta = json.dumps(json.loads(out)["payload"]["spectrum"]["theta"])
+    code, out, err = run(capsys, "reconstruct", "--spectrum", theta, "--omega-arg", "0.9")
+    assert code == 3 and out == ""
+    assert "reconstruction failed: descent step" in err and "leading coefficient off 1 by" in err
+
+
 def test_reconstruct_missing_file(capsys):
     code, _, err = run(
         capsys, "reconstruct", "--spectrum", "/nonexistent/angles.json", "--omega-arg", "0.0"

@@ -44,7 +44,7 @@ def test_descent_recovers_random_ladders():
     for _ in range(40):
         v = random_verblunsky(rng, int(rng.integers(2, 13)))
         sys_ = build_system(v)
-        phi = sys_.phis[-2]  # top of the Szego-class part of the ladder
+        phi = Polynomial(sys_.phis[-2])  # top of the Szego-class part of the ladder
         recovered = []
         while phi.degree > 0:
             a, phi = inverse_szego_step(phi)

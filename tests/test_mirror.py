@@ -8,6 +8,7 @@ from conftest import random_persymmetric, random_verblunsky
 from popuc import (
     NotPersymmetricError,
     PersymmetricSeed,
+    Polynomial,
     ShapeError,
     UnitCirclePoint,
     VerblunskySequence,
@@ -60,6 +61,13 @@ def test_zero_sequence_is_self_dual():
     v = VerblunskySequence(np.zeros(5, dtype=complex), np.exp(0.7j))
     assert persymmetry_defect(v) <= 1e-16
     assert is_persymmetric(v)
+
+
+def test_persymmetry_defect_equals_distance_to_mirror_dual():
+    rng = np.random.default_rng(71)
+    for n in range(1, 13):
+        for v in (random_verblunsky(rng, n), random_persymmetric(rng, n)):
+            assert persymmetry_defect(v) == float(np.max(np.abs(v.a - mirror_dual(v).a)))
 
 
 def test_running_sum_is_not_persymmetric():
@@ -133,7 +141,7 @@ def test_weight_product_identity():
         nodes = spectrum(sys_)
         w = weights(sys_, nodes).weights
         hat = dual_weights(sys_)
-        top = sys_.phis[-1]
+        top = Polynomial(sys_.phis[-1])
         dvals = np.abs([derivative_at(top, complex(p)) for p in nodes])
         combined = w * hat * dvals**2 / sys_.h[-1]
         assert float(np.max(np.abs(combined - 1.0))) <= 1e-8
@@ -195,7 +203,7 @@ def test_phi_values_match_recurrence():
         v = random_persymmetric(rng, n)
         sys_ = build_system(v)
         nodes = spectrum(sys_)
-        actual = np.array([sys_.phis[n](complex(p)) for p in nodes])
+        actual = np.array([Polynomial(sys_.phis[n])(complex(p)) for p in nodes])
         errs = []
         for eps in (1, -1):
             vals = phi_n_values(nodes, v.omega, sys_.h[-1], eps)

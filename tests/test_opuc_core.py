@@ -19,6 +19,8 @@ from popuc import (
     orthogonality_residual,
     paraorthogonality_residual,
     spectrum,
+    krawtchouk_family,
+    star,
     verblunsky_from_polys,
     weights,
 )
@@ -38,8 +40,8 @@ def test_verblunsky_validation():
 def test_build_simplest_system():
     v = VerblunskySequence([0.0j], 1.0)
     sys_ = build_system(v)
-    assert np.allclose(sys_.phis[1].coeffs, [0, 1])
-    assert np.allclose(sys_.phis[2].coeffs, [-1, 0, 1])
+    assert np.allclose(sys_.phis[1], [0, 1])
+    assert np.allclose(sys_.phis[2], [-1, 0, 1])
     assert np.allclose(sys_.h, [1.0, 1.0])
 
 
@@ -47,9 +49,9 @@ def test_build_running_sum_system():
     # a = (-1/2, -1/3), omega = -1 gives the running-sum ladder
     v = VerblunskySequence([-0.5, -1.0 / 3.0], -1.0)
     sys_ = build_system(v)
-    assert np.allclose(sys_.phis[1].coeffs, [0.5, 1])
-    assert np.allclose(sys_.phis[2].coeffs, [1.0 / 3.0, 2.0 / 3.0, 1.0])
-    assert np.allclose(sys_.phis[3].coeffs, [1, 1, 1, 1])
+    assert np.allclose(sys_.phis[1], [0.5, 1])
+    assert np.allclose(sys_.phis[2], [1.0 / 3.0, 2.0 / 3.0, 1.0])
+    assert np.allclose(sys_.phis[3], [1, 1, 1, 1])
     assert np.allclose(sys_.h, [1.0, 0.75, 2.0 / 3.0])
 
 
@@ -59,11 +61,39 @@ def test_monomial_ladder():
     for k in range(5):
         expected = np.zeros(k + 1)
         expected[k] = 1.0
-        assert np.allclose(sys_.phis[k].coeffs, expected)
+        assert np.allclose(sys_.phis[k], expected)
     top = np.zeros(6, dtype=complex)
     top[5] = 1.0
     top[0] = -np.conj(np.exp(0.6j))
-    assert np.allclose(sys_.phis[5].coeffs, top)
+    assert np.allclose(sys_.phis[5], top)
+
+
+def _ladder_by_polynomials(v):
+    # Phi_{k+1} = z Phi_k - conj(a_k) star(Phi_k, k), one Polynomial per rung
+    phis = [Polynomial([1.0])]
+    for k, a_k in enumerate(list(v.a) + [v.omega]):
+        prev = phis[-1]
+        nxt = np.zeros(k + 2, dtype=complex)
+        nxt[1:] = prev.coeffs
+        nxt[: k + 1] -= np.conj(a_k) * star(prev, k).coeffs
+        phis.append(Polynomial(nxt))
+    return phis
+
+
+def test_ladder_array_matches_polynomial_construction():
+    rng = np.random.default_rng(61)
+    cases = [random_verblunsky(rng, n) for n in range(1, 13)]
+    cases.append(krawtchouk_family(64, np.exp(0.9j)).v)
+    for v in cases:
+        phis = build_system(v).phis
+        expected = _ladder_by_polynomials(v)
+        assert len(phis) == len(expected) == v.n + 2
+        for k, (row, ref) in enumerate(zip(phis, expected)):
+            assert type(row) is np.ndarray and row.shape == (k + 1,)
+            assert np.array_equal(row, ref.coeffs)
+    row = build_system(cases[0]).phis[1]
+    with pytest.raises(ValueError):
+        row[0] = 0.0
 
 
 def test_verblunsky_round_trip():
@@ -77,11 +107,11 @@ def test_verblunsky_round_trip():
 
 def test_verblunsky_from_polys_rejects_bad_input():
     with pytest.raises(ShapeError):
-        verblunsky_from_polys([Polynomial([1.0])])
+        verblunsky_from_polys([np.array([1.0])])
     with pytest.raises(ShapeError):
-        verblunsky_from_polys([Polynomial([1.0]), Polynomial([0, 2.0])])
+        verblunsky_from_polys([np.array([1.0]), np.array([0, 2.0])])
     with pytest.raises(ShapeError):
-        verblunsky_from_polys([Polynomial([1.0]), Polynomial([0, 0, 1.0])])
+        verblunsky_from_polys([np.array([1.0]), np.array([0, 0, 1.0])])
 
 
 def test_spectrum_fourth_roots():
@@ -210,9 +240,9 @@ def test_paraorthogonality_flags_a_moved_coefficient():
     rng = np.random.default_rng(43)
     v = random_verblunsky(rng, 12)
     sys_ = build_system(v)
-    top = sys_.phis[-1].coeffs.copy()
+    top = sys_.phis[-1].copy()
     top[6] += 1e-6
     moved = OpucSystem(v)
-    vars(moved)["phis"] = sys_.phis[:-1] + (Polynomial(top),)  # fill the cached ladder by hand
+    vars(moved)["phis"] = sys_.phis[:-1] + (top,)  # fill the cached ladder by hand
     assert paraorthogonality_residual(sys_) <= 1e-14
     assert paraorthogonality_residual(moved) > 1e-8
