@@ -56,7 +56,7 @@ from .opuc_core import (
 )
 from .tolerances import DEFAULT
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -230,9 +230,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         "a": result.v.a,
         "omega": _pair(result.v.omega),
         "n": result.v.n,
-        "epsilon": result.epsilon,
         "h_final": result.h_final,
-        "division_residuals": result.division_residuals,
         "spectrum_residual": result.spectrum_residual,
     }
     print(_document("reconstruct", payload))

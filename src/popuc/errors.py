@@ -18,7 +18,7 @@ class ConvergenceError(PopucError):
 
 
 class DegenerateNodesError(PopucError):
-    """Interpolation nodes too close to separate."""
+    """Nodes too close to separate (interpolation, node-only recovery)."""
 
 
 class SpectralValidityError(PopucError):

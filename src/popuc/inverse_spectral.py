@@ -1,10 +1,9 @@
 """Inverse spectral reconstruction for persymmetric systems.
 
-A persymmetric system is determined by its node set alone.  The phase
-formula for Phi_N at the nodes has only a global sign left free, so the
-recovery runs: interpolation of the phase values, fixing the sign and the
-final squared norm from monicity, then descending the Szego recurrence one
-degree at a time back to the coefficients.
+A persymmetric system is determined by its node set alone: its weights are
+sqrt(h_N) / |Phi'_{N+1}(z_s)|, and only its first ceil(N/2) coefficients
+are free.  The recovery solves the unitary inverse eigenvalue problem
+(Ammar, Gragg and Reichel, 1991) for just those coefficients.
 """
 
 from __future__ import annotations
@@ -14,31 +13,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .complex_poly import (
-    Polynomial,
-    UnitCirclePoint,
-    as_complex_array,
-    lagrange_interpolate,
-)
+from .complex_poly import Polynomial, UnitCirclePoint, as_complex_array
 from .errors import (
+    DegenerateNodesError,
     NotPersymmetricError,
     ShapeError,
     SpectrumInconsistencyError,
     SzegoClassError,
 )
-from .mirror import is_persymmetric, persymmetry_defect
+from .mirror import _neg_log_derivative, is_persymmetric, persymmetry_defect
 from .opuc_core import VerblunskySequence, build_system, spectrum
 from .tolerances import DEFAULT, Tolerances
-
-
-def _descend(coeffs: np.ndarray) -> tuple[complex, np.ndarray, float]:
-    """inverse_szego_step on monic ascending coefficients, plus the remainder of the division by z."""
-    d = coeffs.size - 1
-    a = complex(-np.conj(coeffs[0]))
-    if abs(a) >= 1.0 - 1e-10:
-        raise SzegoClassError(f"recovered |a_{d - 1}| = {abs(a)!r} is not inside the disc")
-    num = coeffs + a.conjugate() * np.conj(coeffs[::-1])
-    return a, num[1:] / (1.0 - abs(a) ** 2), float(abs(num[0]))
 
 
 def inverse_szego_step(phi_next: Polynomial) -> tuple[complex, Polynomial]:
@@ -55,8 +40,12 @@ def inverse_szego_step(phi_next: Polynomial) -> tuple[complex, Polynomial]:
         raise ShapeError("descent needs degree >= 1")
     if abs(phi_next.leading - 1.0) > DEFAULT.monic:
         raise ShapeError("descent input must be monic")
-    a, lower, _ = _descend(phi_next.coeffs)
-    return a, Polynomial(lower)
+    coeffs = phi_next.coeffs
+    a = complex(-np.conj(coeffs[0]))
+    if abs(a) >= 1.0 - 1e-10:
+        raise SzegoClassError(f"recovered |a_{phi_next.degree - 1}| = {abs(a)!r} is not inside the disc")
+    num = coeffs + a.conjugate() * np.conj(coeffs[::-1])
+    return a, Polynomial(num[1:] / (1.0 - abs(a) ** 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,10 +53,8 @@ class ReconstructionResult:
     """Recovered coefficient data plus the diagnostics of the recovery."""
 
     v: VerblunskySequence
-    epsilon: int                    # sign fixed by monicity of the interpolant
-    h_final: float                  # recovered squared norm of Phi_N
-    division_residuals: np.ndarray  # constant-term remainder of each descent step
-    spectrum_residual: float        # max node distance after rebuilding forward
+    h_final: float            # recovered squared norm of Phi_N
+    spectrum_residual: float  # max node distance after rebuilding forward
 
     def __post_init__(self) -> None:
         if not is_persymmetric(self.v, 1e-8):
@@ -83,12 +70,18 @@ def reconstruct_persymmetric(
 ) -> ReconstructionResult:
     """Recover the unique persymmetric system with the given spectrum.
 
-    nodes must be theta-sorted with product z_0 ... z_N = (-1)^N / omega
-    (checked to 1e-8); that consistency pins omega to the node set.  The
-    phase values at the nodes are interpolated, the free sign epsilon and
-    sqrt(h_N) are fixed by making the interpolant monic, and the recurrence
-    is descended down to degree zero.  The result is validated by building
-    the system forward again and comparing spectra.
+    nodes must be theta-sorted, at least tol.node_separation apart, with
+    product z_0 ... z_N = (-1)^N / omega (checked to 1e-8); that consistency
+    pins omega to the node set.  The weights are sqrt(h_N) / |Phi'_{N+1}(z_s)|,
+    formed in the log domain and normalised, which also gives h_N.  Arnoldi
+    on diag(z) from sqrt(w), orthogonalising twice, builds the first
+    ceil(N/2) columns of the unitary Hessenberg matrix H; peeling its Givens
+    blocks from row 0 (a_k = conj(r_k[k]), r_{k+1} = rho_k r_k - r_k[k] H[k+1])
+    reads a_k without dividing by a product of the rho_k.  A peeled
+    |a_k| >= 1 - tol.verblunsky_margin raises SzegoClassError.  The rest of
+    the data follows from a_{N-1-k} = -omega conj(a_k); the system is built
+    forward again, and a rebuilt spectrum farther than tol.residual from the
+    nodes raises NotPersymmetricError.
     """
     count = len(nodes)
     if count < 2:
@@ -101,7 +94,10 @@ def reconstruct_persymmetric(
     if abs(abs(w) - 1.0) > tol.unimodular:
         raise ValueError("omega must be unimodular")
 
-    z = as_complex_array(nodes)
+    z = np.exp(1j * thetas)
+    closest = float(np.min(np.abs(np.diff(z, append=z[0]))))  # sorted: the closest pair is adjacent
+    if closest <= tol.node_separation:
+        raise DegenerateNodesError(f"nodes only {closest:.3e} apart")
     target = (-1.0) ** n_top * np.conj(w)
     drift = abs(complex(np.prod(z)) - target)
     if drift > 1e-8:
@@ -109,44 +105,43 @@ def reconstruct_persymmetric(
             f"node product misses (-1)^N / omega by {drift:.3e}"
         )
 
-    # phase values with sign and scale left out
-    signs = np.where(np.arange(count) % 2 == 0, 1.0, -1.0)
-    half = np.exp(-0.5j * np.angle(w))
-    g = signs * half * np.exp(0.5j * (n_top - 1) * thetas)
-    interp = lagrange_interpolate(z, g, tol)
-    c = complex(interp.coeffs[-1])
+    # weights w_s = sqrt(h_N) exp(log_w[s]) sum to one, which fixes h_N
+    log_w = _neg_log_derivative(z)
+    shift = float(np.max(log_w))
+    scaled = np.exp(log_w - shift)
+    total = float(np.sum(scaled))
+    h_final = float(np.exp(-2.0 * (shift + np.log(total))))
 
-    epsilon = 0
-    for eps in (1, -1):
-        if abs(np.angle(eps * c)) <= 1e-6:
-            if epsilon != 0:
-                raise NotPersymmetricError("both signs make the interpolant monic")
-            epsilon = eps
-    if epsilon == 0:
-        raise NotPersymmetricError(
-            f"no sign makes the interpolant monic (leading coefficient {c!r})"
-        )
-    h_final = float(1.0 / abs(c)) ** 2
-
-    phi = interp.coeffs / c  # equals epsilon sqrt(h_N) * interpolant
-    coeffs_rev: list[complex] = []
-    remainders: list[float] = []
-    for step in range(n_top):
-        deviation = abs(phi[-1] - 1.0)
-        if deviation > tol.monic:
-            raise NotPersymmetricError(
-                f"descent step {step} (degree {phi.size - 1}) lost monicity:"
-                f" leading coefficient off 1 by {deviation:.3e}"
-            )
-        a, phi, rem = _descend(phi)
-        coeffs_rev.append(a)
-        remainders.append(rem)
-    v = VerblunskySequence(np.array(coeffs_rev[::-1]), w)
+    free = count // 2
+    basis = np.empty((free, count), dtype=np.complex128)  # Arnoldi vectors as rows
+    basis[0] = np.sqrt(scaled / total)
+    row = np.zeros(free, dtype=np.complex128)  # peeled row r_k in the basis of H's rows 0..k
+    row[0] = 1.0
+    a = np.empty(n_top, dtype=np.complex128)
+    for k in range(free):
+        x = z * basis[k]
+        q = basis[: k + 1]
+        column = q.conj() @ x  # H[:k+1, k] is column + again: classical Gram-Schmidt twice
+        x -= column @ q
+        again = q.conj() @ x
+        x -= again @ q
+        r_kk = complex(row[: k + 1] @ (column + again))
+        a[k] = r_kk.conjugate()
+        if abs(r_kk) >= 1.0 - tol.verblunsky_margin:
+            raise SzegoClassError(f"recovered |a_{k}| = {abs(r_kk)!r} is not inside the disc")
+        if k + 1 < free:
+            rho = np.vdot(x, x).real ** 0.5  # H[k+1, k]
+            basis[k + 1] = x / rho
+            row[: k + 1] *= rho
+            row[k + 1] = -r_kk
+    a[free:] = -w * np.conj(a[: n_top - free][::-1])
+    v = VerblunskySequence(a, w)
 
     rebuilt = spectrum(build_system(v), tol)
-    spectrum_residual = float(
-        np.max(np.abs(as_complex_array(rebuilt) - z))
-    )
-    return ReconstructionResult(
-        v, epsilon, h_final, np.array(remainders), spectrum_residual
-    )
+    spectrum_residual = float(np.max(np.abs(as_complex_array(rebuilt) - z)))
+    if not spectrum_residual <= tol.residual:
+        raise NotPersymmetricError(
+            f"rebuilt spectrum misses the nodes by {spectrum_residual:.3e}"
+            f" (bound {tol.residual:.1e})"
+        )
+    return ReconstructionResult(v, h_final, spectrum_residual)

@@ -127,10 +127,14 @@ def persymmetric_weights(nodes: Sequence[UnitCirclePoint], h_final: float) -> np
     """
     if h_final <= 0.0:
         raise ValueError("h_final must be positive")
-    z = as_complex_array(nodes)
+    return np.exp(0.5 * np.log(h_final) + _neg_log_derivative(as_complex_array(nodes)))
+
+
+def _neg_log_derivative(z: np.ndarray) -> np.ndarray:
+    """-log |Phi'_{N+1}(z_s)| = -sum_{j != s} log |z_s - z_j| for the monic Phi_{N+1} with roots z."""
     gaps = np.abs(z[:, None] - z[None, :])
     np.fill_diagonal(gaps, 1.0)
-    return np.exp(0.5 * np.log(h_final) - np.sum(np.log(gaps), axis=1))
+    return -np.sum(np.log(gaps), axis=1)
 
 
 def phi_n_values(

@@ -262,7 +262,7 @@ def test_criterion_08_inverse_spectral(persymmetric_corpus):
         8,
         ok,
         f"unique recovery from nodes alone, coefficients {worst_a:.2e} <= 1e-7,"
-        f" final norm {worst_h:.2e} <= 1e-8 relative (sign uniqueness enforced"
+        f" final norm {worst_h:.2e} <= 1e-8 relative (rebuilt spectrum checked"
         " inside the recovery)",
     )
     assert ok

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from popuc import WeightError
+from popuc import WeightError, krawtchouk_family
 from popuc.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -25,7 +25,7 @@ def test_generate_free_family(capsys):
     code, out, err = run(capsys, "generate", "--family", "free", "--n", "3")
     assert code == 0 and err == ""
     doc = json.loads(out)
-    assert doc["schema_version"] == "1"
+    assert doc["schema_version"] == "2"
     assert doc["command"] == "generate"
     payload = doc["payload"]
     assert payload["n"] == 3
@@ -137,7 +137,6 @@ def test_reconstruct_inline(capsys):
     assert payload["n"] == 3
     assert float(np.max(np.abs(np.array(payload["a"])))) <= 1e-8
     assert abs(payload["h_final"] - 1.0) <= 1e-8
-    assert payload["epsilon"] in (1, -1)
 
 
 def test_reconstruct_object_with_theta_key(tmp_path, capsys):
@@ -162,17 +161,19 @@ def test_reconstruct_wrong_omega_fails(capsys):
     assert "reconstruction failed" in err
 
 
-def test_reconstruct_reports_lost_monicity_as_reconstruction_failure(capsys):
-    # the descent on valid Krawtchouk nodes at n = 36 drifts off monic partway
-    # down; that is a recovery breakdown (exit 3), not invalid input (exit 2)
+def test_reconstruct_krawtchouk_spectrum_at_n36(capsys):
+    # valid Krawtchouk nodes at n = 36 come back as the family's coefficients
     code, out, _ = run(
         capsys, "generate", "--family", "krawtchouk", "--n", "36", "--omega-arg", "0.9", "--emit", "spectrum"
     )
     assert code == 0
     theta = json.dumps(json.loads(out)["payload"]["spectrum"]["theta"])
     code, out, err = run(capsys, "reconstruct", "--spectrum", theta, "--omega-arg", "0.9")
-    assert code == 3 and out == ""
-    assert "reconstruction failed: descent step" in err and "leading coefficient off 1 by" in err
+    assert code == 0 and err == ""
+    a = np.array(json.loads(out)["payload"]["a"])
+    expected = krawtchouk_family(36, np.exp(0.9j)).v.a
+    assert a.shape == (36, 2)
+    assert float(np.max(np.abs(a[:, 0] + 1j * a[:, 1] - expected))) <= 1e-10
 
 
 def test_reconstruct_missing_file(capsys):
@@ -334,7 +335,7 @@ GOLDEN_SINGLE_MOMENT_3 = (
     '[-0.80901699437494778,-0.58778525229247269],[0.30901699437494723,-0.95105651629515364]]},'
     '"verblunsky":{"a":[[-0.5,0],[-0.33333333333333331,0],[-0.25,0]],"omega":[-1,0]},'
     '"weights":[0.1381966011250105,0.36180339887498936,0.36180339887498952,0.13819660112501056]},'
-    '"schema_version":"1"}\n'
+    '"schema_version":"2"}\n'
 )
 
 # -0 parts, a subnormal-adjacent 5e-301 and integer-valued floats
@@ -344,7 +345,7 @@ GOLDEN_TINY_PHIS = (
     '[[-0.5,0],[0,7.5000000000000006e-301],[1,0]],'
     '[[-1,0],[-0.5,7.5000000000000006e-301],[0.5,7.5000000000000006e-301],[1,0]]],'
     '"verblunsky":{"a":[[-0,5.0000000000000001e-301],[0.5,-0]],"omega":[1,0]}},'
-    '"schema_version":"1"}\n'
+    '"schema_version":"2"}\n'
 )
 
 

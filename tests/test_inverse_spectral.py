@@ -5,20 +5,25 @@ import pytest
 
 from conftest import random_persymmetric, random_verblunsky
 from popuc import (
+    DegenerateNodesError,
     NotPersymmetricError,
     Polynomial,
     ShapeError,
     SpectrumInconsistencyError,
     SzegoClassError,
+    Tolerances,
     UnitCirclePoint,
     VerblunskySequence,
     build_system,
+    free_family,
     inverse_szego_step,
+    is_persymmetric,
     krawtchouk_family,
     reconstruct_persymmetric,
     single_moment_persymmetric,
     spectrum,
 )
+from popuc.complex_poly import as_complex_array
 
 
 def test_single_step_example():
@@ -89,9 +94,56 @@ def test_reconstruct_random_corpus():
             result = reconstruct_persymmetric(nodes, v.omega)
             assert float(np.max(np.abs(result.v.a - v.a))) <= 1e-7, f"n={n}"
             assert abs(result.h_final - float(sys_.h[-1])) <= 1e-8 * sys_.h[-1]
-            assert result.epsilon in (1, -1)
-            assert float(np.max(result.division_residuals, initial=0.0)) <= 1e-8
             assert result.spectrum_residual <= 1e-7
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n: free_family(n, 0.3),
+        single_moment_persymmetric,
+        lambda n: krawtchouk_family(n, np.exp(0.9j)),
+    ],
+    ids=["free", "single_moment_persymmetric", "krawtchouk"],
+)
+def test_reconstruct_families_at_large_n(make, n):
+    fam = make(n)
+    sys_ = build_system(fam.v)
+    result = reconstruct_persymmetric(spectrum(sys_), fam.v.omega)
+    assert float(np.max(np.abs(result.v.a - fam.v.a))) <= 1e-12
+    assert result.spectrum_residual <= 1e-12
+    assert abs(result.h_final - float(sys_.h[-1])) <= 1e-10 * sys_.h[-1]
+
+
+def test_reconstruct_random_draws_at_n64():
+    rng = np.random.default_rng(64)
+    for _ in range(4):
+        v = random_persymmetric(rng, 64, max_mag=0.3)
+        result = reconstruct_persymmetric(spectrum(build_system(v)), v.omega)
+        assert float(np.max(np.abs(result.v.a - v.a))) <= 1e-12
+
+
+def test_reconstruct_raises_when_rebuilt_spectrum_misses():
+    fam = single_moment_persymmetric(5)
+    nodes = spectrum(build_system(fam.v))
+    residual = reconstruct_persymmetric(nodes, fam.v.omega).spectrum_residual
+    with pytest.raises(NotPersymmetricError, match=f"rebuilt spectrum misses the nodes by {residual:.3e}"):
+        reconstruct_persymmetric(nodes, fam.v.omega, Tolerances(residual=1e-300))
+
+
+def test_any_node_set_is_the_spectrum_of_a_self_dual_system():
+    # a persymmetric system is determined by its spectrum, so the nodes of
+    # data that is not self-dual still come back as a self-dual system
+    rng = np.random.default_rng(5)
+    for n in range(1, 13):
+        for _ in range(5):
+            v = random_verblunsky(rng, n)
+            nodes = spectrum(build_system(v))
+            result = reconstruct_persymmetric(nodes, v.omega)
+            assert is_persymmetric(result.v, 1e-10), f"n={n}"
+            rebuilt = as_complex_array(spectrum(build_system(result.v)))
+            assert float(np.max(np.abs(rebuilt - as_complex_array(nodes)))) <= 1e-10, f"n={n}"
 
 
 def test_reconstruction_sign_is_unique():
@@ -128,3 +180,6 @@ def test_reconstruct_input_gates():
     nodes = (UnitCirclePoint(1.0), UnitCirclePoint(2.0))
     with pytest.raises(ValueError):
         reconstruct_persymmetric(nodes, 2.0)
+    nodes = (UnitCirclePoint(1.0), UnitCirclePoint(1.0 + 1e-13), UnitCirclePoint(4.0))
+    with pytest.raises(DegenerateNodesError):
+        reconstruct_persymmetric(nodes, 1.0)
