@@ -10,21 +10,16 @@ spectrum alone.
 from .complex_poly import (
     Polynomial,
     UnitCirclePoint,
-    derivative_at,
-    evaluate,
     from_roots,
     lagrange_interpolate,
     roots,
-    star,
 )
 from .cmv import (
-    LaurentEigenvector,
     MirrorRelationReport,
     QuasiReflection,
-    characteristic_polynomial,
     cmv_matrix,
     factors,
-    laurent_eigenvector,
+    laurent_eigenvectors,
     persymmetric_sign_pattern,
     quasi_reflection,
     theta_block,
@@ -54,7 +49,6 @@ from .families import (
 )
 from .inverse_spectral import (
     ReconstructionResult,
-    inverse_szego_step,
     reconstruct_persymmetric,
 )
 from .mirror import (
@@ -90,7 +84,6 @@ __all__ = [
     "DEFAULT",
     "DegenerateNodesError",
     "FamilyInstance",
-    "LaurentEigenvector",
     "MirrorRelationReport",
     "NotPersymmetricError",
     "OpucSystem",
@@ -111,19 +104,15 @@ __all__ = [
     "VerblunskySequence",
     "WeightError",
     "build_system",
-    "characteristic_polynomial",
     "cmv_matrix",
-    "derivative_at",
     "dual_weights",
-    "evaluate",
     "factors",
     "free_family",
     "from_roots",
-    "inverse_szego_step",
     "is_persymmetric",
     "krawtchouk_family",
     "lagrange_interpolate",
-    "laurent_eigenvector",
+    "laurent_eigenvectors",
     "make_persymmetric",
     "mirror_dual",
     "orthogonality_residual",
@@ -140,7 +129,6 @@ __all__ = [
     "single_moment_dual",
     "single_moment_persymmetric",
     "spectrum",
-    "star",
     "theta_block",
     "unitarity_residual",
     "verblunsky_from_polys",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_poly import Polynomial, UnitCirclePoint, as_complex_array
+from .complex_poly import as_complex_array
 from .errors import NotPersymmetricError, PersymmetryViolationError, ShapeError
 from .mirror import is_persymmetric, mirror_dual, principal_sqrt_unimodular
 from .opuc_core import OpucSystem, VerblunskySequence, build_system, factors, ladder_values, spectrum
@@ -30,21 +30,6 @@ def unitarity_residual(m: np.ndarray) -> float:
     """Max deviation of m* m from the identity."""
     eye = np.eye(m.shape[0], dtype=np.complex128)
     return float(np.max(np.abs(np.conj(m.T) @ m - eye)))
-
-
-@dataclass(frozen=True, eq=False)
-class LaurentEigenvector:
-    """Values of the orthonormal Laurent basis at one spectral point."""
-
-    components: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.components, dtype=np.complex128)
-        if c.ndim != 1 or c.size < 1:
-            raise ShapeError("component vector must be one-dimensional and non-empty")
-        if abs(c[0] - 1.0) > 1e-9:
-            raise ValueError("component 0 must equal 1")
-        object.__setattr__(self, "components", c)
 
 
 def laurent_eigenvectors(sys: OpucSystem, z: np.ndarray) -> np.ndarray:
@@ -61,11 +46,6 @@ def laurent_eigenvectors(sys: OpucSystem, z: np.ndarray) -> np.ndarray:
     k = np.arange(sys.v.n + 1)
     powers = np.where(k % 2 == 0, -(k // 2), k // 2)
     return z ** powers[:, None] * vals / np.sqrt(sys.h)[:, None]
-
-
-def laurent_eigenvector(sys: OpucSystem, z: UnitCirclePoint) -> LaurentEigenvector:
-    """Eigenvector of the CMV matrix at a spectral point z; see ``laurent_eigenvectors``."""
-    return LaurentEigenvector(laurent_eigenvectors(sys, np.array([complex(z)]))[:, 0])
 
 
 @dataclass(frozen=True)
@@ -202,22 +182,3 @@ def persymmetric_sign_pattern(v: VerblunskySequence, tol: float = 1e-8) -> list[
     if np.any(signs != signs[0] * (-1) ** np.arange(v.n + 1)):
         raise PersymmetryViolationError("signs do not alternate from a single epsilon")
     return signs.tolist()
-
-
-def characteristic_polynomial(m: np.ndarray) -> Polynomial:
-    """Monic characteristic polynomial det(zI - m) by the Faddeev-LeVerrier recursion.
-
-    Exact up to rounding and intended as an independent oracle for small
-    matrices (size <= 9 or so); cost grows like size^4.
-    """
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError("need a square matrix")
-    size = m.shape[0]
-    coeffs = np.zeros(size + 1, dtype=np.complex128)
-    coeffs[size] = 1.0
-    aux = np.zeros_like(m)
-    eye = np.eye(size, dtype=np.complex128)
-    for k in range(1, size + 1):
-        aux = m @ (aux + coeffs[size - k + 1] * eye)
-        coeffs[size - k] = -np.trace(aux) / k
-    return Polynomial(coeffs)

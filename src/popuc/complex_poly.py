@@ -1,8 +1,10 @@
-"""Complex polynomial arithmetic used throughout the package.
+"""Points on the unit circle, plus a small monomial-coefficient layer.
 
-Coefficients are stored in ascending degree order.  Root finding is an
-Aberth-Ehrlich simultaneous iteration; all degrees in this package stay
-small (below roughly 70), so the solver favors robustness over speed.
+``UnitCirclePoint`` and ``as_complex_array`` carry nodes through the
+pipeline.  ``Polynomial`` (ascending coefficients), ``roots``, ``from_roots``
+and ``lagrange_interpolate`` are not called by any pipeline stage; they
+serve the tests as independent checks.  ``roots`` takes the eigenvalues of
+the companion matrix, the LAPACK path ``opuc_core.spectrum`` also uses.
 """
 
 from __future__ import annotations
@@ -40,9 +42,6 @@ class Polynomial:
     @property
     def leading(self) -> complex:
         return complex(self.coeffs[-1])
-
-    def __call__(self, z: complex) -> complex:
-        return evaluate(self, z)
 
 
 @dataclass(frozen=True, order=True)
@@ -83,14 +82,6 @@ def as_complex_array(points: Iterable) -> np.ndarray:
     return np.array([complex(p) for p in points], dtype=np.complex128)
 
 
-def evaluate(p: Polynomial, z: complex) -> complex:
-    """Evaluate p at a scalar z with Horner's nested scheme."""
-    acc = 0.0 + 0.0j
-    for c in p.coeffs[::-1]:
-        acc = acc * z + c
-    return complex(acc)
-
-
 def _horner_many(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     acc = np.zeros_like(z, dtype=np.complex128)
     for c in coeffs[::-1]:
@@ -98,86 +89,31 @@ def _horner_many(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def star(p: Polynomial, n: int) -> Polynomial:
-    """Conjugate reversal z^n * conj(p)(1/z) at formal degree n.
-
-    Involutive on polynomials of degree <= n; the formal degree matters
-    because trailing zeros of p become leading zeros of the result.
-    """
-    if p.degree > n:
-        raise ShapeError(f"formal degree {n} is below the actual degree {p.degree}")
-    padded = np.zeros(n + 1, dtype=np.complex128)
-    padded[: p.degree + 1] = p.coeffs
-    return Polynomial(np.conj(padded[::-1]))
-
-
-def derivative_at(p: Polynomial, z: complex) -> complex:
-    """Value of p' at z (exact coefficient differentiation, then Horner)."""
-    if p.degree == 0:
-        return 0.0 + 0.0j
-    dc = p.coeffs[1:] * np.arange(1, p.degree + 1)
-    acc = 0.0 + 0.0j
-    for c in dc[::-1]:
-        acc = acc * z + c
-    return complex(acc)
-
-
 def _root_residuals(p: Polynomial, z: np.ndarray) -> np.ndarray:
+    """|p(z)| / (1 + |p'(z)| |z|) at each z, for p of degree >= 1."""
     pv = np.abs(_horner_many(p.coeffs, z))
-    if p.degree == 0:
-        return pv
     dc = p.coeffs[1:] * np.arange(1, p.degree + 1)
     dv = np.abs(_horner_many(dc, z))
     return pv / (1.0 + dv * np.abs(z))
 
 
 def roots(p: Polynomial, tol: Tolerances = DEFAULT) -> list[complex]:
-    """All complex roots by Aberth-Ehrlich simultaneous iteration.
+    """All complex roots, as the eigenvalues of the companion matrix.
 
-    Initial guesses sit on a circle sized by the Cauchy coefficient bound,
-    rotated off any coefficient symmetry.  Iteration stops once every
-    simultaneous correction drops below ``tol.aberth_correction`` (cap
-    ``tol.aberth_sweeps`` sweeps), and the backward-style residual
-    |p(r)| / (1 + |p'(r)| |r|) must meet ``tol.residual`` for every root.
+    The backward-style residual |p(r)| / (1 + |p'(r)| |r|) must meet
+    ``tol.residual`` for every root, else ConvergenceError.
     """
     n = p.degree
     if n < 1:
         raise ShapeError("root finding needs degree >= 1")
     if abs(p.leading) == 0.0:
         raise ShapeError("leading coefficient must be nonzero")
-    c = p.coeffs / p.leading
-    converged = True
-    if n == 1:
-        z = np.array([-c[0]])
-    else:
-        bound = 1.0 + float(np.max(np.abs(c[:-1])))
-        k = np.arange(n)
-        z = 0.7 * bound * np.exp(1j * (TWO_PI * (k + 0.25) / n + 0.4))
-        dc = c[1:] * np.arange(1, n + 1)
-        converged = False
-        for _ in range(tol.aberth_sweeps):
-            pv = _horner_many(c, z)
-            dv = _horner_many(dc, z)
-            dv = np.where(np.abs(dv) < 1e-290, 1e-290, dv)
-            newton = pv / dv
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, 1.0)
-            diff = np.where(np.abs(diff) < 1e-290, 1e-290, diff)
-            recip = 1.0 / diff
-            np.fill_diagonal(recip, 0.0)
-            den = 1.0 - newton * recip.sum(axis=1)
-            den = np.where(np.abs(den) < 1e-290, 1.0, den)
-            corr = newton / den
-            z = z - corr
-            if float(np.max(np.abs(corr))) < tol.aberth_correction:
-                converged = True
-                break
+    companion = np.diag(np.ones(n - 1, dtype=np.complex128), -1)
+    companion[:, -1] = -p.coeffs[:-1] / p.leading
+    z = np.linalg.eigvals(companion)
     worst = float(np.max(_root_residuals(p, z)))
     if worst > tol.residual:
-        # corrections may dither at rounding level without formally
-        # converging; only a failed residual contract is fatal
-        what = "root residual above tolerance" if converged else "iteration hit the sweep cap"
-        raise ConvergenceError(what, worst)
+        raise ConvergenceError("root residual above tolerance", worst)
     return [complex(r) for r in z]
 
 

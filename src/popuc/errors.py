@@ -10,7 +10,7 @@ class ShapeError(PopucError):
 
 
 class ConvergenceError(PopucError):
-    """Iterative solve failed; carries the best residual reached."""
+    """A solve missed its residual contract; carries the residual reached."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (best residual {residual:.3e})")

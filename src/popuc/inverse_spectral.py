@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .complex_poly import Polynomial, UnitCirclePoint, as_complex_array
+from .complex_poly import UnitCirclePoint, as_complex_array
 from .errors import (
     DegenerateNodesError,
     NotPersymmetricError,
@@ -24,28 +24,6 @@ from .errors import (
 from .mirror import _neg_log_derivative, is_persymmetric, persymmetry_defect
 from .opuc_core import VerblunskySequence, build_system, spectrum
 from .tolerances import DEFAULT, Tolerances
-
-
-def inverse_szego_step(phi_next: Polynomial) -> tuple[complex, Polynomial]:
-    """One step down the recurrence: recover a_n and Phi_n from Phi_{n+1}.
-
-    a_n is read off the constant term, then
-    Phi_n = (Phi_{n+1} + conj(a_n) Phi_{n+1}^*) / (z (1 - |a_n|^2)); the
-    numerator's constant term cancels identically.  A constant or non-monic
-    input raises ShapeError.  Coefficients on or outside the unit circle
-    are rejected: the final unimodular closure step is not invertible this
-    way and is handled by the caller.
-    """
-    if phi_next.degree < 1:
-        raise ShapeError("descent needs degree >= 1")
-    if abs(phi_next.leading - 1.0) > DEFAULT.monic:
-        raise ShapeError("descent input must be monic")
-    coeffs = phi_next.coeffs
-    a = complex(-np.conj(coeffs[0]))
-    if abs(a) >= 1.0 - 1e-10:
-        raise SzegoClassError(f"recovered |a_{phi_next.degree - 1}| = {abs(a)!r} is not inside the disc")
-    num = coeffs + a.conjugate() * np.conj(coeffs[::-1])
-    return a, Polynomial(num[1:] / (1.0 - abs(a) ** 2))
 
 
 @dataclass(frozen=True, eq=False)

@@ -205,9 +205,9 @@ def _persymmetry_characterizations(
     """``verify_persymmetry_characterizations`` on persymmetric sys at its sorted spectrum."""
     z = as_complex_array(nodes)
     vals = ladder_values(sys.v, z)
+    w = christoffel_weights(vals, sys.h, tol)  # first: it rejects an underflowed h_N
     h_final = float(sys.h[-1])
-    w_closed = persymmetric_weights(z, h_final)
-    weight_residual = float(np.max(np.abs(christoffel_weights(vals, sys.h, tol) - w_closed)))
+    weight_residual = float(np.max(np.abs(w - persymmetric_weights(z, h_final))))
     phi_n = vals[-1]
     modulus_residual = float(np.max(np.abs(np.abs(phi_n) - np.sqrt(h_final))))
 

@@ -204,8 +204,12 @@ def christoffel_weights(vals: np.ndarray, h: np.ndarray, tol: Tolerances = DEFAU
     vals holds the ladder values at the z_s (``ladder_values``), h the
     squared norms.  The weights are real and positive by construction.  They
     sum to one only when the z_s are the zeros of Phi_{N+1}; a sum off by
-    more than tol.weight_sum raises WeightError.
+    more than tol.weight_sum raises WeightError.  So does an h that has
+    underflowed to zero; h is non-increasing, so h_N is the one to test.
     """
+    if not h[-1] > 0.0:
+        k = int(np.argmax(h <= 0.0))
+        raise WeightError(f"squared norm h_{k} underflows to 0, so the weights are undefined")
     w = 1.0 / np.sum(np.abs(vals) ** 2 / h[:, None], axis=0)
     total = float(np.sum(w))
     if not abs(total - 1.0) <= tol.weight_sum:

@@ -18,8 +18,6 @@ class Tolerances:
     spectrum_radius: float = 1e-7    # eigenvalue radius slack before a spectrum is rejected
     verblunsky_margin: float = 1e-12 # strictness margin for |a| < 1
     monic: float = 1e-9              # slack on a leading coefficient of 1 (ladder, descent)
-    aberth_sweeps: int = 500         # iteration cap for the simultaneous root solve
-    aberth_correction: float = 1e-13 # per-root correction size that counts as converged
     # pass bounds of ``popuc check``
     orthogonality: float = 1e-8          # weighted Gram matrix versus diag(h)
     paraorthogonality: float = 1e-10     # Phi_{N+1}^* + omega Phi_{N+1}

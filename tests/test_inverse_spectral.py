@@ -1,4 +1,4 @@
-"""Descending the recurrence and rebuilding persymmetric systems from nodes."""
+"""Rebuilding persymmetric systems from their nodes."""
 
 import numpy as np
 import pytest
@@ -7,16 +7,13 @@ from conftest import random_persymmetric, random_verblunsky
 from popuc import (
     DegenerateNodesError,
     NotPersymmetricError,
-    Polynomial,
     ShapeError,
     SpectrumInconsistencyError,
-    SzegoClassError,
     Tolerances,
     UnitCirclePoint,
     VerblunskySequence,
     build_system,
     free_family,
-    inverse_szego_step,
     is_persymmetric,
     krawtchouk_family,
     reconstruct_persymmetric,
@@ -24,38 +21,6 @@ from popuc import (
     spectrum,
 )
 from popuc.complex_poly import as_complex_array
-
-
-def test_single_step_example():
-    a, lower = inverse_szego_step(Polynomial([1.0 / 3.0, 2.0 / 3.0, 1.0]))
-    assert np.isclose(a, -1.0 / 3.0)
-    assert np.allclose(lower.coeffs, [0.5, 1.0])
-
-
-def test_single_step_rejects_unimodular_coefficient():
-    with pytest.raises(SzegoClassError):
-        inverse_szego_step(Polynomial([-1.0, 0.0, 1.0]))
-
-
-def test_single_step_rejects_non_monic():
-    with pytest.raises(ShapeError):
-        inverse_szego_step(Polynomial([0.5, 2.0]))
-    with pytest.raises(ShapeError):
-        inverse_szego_step(Polynomial([1.0]))
-
-
-def test_descent_recovers_random_ladders():
-    rng = np.random.default_rng(3)
-    for _ in range(40):
-        v = random_verblunsky(rng, int(rng.integers(2, 13)))
-        sys_ = build_system(v)
-        phi = Polynomial(sys_.phis[-2])  # top of the Szego-class part of the ladder
-        recovered = []
-        while phi.degree > 0:
-            a, phi = inverse_szego_step(phi)
-            recovered.append(a)
-        recovered.reverse()
-        assert float(np.max(np.abs(np.array(recovered) - v.a))) <= 1e-10
 
 
 def test_reconstruct_monomial_system():

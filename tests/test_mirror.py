@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from conftest import random_persymmetric, random_verblunsky
 from popuc import (
     NotPersymmetricError,
     PersymmetricSeed,
-    Polynomial,
     ShapeError,
     UnitCirclePoint,
     VerblunskySequence,
+    WeightError,
     build_system,
-    derivative_at,
     dual_weights,
     is_persymmetric,
     krawtchouk_family,
@@ -30,6 +30,8 @@ from popuc import (
     verify_persymmetry_characterizations,
     weights,
 )
+from popuc.complex_poly import as_complex_array
+from popuc.mirror import _persymmetry_characterizations
 
 
 def test_principal_sqrt():
@@ -141,8 +143,7 @@ def test_weight_product_identity():
         nodes = spectrum(sys_)
         w = weights(sys_, nodes).weights
         hat = dual_weights(sys_)
-        top = Polynomial(sys_.phis[-1])
-        dvals = np.abs([derivative_at(top, complex(p)) for p in nodes])
+        dvals = np.abs(npoly.polyval(as_complex_array(nodes), npoly.polyder(sys_.phis[-1])))
         combined = w * hat * dvals**2 / sys_.h[-1]
         assert float(np.max(np.abs(combined - 1.0))) <= 1e-8
 
@@ -203,7 +204,7 @@ def test_phi_values_match_recurrence():
         v = random_persymmetric(rng, n)
         sys_ = build_system(v)
         nodes = spectrum(sys_)
-        actual = np.array([Polynomial(sys_.phis[n])(complex(p)) for p in nodes])
+        actual = npoly.polyval(as_complex_array(nodes), sys_.phis[n])
         errs = []
         for eps in (1, -1):
             vals = phi_n_values(nodes, v.omega, sys_.h[-1], eps)
@@ -255,3 +256,13 @@ def test_characterizations_random_corpus():
 def test_characterizations_reject_non_persymmetric():
     with pytest.raises(NotPersymmetricError):
         verify_persymmetry_characterizations(single_moment(4).v)
+
+
+def test_underflowed_norms_raise_weight_error():
+    # Krawtchouk data at n = 1024 drives h_k to exactly 0.0 from k = 997;
+    # the closed-form nodes stand in for the eigensolve
+    inst = krawtchouk_family(1024, complex(np.exp(0.9j)))
+    sys_ = build_system(inst.v)
+    for stage in (weights, _persymmetry_characterizations):
+        with pytest.raises(WeightError, match="h_997 underflows"):
+            stage(sys_, inst.closed_form_nodes)

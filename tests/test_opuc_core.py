@@ -6,7 +6,6 @@ import pytest
 from conftest import random_verblunsky
 from popuc import (
     OpucSystem,
-    Polynomial,
     ShapeError,
     SpectralData,
     SpectralValidityError,
@@ -20,7 +19,6 @@ from popuc import (
     paraorthogonality_residual,
     spectrum,
     krawtchouk_family,
-    star,
     verblunsky_from_polys,
     weights,
 )
@@ -69,14 +67,14 @@ def test_monomial_ladder():
 
 
 def _ladder_by_polynomials(v):
-    # Phi_{k+1} = z Phi_k - conj(a_k) star(Phi_k, k), one Polynomial per rung
-    phis = [Polynomial([1.0])]
+    # Phi_{k+1} = z Phi_k - conj(a_k) Phi_k^*, one coefficient array per rung
+    phis = [np.ones(1, dtype=complex)]
     for k, a_k in enumerate(list(v.a) + [v.omega]):
         prev = phis[-1]
         nxt = np.zeros(k + 2, dtype=complex)
-        nxt[1:] = prev.coeffs
-        nxt[: k + 1] -= np.conj(a_k) * star(prev, k).coeffs
-        phis.append(Polynomial(nxt))
+        nxt[1:] = prev
+        nxt[: k + 1] -= np.conj(a_k) * np.conj(prev[::-1])
+        phis.append(nxt)
     return phis
 
 
@@ -90,7 +88,7 @@ def test_ladder_array_matches_polynomial_construction():
         assert len(phis) == len(expected) == v.n + 2
         for k, (row, ref) in enumerate(zip(phis, expected)):
             assert type(row) is np.ndarray and row.shape == (k + 1,)
-            assert np.array_equal(row, ref.coeffs)
+            assert np.array_equal(row, ref)
     row = build_system(cases[0]).phis[1]
     with pytest.raises(ValueError):
         row[0] = 0.0
