@@ -28,6 +28,7 @@ from popuc import (
     single_moment_dual,
     single_moment_persymmetric,
     spectrum,
+    unit_points,
     unitarity_residual,
     verify_family,
     verify_mirror_relations,
@@ -79,7 +80,7 @@ def random_rows(seed, count, n_max):
         )
         u = cmv_matrix(v)
         worst["cmv unitarity"] = max(worst["cmv unitarity"], unitarity_residual(u))
-        z = np.array([complex(p) for p in nodes])
+        z = unit_points(nodes)
         psi = laurent_eigenvectors(sys_, z)
         resid = np.max(np.abs(u @ psi - z * psi), axis=0)
         scaled = resid / np.maximum(1.0, np.max(np.abs(psi), axis=0))

@@ -12,7 +12,9 @@ from .complex_poly import (
     UnitCirclePoint,
     from_roots,
     lagrange_interpolate,
+    node_angles,
     roots,
+    unit_points,
 )
 from .cmv import (
     MirrorRelationReport,

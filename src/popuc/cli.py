@@ -30,7 +30,7 @@ import numpy as np
 
 from . import cmv as cmv_mod
 from . import families as fam_mod
-from .complex_poly import UnitCirclePoint, as_complex_array
+from .complex_poly import UnitCirclePoint, unit_points
 from .errors import (
     ConvergenceError,
     NotPersymmetricError,
@@ -56,7 +56,7 @@ from .opuc_core import (
 )
 from .tolerances import DEFAULT
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -148,13 +148,10 @@ def _payload(v: VerblunskySequence, emit: str) -> dict[str, Any]:
         out["phis"] = list(sys_.phis)
         out["h"] = sys_.h
     if emit in ("spectrum", "weights", "all"):
-        nodes = spectrum(sys_)
-        out["spectrum"] = {
-            "theta": np.array([p.theta for p in nodes]),
-            "z": as_complex_array(nodes),
-        }
+        theta = spectrum(sys_)
+        out["spectrum"] = {"theta": theta, "z": unit_points(theta)}
         if emit in ("weights", "all"):
-            out["weights"] = weights(sys_, nodes).weights
+            out["weights"] = weights(sys_, theta).weights
     if emit in ("cmv", "all"):
         m1, m2 = cmv_mod.factors(v)
         out["cmv"] = {"m1": m1, "m2": m2, "u": m2 @ m1}
@@ -178,11 +175,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     run_all = args.all or not (args.persymmetric or args.mirror_relations or args.orthogonality)
     checks: dict[str, Any] = {}
     passed = True
-    sys_ = build_system(v)
-    nodes = None
+    sys_ = build_system(v)  # keeps its eigenvalues and ladder values for every check below
     if args.orthogonality or run_all:
-        nodes = spectrum(sys_)
-        data = weights(sys_, nodes)
+        data = weights(sys_, spectrum(sys_))
         ortho = orthogonality_residual(sys_, data)
         para = paraorthogonality_residual(sys_)
         checks["orthogonality_residual"] = ortho
@@ -201,8 +196,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     checks["persymmetric"] = persym
     checks["persymmetry_defect"] = persymmetry_defect(v)
     if persym and (args.persymmetric or run_all):
-        # reuse the forward pass above when it ran
-        chars = _persymmetry_characterizations(sys_, nodes or spectrum(sys_))
+        chars = _persymmetry_characterizations(sys_)
         checks["persymmetry_characterizations"] = {
             "weight_residual": chars.weight_residual,
             "modulus_residual": chars.modulus_residual,
@@ -231,6 +225,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         "omega": _pair(result.v.omega),
         "n": result.v.n,
         "h_final": result.h_final,
+        "log_h_final": result.log_h_final,
         "spectrum_residual": result.spectrum_residual,
     }
     print(_document("reconstruct", payload))

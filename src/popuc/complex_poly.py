@@ -1,9 +1,11 @@
 """Points on the unit circle, plus a small monomial-coefficient layer.
 
-``UnitCirclePoint`` and ``as_complex_array`` carry nodes through the
-pipeline.  ``Polynomial`` (ascending coefficients), ``roots``, ``from_roots``
-and ``lagrange_interpolate`` are not called by any pipeline stage; they
-serve the tests as independent checks.  ``roots`` takes the eigenvalues of
+Nodes travel through the pipeline as a float64 array of angles theta;
+``node_angles`` reads them from such an array or from ``UnitCirclePoint``
+values, and ``unit_points`` turns them into cos theta + i sin theta.
+``Polynomial`` (ascending coefficients), ``roots``, ``from_roots`` and
+``lagrange_interpolate`` are not called by any pipeline stage; they serve
+the tests as independent checks.  ``roots`` takes the eigenvalues of
 the companion matrix, the LAPACK path ``opuc_core.spectrum`` also uses.
 """
 
@@ -76,10 +78,27 @@ class UnitCirclePoint:
 
 
 def as_complex_array(points: Iterable) -> np.ndarray:
-    """Coerce a sequence of numbers or UnitCirclePoint values to complex128."""
+    """Coerce a sequence of numbers or UnitCirclePoint values to complex128.
+
+    An ndarray is read as complex values; node angles go through ``unit_points``.
+    """
     if isinstance(points, np.ndarray):
         return points.astype(np.complex128)
     return np.array([complex(p) for p in points], dtype=np.complex128)
+
+
+def node_angles(nodes: "np.ndarray | Iterable[UnitCirclePoint]") -> np.ndarray:
+    """Node angles as float64: a real ndarray as it is, else each point's ``.theta``."""
+    if isinstance(nodes, np.ndarray):
+        if nodes.dtype.kind not in "fiu":
+            raise ShapeError(f"node angles must be real, got dtype {nodes.dtype}")
+        return nodes.astype(np.float64, copy=False)
+    return np.array([p.theta for p in nodes], dtype=np.float64)
+
+
+def unit_points(theta: np.ndarray) -> np.ndarray:
+    """cos theta + i sin theta, elementwise."""
+    return np.cos(theta) + 1j * np.sin(theta)
 
 
 def _horner_many(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_poly import UnitCirclePoint, as_complex_array
+from .complex_poly import UnitCirclePoint, as_complex_array, unit_points
 from .errors import ShapeError
 from .mirror import persymmetry_defect
 from .opuc_core import (
@@ -258,7 +258,7 @@ def verify_family(inst: FamilyInstance, tol: Tolerances = DEFAULT) -> dict[str, 
     nodes = spectrum(sys, tol)
     if inst.closed_form_nodes is not None:
         closed_z = as_complex_array(inst.closed_form_nodes)
-        report["nodes"] = float(np.max(np.abs(closed_z - as_complex_array(nodes))))
+        report["nodes"] = float(np.max(np.abs(closed_z - unit_points(nodes))))
     data = weights(sys, nodes, tol)
     if inst.closed_form_weights is not None:
         report["weights"] = float(np.max(np.abs(inst.closed_form_weights - data.weights)))

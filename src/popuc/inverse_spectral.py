@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .complex_poly import UnitCirclePoint, as_complex_array
+from .complex_poly import UnitCirclePoint, node_angles, unit_points
 from .errors import (
     DegenerateNodesError,
     NotPersymmetricError,
@@ -31,29 +31,35 @@ class ReconstructionResult:
     """Recovered coefficient data plus the diagnostics of the recovery."""
 
     v: VerblunskySequence
-    h_final: float            # recovered squared norm of Phi_N
+    log_h_final: float        # log of the recovered squared norm of Phi_N
     spectrum_residual: float  # max node distance after rebuilding forward
 
     def __post_init__(self) -> None:
-        if not is_persymmetric(self.v, 1e-8):
+        if not is_persymmetric(self.v, DEFAULT.recovery):
             raise NotPersymmetricError(
                 f"recovered data has mirror defect {persymmetry_defect(self.v):.3e}"
             )
 
+    @property
+    def h_final(self) -> float:
+        """exp(log_h_final); 0.0 where h_N is below the double range."""
+        return float(np.exp(self.log_h_final))
+
 
 def reconstruct_persymmetric(
-    nodes: Sequence[UnitCirclePoint],
+    nodes: "np.ndarray | Sequence[UnitCirclePoint]",
     omega: complex,
     tol: Tolerances = DEFAULT,
 ) -> ReconstructionResult:
     """Recover the unique persymmetric system with the given spectrum.
 
-    nodes must be theta-sorted, at least tol.node_separation apart, with
-    product z_0 ... z_N = (-1)^N / omega (checked to 1e-8); that consistency
-    pins omega to the node set.  The weights are sqrt(h_N) / |Phi'_{N+1}(z_s)|,
-    formed in the log domain and normalised, which also gives h_N.  Arnoldi
-    on diag(z) from sqrt(w), orthogonalising twice, builds the first
-    ceil(N/2) columns of the unitary Hessenberg matrix H; peeling its Givens
+    nodes (angles, or UnitCirclePoint values) must be theta-sorted, at least
+    tol.node_separation apart, with product z_0 ... z_N = (-1)^N / omega
+    (checked to tol.recovery); that consistency pins omega to the node set.
+    The weights are sqrt(h_N) / |Phi'_{N+1}(z_s)|, formed in the log domain
+    and normalised, which also gives log h_N.  Arnoldi on diag(z) from
+    sqrt(w), orthogonalising twice, builds the first ceil(N/2) columns of
+    the unitary Hessenberg matrix H; peeling its Givens
     blocks from row 0 (a_k = conj(r_k[k]), r_{k+1} = rho_k r_k - r_k[k] H[k+1])
     reads a_k without dividing by a product of the rho_k.  A peeled
     |a_k| >= 1 - tol.verblunsky_margin raises SzegoClassError.  The rest of
@@ -61,24 +67,24 @@ def reconstruct_persymmetric(
     forward again, and a rebuilt spectrum farther than tol.residual from the
     nodes raises NotPersymmetricError.
     """
-    count = len(nodes)
+    thetas = node_angles(nodes)
+    count = thetas.size
     if count < 2:
         raise ShapeError("need at least two nodes")
     n_top = count - 1
-    thetas = np.array([p.theta for p in nodes])
     if np.any(np.diff(thetas) <= 0.0):
         raise ShapeError("nodes must be strictly increasing in theta")
     w = complex(omega)
     if abs(abs(w) - 1.0) > tol.unimodular:
         raise ValueError("omega must be unimodular")
 
-    z = np.exp(1j * thetas)
+    z = unit_points(thetas)
     closest = float(np.min(np.abs(np.diff(z, append=z[0]))))  # sorted: the closest pair is adjacent
     if closest <= tol.node_separation:
         raise DegenerateNodesError(f"nodes only {closest:.3e} apart")
     target = (-1.0) ** n_top * np.conj(w)
     drift = abs(complex(np.prod(z)) - target)
-    if drift > 1e-8:
+    if drift > tol.recovery:
         raise SpectrumInconsistencyError(
             f"node product misses (-1)^N / omega by {drift:.3e}"
         )
@@ -88,7 +94,7 @@ def reconstruct_persymmetric(
     shift = float(np.max(log_w))
     scaled = np.exp(log_w - shift)
     total = float(np.sum(scaled))
-    h_final = float(np.exp(-2.0 * (shift + np.log(total))))
+    log_h_final = float(-2.0 * (shift + np.log(total)))
 
     free = count // 2
     basis = np.empty((free, count), dtype=np.complex128)  # Arnoldi vectors as rows
@@ -116,10 +122,10 @@ def reconstruct_persymmetric(
     v = VerblunskySequence(a, w)
 
     rebuilt = spectrum(build_system(v), tol)
-    spectrum_residual = float(np.max(np.abs(as_complex_array(rebuilt) - z)))
+    spectrum_residual = float(np.max(np.abs(unit_points(rebuilt) - z)))
     if not spectrum_residual <= tol.residual:
         raise NotPersymmetricError(
             f"rebuilt spectrum misses the nodes by {spectrum_residual:.3e}"
             f" (bound {tol.residual:.1e})"
         )
-    return ReconstructionResult(v, h_final, spectrum_residual)
+    return ReconstructionResult(v, log_h_final, spectrum_residual)

@@ -16,13 +16,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .complex_poly import UnitCirclePoint, as_complex_array
+from .complex_poly import UnitCirclePoint, node_angles, unit_points
 from .errors import NotPersymmetricError, ShapeError
 from .opuc_core import (
     OpucSystem,
     VerblunskySequence,
     build_system,
     christoffel_weights,
+    ladder_at_nodes,
     ladder_values,
     spectrum,
     squared_norms,
@@ -45,7 +46,7 @@ def persymmetry_defect(v: VerblunskySequence) -> float:
     return float(np.max(np.abs(v.a + v.omega * np.conj(v.a[::-1]))))
 
 
-def is_persymmetric(v: VerblunskySequence, tol: float = 1e-10) -> bool:
+def is_persymmetric(v: VerblunskySequence, tol: float = DEFAULT.persymmetry) -> bool:
     return persymmetry_defect(v) <= tol
 
 
@@ -111,12 +112,12 @@ def dual_weights(sys: OpucSystem, tol: Tolerances = DEFAULT) -> np.ndarray:
     their product with the primal weight is h_N / |Phi'_{N+1}(z_s)|^2.
     """
     vh = mirror_dual(sys.v)
-    vals = ladder_values(vh, as_complex_array(spectrum(sys, tol)))
+    vals = ladder_values(vh, unit_points(spectrum(sys, tol)))
     return christoffel_weights(vals, squared_norms(vh.a), tol)
 
 
-def persymmetric_weights(nodes: Sequence[UnitCirclePoint], h_final: float) -> np.ndarray:
-    """Closed-form weights sqrt(h_N) / |Phi'_{N+1}(z_s)| from nodes alone.
+def persymmetric_weights(nodes: "np.ndarray | Sequence[UnitCirclePoint]", h_final: float) -> np.ndarray:
+    """Closed-form weights sqrt(h_N) / |Phi'_{N+1}(z_s)| from nodes (angles or points) alone.
 
     Phi_{N+1} is monic with these roots, so |Phi'_{N+1}(z_s)| is the product
     of the distances |z_s - z_j| over j != s; it is summed as logarithms,
@@ -127,7 +128,7 @@ def persymmetric_weights(nodes: Sequence[UnitCirclePoint], h_final: float) -> np
     """
     if h_final <= 0.0:
         raise ValueError("h_final must be positive")
-    return np.exp(0.5 * np.log(h_final) + _neg_log_derivative(as_complex_array(nodes)))
+    return np.exp(0.5 * np.log(h_final) + _neg_log_derivative(unit_points(node_angles(nodes))))
 
 
 def _neg_log_derivative(z: np.ndarray) -> np.ndarray:
@@ -138,7 +139,7 @@ def _neg_log_derivative(z: np.ndarray) -> np.ndarray:
 
 
 def phi_n_values(
-    nodes: Sequence[UnitCirclePoint],
+    nodes: "np.ndarray | Sequence[UnitCirclePoint]",
     omega: complex,
     h_final: float,
     epsilon: int,
@@ -152,11 +153,11 @@ def phi_n_values(
         raise ValueError("epsilon must be +1 or -1")
     if h_final <= 0.0:
         raise ValueError("h_final must be positive")
-    thetas = np.array([p.theta for p in nodes])
+    thetas = node_angles(nodes)
     if np.any(np.diff(thetas) <= 0.0):
         raise ShapeError("nodes must be sorted by theta")
-    n_top = len(nodes) - 1  # node count is N + 1
-    signs = np.where(np.arange(len(nodes)) % 2 == 0, 1.0, -1.0)
+    n_top = thetas.size - 1  # node count is N + 1
+    signs = np.where(np.arange(thetas.size) % 2 == 0, 1.0, -1.0)
     inv_half = np.conj(principal_sqrt_unimodular(complex(omega)))
     return (
         signs
@@ -187,27 +188,26 @@ def verify_persymmetry_characterizations(
     """Check the three persymmetry-only identities on a concrete system.
 
     Rejects input whose coefficient list is not self-dual (defect above
-    1e-10); for valid input, returns the worst residual of each identity
-    and the phase sign that fits.  The Christoffel weights and the Phi_N
-    values come from one evaluation of the ladder at the nodes.
+    tol.persymmetry); for valid input, returns the worst residual of each
+    identity and the phase sign that fits.  The Christoffel weights and the
+    Phi_N values come from one evaluation of the ladder at the nodes.
     """
-    if not is_persymmetric(v, 1e-10):
+    if not is_persymmetric(v, tol.persymmetry):
         raise NotPersymmetricError(
             f"coefficient list has mirror defect {persymmetry_defect(v):.3e}"
         )
-    sys = build_system(v)
-    return _persymmetry_characterizations(sys, spectrum(sys, tol), tol)
+    return _persymmetry_characterizations(build_system(v), tol)
 
 
 def _persymmetry_characterizations(
-    sys: OpucSystem, nodes: Sequence[UnitCirclePoint], tol: Tolerances = DEFAULT
+    sys: OpucSystem, tol: Tolerances = DEFAULT
 ) -> PersymmetryCharacterizations:
-    """``verify_persymmetry_characterizations`` on persymmetric sys at its sorted spectrum."""
-    z = as_complex_array(nodes)
-    vals = ladder_values(sys.v, z)
+    """``verify_persymmetry_characterizations`` on persymmetric sys, at the nodes and values it keeps."""
+    nodes = spectrum(sys, tol)
+    vals = ladder_at_nodes(sys, nodes)
     w = christoffel_weights(vals, sys.h, tol)  # first: it rejects an underflowed h_N
     h_final = float(sys.h[-1])
-    weight_residual = float(np.max(np.abs(w - persymmetric_weights(z, h_final))))
+    weight_residual = float(np.max(np.abs(w - persymmetric_weights(nodes, h_final))))
     phi_n = vals[-1]
     modulus_residual = float(np.max(np.abs(np.abs(phi_n) - np.sqrt(h_final))))
 

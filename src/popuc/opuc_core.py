@@ -13,6 +13,10 @@ eigenvalues of the unitary CMV matrix U = M2 M1, whose characteristic
 polynomial is Phi_{N+1} (Cantero-Moral-Velazquez 2003); the weights are the
 Christoffel numbers, from the ladder's values at the nodes.  Those values
 come from the same recurrence run on numbers rather than coefficients.
+
+A system solves its eigenproblem once and runs the ladder at its own nodes
+once: ``spectrum``, ``weights``, ``orthogonality_residual`` and the
+persymmetry checks share ``OpucSystem.eigenvalues`` and ``ladder_at_nodes``.
 """
 
 from __future__ import annotations
@@ -23,31 +27,36 @@ from typing import Sequence
 
 import numpy as np
 
-from .complex_poly import TWO_PI, UnitCirclePoint, as_complex_array
+from .complex_poly import TWO_PI, UnitCirclePoint, node_angles, unit_points
 from .errors import ShapeError, SpectralValidityError, WeightError
 from .tolerances import DEFAULT, Tolerances
 
 
 @dataclass(frozen=True, eq=False)
 class VerblunskySequence:
-    """Truncated coefficient data: a_0 .. a_{N-1} plus unimodular omega."""
+    """Truncated coefficient data: a_0 .. a_{N-1} plus unimodular omega.
+
+    ``a`` is a read-only copy of the input, so a system built from it cannot
+    go stale when the caller's array changes.
+    """
 
     a: np.ndarray
     omega: complex
 
     def __post_init__(self) -> None:
-        arr = np.atleast_1d(np.asarray(self.a, dtype=np.complex128))
+        arr = np.array(self.a, dtype=np.complex128, ndmin=1)
         if arr.ndim != 1 or arr.size < 1:
             raise ShapeError("need at least one Verblunsky coefficient")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("Verblunsky coefficients must be finite")
         mags = np.abs(arr)
-        if np.any(mags > 1.0 - DEFAULT.verblunsky_margin):
+        if (mags > 1.0 - DEFAULT.verblunsky_margin).any():
             k = int(np.argmax(mags))
             raise ValueError(f"|a_{k}| = {mags[k]!r} violates the strict bound |a| < 1")
         w = complex(self.omega)
         if abs(abs(w) - 1.0) > DEFAULT.unimodular:
             raise ValueError(f"|omega| = {abs(w)!r} is not unimodular")
+        arr.flags.writeable = False
         object.__setattr__(self, "a", arr)
         object.__setattr__(self, "omega", w)
 
@@ -60,14 +69,29 @@ class VerblunskySequence:
 class OpucSystem:
     """Verblunsky data with the squared norms h_0 .. h_N, built from v alone in O(N).
 
-    The ladder ``phis`` is run on first access; the spectral stages read only v and h.
+    The ladder ``phis`` and the eigenvalues of U are computed on first
+    access.  ``spectrum`` keeps the sorted node angles it last returned, and
+    ``ladder_at_nodes`` the ladder values there; every memo is read-only and
+    lives as long as the system.
     """
 
     v: VerblunskySequence
     h: np.ndarray = field(init=False)
+    # (seam slack, theta) of the last ``spectrum`` call; (theta, values) of ``ladder_at_nodes``
+    _theta: tuple | None = field(default=None, init=False, repr=False)
+    _ladder: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "h", squared_norms(self.v.a))
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of the CMV matrix U in LAPACK's order, read-only."""
+        lam = np.linalg.eigvals(cmv_matrix(self.v))
+        if not np.isfinite(lam).all():
+            raise ValueError("eigenvalues of the CMV matrix must be finite")
+        lam.flags.writeable = False
+        return lam
 
     @cached_property
     def phis(self) -> tuple[np.ndarray, ...]:
@@ -92,28 +116,46 @@ class OpucSystem:
 
 @dataclass(frozen=True, eq=False)
 class SpectralData:
-    """Theta-sorted unimodular nodes with positive weights summing to one."""
+    """Strictly increasing node angles with positive weights summing to one.
 
-    nodes: tuple[UnitCirclePoint, ...]
+    theta (a real ndarray or a sequence of UnitCirclePoint on input) and
+    weights are stored as read-only float64 arrays; ``nodes`` gives the
+    same nodes as UnitCirclePoint values, built on first access.
+    """
+
+    theta: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        nodes = tuple(self.nodes)
-        if len(nodes) < 1:
+        theta = _read_only(node_angles(self.theta))
+        if theta.ndim != 1 or theta.size < 1:
             raise ShapeError("need at least one node")
-        thetas = np.array([p.theta for p in nodes])
-        if np.any(np.diff(thetas) <= 0.0):
+        if not np.isfinite(theta).all():
+            raise ValueError("theta must be finite")
+        if (theta[1:] <= theta[:-1]).any():
             raise ShapeError("nodes must be strictly increasing in theta")
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.shape != (len(nodes),):
+        w = _read_only(np.asarray(self.weights, dtype=np.float64))
+        if w.shape != theta.shape:
             raise ShapeError("one weight per node required")
-        if np.any(w <= 0.0):
-            raise WeightError(f"non-positive weight {float(np.min(w))!r}")
-        total = float(np.sum(w))
+        if (w <= 0.0).any():
+            raise WeightError(f"non-positive weight {float(w.min())!r}")
+        total = float(w.sum())
         if abs(total - 1.0) > DEFAULT.weight_sum:
             raise WeightError(f"weights sum to {total!r}, expected 1")
-        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "weights", w)
+
+    @cached_property
+    def nodes(self) -> tuple[UnitCirclePoint, ...]:
+        return tuple(UnitCirclePoint(t) for t in self.theta.tolist())
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """arr itself when it is already read-only, else a read-only copy."""
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.flags.writeable = False
+    return arr
 
 
 def squared_norms(a: np.ndarray) -> np.ndarray:
@@ -210,38 +252,64 @@ def christoffel_weights(vals: np.ndarray, h: np.ndarray, tol: Tolerances = DEFAU
     if not h[-1] > 0.0:
         k = int(np.argmax(h <= 0.0))
         raise WeightError(f"squared norm h_{k} underflows to 0, so the weights are undefined")
-    w = 1.0 / np.sum(np.abs(vals) ** 2 / h[:, None], axis=0)
-    total = float(np.sum(w))
+    w = 1.0 / (np.abs(vals) ** 2 / h[:, None]).sum(axis=0)
+    total = float(w.sum())
     if not abs(total - 1.0) <= tol.weight_sum:
         raise WeightError(f"Christoffel weights sum to {total!r}, expected 1")
     return w
 
 
-def spectrum(sys: OpucSystem, tol: Tolerances = DEFAULT) -> list[UnitCirclePoint]:
-    """Theta-sorted eigenvalues of the CMV matrix, snapped onto the circle.
+def spectrum(sys: OpucSystem, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """Sorted angles in [0, 2 pi) of the eigenvalues of the CMV matrix, read-only.
 
     They are the roots of Phi_{N+1}.  An eigenvalue whose radius drifts
     from one by more than tol.spectrum_radius raises SpectralValidityError.
     Angles within tol.unimodular below 2 pi are mapped to 0, so a node on
-    the seam sorts first whichever side of it rounding put it.
+    the seam sorts first whichever side of it rounding put it.  Both
+    tolerances apply on every call; the eigenproblem is solved once per
+    system, and a repeated call with the same tol.unimodular returns the
+    same array.
     """
-    lam = np.linalg.eigvals(cmv_matrix(sys.v))
-    drift = float(np.max(np.abs(np.abs(lam) - 1.0)))
+    drift = float(np.abs(np.abs(sys.eigenvalues) - 1.0).max())
     if drift > tol.spectrum_radius:
         raise SpectralValidityError(f"eigenvalue radius off the circle by {drift:.3e}")
-    theta = np.angle(lam) % TWO_PI
+    if sys._theta is not None and sys._theta[0] == tol.unimodular:
+        return sys._theta[1]
+    theta = np.angle(sys.eigenvalues) % TWO_PI
     theta[theta > TWO_PI - tol.unimodular] = 0.0
-    return [UnitCirclePoint(t) for t in np.sort(theta).tolist()]
+    theta.sort()
+    theta.flags.writeable = False
+    object.__setattr__(sys, "_theta", (tol.unimodular, theta))
+    return theta
 
 
-def weights(sys: OpucSystem, nodes: Sequence[UnitCirclePoint], tol: Tolerances = DEFAULT) -> SpectralData:
-    """Quadrature weights at the nodes: the Christoffel numbers of the system.
+def ladder_at_nodes(sys: OpucSystem, theta: np.ndarray) -> np.ndarray:
+    """``ladder_values`` at the points cos theta + i sin theta.
+
+    When theta is the array ``spectrum(sys)`` last returned, the values are
+    kept on the system, read-only, so later calls at the same nodes reuse them.
+    """
+    if sys._ladder is not None and sys._ladder[0] is theta:
+        return sys._ladder[1]
+    vals = ladder_values(sys.v, unit_points(theta))
+    if sys._theta is not None and sys._theta[1] is theta:
+        vals.flags.writeable = False
+        object.__setattr__(sys, "_ladder", (theta, vals))
+    return vals
+
+
+def weights(
+    sys: OpucSystem,
+    nodes: "np.ndarray | Sequence[UnitCirclePoint]",
+    tol: Tolerances = DEFAULT,
+) -> SpectralData:
+    """Quadrature weights at the nodes (angles, or UnitCirclePoint values): the Christoffel numbers.
 
     See ``christoffel_weights``; SpectralData further requires the nodes to
     be strictly increasing in theta.
     """
-    vals = ladder_values(sys.v, as_complex_array(nodes))
-    return SpectralData(tuple(nodes), christoffel_weights(vals, sys.h, tol))
+    theta = node_angles(nodes)
+    return SpectralData(theta, christoffel_weights(ladder_at_nodes(sys, theta), sys.h, tol))
 
 
 def paraorthogonality_residual(sys: OpucSystem) -> float:
@@ -259,7 +327,7 @@ def paraorthogonality_residual(sys: OpucSystem) -> float:
 
 def orthogonality_residual(sys: OpucSystem, data: SpectralData) -> float:
     """Max deviation of the weighted Gram matrix of Phi_0 .. Phi_N from diag(h)."""
-    vals = ladder_values(sys.v, as_complex_array(data.nodes))
+    vals = ladder_at_nodes(sys, data.theta)
     gram = (vals * data.weights) @ np.conj(vals.T)
-    gram[np.diag_indices_from(gram)] -= sys.h
-    return float(np.max(np.abs(gram)))
+    gram.reshape(-1)[:: gram.shape[0] + 1] -= sys.h  # the diagonal, as a view
+    return float(np.abs(gram).max())

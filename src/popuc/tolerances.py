@@ -17,7 +17,9 @@ class Tolerances:
     weight_sum: float = 1e-9         # slack on sum of weights = 1
     spectrum_radius: float = 1e-7    # eigenvalue radius slack before a spectrum is rejected
     verblunsky_margin: float = 1e-12 # strictness margin for |a| < 1
-    monic: float = 1e-9              # slack on a leading coefficient of 1 (ladder, descent)
+    monic: float = 1e-9              # slack on a leading coefficient of 1 (``verblunsky_from_polys``)
+    persymmetry: float = 1e-10       # mirror defect below which data counts as self-dual
+    recovery: float = 1e-8           # inverse path: node-product drift, recovered mirror defect
     # pass bounds of ``popuc check``
     orthogonality: float = 1e-8          # weighted Gram matrix versus diag(h)
     paraorthogonality: float = 1e-10     # Phi_{N+1}^* + omega Phi_{N+1}

@@ -19,6 +19,19 @@ def random_verblunsky(rng: np.random.Generator, n: int, max_mag: float = 0.85) -
     return VerblunskySequence(radius * np.exp(1j * phase), omega)
 
 
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap module.name for the test; the returned list gets the arguments of each call."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def random_persymmetric(rng: np.random.Generator, n: int, max_mag: float = 0.8) -> VerblunskySequence:
     """Self-dual data from a random seed; middle parameter bounded like the rest."""
     half = n // 2

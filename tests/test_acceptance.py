@@ -39,7 +39,7 @@ from popuc import (
     weights,
 )
 from popuc.cmv import factors
-from popuc.complex_poly import as_complex_array
+from popuc.complex_poly import unit_points
 from popuc.families import _krawtchouk_ladder
 
 
@@ -113,7 +113,7 @@ def test_criterion_04_mirror_duality(corpus):
             abs(float(dual_sys.h[-1]) - float(sys_.h[-1])) / float(sys_.h[-1]),
         )
         hat = dual_weights(sys_)
-        dvals = np.abs(npoly.polyval(as_complex_array(nodes), npoly.polyder(sys_.phis[-1])))
+        dvals = np.abs(npoly.polyval(unit_points(nodes), npoly.polyder(sys_.phis[-1])))
         product = data.weights * hat * dvals**2 / float(sys_.h[-1])
         worst_product = max(worst_product, float(np.max(np.abs(product - 1.0))))
     ok = worst_top <= 1e-10 and worst_h <= 1e-10 and worst_product <= 1e-8
@@ -160,7 +160,7 @@ def test_criterion_06_cmv_spectral(corpus):
         i, j = np.indices(u.shape)
         band = np.abs(u[np.abs(i - j) > 2])
         worst_band = max(worst_band, float(np.max(band, initial=0.0)))
-        z = as_complex_array(nodes)
+        z = unit_points(nodes)
         worst_eigen = max(worst_eigen, eigenpair_residual(u, laurent_eigenvectors(sys_, z), z))
         if v.n <= 8:
             chi = characteristic_polynomial(u)
@@ -214,7 +214,7 @@ def test_criterion_07_quasi_reflection(corpus, persymmetric_corpus):
         u = cmv_matrix(v)
         tau = principal_sqrt_unimodular(v.omega)
         qi = quasi_reflection(v.n, 1.0 / tau).matrix
-        z = as_complex_array(spectrum(sys_))
+        z = unit_points(spectrum(sys_))
         phi = qi @ np.conj(laurent_eigenvectors(sys_, z))
         transport_ok = transport_ok and eigenpair_residual(u, phi, z) <= 1e-8
     ok = (
@@ -312,7 +312,7 @@ def test_criterion_10_formula_calibrations():
         w = v if conjugate_blocks else VerblunskySequence(np.conj(v.a), np.conj(v.omega))
         m1, m2 = factors(w)
         u = m2 @ m1
-        z = as_complex_array(nodes)
+        z = unit_points(nodes)
         return eigenpair_residual(u, laurent_eigenvectors(sys_, z), z)
 
     facts.append(eigen_residual(True) <= 1e-10)

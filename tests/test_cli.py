@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import count_calls, random_persymmetric, random_verblunsky
 from popuc import WeightError, krawtchouk_family
 from popuc.cli import main
 
@@ -25,7 +26,7 @@ def test_generate_free_family(capsys):
     code, out, err = run(capsys, "generate", "--family", "free", "--n", "3")
     assert code == 0 and err == ""
     doc = json.loads(out)
-    assert doc["schema_version"] == "2"
+    assert doc["schema_version"] == "3"
     assert doc["command"] == "generate"
     payload = doc["payload"]
     assert payload["n"] == 3
@@ -137,6 +138,7 @@ def test_reconstruct_inline(capsys):
     assert payload["n"] == 3
     assert float(np.max(np.abs(np.array(payload["a"])))) <= 1e-8
     assert abs(payload["h_final"] - 1.0) <= 1e-8
+    assert abs(payload["log_h_final"]) <= 1e-8
 
 
 def test_reconstruct_object_with_theta_key(tmp_path, capsys):
@@ -335,7 +337,7 @@ GOLDEN_SINGLE_MOMENT_3 = (
     '[-0.80901699437494778,-0.58778525229247269],[0.30901699437494723,-0.95105651629515364]]},'
     '"verblunsky":{"a":[[-0.5,0],[-0.33333333333333331,0],[-0.25,0]],"omega":[-1,0]},'
     '"weights":[0.1381966011250105,0.36180339887498936,0.36180339887498952,0.13819660112501056]},'
-    '"schema_version":"2"}\n'
+    '"schema_version":"3"}\n'
 )
 
 # -0 parts, a subnormal-adjacent 5e-301 and integer-valued floats
@@ -345,7 +347,7 @@ GOLDEN_TINY_PHIS = (
     '[[-0.5,0],[0,7.5000000000000006e-301],[1,0]],'
     '[[-1,0],[-0.5,7.5000000000000006e-301],[0.5,7.5000000000000006e-301],[1,0]]],'
     '"verblunsky":{"a":[[-0,5.0000000000000001e-301],[0.5,-0]],"omega":[1,0]}},'
-    '"schema_version":"2"}\n'
+    '"schema_version":"3"}\n'
 )
 
 
@@ -385,20 +387,26 @@ def test_nothing_leaks_between_in_process_runs(capsys):
 
 
 def test_check_all_runs_one_forward_pass_on_self_dual_data(capsys, monkeypatch):
-    import popuc.cli as cli
-    import popuc.mirror as mirror
-
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return spectrum(*args, **kwargs)
-
-    spectrum = cli.spectrum
-    for module in (cli, mirror):
-        monkeypatch.setattr(module, "spectrum", counted)
+    calls = count_calls(monkeypatch, np.linalg, "eigvals")
     code, out, _ = run(capsys, "check", "--family", "krawtchouk", "--n", "9", "--omega-arg", "0.9", "--all")
     assert code == 0 and "persymmetry_characterizations" in json.loads(out)["payload"]["checks"]
     assert len(calls) == 1
     code, _, _ = run(capsys, "check", "--family", "krawtchouk", "--n", "9", "--persymmetric")
     assert code == 0 and len(calls) == 2
+
+
+@pytest.mark.parametrize("self_dual", [False, True], ids=["random", "self_dual"])
+def test_check_all_solves_and_runs_the_ladder_once(capsys, monkeypatch, self_dual):
+    import popuc.opuc_core as opuc_core
+
+    rng = np.random.default_rng(19)
+    v = random_persymmetric(rng, 7) if self_dual else random_verblunsky(rng, 7)
+    doc = json.dumps({"a": [[z.real, z.imag] for z in v.a.tolist()], "omega": [v.omega.real, v.omega.imag]})
+    solves = count_calls(monkeypatch, np.linalg, "eigvals")
+    ladders = count_calls(monkeypatch, opuc_core, "ladder_values")
+    code, out, _ = run(capsys, "check", "--verblunsky", doc, "--all")
+    checks = json.loads(out)["payload"]["checks"]
+    assert code == 0 and checks["persymmetric"] is self_dual
+    assert ("persymmetry_characterizations" in checks) is self_dual
+    assert (len(solves), len(ladders)) == (1, 1)
+

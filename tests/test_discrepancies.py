@@ -20,7 +20,7 @@ from popuc import (
     weights,
 )
 from popuc.cmv import factors
-from popuc.complex_poly import as_complex_array
+from popuc.complex_poly import unit_points
 from popuc.families import _krawtchouk_ladder
 
 
@@ -64,7 +64,7 @@ def test_rotation_block_conjugation():
         w = v if conjugate_blocks else VerblunskySequence(np.conj(v.a), np.conj(v.omega))
         m1, m2 = factors(w)
         u = m2 @ m1
-        z = as_complex_array(nodes)
+        z = unit_points(nodes)
         return eigenpair_residual(u, laurent_eigenvectors(sys_, z), z)
 
     assert eigen_residual(True) <= 1e-10

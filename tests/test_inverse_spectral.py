@@ -20,7 +20,7 @@ from popuc import (
     single_moment_persymmetric,
     spectrum,
 )
-from popuc.complex_poly import as_complex_array
+from popuc.complex_poly import unit_points
 
 
 def test_reconstruct_monomial_system():
@@ -107,8 +107,8 @@ def test_any_node_set_is_the_spectrum_of_a_self_dual_system():
             nodes = spectrum(build_system(v))
             result = reconstruct_persymmetric(nodes, v.omega)
             assert is_persymmetric(result.v, 1e-10), f"n={n}"
-            rebuilt = as_complex_array(spectrum(build_system(result.v)))
-            assert float(np.max(np.abs(rebuilt - as_complex_array(nodes)))) <= 1e-10, f"n={n}"
+            rebuilt = unit_points(spectrum(build_system(result.v)))
+            assert float(np.max(np.abs(rebuilt - unit_points(nodes)))) <= 1e-10, f"n={n}"
 
 
 def test_reconstruction_sign_is_unique():
@@ -120,11 +120,10 @@ def test_reconstruction_sign_is_unique():
     for n in (3, 6):
         v = random_persymmetric(rng, n)
         nodes = spectrum(build_system(v))
-        thetas = np.array([p.theta for p in nodes])
         signs = np.where(np.arange(n + 1) % 2 == 0, 1.0, -1.0)
         half = np.exp(-0.5j * np.angle(v.omega))
-        g = signs * half * np.exp(0.5j * (n - 1) * thetas)
-        c = lagrange_interpolate(nodes, g).coeffs[-1]
+        g = signs * half * np.exp(0.5j * (n - 1) * nodes)
+        c = lagrange_interpolate(unit_points(nodes), g).coeffs[-1]
         matches = [eps for eps in (1, -1) if abs(np.angle(eps * c)) <= 1e-6]
         assert len(matches) == 1
 
@@ -148,3 +147,14 @@ def test_reconstruct_input_gates():
     nodes = (UnitCirclePoint(1.0), UnitCirclePoint(1.0 + 1e-13), UnitCirclePoint(4.0))
     with pytest.raises(DegenerateNodesError):
         reconstruct_persymmetric(nodes, 1.0)
+
+
+def test_log_h_final_matches_recovered_coefficients():
+    # log h_N is formed in the log domain, so it stays exact where h_N
+    # itself would leave the double range (Krawtchouk at n = 1024)
+    omega = complex(np.exp(0.9j))
+    inst = krawtchouk_family(256, omega)
+    result = reconstruct_persymmetric(np.array([p.theta for p in inst.closed_form_nodes]), omega)
+    expected = float(np.sum(np.log1p(-np.abs(result.v.a) ** 2)))
+    assert abs(result.log_h_final - expected) <= 1e-9 * abs(expected)
+    assert result.h_final == float(np.exp(result.log_h_final))

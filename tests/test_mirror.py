@@ -30,7 +30,7 @@ from popuc import (
     verify_persymmetry_characterizations,
     weights,
 )
-from popuc.complex_poly import as_complex_array
+from popuc.complex_poly import as_complex_array, unit_points
 from popuc.mirror import _persymmetry_characterizations
 
 
@@ -143,7 +143,7 @@ def test_weight_product_identity():
         nodes = spectrum(sys_)
         w = weights(sys_, nodes).weights
         hat = dual_weights(sys_)
-        dvals = np.abs(npoly.polyval(as_complex_array(nodes), npoly.polyder(sys_.phis[-1])))
+        dvals = np.abs(npoly.polyval(unit_points(nodes), npoly.polyder(sys_.phis[-1])))
         combined = w * hat * dvals**2 / sys_.h[-1]
         assert float(np.max(np.abs(combined - 1.0))) <= 1e-8
 
@@ -204,7 +204,7 @@ def test_phi_values_match_recurrence():
         v = random_persymmetric(rng, n)
         sys_ = build_system(v)
         nodes = spectrum(sys_)
-        actual = npoly.polyval(as_complex_array(nodes), sys_.phis[n])
+        actual = npoly.polyval(unit_points(nodes), sys_.phis[n])
         errs = []
         for eps in (1, -1):
             vals = phi_n_values(nodes, v.omega, sys_.h[-1], eps)
@@ -220,9 +220,8 @@ def test_phi_values_consecutive_ratio():
     sys_ = build_system(v)
     nodes = spectrum(sys_)
     vals = phi_n_values(nodes, v.omega, sys_.h[-1], 1)
-    thetas = np.array([p.theta for p in nodes])
     for s in range(n):
-        expected = -np.exp(0.5j * (n - 1) * (thetas[s + 1] - thetas[s]))
+        expected = -np.exp(0.5j * (n - 1) * (nodes[s + 1] - nodes[s]))
         assert np.isclose(vals[s + 1] / vals[s], expected)
 
 
@@ -260,9 +259,12 @@ def test_characterizations_reject_non_persymmetric():
 
 def test_underflowed_norms_raise_weight_error():
     # Krawtchouk data at n = 1024 drives h_k to exactly 0.0 from k = 997;
-    # the closed-form nodes stand in for the eigensolve
+    # the closed-form nodes stand in for the eigensolve, filled into the
+    # system's memo by hand
     inst = krawtchouk_family(1024, complex(np.exp(0.9j)))
     sys_ = build_system(inst.v)
-    for stage in (weights, _persymmetry_characterizations):
-        with pytest.raises(WeightError, match="h_997 underflows"):
-            stage(sys_, inst.closed_form_nodes)
+    vars(sys_)["eigenvalues"] = as_complex_array(inst.closed_form_nodes)
+    with pytest.raises(WeightError, match="h_997 underflows"):
+        weights(sys_, inst.closed_form_nodes)
+    with pytest.raises(WeightError, match="h_997 underflows"):
+        _persymmetry_characterizations(sys_)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_verblunsky
+from conftest import count_calls, random_verblunsky
 from popuc import (
     OpucSystem,
     ShapeError,
@@ -22,6 +22,8 @@ from popuc import (
     verblunsky_from_polys,
     weights,
 )
+from popuc.complex_poly import unit_points
+from popuc.opuc_core import ladder_at_nodes
 
 
 def test_verblunsky_validation():
@@ -115,7 +117,7 @@ def test_verblunsky_from_polys_rejects_bad_input():
 def test_spectrum_fourth_roots():
     v = VerblunskySequence(np.zeros(3, dtype=complex), 1.0)
     nodes = spectrum(build_system(v))
-    assert np.allclose([p.theta for p in nodes], [0, np.pi / 2, np.pi, 3 * np.pi / 2])
+    assert np.allclose(nodes, [0, np.pi / 2, np.pi, 3 * np.pi / 2])
 
 
 def test_spectrum_rotated_monomials():
@@ -124,7 +126,7 @@ def test_spectrum_rotated_monomials():
     v = VerblunskySequence(np.zeros(n, dtype=complex), np.exp(2j * np.pi * nu))
     nodes = spectrum(build_system(v))
     expected = sorted((2 * np.pi * (s - nu) / (n + 1)) % (2 * np.pi) for s in range(n + 1))
-    assert np.allclose([p.theta for p in nodes], expected)
+    assert np.allclose(nodes, expected)
 
 
 def test_spectrum_rejects_off_circle_roots():
@@ -152,7 +154,7 @@ def test_weights_running_sum_n2():
     sys_ = build_system(v)
     nodes = spectrum(sys_)
     data = weights(sys_, nodes)
-    assert np.allclose([p.theta for p in nodes], [np.pi / 2, np.pi, 3 * np.pi / 2])
+    assert np.allclose(nodes, [np.pi / 2, np.pi, 3 * np.pi / 2])
     assert np.allclose(data.weights, [0.25, 0.5, 0.25])
 
 
@@ -207,7 +209,7 @@ def test_spectrum_gaps_are_positive():
     for _ in range(30):
         v = random_verblunsky(rng, int(rng.integers(1, 13)))
         nodes = spectrum(build_system(v))
-        gaps = np.diff([p.theta for p in nodes])
+        gaps = np.diff(nodes)
         assert np.all(gaps > 1e-9)
 
 
@@ -226,7 +228,7 @@ def test_large_n_forward_matches_cmv_eigenproblem(n, seed):
         order = np.argsort(np.angle(lam) % (2.0 * np.pi))
         ref_z = lam[order] / np.abs(lam[order])
         ref_w = np.abs(vecs[0, order]) ** 2
-        got_z = np.array([complex(p) for p in data.nodes])
+        got_z = unit_points(data.theta)
         assert float(np.max(np.abs(got_z - ref_z))) <= 1e-12
         assert float(np.max(np.abs(data.weights - ref_w))) <= 1e-10
         assert orthogonality_residual(sys_, data) <= 1e-8
@@ -244,3 +246,48 @@ def test_paraorthogonality_flags_a_moved_coefficient():
     vars(moved)["phis"] = sys_.phis[:-1] + (top,)  # fill the cached ladder by hand
     assert paraorthogonality_residual(sys_) <= 1e-14
     assert paraorthogonality_residual(moved) > 1e-8
+
+
+def test_spectrum_weights_and_residual_share_one_solve_and_one_ladder(monkeypatch):
+    import popuc.opuc_core as opuc_core
+
+    solves = count_calls(monkeypatch, np.linalg, "eigvals")
+    ladders = count_calls(monkeypatch, opuc_core, "ladder_values")
+    sys_ = build_system(random_verblunsky(np.random.default_rng(53), 9))
+    nodes = spectrum(sys_)
+    data = weights(sys_, nodes)
+    assert orthogonality_residual(sys_, data) <= 1e-8
+    assert (len(solves), len(ladders)) == (1, 1)
+    assert spectrum(sys_) is nodes and data.theta is nodes
+
+
+def test_spectrum_applies_the_callers_tolerances_on_every_call():
+    v = random_verblunsky(np.random.default_rng(101), 12)
+    sys_ = build_system(v)
+    nodes = spectrum(sys_)
+    drift = float(np.max(np.abs(np.abs(sys_.eigenvalues) - 1.0)))
+    with pytest.raises(SpectralValidityError):
+        spectrum(sys_, Tolerances(spectrum_radius=drift / 2))
+    # a seam slack wider than the largest angle maps every node to 0
+    assert not np.any(spectrum(sys_, Tolerances(unimodular=7.0)))
+    assert spectrum(sys_) is not nodes and np.array_equal(spectrum(sys_), nodes)
+
+
+def test_memoised_arrays_are_read_only():
+    sys_ = build_system(random_verblunsky(np.random.default_rng(59), 6))
+    data = weights(sys_, spectrum(sys_))
+    for arr in (sys_.eigenvalues, data.theta, data.weights, ladder_at_nodes(sys_, data.theta)):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert [p.theta for p in data.nodes] == data.theta.tolist()
+
+
+def test_verblunsky_data_is_a_read_only_copy():
+    a = np.array([0.3 + 0.1j, -0.2j, 0.5])
+    v = VerblunskySequence(a, 1.0)
+    sys_ = build_system(v)
+    a[0] = 0.9
+    assert v.a[0] == 0.3 + 0.1j
+    assert float(sys_.h[1]) == 1.0 - abs(0.3 + 0.1j) ** 2
+    with pytest.raises(ValueError):
+        v.a[0] = 0.9
