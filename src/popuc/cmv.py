@@ -21,15 +21,7 @@ import numpy as np
 from .complex_poly import unit_points
 from .errors import NotPersymmetricError, PersymmetryViolationError, ShapeError
 from .mirror import is_persymmetric, mirror_dual, principal_sqrt_unimodular
-from .opuc_core import (
-    OpucSystem,
-    VerblunskySequence,
-    build_system,
-    factors,
-    ladder_at_nodes,
-    ladder_values,
-    spectrum,
-)
+from .opuc_core import OpucSystem, VerblunskySequence, build_system, factors, ladder_values, spectrum
 from .opuc_core import cmv_matrix, theta_block  # noqa: F401  (public names of this module)
 from .tolerances import DEFAULT
 
@@ -49,12 +41,7 @@ def laurent_eigenvectors(sys: OpucSystem, z: np.ndarray) -> np.ndarray:
     values (``ladder_values``).  At roots of the final polynomial each
     column psi satisfies U psi = z psi.
     """
-    return _laurent_columns(sys, z, ladder_values(sys.v, z))
-
-
-def _laurent_columns(sys: OpucSystem, z: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """``laurent_eigenvectors`` from the ladder values vals at z, which it leaves unchanged."""
-    vals = vals.copy()
+    vals = ladder_values(sys.v, z)
     vals[1::2] = np.conj(vals[1::2])
     k = np.arange(sys.v.n + 1)
     powers = np.where(k % 2 == 0, -(k // 2), k // 2)
@@ -164,11 +151,10 @@ def persymmetric_sign_pattern(v: VerblunskySequence, tol: float = 1e-8) -> list[
     """
     if v.n % 2 == 0:
         raise ShapeError("the sign pattern needs odd n")
-    if not is_persymmetric(v, DEFAULT.persymmetry):
+    if not is_persymmetric(v):
         raise NotPersymmetricError("coefficient list is not self-dual")
     sys = build_system(v)
-    theta = spectrum(sys)
-    psi = _laurent_columns(sys, unit_points(theta), ladder_at_nodes(sys, theta))
+    psi = laurent_eigenvectors(sys, unit_points(spectrum(sys)))
     tau = np.conj(principal_sqrt_unimodular(v.omega))
     qpsi = _reflection_diagonal(tau, v.n + 1)[:, None] * psi[::-1]  # Q(tau) psi
     mu = np.sum(np.conj(psi) * qpsi, axis=0) / np.sum(np.abs(psi) ** 2, axis=0)

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .mirror import _neg_log_derivative, is_persymmetric, persymmetry_defect
 from .opuc_core import VerblunskySequence, build_system, spectrum
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT, NODE_PRODUCT_DRIFT, RECOVERED_DEFECT, Tolerances
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,7 +35,7 @@ class ReconstructionResult:
     spectrum_residual: float  # max node distance after rebuilding forward
 
     def __post_init__(self) -> None:
-        if not is_persymmetric(self.v, DEFAULT.recovery):
+        if not is_persymmetric(self.v, RECOVERED_DEFECT):
             raise NotPersymmetricError(
                 f"recovered data has mirror defect {persymmetry_defect(self.v):.3e}"
             )
@@ -55,11 +55,11 @@ def reconstruct_persymmetric(
 
     nodes (angles, or UnitCirclePoint values) must be theta-sorted, at least
     tol.node_separation apart, with product z_0 ... z_N = (-1)^N / omega
-    (checked to tol.recovery); that consistency pins omega to the node set.
-    The weights are sqrt(h_N) / |Phi'_{N+1}(z_s)|, formed in the log domain
-    and normalised, which also gives log h_N.  Arnoldi on diag(z) from
-    sqrt(w), orthogonalising twice, builds the first ceil(N/2) columns of
-    the unitary Hessenberg matrix H; peeling its Givens
+    (checked to NODE_PRODUCT_DRIFT, 1e-8); that consistency pins omega to
+    the node set.  The weights are sqrt(h_N) / |Phi'_{N+1}(z_s)|, formed in
+    the log domain and normalised, which also gives log h_N.  Arnoldi on
+    diag(z) from sqrt(w), orthogonalising twice, builds the first ceil(N/2)
+    columns of the unitary Hessenberg matrix H; peeling its Givens
     blocks from row 0 (a_k = conj(r_k[k]), r_{k+1} = rho_k r_k - r_k[k] H[k+1])
     reads a_k without dividing by a product of the rho_k.  A peeled
     |a_k| >= 1 - tol.verblunsky_margin raises SzegoClassError.  The rest of
@@ -84,7 +84,7 @@ def reconstruct_persymmetric(
         raise DegenerateNodesError(f"nodes only {closest:.3e} apart")
     target = (-1.0) ** n_top * np.conj(w)
     drift = abs(complex(np.prod(z)) - target)
-    if drift > tol.recovery:
+    if drift > NODE_PRODUCT_DRIFT:
         raise SpectrumInconsistencyError(
             f"node product misses (-1)^N / omega by {drift:.3e}"
         )

@@ -28,7 +28,7 @@ from .opuc_core import (
     spectrum,
     squared_norms,
 )
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT, SELF_DUAL_DEFECT, Tolerances
 
 
 def principal_sqrt_unimodular(w: complex) -> complex:
@@ -46,7 +46,7 @@ def persymmetry_defect(v: VerblunskySequence) -> float:
     return float(np.max(np.abs(v.a + v.omega * np.conj(v.a[::-1]))))
 
 
-def is_persymmetric(v: VerblunskySequence, tol: float = DEFAULT.persymmetry) -> bool:
+def is_persymmetric(v: VerblunskySequence, tol: float = SELF_DUAL_DEFECT) -> bool:
     return persymmetry_defect(v) <= tol
 
 
@@ -188,11 +188,11 @@ def verify_persymmetry_characterizations(
     """Check the three persymmetry-only identities on a concrete system.
 
     Rejects input whose coefficient list is not self-dual (defect above
-    tol.persymmetry); for valid input, returns the worst residual of each
-    identity and the phase sign that fits.  The Christoffel weights and the
-    Phi_N values come from one evaluation of the ladder at the nodes.
+    SELF_DUAL_DEFECT, 1e-10); for valid input, returns the worst residual of
+    each identity and the phase sign that fits.  The Christoffel weights and
+    the Phi_N values come from one evaluation of the ladder at the nodes.
     """
-    if not is_persymmetric(v, tol.persymmetry):
+    if not is_persymmetric(v):
         raise NotPersymmetricError(
             f"coefficient list has mirror defect {persymmetry_defect(v):.3e}"
         )

@@ -88,8 +88,6 @@ class OpucSystem:
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of the CMV matrix U in LAPACK's order, read-only."""
         lam = np.linalg.eigvals(cmv_matrix(self.v))
-        if not np.isfinite(lam).all():
-            raise ValueError("eigenvalues of the CMV matrix must be finite")
         lam.flags.writeable = False
         return lam
 

@@ -18,8 +18,6 @@ class Tolerances:
     spectrum_radius: float = 1e-7    # eigenvalue radius slack before a spectrum is rejected
     verblunsky_margin: float = 1e-12 # strictness margin for |a| < 1
     monic: float = 1e-9              # slack on a leading coefficient of 1 (``verblunsky_from_polys``)
-    persymmetry: float = 1e-10       # mirror defect below which data counts as self-dual
-    recovery: float = 1e-8           # inverse path: node-product drift, recovered mirror defect
     # pass bounds of ``popuc check``
     orthogonality: float = 1e-8          # weighted Gram matrix versus diag(h)
     paraorthogonality: float = 1e-10     # Phi_{N+1}^* + omega Phi_{N+1}
@@ -28,3 +26,8 @@ class Tolerances:
 
 
 DEFAULT = Tolerances()
+
+# Structural bounds: each has one value in use, so none is a settable field.
+SELF_DUAL_DEFECT = 1e-10    # mirror defect below which data counts as self-dual
+NODE_PRODUCT_DRIFT = 1e-8   # slack on z_0 ... z_N = (-1)^N / omega for given nodes
+RECOVERED_DEFECT = 1e-8     # mirror defect allowed on recovered coefficient data
