@@ -4,7 +4,7 @@
 For each n, draws self-dual coefficient sequences, computes their nodes,
 reconstructs from the nodes alone and reports the error distribution.
 Useful for judging how the recovery conditions with depth.  Exits 1 when a
-worst |da|, relative dh or node drift exceeds ``Tolerances.residual``.
+worst |da|, relative dh or node drift exceeds ``popuc.tolerances.RESIDUAL``.
 """
 
 import argparse
@@ -19,7 +19,7 @@ from popuc import (
     reconstruct_persymmetric,
     spectrum,
 )
-from popuc.tolerances import DEFAULT
+from popuc.tolerances import RESIDUAL
 
 
 def draw(rng, n, max_mag):
@@ -43,7 +43,7 @@ def main():
     parser.add_argument("--max-mag", type=float, default=0.8)
     args = parser.parse_args()
 
-    bound = DEFAULT.residual
+    bound = RESIDUAL
     over = []
     rng = np.random.default_rng(args.seed)
     print(f"{'n':>3}  {'median |da|':>12}  {'worst |da|':>12}  {'worst rel dh':>13}  {'worst node drift':>17}")

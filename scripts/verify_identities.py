@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Residual battery over the closed-form families and random systems.
 
-Prints one row per check with the worst observed residual and its
-``Tolerances`` bound, so a glance shows how much headroom each identity has.
-Use --json for a machine-readable dump of the same residuals.  Exits 1 when
-any residual exceeds its bound.
+Prints one row per check with the worst observed residual and its bound
+from ``popuc.tolerances``, so a glance shows how much headroom each
+identity has.  Use --json for a machine-readable dump of the same
+residuals.  Exits 1 when any residual exceeds its bound.
 """
 
 import argparse
@@ -35,7 +35,13 @@ from popuc import (
     verify_persymmetry_characterizations,
     weights,
 )
-from popuc.tolerances import DEFAULT
+from popuc.tolerances import (
+    MIRROR_RELATIONS,
+    ORTHOGONALITY,
+    PARAORTHOGONALITY,
+    PERSYMMETRY_IDENTITIES,
+    RESIDUAL,
+)
 
 
 def random_verblunsky(rng, n, max_mag=0.85):
@@ -56,7 +62,7 @@ def family_rows(n_values):
             krawtchouk_family(n, np.exp(0.9j)),
         ):
             report = verify_family(inst)
-            rows.append((f"{inst.name} n={n}", max(report.values()), DEFAULT.residual))
+            rows.append((f"{inst.name} n={n}", max(report.values()), RESIDUAL))
     return rows
 
 
@@ -89,11 +95,11 @@ def random_rows(seed, count, n_max):
             worst["mirror relations"], verify_mirror_relations(v).max_residual
         )
     bounds = {
-        "orthogonality": DEFAULT.orthogonality,
-        "paraorthogonality": DEFAULT.paraorthogonality,
-        "cmv unitarity": DEFAULT.residual,
-        "cmv eigenpairs": DEFAULT.residual,
-        "mirror relations": DEFAULT.mirror_relations,
+        "orthogonality": ORTHOGONALITY,
+        "paraorthogonality": PARAORTHOGONALITY,
+        "cmv unitarity": RESIDUAL,
+        "cmv eigenpairs": RESIDUAL,
+        "mirror relations": MIRROR_RELATIONS,
     }
     return [(f"random ({count} draws, n <= {n_max}): {k}", v, bounds[k]) for k, v in worst.items()]
 
@@ -116,7 +122,7 @@ def persymmetric_rows(seed, count, n_max):
         report = verify_persymmetry_characterizations(v)
         worst = max(worst, report.max_residual)
     name = f"persymmetric characterizations ({count} draws, n <= {n_max})"
-    return [(name, worst, DEFAULT.persymmetry_identities)]
+    return [(name, worst, PERSYMMETRY_IDENTITIES)]
 
 
 def main():

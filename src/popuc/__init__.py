@@ -77,13 +77,11 @@ from .opuc_core import (
     verblunsky_from_polys,
     weights,
 )
-from .tolerances import DEFAULT, Tolerances
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError",
-    "DEFAULT",
     "DegenerateNodesError",
     "FamilyInstance",
     "MirrorRelationReport",
@@ -101,7 +99,6 @@ __all__ = [
     "SpectralValidityError",
     "SpectrumInconsistencyError",
     "SzegoClassError",
-    "Tolerances",
     "UnitCirclePoint",
     "VerblunskySequence",
     "WeightError",

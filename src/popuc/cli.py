@@ -30,7 +30,7 @@ import numpy as np
 
 from . import cmv as cmv_mod
 from . import families as fam_mod
-from .complex_poly import UnitCirclePoint, unit_points
+from .complex_poly import TWO_PI, unit_points
 from .errors import (
     ConvergenceError,
     NotPersymmetricError,
@@ -54,7 +54,7 @@ from .opuc_core import (
     spectrum,
     weights,
 )
-from .tolerances import DEFAULT
+from .tolerances import MIRROR_RELATIONS, ORTHOGONALITY, PARAORTHOGONALITY, PERSYMMETRY_IDENTITIES
 
 SCHEMA_VERSION = "3"
 
@@ -182,7 +182,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         para = paraorthogonality_residual(sys_)
         checks["orthogonality_residual"] = ortho
         checks["paraorthogonality_residual"] = para
-        passed = passed and ortho <= DEFAULT.orthogonality and para <= DEFAULT.paraorthogonality
+        passed = passed and ortho <= ORTHOGONALITY and para <= PARAORTHOGONALITY
     if args.mirror_relations or run_all:
         report = cmv_mod.verify_mirror_relations(v)
         checks["mirror_relations"] = {
@@ -191,7 +191,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             "u_residual": report.u_residual,
             "parity": report.parity,
         }
-        passed = passed and report.max_residual <= DEFAULT.mirror_relations
+        passed = passed and report.max_residual <= MIRROR_RELATIONS
     persym = is_persymmetric(v)
     checks["persymmetric"] = persym
     checks["persymmetry_defect"] = persymmetry_defect(v)
@@ -203,7 +203,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             "phase_residual": chars.phase_residual,
             "epsilon": chars.epsilon,
         }
-        passed = passed and chars.max_residual <= DEFAULT.persymmetry_identities
+        passed = passed and chars.max_residual <= PERSYMMETRY_IDENTITIES
     elif args.persymmetric:
         passed = False
     checks["passed"] = passed
@@ -215,11 +215,15 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     doc = _load_json_arg(args.spectrum)
     if isinstance(doc, dict) and "theta" in doc:
         doc = doc["theta"]
-    if not isinstance(doc, list):
+    theta = np.array(doc, dtype=np.float64) if isinstance(doc, list) else None
+    if theta is None or theta.ndim != 1:
         raise ValueError("spectrum input must be a JSON list of angles")
-    nodes = sorted(UnitCirclePoint(float(t)) for t in doc)
+    with np.errstate(invalid="ignore"):  # reconstruct_persymmetric names a non-finite angle
+        theta %= TWO_PI
+    theta[theta >= TWO_PI] -= TWO_PI  # the modulo can land exactly on the seam
+    theta.sort()
     omega = complex(np.exp(1j * args.omega_arg))
-    result = reconstruct_persymmetric(nodes, omega)
+    result = reconstruct_persymmetric(theta, omega)
     payload = {
         "a": result.v.a,
         "omega": _pair(result.v.omega),

@@ -23,7 +23,7 @@ from .errors import NotPersymmetricError, PersymmetryViolationError, ShapeError
 from .mirror import is_persymmetric, mirror_dual, principal_sqrt_unimodular
 from .opuc_core import OpucSystem, VerblunskySequence, build_system, factors, ladder_values, spectrum
 from .opuc_core import cmv_matrix, theta_block  # noqa: F401  (public names of this module)
-from .tolerances import DEFAULT
+from .tolerances import SIGN_SLACK, TRANSPORT_RESIDUAL, UNIMODULAR
 
 
 def unitarity_residual(m: np.ndarray) -> float:
@@ -58,7 +58,7 @@ class QuasiReflection:
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ShapeError("size must be positive")
-        if abs(abs(complex(self.tau)) - 1.0) > DEFAULT.unimodular:
+        if abs(abs(complex(self.tau)) - 1.0) > UNIMODULAR:
             raise ValueError("tau must be unimodular")
 
     @property
@@ -135,7 +135,7 @@ def verify_mirror_relations(v: VerblunskySequence) -> MirrorRelationReport:
     return MirrorRelationReport("odd" if odd else "even", complex(tau), r1, r2, r3)
 
 
-def persymmetric_sign_pattern(v: VerblunskySequence, tol: float = 1e-8) -> list[int]:
+def persymmetric_sign_pattern(v: VerblunskySequence) -> list[int]:
     """Eigenvalue signs of the quasi-reflection on the CMV eigenvectors.
 
     Requires n odd and self-dual data.  With tau the principal branch of
@@ -143,8 +143,9 @@ def persymmetric_sign_pattern(v: VerblunskySequence, tol: float = 1e-8) -> list[
     Q(tau) with eigenvalue epsilon (-1)^s for one global sign epsilon
     (nodes in theta-sorted order).  Componentwise this is the transport
     identity psi_{N-k} = epsilon (-1)^s omega^(+-1/2) psi_k, with exponent
-    +1/2 for even k and -1/2 for odd k; both are verified here, for all
-    nodes at once on the matrix of eigenvectors (``laurent_eigenvectors``).
+    +1/2 for even k and -1/2 for odd k; both are verified here to
+    TRANSPORT_RESIDUAL, with each eigenvalue within SIGN_SLACK of +-1, for
+    all nodes at once on the matrix of eigenvectors (``laurent_eigenvectors``).
 
     Returns the per-node signs; raises PersymmetryViolationError naming the
     first node (and component) where the pattern fails.
@@ -160,16 +161,16 @@ def persymmetric_sign_pattern(v: VerblunskySequence, tol: float = 1e-8) -> list[
     mu = np.sum(np.conj(psi) * qpsi, axis=0) / np.sum(np.abs(psi) ** 2, axis=0)
     scale = np.maximum(1.0, np.max(np.abs(psi), axis=0))
     resid = np.max(np.abs(qpsi - mu * psi), axis=0) / scale
-    signs = np.where(np.abs(mu - 1.0) <= 1e-6, 1, np.where(np.abs(mu + 1.0) <= 1e-6, -1, 0))
+    signs = np.where(np.abs(mu - 1.0) <= SIGN_SLACK, 1, np.where(np.abs(mu + 1.0) <= SIGN_SLACK, -1, 0))
     # componentwise transport across the middle of the vector
     omega_half = principal_sqrt_unimodular(v.omega)
     twist = np.resize([omega_half, np.conj(omega_half)], v.n + 1)[:, None]
     transport = np.abs(psi[::-1] - signs * twist * psi)
-    off = transport > tol * scale
-    failing = (resid > tol) | (signs == 0) | np.any(off, axis=0)
+    off = transport > TRANSPORT_RESIDUAL * scale
+    failing = (resid > TRANSPORT_RESIDUAL) | (signs == 0) | np.any(off, axis=0)
     if np.any(failing):
         s = int(np.argmax(failing))
-        if resid[s] > tol:
+        if resid[s] > TRANSPORT_RESIDUAL:
             raise PersymmetryViolationError(
                 f"node {s}: eigenvector not reproduced, residual {resid[s]:.3e}"
             )

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateNodesError, ShapeError
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import NODE_SEPARATION, RESIDUAL
 
 TWO_PI = 2.0 * np.pi
 
@@ -68,14 +68,6 @@ class UnitCirclePoint:
     def __complex__(self) -> complex:
         return self.value
 
-    @classmethod
-    def from_complex(cls, z: complex, radius_slack: float = DEFAULT.spectrum_radius) -> "UnitCirclePoint":
-        """Snap a near-unimodular number onto the circle, keeping its argument."""
-        drift = abs(abs(z) - 1.0)
-        if drift > radius_slack:
-            raise ValueError(f"|z| is {drift:.3e} away from the unit circle")
-        return cls(float(np.angle(z)))
-
 
 def as_complex_array(points: Iterable) -> np.ndarray:
     """Coerce a sequence of numbers or UnitCirclePoint values to complex128.
@@ -116,11 +108,11 @@ def _root_residuals(p: Polynomial, z: np.ndarray) -> np.ndarray:
     return pv / (1.0 + dv * np.abs(z))
 
 
-def roots(p: Polynomial, tol: Tolerances = DEFAULT) -> list[complex]:
+def roots(p: Polynomial) -> list[complex]:
     """All complex roots, as the eigenvalues of the companion matrix.
 
     The backward-style residual |p(r)| / (1 + |p'(r)| |r|) must meet
-    ``tol.residual`` for every root, else ConvergenceError.
+    RESIDUAL for every root, else ConvergenceError.
     """
     n = p.degree
     if n < 1:
@@ -131,7 +123,7 @@ def roots(p: Polynomial, tol: Tolerances = DEFAULT) -> list[complex]:
     companion[:, -1] = -p.coeffs[:-1] / p.leading
     z = np.linalg.eigvals(companion)
     worst = float(np.max(_root_residuals(p, z)))
-    if worst > tol.residual:
+    if worst > RESIDUAL:
         raise ConvergenceError("root residual above tolerance", worst)
     return [complex(r) for r in z]
 
@@ -144,11 +136,11 @@ def from_roots(rts: Iterable[complex]) -> Polynomial:
     return Polynomial(coeffs)
 
 
-def lagrange_interpolate(nodes: Sequence, values: Sequence, tol: Tolerances = DEFAULT) -> Polynomial:
+def lagrange_interpolate(nodes: Sequence, values: Sequence) -> Polynomial:
     """Interpolating polynomial through (nodes[k], values[k]).
 
     Newton divided differences, expanded to monomial coefficients.  Nodes
-    closer than ``tol.node_separation`` are rejected as degenerate.
+    closer than NODE_SEPARATION are rejected as degenerate.
     """
     x = as_complex_array(nodes)
     y = as_complex_array(values)
@@ -161,7 +153,7 @@ def lagrange_interpolate(nodes: Sequence, values: Sequence, tol: Tolerances = DE
         dist = np.abs(x[:, None] - x[None, :])
         np.fill_diagonal(dist, np.inf)
         closest = float(np.min(dist))
-        if closest <= tol.node_separation:
+        if closest <= NODE_SEPARATION:
             raise DegenerateNodesError(f"nodes only {closest:.3e} apart")
     dd = y.copy()
     for j in range(1, m):

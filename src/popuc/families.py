@@ -25,7 +25,7 @@ from .opuc_core import (
     spectrum,
     weights,
 )
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import UNIMODULAR
 
 TWO_PI = 2.0 * np.pi
 
@@ -190,7 +190,7 @@ def krawtchouk_family(n: int, omega: complex) -> FamilyInstance:
     if n < 1:
         raise ShapeError("need n >= 1")
     w_om = complex(omega)
-    if abs(abs(w_om) - 1.0) > DEFAULT.unimodular:
+    if abs(abs(w_om) - 1.0) > UNIMODULAR:
         raise ValueError("omega must be unimodular")
     if abs(1.0 + w_om) < 1e-4:
         raise ValueError("omega too close to -1, the family degenerates")
@@ -238,7 +238,7 @@ def krawtchouk_family(n: int, omega: complex) -> FamilyInstance:
     )
 
 
-def verify_family(inst: FamilyInstance, tol: Tolerances = DEFAULT) -> dict[str, float]:
+def verify_family(inst: FamilyInstance) -> dict[str, float]:
     """Rebuild a family instance from the recurrence and report worst deviations.
 
     Keys present depend on which closed forms the instance carries:
@@ -255,11 +255,11 @@ def verify_family(inst: FamilyInstance, tol: Tolerances = DEFAULT) -> dict[str, 
         for ours, closed in zip(sys.phis, inst.closed_form_phis):
             worst = max(worst, float(np.max(np.abs(ours - closed))))
         report["phi"] = worst
-    nodes = spectrum(sys, tol)
+    nodes = spectrum(sys)
     if inst.closed_form_nodes is not None:
         closed_z = as_complex_array(inst.closed_form_nodes)
         report["nodes"] = float(np.max(np.abs(closed_z - unit_points(nodes))))
-    data = weights(sys, nodes, tol)
+    data = weights(sys, nodes)
     if inst.closed_form_weights is not None:
         report["weights"] = float(np.max(np.abs(inst.closed_form_weights - data.weights)))
     report["orthogonality"] = orthogonality_residual(sys, data)

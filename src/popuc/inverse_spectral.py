@@ -21,9 +21,16 @@ from .errors import (
     SpectrumInconsistencyError,
     SzegoClassError,
 )
-from .mirror import _neg_log_derivative, is_persymmetric, persymmetry_defect
+from .mirror import _neg_log_derivative, persymmetry_defect
 from .opuc_core import VerblunskySequence, build_system, spectrum
-from .tolerances import DEFAULT, NODE_PRODUCT_DRIFT, RECOVERED_DEFECT, Tolerances
+from .tolerances import (
+    NODE_PRODUCT_DRIFT,
+    NODE_SEPARATION,
+    RECOVERED_DEFECT,
+    RESIDUAL,
+    UNIMODULAR,
+    VERBLUNSKY_MARGIN,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,10 +42,9 @@ class ReconstructionResult:
     spectrum_residual: float  # max node distance after rebuilding forward
 
     def __post_init__(self) -> None:
-        if not is_persymmetric(self.v, RECOVERED_DEFECT):
-            raise NotPersymmetricError(
-                f"recovered data has mirror defect {persymmetry_defect(self.v):.3e}"
-            )
+        defect = persymmetry_defect(self.v)
+        if not defect <= RECOVERED_DEFECT:
+            raise NotPersymmetricError(f"recovered data has mirror defect {defect:.3e}")
 
     @property
     def h_final(self) -> float:
@@ -47,14 +53,12 @@ class ReconstructionResult:
 
 
 def reconstruct_persymmetric(
-    nodes: "np.ndarray | Sequence[UnitCirclePoint]",
-    omega: complex,
-    tol: Tolerances = DEFAULT,
+    nodes: "np.ndarray | Sequence[UnitCirclePoint]", omega: complex
 ) -> ReconstructionResult:
     """Recover the unique persymmetric system with the given spectrum.
 
-    nodes (angles, or UnitCirclePoint values) must be theta-sorted, at least
-    tol.node_separation apart, with product z_0 ... z_N = (-1)^N / omega
+    nodes (angles, or UnitCirclePoint values) must be finite, theta-sorted,
+    at least NODE_SEPARATION apart, with product z_0 ... z_N = (-1)^N / omega
     (checked to NODE_PRODUCT_DRIFT, 1e-8); that consistency pins omega to
     the node set.  The weights are sqrt(h_N) / |Phi'_{N+1}(z_s)|, formed in
     the log domain and normalised, which also gives log h_N.  Arnoldi on
@@ -62,12 +66,16 @@ def reconstruct_persymmetric(
     columns of the unitary Hessenberg matrix H; peeling its Givens
     blocks from row 0 (a_k = conj(r_k[k]), r_{k+1} = rho_k r_k - r_k[k] H[k+1])
     reads a_k without dividing by a product of the rho_k.  A peeled
-    |a_k| >= 1 - tol.verblunsky_margin raises SzegoClassError.  The rest of
+    |a_k| >= 1 - VERBLUNSKY_MARGIN raises SzegoClassError.  The rest of
     the data follows from a_{N-1-k} = -omega conj(a_k); the system is built
-    forward again, and a rebuilt spectrum farther than tol.residual from the
+    forward again, and a rebuilt spectrum farther than RESIDUAL from the
     nodes raises NotPersymmetricError.
     """
     thetas = node_angles(nodes)
+    bad = ~np.isfinite(thetas)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"theta must be finite; theta[{k}] is {float(thetas[k])!r}")
     count = thetas.size
     if count < 2:
         raise ShapeError("need at least two nodes")
@@ -75,12 +83,12 @@ def reconstruct_persymmetric(
     if np.any(np.diff(thetas) <= 0.0):
         raise ShapeError("nodes must be strictly increasing in theta")
     w = complex(omega)
-    if abs(abs(w) - 1.0) > tol.unimodular:
+    if abs(abs(w) - 1.0) > UNIMODULAR:
         raise ValueError("omega must be unimodular")
 
     z = unit_points(thetas)
     closest = float(np.min(np.abs(np.diff(z, append=z[0]))))  # sorted: the closest pair is adjacent
-    if closest <= tol.node_separation:
+    if closest <= NODE_SEPARATION:
         raise DegenerateNodesError(f"nodes only {closest:.3e} apart")
     target = (-1.0) ** n_top * np.conj(w)
     drift = abs(complex(np.prod(z)) - target)
@@ -111,7 +119,7 @@ def reconstruct_persymmetric(
         x -= again @ q
         r_kk = complex(row[: k + 1] @ (column + again))
         a[k] = r_kk.conjugate()
-        if abs(r_kk) >= 1.0 - tol.verblunsky_margin:
+        if abs(r_kk) >= 1.0 - VERBLUNSKY_MARGIN:
             raise SzegoClassError(f"recovered |a_{k}| = {abs(r_kk)!r} is not inside the disc")
         if k + 1 < free:
             rho = np.vdot(x, x).real ** 0.5  # H[k+1, k]
@@ -121,11 +129,10 @@ def reconstruct_persymmetric(
     a[free:] = -w * np.conj(a[: n_top - free][::-1])
     v = VerblunskySequence(a, w)
 
-    rebuilt = spectrum(build_system(v), tol)
+    rebuilt = spectrum(build_system(v))
     spectrum_residual = float(np.max(np.abs(unit_points(rebuilt) - z)))
-    if not spectrum_residual <= tol.residual:
+    if not spectrum_residual <= RESIDUAL:
         raise NotPersymmetricError(
-            f"rebuilt spectrum misses the nodes by {spectrum_residual:.3e}"
-            f" (bound {tol.residual:.1e})"
+            f"rebuilt spectrum misses the nodes by {spectrum_residual:.3e} (bound {RESIDUAL:.1e})"
         )
     return ReconstructionResult(v, log_h_final, spectrum_residual)

@@ -23,12 +23,11 @@ from .opuc_core import (
     VerblunskySequence,
     build_system,
     christoffel_weights,
-    ladder_at_nodes,
     ladder_values,
     spectrum,
     squared_norms,
 )
-from .tolerances import DEFAULT, SELF_DUAL_DEFECT, Tolerances
+from .tolerances import SELF_DUAL_DEFECT, UNIMODULAR, VERBLUNSKY_MARGIN
 
 
 def principal_sqrt_unimodular(w: complex) -> complex:
@@ -46,8 +45,9 @@ def persymmetry_defect(v: VerblunskySequence) -> float:
     return float(np.max(np.abs(v.a + v.omega * np.conj(v.a[::-1]))))
 
 
-def is_persymmetric(v: VerblunskySequence, tol: float = SELF_DUAL_DEFECT) -> bool:
-    return persymmetry_defect(v) <= tol
+def is_persymmetric(v: VerblunskySequence) -> bool:
+    """Whether the mirror defect is within SELF_DUAL_DEFECT."""
+    return persymmetry_defect(v) <= SELF_DUAL_DEFECT
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +74,7 @@ class PersymmetricSeed:
         arr = np.asarray(self.free_params, dtype=np.complex128).reshape(-1)
         if arr.size != self.n // 2:
             raise ShapeError(f"expected {self.n // 2} free parameters, got {arr.size}")
-        if arr.size and np.any(np.abs(arr) > 1.0 - DEFAULT.verblunsky_margin):
+        if arr.size and np.any(np.abs(arr) > 1.0 - VERBLUNSKY_MARGIN):
             raise ValueError("free parameters must stay strictly inside the unit disc")
         if self.n % 2 == 1:
             if self.middle_r is None:
@@ -84,7 +84,7 @@ class PersymmetricSeed:
         elif self.middle_r is not None:
             raise ShapeError("even n takes no middle parameter")
         w = complex(self.omega)
-        if abs(abs(w) - 1.0) > DEFAULT.unimodular:
+        if abs(abs(w) - 1.0) > UNIMODULAR:
             raise ValueError("omega must be unimodular")
         if self.epsilon not in (-1, 1):
             raise ValueError("epsilon must be +1 or -1")
@@ -104,7 +104,7 @@ def make_persymmetric(seed: PersymmetricSeed) -> VerblunskySequence:
     return VerblunskySequence(a, seed.omega)
 
 
-def dual_weights(sys: OpucSystem, tol: Tolerances = DEFAULT) -> np.ndarray:
+def dual_weights(sys: OpucSystem) -> np.ndarray:
     """Weights of the mirror dual at the theta-sorted nodes of the system.
 
     The dual shares the nodes, so these are the Christoffel numbers of
@@ -112,8 +112,8 @@ def dual_weights(sys: OpucSystem, tol: Tolerances = DEFAULT) -> np.ndarray:
     their product with the primal weight is h_N / |Phi'_{N+1}(z_s)|^2.
     """
     vh = mirror_dual(sys.v)
-    vals = ladder_values(vh, unit_points(spectrum(sys, tol)))
-    return christoffel_weights(vals, squared_norms(vh.a), tol)
+    vals = ladder_values(vh, unit_points(spectrum(sys)))
+    return christoffel_weights(vals, squared_norms(vh.a))
 
 
 def persymmetric_weights(nodes: "np.ndarray | Sequence[UnitCirclePoint]", h_final: float) -> np.ndarray:
@@ -126,7 +126,7 @@ def persymmetric_weights(nodes: "np.ndarray | Sequence[UnitCirclePoint]", h_fina
     No normalization is applied; for valid input the sum comes out as one on
     its own, and silently rescaling would hide bugs.
     """
-    if h_final <= 0.0:
+    if not h_final > 0.0:
         raise ValueError("h_final must be positive")
     return np.exp(0.5 * np.log(h_final) + _neg_log_derivative(unit_points(node_angles(nodes))))
 
@@ -151,7 +151,7 @@ def phi_n_values(
     """
     if epsilon not in (-1, 1):
         raise ValueError("epsilon must be +1 or -1")
-    if h_final <= 0.0:
+    if not h_final > 0.0:
         raise ValueError("h_final must be positive")
     thetas = node_angles(nodes)
     if np.any(np.diff(thetas) <= 0.0):
@@ -182,9 +182,7 @@ class PersymmetryCharacterizations:
         return max(self.weight_residual, self.modulus_residual, self.phase_residual)
 
 
-def verify_persymmetry_characterizations(
-    v: VerblunskySequence, tol: Tolerances = DEFAULT
-) -> PersymmetryCharacterizations:
+def verify_persymmetry_characterizations(v: VerblunskySequence) -> PersymmetryCharacterizations:
     """Check the three persymmetry-only identities on a concrete system.
 
     Rejects input whose coefficient list is not self-dual (defect above
@@ -196,16 +194,14 @@ def verify_persymmetry_characterizations(
         raise NotPersymmetricError(
             f"coefficient list has mirror defect {persymmetry_defect(v):.3e}"
         )
-    return _persymmetry_characterizations(build_system(v), tol)
+    return _persymmetry_characterizations(build_system(v))
 
 
-def _persymmetry_characterizations(
-    sys: OpucSystem, tol: Tolerances = DEFAULT
-) -> PersymmetryCharacterizations:
+def _persymmetry_characterizations(sys: OpucSystem) -> PersymmetryCharacterizations:
     """``verify_persymmetry_characterizations`` on persymmetric sys, at the nodes and values it keeps."""
-    nodes = spectrum(sys, tol)
-    vals = ladder_at_nodes(sys, nodes)
-    w = christoffel_weights(vals, sys.h, tol)  # first: it rejects an underflowed h_N
+    nodes = spectrum(sys)
+    vals = sys.node_values
+    w = christoffel_weights(vals, sys.h)  # first: it rejects an underflowed h_N
     h_final = float(sys.h[-1])
     weight_residual = float(np.max(np.abs(w - persymmetric_weights(nodes, h_final))))
     phi_n = vals[-1]

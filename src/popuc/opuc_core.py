@@ -16,7 +16,7 @@ come from the same recurrence run on numbers rather than coefficients.
 
 A system solves its eigenproblem once and runs the ladder at its own nodes
 once: ``spectrum``, ``weights``, ``orthogonality_residual`` and the
-persymmetry checks share ``OpucSystem.eigenvalues`` and ``ladder_at_nodes``.
+persymmetry checks share ``OpucSystem.theta`` and ``OpucSystem.node_values``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .complex_poly import TWO_PI, UnitCirclePoint, node_angles, unit_points
 from .errors import ShapeError, SpectralValidityError, WeightError
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import MONIC, SPECTRUM_RADIUS, UNIMODULAR, VERBLUNSKY_MARGIN, WEIGHT_SUM
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,11 +50,11 @@ class VerblunskySequence:
         if not np.isfinite(arr).all():
             raise ValueError("Verblunsky coefficients must be finite")
         mags = np.abs(arr)
-        if (mags > 1.0 - DEFAULT.verblunsky_margin).any():
+        if (mags > 1.0 - VERBLUNSKY_MARGIN).any():
             k = int(np.argmax(mags))
             raise ValueError(f"|a_{k}| = {mags[k]!r} violates the strict bound |a| < 1")
         w = complex(self.omega)
-        if abs(abs(w) - 1.0) > DEFAULT.unimodular:
+        if abs(abs(w) - 1.0) > UNIMODULAR:
             raise ValueError(f"|omega| = {abs(w)!r} is not unimodular")
         arr.flags.writeable = False
         object.__setattr__(self, "a", arr)
@@ -69,17 +69,13 @@ class VerblunskySequence:
 class OpucSystem:
     """Verblunsky data with the squared norms h_0 .. h_N, built from v alone in O(N).
 
-    The ladder ``phis`` and the eigenvalues of U are computed on first
-    access.  ``spectrum`` keeps the sorted node angles it last returned, and
-    ``ladder_at_nodes`` the ladder values there; every memo is read-only and
-    lives as long as the system.
+    The ladder ``phis``, the eigenvalues of U, the node angles ``theta`` and
+    the ladder values there are computed on first access; every memo is
+    read-only and lives as long as the system.
     """
 
     v: VerblunskySequence
     h: np.ndarray = field(init=False)
-    # (seam slack, theta) of the last ``spectrum`` call; (theta, values) of ``ladder_at_nodes``
-    _theta: tuple | None = field(default=None, init=False, repr=False)
-    _ladder: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "h", squared_norms(self.v.a))
@@ -90,6 +86,31 @@ class OpucSystem:
         lam = np.linalg.eigvals(cmv_matrix(self.v))
         lam.flags.writeable = False
         return lam
+
+    @cached_property
+    def theta(self) -> np.ndarray:
+        """Sorted angles in [0, 2 pi) of the eigenvalues of U, read-only.
+
+        They are the roots of Phi_{N+1}.  An eigenvalue whose radius drifts
+        from one by more than SPECTRUM_RADIUS raises SpectralValidityError.
+        Angles within UNIMODULAR below 2 pi are mapped to 0, so a node on the
+        seam sorts first whichever side of it rounding put it.
+        """
+        drift = float(np.abs(np.abs(self.eigenvalues) - 1.0).max())
+        if drift > SPECTRUM_RADIUS:
+            raise SpectralValidityError(f"eigenvalue radius off the circle by {drift:.3e}")
+        theta = np.angle(self.eigenvalues) % TWO_PI
+        theta[theta > TWO_PI - UNIMODULAR] = 0.0
+        theta.sort()
+        theta.flags.writeable = False
+        return theta
+
+    @cached_property
+    def node_values(self) -> np.ndarray:
+        """``ladder_values`` at the nodes ``theta``, read-only."""
+        vals = ladder_values(self.v, unit_points(self.theta))
+        vals.flags.writeable = False
+        return vals
 
     @cached_property
     def phis(self) -> tuple[np.ndarray, ...]:
@@ -138,7 +159,7 @@ class SpectralData:
         if (w <= 0.0).any():
             raise WeightError(f"non-positive weight {float(w.min())!r}")
         total = float(w.sum())
-        if abs(total - 1.0) > DEFAULT.weight_sum:
+        if abs(total - 1.0) > WEIGHT_SUM:
             raise WeightError(f"weights sum to {total!r}, expected 1")
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "weights", w)
@@ -172,14 +193,14 @@ def verblunsky_from_polys(phis: Sequence[np.ndarray]) -> np.ndarray:
     """Read coefficients back off the ladder: a_k = -conj(Phi_{k+1}(0)).
 
     phis holds ascending coefficient arrays, entry k of length k + 1 with a
-    leading coefficient within Tolerances.monic of one.
+    leading coefficient within MONIC of one.
     """
     if len(phis) < 2:
         raise ShapeError("need at least Phi_0 and Phi_1")
     for k, p in enumerate(phis):
         if np.shape(p) != (k + 1,):
             raise ShapeError(f"entry {k} has shape {np.shape(p)}, expected ({k + 1},)")
-        if abs(p[-1] - 1.0) > DEFAULT.monic:
+        if abs(p[-1] - 1.0) > MONIC:
             raise ShapeError(f"entry {k} is not monic")
     return np.array([-np.conj(p[0]) for p in phis[1:]])
 
@@ -187,7 +208,7 @@ def verblunsky_from_polys(phis: Sequence[np.ndarray]) -> np.ndarray:
 def theta_block(a: complex) -> np.ndarray:
     """2x2 rotation block [[a, rho], [rho, -conj(a)]] with rho = sqrt(1 - |a|^2)."""
     a = np.complex128(a)
-    if np.abs(a) >= 1.0 - DEFAULT.verblunsky_margin:
+    if np.abs(a) >= 1.0 - VERBLUNSKY_MARGIN:
         raise ValueError(f"|a| = {float(np.abs(a))!r} must stay strictly inside the unit disc")
     rho = np.sqrt(1.0 - np.abs(a) ** 2)  # numpy's modulus, as in ``factors``
     return np.array([[a, rho], [rho, -np.conj(a)]], dtype=np.complex128)
@@ -238,13 +259,13 @@ def ladder_values(v: VerblunskySequence, z: np.ndarray) -> np.ndarray:
     return vals
 
 
-def christoffel_weights(vals: np.ndarray, h: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+def christoffel_weights(vals: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Christoffel numbers w_s = 1 / sum_{k <= N} |Phi_k(z_s)|^2 / h_k.
 
     vals holds the ladder values at the z_s (``ladder_values``), h the
     squared norms.  The weights are real and positive by construction.  They
     sum to one only when the z_s are the zeros of Phi_{N+1}; a sum off by
-    more than tol.weight_sum raises WeightError.  So does an h that has
+    more than WEIGHT_SUM raises WeightError.  So does an h that has
     underflowed to zero; h is non-increasing, so h_N is the one to test.
     """
     if not h[-1] > 0.0:
@@ -252,62 +273,31 @@ def christoffel_weights(vals: np.ndarray, h: np.ndarray, tol: Tolerances = DEFAU
         raise WeightError(f"squared norm h_{k} underflows to 0, so the weights are undefined")
     w = 1.0 / (np.abs(vals) ** 2 / h[:, None]).sum(axis=0)
     total = float(w.sum())
-    if not abs(total - 1.0) <= tol.weight_sum:
+    if not abs(total - 1.0) <= WEIGHT_SUM:
         raise WeightError(f"Christoffel weights sum to {total!r}, expected 1")
     return w
 
 
-def spectrum(sys: OpucSystem, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Sorted angles in [0, 2 pi) of the eigenvalues of the CMV matrix, read-only.
-
-    They are the roots of Phi_{N+1}.  An eigenvalue whose radius drifts
-    from one by more than tol.spectrum_radius raises SpectralValidityError.
-    Angles within tol.unimodular below 2 pi are mapped to 0, so a node on
-    the seam sorts first whichever side of it rounding put it.  Both
-    tolerances apply on every call; the eigenproblem is solved once per
-    system, and a repeated call with the same tol.unimodular returns the
-    same array.
-    """
-    drift = float(np.abs(np.abs(sys.eigenvalues) - 1.0).max())
-    if drift > tol.spectrum_radius:
-        raise SpectralValidityError(f"eigenvalue radius off the circle by {drift:.3e}")
-    if sys._theta is not None and sys._theta[0] == tol.unimodular:
-        return sys._theta[1]
-    theta = np.angle(sys.eigenvalues) % TWO_PI
-    theta[theta > TWO_PI - tol.unimodular] = 0.0
-    theta.sort()
-    theta.flags.writeable = False
-    object.__setattr__(sys, "_theta", (tol.unimodular, theta))
-    return theta
+def spectrum(sys: OpucSystem) -> np.ndarray:
+    """The system's node angles ``sys.theta``: sorted, in [0, 2 pi), read-only."""
+    return sys.theta
 
 
-def ladder_at_nodes(sys: OpucSystem, theta: np.ndarray) -> np.ndarray:
-    """``ladder_values`` at the points cos theta + i sin theta.
-
-    When theta is the array ``spectrum(sys)`` last returned, the values are
-    kept on the system, read-only, so later calls at the same nodes reuse them.
-    """
-    if sys._ladder is not None and sys._ladder[0] is theta:
-        return sys._ladder[1]
-    vals = ladder_values(sys.v, unit_points(theta))
-    if sys._theta is not None and sys._theta[1] is theta:
-        vals.flags.writeable = False
-        object.__setattr__(sys, "_ladder", (theta, vals))
-    return vals
+def _values_at(sys: OpucSystem, theta: np.ndarray) -> np.ndarray:
+    """``ladder_values`` at cos theta + i sin theta; the kept ``node_values`` when theta is ``sys.theta``."""
+    if theta is vars(sys).get("theta"):
+        return sys.node_values
+    return ladder_values(sys.v, unit_points(theta))
 
 
-def weights(
-    sys: OpucSystem,
-    nodes: "np.ndarray | Sequence[UnitCirclePoint]",
-    tol: Tolerances = DEFAULT,
-) -> SpectralData:
+def weights(sys: OpucSystem, nodes: "np.ndarray | Sequence[UnitCirclePoint]") -> SpectralData:
     """Quadrature weights at the nodes (angles, or UnitCirclePoint values): the Christoffel numbers.
 
     See ``christoffel_weights``; SpectralData further requires the nodes to
     be strictly increasing in theta.
     """
     theta = node_angles(nodes)
-    return SpectralData(theta, christoffel_weights(ladder_at_nodes(sys, theta), sys.h, tol))
+    return SpectralData(theta, christoffel_weights(_values_at(sys, theta), sys.h))
 
 
 def paraorthogonality_residual(sys: OpucSystem) -> float:
@@ -325,7 +315,7 @@ def paraorthogonality_residual(sys: OpucSystem) -> float:
 
 def orthogonality_residual(sys: OpucSystem, data: SpectralData) -> float:
     """Max deviation of the weighted Gram matrix of Phi_0 .. Phi_N from diag(h)."""
-    vals = ladder_at_nodes(sys, data.theta)
+    vals = _values_at(sys, data.theta)
     gram = (vals * data.weights) @ np.conj(vals.T)
     gram.reshape(-1)[:: gram.shape[0] + 1] -= sys.h  # the diagonal, as a view
     return float(np.abs(gram).max())

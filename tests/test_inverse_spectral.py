@@ -9,13 +9,14 @@ from popuc import (
     NotPersymmetricError,
     ShapeError,
     SpectrumInconsistencyError,
-    Tolerances,
     UnitCirclePoint,
     VerblunskySequence,
     build_system,
     free_family,
-    is_persymmetric,
     krawtchouk_family,
+    persymmetric_weights,
+    persymmetry_defect,
+    phi_n_values,
     reconstruct_persymmetric,
     single_moment_persymmetric,
     spectrum,
@@ -89,12 +90,15 @@ def test_reconstruct_random_draws_at_n64():
         assert float(np.max(np.abs(result.v.a - v.a))) <= 1e-12
 
 
-def test_reconstruct_raises_when_rebuilt_spectrum_misses():
+def test_reconstruct_raises_when_rebuilt_spectrum_misses(monkeypatch):
+    import popuc.inverse_spectral as inverse_spectral
+
     fam = single_moment_persymmetric(5)
     nodes = spectrum(build_system(fam.v))
     residual = reconstruct_persymmetric(nodes, fam.v.omega).spectrum_residual
+    monkeypatch.setattr(inverse_spectral, "RESIDUAL", 1e-300)
     with pytest.raises(NotPersymmetricError, match=f"rebuilt spectrum misses the nodes by {residual:.3e}"):
-        reconstruct_persymmetric(nodes, fam.v.omega, Tolerances(residual=1e-300))
+        reconstruct_persymmetric(nodes, fam.v.omega)
 
 
 def test_any_node_set_is_the_spectrum_of_a_self_dual_system():
@@ -106,7 +110,7 @@ def test_any_node_set_is_the_spectrum_of_a_self_dual_system():
             v = random_verblunsky(rng, n)
             nodes = spectrum(build_system(v))
             result = reconstruct_persymmetric(nodes, v.omega)
-            assert is_persymmetric(result.v, 1e-10), f"n={n}"
+            assert persymmetry_defect(result.v) <= 1e-10, f"n={n}"
             rebuilt = unit_points(spectrum(build_system(result.v)))
             assert float(np.max(np.abs(rebuilt - unit_points(nodes)))) <= 1e-10, f"n={n}"
 
@@ -147,6 +151,19 @@ def test_reconstruct_input_gates():
     nodes = (UnitCirclePoint(1.0), UnitCirclePoint(1.0 + 1e-13), UnitCirclePoint(4.0))
     with pytest.raises(DegenerateNodesError):
         reconstruct_persymmetric(nodes, 1.0)
+
+
+def test_non_finite_input_is_rejected_up_front():
+    # RuntimeWarning is an error in this suite, so none may be emitted first
+    with pytest.raises(ValueError, match=r"theta\[1\] is nan"):
+        reconstruct_persymmetric(np.array([0.5, np.nan, 2.0]), 1.0)
+    with pytest.raises(ValueError, match=r"theta\[2\] is inf"):
+        reconstruct_persymmetric(np.array([0.5, 2.0, np.inf]), 1.0)
+    nodes = np.array([0.5, 2.0, 4.0])
+    with pytest.raises(ValueError, match="h_final must be positive"):
+        persymmetric_weights(nodes, float("nan"))
+    with pytest.raises(ValueError, match="h_final must be positive"):
+        phi_n_values(nodes, 1.0, float("nan"), 1)
 
 
 def test_log_h_final_matches_recovered_coefficients():

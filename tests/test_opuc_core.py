@@ -9,7 +9,6 @@ from popuc import (
     ShapeError,
     SpectralData,
     SpectralValidityError,
-    Tolerances,
     UnitCirclePoint,
     VerblunskySequence,
     WeightError,
@@ -23,7 +22,7 @@ from popuc import (
     weights,
 )
 from popuc.complex_poly import unit_points
-from popuc.opuc_core import ladder_at_nodes
+from popuc.tolerances import SPECTRUM_RADIUS
 
 
 def test_verblunsky_validation():
@@ -130,14 +129,16 @@ def test_spectrum_rotated_monomials():
 
 
 def test_spectrum_rejects_off_circle_roots():
-    # rounding leaves the eigenvalues a little off the circle; a radius
-    # slack below that drift must make spectrum refuse them
+    # eigenvalues filled into the system's memo by hand, pushed off the
+    # circle by half and by twice SPECTRUM_RADIUS
     v = random_verblunsky(np.random.default_rng(101), 12)
-    drift = float(np.max(np.abs(np.abs(np.linalg.eigvals(cmv_matrix(v))) - 1.0)))
-    assert drift > 0.0
-    spectrum(build_system(v), Tolerances(spectrum_radius=2 * drift))
+    lam = np.linalg.eigvals(cmv_matrix(v))
+    inside, outside = build_system(v), build_system(v)
+    vars(inside)["eigenvalues"] = np.append(lam[1:], lam[0] * (1.0 + 0.5 * SPECTRUM_RADIUS))
+    vars(outside)["eigenvalues"] = np.append(lam[1:], lam[0] * (1.0 + 2.0 * SPECTRUM_RADIUS))
+    assert spectrum(inside).size == 13
     with pytest.raises(SpectralValidityError):
-        spectrum(build_system(v), Tolerances(spectrum_radius=drift / 2))
+        spectrum(outside)
 
 
 def test_weights_flat_for_monomials():
@@ -261,24 +262,14 @@ def test_spectrum_weights_and_residual_share_one_solve_and_one_ladder(monkeypatc
     assert spectrum(sys_) is nodes and data.theta is nodes
 
 
-def test_spectrum_applies_the_callers_tolerances_on_every_call():
-    v = random_verblunsky(np.random.default_rng(101), 12)
-    sys_ = build_system(v)
-    nodes = spectrum(sys_)
-    drift = float(np.max(np.abs(np.abs(sys_.eigenvalues) - 1.0)))
-    with pytest.raises(SpectralValidityError):
-        spectrum(sys_, Tolerances(spectrum_radius=drift / 2))
-    # a seam slack wider than the largest angle maps every node to 0
-    assert not np.any(spectrum(sys_, Tolerances(unimodular=7.0)))
-    assert spectrum(sys_) is not nodes and np.array_equal(spectrum(sys_), nodes)
-
-
 def test_memoised_arrays_are_read_only():
     sys_ = build_system(random_verblunsky(np.random.default_rng(59), 6))
     data = weights(sys_, spectrum(sys_))
-    for arr in (sys_.eigenvalues, data.theta, data.weights, ladder_at_nodes(sys_, data.theta)):
+    for arr in (sys_.eigenvalues, data.theta, data.weights, sys_.node_values):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+    with pytest.raises(AttributeError):
+        sys_.theta = np.zeros(7)
     assert [p.theta for p in data.nodes] == data.theta.tolist()
 
 
@@ -291,3 +282,27 @@ def test_verblunsky_data_is_a_read_only_copy():
     assert float(sys_.h[1]) == 1.0 - abs(0.3 + 0.1j) ** 2
     with pytest.raises(ValueError):
         v.a[0] = 0.9
+
+
+def test_no_public_callable_takes_a_bound():
+    # bounds are the constants of popuc.tolerances, not parameters
+    import inspect
+    from types import FunctionType
+
+    import popuc
+
+    offenders = []
+    for name in popuc.__all__:
+        obj = getattr(popuc, name)
+        if inspect.isclass(obj):
+            members = {
+                f"{name}.{attr}": getattr(obj, attr)
+                for attr, member in vars(obj).items()
+                if isinstance(member, (FunctionType, classmethod, staticmethod))
+            }
+        else:
+            members = {name: obj} if callable(obj) else {}
+        for label, fn in members.items():
+            if {"tol", "radius_slack"} & set(inspect.signature(fn).parameters):
+                offenders.append(label)
+    assert offenders == []
