@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any
@@ -123,8 +124,11 @@ def _load_json_arg(text: str) -> Any:
 def _verblunsky_from_json(doc: Any) -> VerblunskySequence:
     if not isinstance(doc, dict) or "a" not in doc or "omega" not in doc:
         raise ValueError('expected an object with keys "a" and "omega"')
-    a = np.array([complex(re, im) for re, im in doc["a"]], dtype=np.complex128)
-    om = complex(doc["omega"][0], doc["omega"][1])
+    try:
+        a = np.array([complex(re, im) for re, im in doc["a"]], dtype=np.complex128)
+        om = complex(doc["omega"][0], doc["omega"][1])
+    except OverflowError:
+        raise ValueError("a JSON integer is outside the double range") from None
     return VerblunskySequence(a, om)
 
 
@@ -175,7 +179,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     run_all = args.all or not (args.persymmetric or args.mirror_relations or args.orthogonality)
     checks: dict[str, Any] = {}
     passed = True
-    sys_ = build_system(v)  # keeps its eigenvalues and ladder values for every check below
+    sys_ = build_system(v)  # keeps its eigen-solve and ladder values for every check below
     if args.orthogonality or run_all:
         data = weights(sys_, spectrum(sys_))
         ortho = orthogonality_residual(sys_, data)
@@ -211,15 +215,32 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def cmd_reconstruct(args: argparse.Namespace) -> int:
-    doc = _load_json_arg(args.spectrum)
+def _angles(doc: Any) -> np.ndarray:
+    """A JSON list of angles as float64, each entry checked in input order.
+
+    An entry that is not a number (null, a string, a list), an integer
+    beyond the double range, or a non-finite number raises ValueError
+    naming its index in the input.
+    """
     if isinstance(doc, dict) and "theta" in doc:
         doc = doc["theta"]
-    theta = np.array(doc, dtype=np.float64) if isinstance(doc, list) else None
-    if theta is None or theta.ndim != 1:
+    if not isinstance(doc, list):
         raise ValueError("spectrum input must be a JSON list of angles")
-    with np.errstate(invalid="ignore"):  # reconstruct_persymmetric names a non-finite angle
-        theta %= TWO_PI
+    for k, t in enumerate(doc):
+        if type(t) not in (int, float):
+            raise ValueError(f"theta[{k}] is {json.dumps(t)}, not a number")
+        try:
+            finite = math.isfinite(t)
+        except OverflowError:
+            raise ValueError(f"theta[{k}] is an integer outside the double range") from None
+        if not finite:
+            raise ValueError(f"theta must be finite; theta[{k}] is {t!r}")
+    return np.array(doc, dtype=np.float64)
+
+
+def cmd_reconstruct(args: argparse.Namespace) -> int:
+    theta = _angles(_load_json_arg(args.spectrum))
+    theta %= TWO_PI
     theta[theta >= TWO_PI] -= TWO_PI  # the modulo can land exactly on the seam
     theta.sort()
     omega = complex(np.exp(1j * args.omega_arg))

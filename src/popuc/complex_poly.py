@@ -6,7 +6,7 @@ values, and ``unit_points`` turns them into cos theta + i sin theta.
 ``Polynomial`` (ascending coefficients), ``roots``, ``from_roots`` and
 ``lagrange_interpolate`` are not called by any pipeline stage; they serve
 the tests as independent checks.  ``roots`` takes the eigenvalues of
-the companion matrix, the LAPACK path ``opuc_core.spectrum`` also uses.
+the companion matrix.
 """
 
 from __future__ import annotations

@@ -3,10 +3,10 @@
 The mirror dual of (a_0 .. a_{N-1}, omega) is (-omega conj(a_{N-1}) ..
 -omega conj(a_0), omega).  Dual data share the final polynomial, hence the
 spectrum, while their weights multiply to h_N / |Phi'_{N+1}|^2 node by node;
-the dual weights are the Christoffel numbers of the dual data at the shared
-nodes.  Data equal to its own dual is called persymmetric; such a system is
-pinned down by its spectrum alone, which drives the inverse problem
-elsewhere in the package.
+the dual weights are the squared last components of the eigenvectors that
+give the primal weights.  Data equal to its own dual is called
+persymmetric; such a system is pinned down by its spectrum alone, which
+drives the inverse problem elsewhere in the package.
 """
 
 from __future__ import annotations
@@ -17,16 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .complex_poly import UnitCirclePoint, node_angles, unit_points
-from .errors import NotPersymmetricError, ShapeError
-from .opuc_core import (
-    OpucSystem,
-    VerblunskySequence,
-    build_system,
-    christoffel_weights,
-    ladder_values,
-    spectrum,
-    squared_norms,
-)
+from .errors import NotPersymmetricError, ShapeError, WeightError
+from .opuc_core import OpucSystem, VerblunskySequence, _resolved, build_system, spectrum
 from .tolerances import SELF_DUAL_DEFECT, UNIMODULAR, VERBLUNSKY_MARGIN
 
 
@@ -105,15 +97,17 @@ def make_persymmetric(seed: PersymmetricSeed) -> VerblunskySequence:
 
 
 def dual_weights(sys: OpucSystem) -> np.ndarray:
-    """Weights of the mirror dual at the theta-sorted nodes of the system.
+    """Weights of the mirror dual at the theta-sorted nodes of the system: |V[N, s]|^2, read-only.
 
-    The dual shares the nodes, so these are the Christoffel numbers of
-    mirror_dual(v) there.  They equal Phi_N(z_s) / Phi'_{N+1}(z_s), and
-    their product with the primal weight is h_N / |Phi'_{N+1}(z_s)|^2.
+    v_s is the unit eigenvector of U at node s.  The quasi-reflection that
+    carries U to the dual's CMV matrix reverses the basis, so the dual's
+    eigenvector at the shared node z_s has the moduli of v_s in reverse
+    order, and its first component is v_s's last.  The dual weights equal
+    Phi_N(z_s) / Phi'_{N+1}(z_s), and their product with the primal weight
+    is h_N / |Phi'_{N+1}(z_s)|^2.  A dual weight of 0.0 raises WeightError,
+    as in ``weights``.
     """
-    vh = mirror_dual(sys.v)
-    vals = ladder_values(vh, unit_points(spectrum(sys)))
-    return christoffel_weights(vals, squared_norms(vh.a))
+    return _resolved(sys.quadrature[1][1], "N")
 
 
 def persymmetric_weights(nodes: "np.ndarray | Sequence[UnitCirclePoint]", h_final: float) -> np.ndarray:
@@ -187,8 +181,8 @@ def verify_persymmetry_characterizations(v: VerblunskySequence) -> PersymmetryCh
 
     Rejects input whose coefficient list is not self-dual (defect above
     SELF_DUAL_DEFECT, 1e-10); for valid input, returns the worst residual of
-    each identity and the phase sign that fits.  The Christoffel weights and
-    the Phi_N values come from one evaluation of the ladder at the nodes.
+    each identity and the phase sign that fits.  The weights come from the
+    system's eigen-solve, the Phi_N values from the ladder at the nodes.
     """
     if not is_persymmetric(v):
         raise NotPersymmetricError(
@@ -198,13 +192,19 @@ def verify_persymmetry_characterizations(v: VerblunskySequence) -> PersymmetryCh
 
 
 def _persymmetry_characterizations(sys: OpucSystem) -> PersymmetryCharacterizations:
-    """``verify_persymmetry_characterizations`` on persymmetric sys, at the nodes and values it keeps."""
+    """``verify_persymmetry_characterizations`` on persymmetric sys, with the weights and values it keeps.
+
+    An h_N that has underflowed to 0.0 leaves the closed forms undefined and
+    raises WeightError naming the first such h_k.
+    """
+    if not sys.h[-1] > 0.0:
+        k = int(np.argmax(sys.h <= 0.0))
+        raise WeightError(f"squared norm h_{k} underflows to 0, so the persymmetric forms are undefined")
     nodes = spectrum(sys)
-    vals = sys.node_values
-    w = christoffel_weights(vals, sys.h)  # first: it rejects an underflowed h_N
     h_final = float(sys.h[-1])
+    w = sys.quadrature[1][0]
     weight_residual = float(np.max(np.abs(w - persymmetric_weights(nodes, h_final))))
-    phi_n = vals[-1]
+    phi_n = sys.node_values[-1]
     modulus_residual = float(np.max(np.abs(np.abs(phi_n) - np.sqrt(h_final))))
 
     best_eps, best = 1, np.inf

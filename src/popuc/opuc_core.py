@@ -8,15 +8,18 @@ recurrence
 
 where the final step substitutes a_N = omega.  That closure pushes every
 root of Phi_{N+1} onto the unit circle and turns the system into an
-(N+1)-point discrete orthogonality problem.  The nodes are computed as the
-eigenvalues of the unitary CMV matrix U = M2 M1, whose characteristic
-polynomial is Phi_{N+1} (Cantero-Moral-Velazquez 2003); the weights are the
-Christoffel numbers, from the ladder's values at the nodes.  Those values
-come from the same recurrence run on numbers rather than coefficients.
+(N+1)-point discrete orthogonality problem.  Nodes and weights come from
+the unitary CMV matrix U = M2 M1, whose characteristic polynomial is
+Phi_{N+1} (Cantero-Moral-Velazquez 2003): the nodes are its eigenvalues and
+the weight of node s is |V[0, s]|^2 for the unit eigenvector v_s, the
+unit-circle Golub-Welsch rule.  U is normal, so one Hermitian eigen-solve of
+U + U^H gives V (``eigen_rows``); row N of |V|^2 holds the weights of the
+mirror dual.
 
 A system solves its eigenproblem once and runs the ladder at its own nodes
-once: ``spectrum``, ``weights``, ``orthogonality_residual`` and the
-persymmetry checks share ``OpucSystem.theta`` and ``OpucSystem.node_values``.
+once: ``spectrum``, ``weights``, ``mirror.dual_weights`` and the persymmetry
+checks share ``OpucSystem.quadrature``, and ``orthogonality_residual`` checks
+the weights against ``OpucSystem.node_values``, the recurrence at the nodes.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from .complex_poly import TWO_PI, UnitCirclePoint, node_angles, unit_points
 from .errors import ShapeError, SpectralValidityError, WeightError
-from .tolerances import MONIC, SPECTRUM_RADIUS, UNIMODULAR, VERBLUNSKY_MARGIN, WEIGHT_SUM
+from .tolerances import EIGEN_CLUSTER, MONIC, SPECTRUM_RADIUS, UNIMODULAR, VERBLUNSKY_MARGIN, WEIGHT_SUM
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,9 +72,9 @@ class VerblunskySequence:
 class OpucSystem:
     """Verblunsky data with the squared norms h_0 .. h_N, built from v alone in O(N).
 
-    The ladder ``phis``, the eigenvalues of U, the node angles ``theta`` and
-    the ladder values there are computed on first access; every memo is
-    read-only and lives as long as the system.
+    The ladder ``phis``, the eigen-solve of U, the sorted nodes and weights
+    and the ladder values at the nodes are computed on first access; every
+    memo is read-only and lives as long as the system.
     """
 
     v: VerblunskySequence
@@ -81,29 +84,37 @@ class OpucSystem:
         object.__setattr__(self, "h", squared_norms(self.v.a))
 
     @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of the CMV matrix U in LAPACK's order, read-only."""
-        lam = np.linalg.eigvals(cmv_matrix(self.v))
-        lam.flags.writeable = False
-        return lam
+    def eigen(self) -> tuple[np.ndarray, np.ndarray]:
+        """``eigen_rows`` of the CMV matrix U, unsorted and read-only."""
+        lam, rows = eigen_rows(cmv_matrix(self.v))
+        lam.flags.writeable = rows.flags.writeable = False
+        return lam, rows
 
     @cached_property
-    def theta(self) -> np.ndarray:
-        """Sorted angles in [0, 2 pi) of the eigenvalues of U, read-only.
+    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
+        """(theta, rows): the node angles sorted in [0, 2 pi), and rows 0 and N of |V|^2 in their order.
 
-        They are the roots of Phi_{N+1}.  An eigenvalue whose radius drifts
-        from one by more than SPECTRUM_RADIUS raises SpectralValidityError.
-        Angles within UNIMODULAR below 2 pi are mapped to 0, so a node on the
-        seam sorts first whichever side of it rounding put it.
+        Row 0 holds the weights, row N the weights of the mirror dual; both
+        arrays are read-only.  An eigenvalue whose radius drifts from one by
+        more than SPECTRUM_RADIUS raises SpectralValidityError.  Angles within
+        UNIMODULAR below 2 pi are mapped to 0, so a node on the seam sorts
+        first whichever side of it rounding put it.
         """
-        drift = float(np.abs(np.abs(self.eigenvalues) - 1.0).max())
-        if drift > SPECTRUM_RADIUS:
+        lam, rows = self.eigen
+        drift = float(np.abs(np.abs(lam) - 1.0).max())
+        if not drift <= SPECTRUM_RADIUS:
             raise SpectralValidityError(f"eigenvalue radius off the circle by {drift:.3e}")
-        theta = np.angle(self.eigenvalues) % TWO_PI
+        theta = np.arctan2(lam.imag, lam.real) % TWO_PI
         theta[theta > TWO_PI - UNIMODULAR] = 0.0
-        theta.sort()
-        theta.flags.writeable = False
-        return theta
+        order = theta.argsort()
+        theta, rows = theta.take(order), rows.take(order, axis=1)
+        theta.flags.writeable = rows.flags.writeable = False
+        return theta, rows
+
+    @property
+    def theta(self) -> np.ndarray:
+        """The sorted node angles of ``quadrature``: the roots of Phi_{N+1}."""
+        return self.quadrature[0]
 
     @cached_property
     def node_values(self) -> np.ndarray:
@@ -156,10 +167,10 @@ class SpectralData:
         w = _read_only(np.asarray(self.weights, dtype=np.float64))
         if w.shape != theta.shape:
             raise ShapeError("one weight per node required")
-        if (w <= 0.0).any():
+        if not (w > 0.0).all():  # NaN fails too
             raise WeightError(f"non-positive weight {float(w.min())!r}")
         total = float(w.sum())
-        if abs(total - 1.0) > WEIGHT_SUM:
+        if not abs(total - 1.0) <= WEIGHT_SUM:
             raise WeightError(f"weights sum to {total!r}, expected 1")
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "weights", w)
@@ -242,6 +253,67 @@ def cmv_matrix(v: VerblunskySequence) -> np.ndarray:
     return m2 @ m1
 
 
+def eigen_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the unitary u and rows 0 and -1 of |V|^2, V its unit eigenvectors, column by column.
+
+    u is normal, so the Hermitian u + u^H (eigenvalues 2 cos theta_s) has
+    the eigenvectors of u: one ``eigh`` gives V, and the eigenvalues are the
+    Rayleigh quotients v_s^H u v_s.  cos is two-to-one, so where eigenvalues
+    of u + u^H lie closer than 2 EIGEN_CLUSTER (theta and -theta for real
+    data) eigh may return any basis of their span, and u is diagonalised
+    again on it: pairs in closed form and all at once, or, where some
+    cluster holds three or more, every cluster by ``eig`` of V_g^H u V_g.
+    Only the two rows are kept, not V.
+    """
+    c, vec = np.linalg.eigh(u + u.conj().T)
+    uv = u @ vec
+    lam = np.vecdot(vec, uv, axis=0)
+    edge = vec[:: vec.shape[0] - 1]  # rows 0 and N, a view
+    close = c[1:] - c[:-1] < 2.0 * EIGEN_CLUSTER  # column k clusters with column k + 1
+    if close.any():
+        if (close[1:] & close[:-1]).any():
+            _split_clusters(vec, uv, close, lam, edge)
+        else:
+            _split_pairs(vec, uv, np.flatnonzero(close), lam, edge)
+    return lam, np.abs(edge) ** 2
+
+
+def _split_pairs(vec: np.ndarray, uv: np.ndarray, i: np.ndarray, lam: np.ndarray, edge: np.ndarray) -> None:
+    """Diagonalise u on each pair of columns i, i + 1, updating lam and edge in place.
+
+    M = V_g^H u V_g is normal; with half = (M00 - M11) / 2 and
+    r^2 = half^2 + M01 M10 its eigenvalues are (M00 + M11) / 2 +- r, with
+    unit eigenvectors along (half + r, M10) and its orthogonal complement.
+    r takes the sign that keeps |half + r| >= |r|.
+    """
+    j = i + 1
+    m01 = np.vecdot(vec[:, :-1], uv[:, 1:], axis=0)[i]
+    m10 = np.vecdot(vec[:, 1:], uv[:, :-1], axis=0)[i]
+    lam_i, lam_j = lam[i], lam[j]
+    half, mean = 0.5 * (lam_i - lam_j), 0.5 * (lam_i + lam_j)
+    root = np.sqrt(half * half + m01 * m10)
+    root *= np.copysign(1.0, (half.conj() * root).real)
+    x, y = half + root, m10
+    norm = np.hypot(np.abs(x), np.abs(y))
+    x /= norm
+    y /= norm
+    e_i, e_j = edge[:, i], edge[:, j]
+    lam[i], lam[j] = mean + root, mean - root
+    edge[:, i] = e_i * x + e_j * y
+    edge[:, j] = e_j * x.conj() - e_i * y.conj()
+
+
+def _split_clusters(
+    vec: np.ndarray, uv: np.ndarray, close: np.ndarray, lam: np.ndarray, edge: np.ndarray
+) -> None:
+    """Diagonalise u by ``eig`` on each run of columns linked by ``close``, updating lam and edge in place."""
+    bounds = np.flatnonzero(np.diff(close, prepend=False, append=False)).reshape(-1, 2)
+    for start, stop in bounds + [0, 1]:
+        g = slice(start, stop)
+        lam[g], w = np.linalg.eig(vec[:, g].conj().T @ uv[:, g])
+        edge[:, g] = edge[:, g] @ w
+
+
 def ladder_values(v: VerblunskySequence, z: np.ndarray) -> np.ndarray:
     """Values of Phi_0 .. Phi_N at the points z; row k holds Phi_k.
 
@@ -259,25 +331,6 @@ def ladder_values(v: VerblunskySequence, z: np.ndarray) -> np.ndarray:
     return vals
 
 
-def christoffel_weights(vals: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Christoffel numbers w_s = 1 / sum_{k <= N} |Phi_k(z_s)|^2 / h_k.
-
-    vals holds the ladder values at the z_s (``ladder_values``), h the
-    squared norms.  The weights are real and positive by construction.  They
-    sum to one only when the z_s are the zeros of Phi_{N+1}; a sum off by
-    more than WEIGHT_SUM raises WeightError.  So does an h that has
-    underflowed to zero; h is non-increasing, so h_N is the one to test.
-    """
-    if not h[-1] > 0.0:
-        k = int(np.argmax(h <= 0.0))
-        raise WeightError(f"squared norm h_{k} underflows to 0, so the weights are undefined")
-    w = 1.0 / (np.abs(vals) ** 2 / h[:, None]).sum(axis=0)
-    total = float(w.sum())
-    if not abs(total - 1.0) <= WEIGHT_SUM:
-        raise WeightError(f"Christoffel weights sum to {total!r}, expected 1")
-    return w
-
-
 def spectrum(sys: OpucSystem) -> np.ndarray:
     """The system's node angles ``sys.theta``: sorted, in [0, 2 pi), read-only."""
     return sys.theta
@@ -285,19 +338,40 @@ def spectrum(sys: OpucSystem) -> np.ndarray:
 
 def _values_at(sys: OpucSystem, theta: np.ndarray) -> np.ndarray:
     """``ladder_values`` at cos theta + i sin theta; the kept ``node_values`` when theta is ``sys.theta``."""
-    if theta is vars(sys).get("theta"):
+    if "quadrature" in vars(sys) and theta is sys.theta:
         return sys.node_values
     return ladder_values(sys.v, unit_points(theta))
 
 
 def weights(sys: OpucSystem, nodes: "np.ndarray | Sequence[UnitCirclePoint]") -> SpectralData:
-    """Quadrature weights at the nodes (angles, or UnitCirclePoint values): the Christoffel numbers.
+    """Quadrature weights |V[0, s]|^2 at the system's own nodes ``spectrum(sys)``.
 
-    See ``christoffel_weights``; SpectralData further requires the nodes to
-    be strictly increasing in theta.
+    v_s is the unit eigenvector of U at node s, so these are the Gauss
+    weights of the unit-circle Golub-Welsch rule, read off the solve that
+    gave the nodes.  nodes (angles, or UnitCirclePoint values) must be those
+    nodes, else ValueError.  A weight that comes out 0.0, where its
+    eigenvector component is below rounding, raises WeightError naming the
+    node.  SpectralData further requires a sum within WEIGHT_SUM of one.
     """
-    theta = node_angles(nodes)
-    return SpectralData(theta, christoffel_weights(_values_at(sys, theta), sys.h))
+    theta, rows = sys.quadrature
+    if nodes is not theta and not np.array_equal(node_angles(nodes), theta):
+        raise ValueError("weights are defined at the system's own nodes only: pass spectrum(sys)")
+    return SpectralData(theta, _resolved(rows[0], "0"))
+
+
+def _resolved(w: np.ndarray, row: str) -> np.ndarray:
+    """w, the squared moduli of row ``row`` of V, once each is checked to be positive.
+
+    A weight of 0.0 (or NaN) means the eigenvector component is below
+    rounding; WeightError names the node and the smallest weight.
+    """
+    if not w.min() > 0.0:
+        s = int(np.argmin(w))
+        raise WeightError(
+            f"weight {float(w[s])!r} at node {s} is below what the eigenvector resolves: "
+            f"|V[{row}, {s}]| is lost to rounding in a unit vector"
+        )
+    return w
 
 
 def paraorthogonality_residual(sys: OpucSystem) -> float:
@@ -314,7 +388,11 @@ def paraorthogonality_residual(sys: OpucSystem) -> float:
 
 
 def orthogonality_residual(sys: OpucSystem, data: SpectralData) -> float:
-    """Max deviation of the weighted Gram matrix of Phi_0 .. Phi_N from diag(h)."""
+    """Max deviation of the weighted Gram matrix of Phi_0 .. Phi_N from diag(h).
+
+    The values come from the recurrence, not from the eigenvectors, so this
+    checks the weights independently of the solve that produced them.
+    """
     vals = _values_at(sys, data.theta)
     gram = (vals * data.weights) @ np.conj(vals.T)
     gram.reshape(-1)[:: gram.shape[0] + 1] -= sys.h  # the diagonal, as a view

@@ -118,6 +118,13 @@ def test_check_rejects_bad_coefficient(capsys):
     assert "invalid input" in err
 
 
+def test_check_rejects_an_integer_beyond_double_range(capsys):
+    doc = f'{{"a": [[1{"0" * 400}, 0]], "omega": [1, 0]}}'
+    code, out, err = run(capsys, "check", "--verblunsky", doc)
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input:") and "double range" in err
+
+
 def test_check_requires_a_system(capsys):
     code, _, err = run(capsys, "check")
     assert code == 2
@@ -176,6 +183,28 @@ def test_reconstruct_krawtchouk_spectrum_at_n36(capsys):
     expected = krawtchouk_family(36, np.exp(0.9j)).v.a
     assert a.shape == (36, 2)
     assert float(np.max(np.abs(a[:, 0] + 1j * a[:, 1] - expected))) <= 1e-10
+
+
+def test_reconstruct_integer_beyond_double_range_is_invalid_input(capsys):
+    code, out, err = run(capsys, "reconstruct", "--spectrum", f"[1.0, 1{'0' * 400}, 2.0]", "--omega-arg", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input:") and "theta[1]" in err and "double range" in err
+
+
+@pytest.mark.parametrize(
+    "angles, message",
+    [
+        ("[2.0, NaN, 0.5]", "theta[1] is nan"),
+        ("[2.0, 0.5, null]", "theta[2] is null, not a number"),
+        ('[0.5, "1.0", 2.0]', "theta[1] is \"1.0\", not a number"),
+    ],
+    ids=["nan", "null", "string"],
+)
+def test_reconstruct_names_a_bad_angle_at_its_input_index(capsys, angles, message):
+    # the check runs before the angles are wrapped and sorted
+    code, out, err = run(capsys, "reconstruct", "--spectrum", angles, "--omega-arg", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input:") and message in err
 
 
 def test_reconstruct_missing_file(capsys):
@@ -237,7 +266,8 @@ def test_export_csv(tmp_path, capsys):
     assert lines[0] == "s,theta,weight"
     assert len(lines) == 5
     s, theta, weight = lines[1].split(",")
-    assert s == "0" and float(theta) == 0.0 and float(weight) == 0.25
+    # 0.25 plus 4 ulp: the first component of LAPACK's unit eigenvector, squared
+    assert s == "0" and float(theta) == 0.0 and float(weight) == 0.25000000000000022
 
 
 def test_export_to_unwritable_path(capsys):
@@ -332,11 +362,11 @@ GOLDEN_SINGLE_MOMENT_3 = (
     '"h":[1,0.75,0.66666666666666663,0.625],"n":3,'
     '"phis":[[[1,0]],[[0.5,0],[1,0]],[[0.33333333333333331,0],[0.66666666666666663,0],[1,0]],'
     '[[0.25,0],[0.5,0],[0.75,0],[1,0]],[[1,0],[1,0],[1,0],[1,0],[1,0]]],'
-    '"spectrum":{"theta":[1.2566370614359172,2.5132741228718345,3.7699111843077513,5.026548245743669],'
+    '"spectrum":{"theta":[1.2566370614359172,2.5132741228718345,3.7699111843077517,5.026548245743669],'
     '"z":[[0.30901699437494745,0.95105651629515353],[-0.80901699437494734,0.58778525229247325],'
-    '[-0.80901699437494778,-0.58778525229247269],[0.30901699437494723,-0.95105651629515364]]},'
+    '[-0.80901699437494756,-0.58778525229247303],[0.30901699437494723,-0.95105651629515364]]},'
     '"verblunsky":{"a":[[-0.5,0],[-0.33333333333333331,0],[-0.25,0]],"omega":[-1,0]},'
-    '"weights":[0.1381966011250105,0.36180339887498936,0.36180339887498952,0.13819660112501056]},'
+    '"weights":[0.13819660112501045,0.36180339887498941,0.36180339887498958,0.13819660112501045]},'
     '"schema_version":"3"}\n'
 )
 
@@ -387,7 +417,7 @@ def test_nothing_leaks_between_in_process_runs(capsys):
 
 
 def test_check_all_runs_one_forward_pass_on_self_dual_data(capsys, monkeypatch):
-    calls = count_calls(monkeypatch, np.linalg, "eigvals")
+    calls = count_calls(monkeypatch, np.linalg, "eigh")
     code, out, _ = run(capsys, "check", "--family", "krawtchouk", "--n", "9", "--omega-arg", "0.9", "--all")
     assert code == 0 and "persymmetry_characterizations" in json.loads(out)["payload"]["checks"]
     assert len(calls) == 1
@@ -402,7 +432,7 @@ def test_check_all_solves_and_runs_the_ladder_once(capsys, monkeypatch, self_dua
     rng = np.random.default_rng(19)
     v = random_persymmetric(rng, 7) if self_dual else random_verblunsky(rng, 7)
     doc = json.dumps({"a": [[z.real, z.imag] for z in v.a.tolist()], "omega": [v.omega.real, v.omega.imag]})
-    solves = count_calls(monkeypatch, np.linalg, "eigvals")
+    solves = count_calls(monkeypatch, np.linalg, "eigh")
     ladders = count_calls(monkeypatch, opuc_core, "ladder_values")
     code, out, _ = run(capsys, "check", "--verblunsky", doc, "--all")
     checks = json.loads(out)["payload"]["checks"]

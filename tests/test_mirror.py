@@ -30,7 +30,7 @@ from popuc import (
     verify_persymmetry_characterizations,
     weights,
 )
-from popuc.complex_poly import as_complex_array, unit_points
+from popuc.complex_poly import unit_points
 from popuc.mirror import _persymmetry_characterizations
 
 
@@ -259,12 +259,12 @@ def test_characterizations_reject_non_persymmetric():
 
 def test_underflowed_norms_raise_weight_error():
     # Krawtchouk data at n = 1024 drives h_k to exactly 0.0 from k = 997;
-    # the closed-form nodes stand in for the eigensolve, filled into the
-    # system's memo by hand
+    # the eigenvector weights do not read h and still meet the closed form,
+    # while the persymmetry forms, which need h_N, name the first zero
     inst = krawtchouk_family(1024, complex(np.exp(0.9j)))
     sys_ = build_system(inst.v)
-    vars(sys_)["eigenvalues"] = as_complex_array(inst.closed_form_nodes)
-    with pytest.raises(WeightError, match="h_997 underflows"):
-        weights(sys_, inst.closed_form_nodes)
+    assert float(sys_.h[997]) == 0.0
+    data = weights(sys_, spectrum(sys_))
+    assert float(np.max(np.abs(data.weights - inst.closed_form_weights))) <= 1e-12
     with pytest.raises(WeightError, match="h_997 underflows"):
         _persymmetry_characterizations(sys_)

@@ -14,6 +14,8 @@ from popuc import (
     WeightError,
     build_system,
     cmv_matrix,
+    dual_weights,
+    free_family,
     orthogonality_residual,
     paraorthogonality_residual,
     spectrum,
@@ -22,6 +24,7 @@ from popuc import (
     weights,
 )
 from popuc.complex_poly import unit_points
+from popuc.opuc_core import eigen_rows
 from popuc.tolerances import SPECTRUM_RADIUS
 
 
@@ -132,10 +135,10 @@ def test_spectrum_rejects_off_circle_roots():
     # eigenvalues filled into the system's memo by hand, pushed off the
     # circle by half and by twice SPECTRUM_RADIUS
     v = random_verblunsky(np.random.default_rng(101), 12)
-    lam = np.linalg.eigvals(cmv_matrix(v))
+    lam, rows = eigen_rows(cmv_matrix(v))
     inside, outside = build_system(v), build_system(v)
-    vars(inside)["eigenvalues"] = np.append(lam[1:], lam[0] * (1.0 + 0.5 * SPECTRUM_RADIUS))
-    vars(outside)["eigenvalues"] = np.append(lam[1:], lam[0] * (1.0 + 2.0 * SPECTRUM_RADIUS))
+    vars(inside)["eigen"] = (np.append(lam[1:], lam[0] * (1.0 + 0.5 * SPECTRUM_RADIUS)), rows)
+    vars(outside)["eigen"] = (np.append(lam[1:], lam[0] * (1.0 + 2.0 * SPECTRUM_RADIUS)), rows)
     assert spectrum(inside).size == 13
     with pytest.raises(SpectralValidityError):
         spectrum(outside)
@@ -178,6 +181,8 @@ def test_spectral_data_validation():
         SpectralData(nodes, np.array([1.5, -0.5]))
     with pytest.raises(WeightError):
         SpectralData(nodes, np.array([0.6, 0.6]))
+    with pytest.raises(WeightError):
+        SpectralData(nodes, np.array([np.nan, 1.0]))
     with pytest.raises(ShapeError):
         SpectralData(nodes, np.array([1.0]))
 
@@ -235,6 +240,64 @@ def test_large_n_forward_matches_cmv_eigenproblem(n, seed):
         assert orthogonality_residual(sys_, data) <= 1e-8
 
 
+def test_random_weights_at_n128_match_the_cmv_eigenvectors():
+    # the Christoffel sum missed one by far more than WEIGHT_SUM on this draw;
+    # the eigenvector weights meet numpy's eig, nodes and weights alike
+    v = random_verblunsky(np.random.default_rng([128, 0]), 128)
+    sys_ = build_system(v)
+    data = weights(sys_, spectrum(sys_))
+    lam, vecs = np.linalg.eig(cmv_matrix(v))
+    order = np.argsort(np.angle(lam) % (2.0 * np.pi))
+    assert float(np.max(np.abs(unit_points(data.theta) - lam[order]))) <= 1e-12
+    assert float(np.max(np.abs(data.weights - np.abs(vecs[0, order]) ** 2))) <= 1e-12
+    assert orthogonality_residual(sys_, data) <= 1e-8
+
+
+def test_weights_are_read_at_the_systems_own_nodes_only():
+    sys_ = build_system(random_verblunsky(np.random.default_rng(61), 5))
+    nodes = spectrum(sys_)
+    as_points = [UnitCirclePoint(t) for t in nodes.tolist()]
+    assert np.array_equal(weights(sys_, as_points).weights, weights(sys_, nodes).weights)
+    with pytest.raises(ValueError, match="own nodes"):
+        weights(sys_, nodes + 1e-3)
+
+
+def test_weight_below_eigenvector_resolution_is_a_typed_error():
+    # at n = 256 some first components round to exactly 0.0 in the solve
+    sys_ = build_system(random_verblunsky(np.random.default_rng([256, 0]), 256))
+    with pytest.raises(WeightError, match=r"weight 0\.0 at node \d+ is below what the eigenvector resolves"):
+        weights(sys_, spectrum(sys_))
+    with pytest.raises(WeightError, match=r"\|V\[N, \d+\]\| is lost to rounding"):
+        dual_weights(sys_)
+
+
+@pytest.mark.parametrize("n", [8, 9, 64, 256])
+def test_free_family_pairs_split_to_closed_form(n):
+    # real data: theta and -theta share cos theta, so every node but those at
+    # 0 (and at pi, for odd n) is one of a pair that eigh cannot separate
+    inst = free_family(n, 0.0)
+    sys_ = build_system(inst.v)
+    data = weights(sys_, spectrum(sys_))
+    closed = np.array([p.theta for p in inst.closed_form_nodes])
+    assert float(np.max(np.abs(data.theta - closed))) <= 1e-13
+    assert float(np.max(np.abs(data.weights - inst.closed_form_weights))) <= 1e-13
+
+
+def test_cluster_of_five_is_split_on_u(monkeypatch):
+    # nodes 0, +-1e-4 and +-2e-4 lie within 2e-8 in cos theta, one cluster
+    # of five; +-1 is a pair and 2.5 a singleton
+    theta = np.array([0.0, 1e-4, -1e-4, 2e-4, -2e-4, 1.0, -1.0, 2.5])
+    g = np.random.default_rng(7).standard_normal((2, 8, 8))
+    q, _ = np.linalg.qr(g[0] + 1j * g[1])
+    u = (q * np.exp(1j * theta)) @ q.conj().T
+    eigs = count_calls(monkeypatch, np.linalg, "eig")
+    lam, rows = eigen_rows(u)
+    assert len(eigs) == 2  # with a cluster of five present, the pair too is split by eig
+    got, want = np.argsort(np.angle(lam)), np.argsort(theta)
+    assert float(np.max(np.abs(lam[got] - np.exp(1j * theta[want])))) <= 1e-12
+    assert float(np.max(np.abs(rows[:, got] - np.abs(q[[0, -1]][:, want]) ** 2))) <= 1e-10
+
+
 def test_paraorthogonality_flags_a_moved_coefficient():
     # the residual is relative to the largest coefficient of Phi_{N+1}; a
     # real defect on an interior coefficient must still stand out
@@ -252,7 +315,7 @@ def test_paraorthogonality_flags_a_moved_coefficient():
 def test_spectrum_weights_and_residual_share_one_solve_and_one_ladder(monkeypatch):
     import popuc.opuc_core as opuc_core
 
-    solves = count_calls(monkeypatch, np.linalg, "eigvals")
+    solves = count_calls(monkeypatch, np.linalg, "eigh")
     ladders = count_calls(monkeypatch, opuc_core, "ladder_values")
     sys_ = build_system(random_verblunsky(np.random.default_rng(53), 9))
     nodes = spectrum(sys_)
@@ -265,7 +328,7 @@ def test_spectrum_weights_and_residual_share_one_solve_and_one_ladder(monkeypatc
 def test_memoised_arrays_are_read_only():
     sys_ = build_system(random_verblunsky(np.random.default_rng(59), 6))
     data = weights(sys_, spectrum(sys_))
-    for arr in (sys_.eigenvalues, data.theta, data.weights, sys_.node_values):
+    for arr in (*sys_.eigen, *sys_.quadrature, data.theta, data.weights, sys_.node_values):
         with pytest.raises(ValueError):
             arr[0] = 0.0
     with pytest.raises(AttributeError):
