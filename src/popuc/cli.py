@@ -157,7 +157,7 @@ def _payload(v: VerblunskySequence, emit: str) -> dict[str, Any]:
         if emit in ("weights", "all"):
             out["weights"] = weights(sys_, theta).weights
     if emit in ("cmv", "all"):
-        m1, m2 = cmv_mod.factors(v)
+        m1, m2 = v.cmv_factors
         out["cmv"] = {"m1": m1, "m2": m2, "u": m2 @ m1}
     return out
 
@@ -179,7 +179,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     run_all = args.all or not (args.persymmetric or args.mirror_relations or args.orthogonality)
     checks: dict[str, Any] = {}
     passed = True
-    sys_ = build_system(v)  # keeps its eigen-solve and ladder values for every check below
+    sys_ = build_system(v)  # v keeps its eigen-solve, ladder values and CMV factors for every check below
     if args.orthogonality or run_all:
         data = weights(sys_, spectrum(sys_))
         ortho = orthogonality_residual(sys_, data)

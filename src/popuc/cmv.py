@@ -21,8 +21,8 @@ import numpy as np
 from .complex_poly import unit_points
 from .errors import NotPersymmetricError, PersymmetryViolationError, ShapeError
 from .mirror import is_persymmetric, mirror_dual, principal_sqrt_unimodular
-from .opuc_core import OpucSystem, VerblunskySequence, build_system, factors, ladder_values, spectrum
-from .opuc_core import cmv_matrix, theta_block  # noqa: F401  (public names of this module)
+from .opuc_core import OpucSystem, VerblunskySequence, build_system, ladder_values, spectrum
+from .opuc_core import cmv_matrix, factors, theta_block  # noqa: F401  (public names of this module)
 from .tolerances import SIGN_SLACK, TRANSPORT_RESIDUAL, UNIMODULAR
 
 
@@ -41,11 +41,16 @@ def laurent_eigenvectors(sys: OpucSystem, z: np.ndarray) -> np.ndarray:
     values (``ladder_values``).  At roots of the final polynomial each
     column psi satisfies U psi = z psi.
     """
-    vals = ladder_values(sys.v, z)
+    return _laurent_columns(ladder_values(sys.v, z), z, sys.h)
+
+
+def _laurent_columns(vals: np.ndarray, z: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``laurent_eigenvectors`` from the values Phi_k(z) in row k; vals itself is not written."""
+    vals = vals.copy()
     vals[1::2] = np.conj(vals[1::2])
-    k = np.arange(sys.v.n + 1)
+    k = np.arange(vals.shape[0])
     powers = np.where(k % 2 == 0, -(k // 2), k // 2)
-    return z ** powers[:, None] * vals / np.sqrt(sys.h)[:, None]
+    return z ** powers[:, None] * vals / np.sqrt(h)[:, None]
 
 
 @dataclass(frozen=True)
@@ -73,9 +78,8 @@ def _reflection_diagonal(tau: complex, size: int) -> np.ndarray:
     return d
 
 
-def _reflect(left: complex, m: np.ndarray, right: complex) -> np.ndarray:
-    """Q(left) @ m @ Q(right), with each Q applied as a reversal and a diagonal."""
-    d_left, d_right = _reflection_diagonal(left, m.shape[0]), _reflection_diagonal(right, m.shape[0])
+def _reflect(d_left: np.ndarray, m: np.ndarray, d_right: np.ndarray) -> np.ndarray:
+    """Q @ m @ Q', with Q and Q' given by their ``_reflection_diagonal`` and applied as a reversal."""
     return d_left[:, None] * m[::-1, ::-1] * d_right[::-1]
 
 
@@ -115,23 +119,22 @@ def verify_mirror_relations(v: VerblunskySequence) -> MirrorRelationReport:
     Every identity involves tau quadratically, so both square root branches
     give the same residuals; tau is the principal branch.
     """
-    vh = mirror_dual(v)
-    m1, m2 = factors(v)
-    mh1, mh2 = factors(vh)
+    m1, m2 = v.cmv_factors
+    mh1, mh2 = mirror_dual(v).cmv_factors
     u = m2 @ m1
     uh = mh2 @ mh1
     odd = v.n % 2 == 1
     root = principal_sqrt_unimodular(v.omega)
     tau = np.conj(root) if odd else root
-    inv = 1.0 / tau
+    q_tau, q_inv = _reflection_diagonal(tau, v.n + 1), _reflection_diagonal(1.0 / tau, v.n + 1)
     if odd:
-        r1 = float(np.max(np.abs(_reflect(inv, m1, tau) - mh1)))
-        r2 = float(np.max(np.abs(_reflect(tau, m2, inv) - mh2)))
-        r3 = float(np.max(np.abs(_reflect(tau, u, tau) - uh)))
+        r1 = float(np.max(np.abs(_reflect(q_inv, m1, q_tau) - mh1)))
+        r2 = float(np.max(np.abs(_reflect(q_tau, m2, q_inv) - mh2)))
+        r3 = float(np.max(np.abs(_reflect(q_tau, u, q_tau) - uh)))
     else:
-        r1 = float(np.max(np.abs(_reflect(inv, m1, inv) - mh2)))
-        r2 = float(np.max(np.abs(_reflect(tau, m2, tau) - mh1)))
-        r3 = float(np.max(np.abs(_reflect(tau, u, inv) - uh.T)))
+        r1 = float(np.max(np.abs(_reflect(q_inv, m1, q_inv) - mh2)))
+        r2 = float(np.max(np.abs(_reflect(q_tau, m2, q_tau) - mh1)))
+        r3 = float(np.max(np.abs(_reflect(q_tau, u, q_inv) - uh.T)))
     return MirrorRelationReport("odd" if odd else "even", complex(tau), r1, r2, r3)
 
 
@@ -145,7 +148,8 @@ def persymmetric_sign_pattern(v: VerblunskySequence) -> list[int]:
     identity psi_{N-k} = epsilon (-1)^s omega^(+-1/2) psi_k, with exponent
     +1/2 for even k and -1/2 for odd k; both are verified here to
     TRANSPORT_RESIDUAL, with each eigenvalue within SIGN_SLACK of +-1, for
-    all nodes at once on the matrix of eigenvectors (``laurent_eigenvectors``).
+    all nodes at once on the matrix of eigenvectors (``laurent_eigenvectors``),
+    built from the ladder values at the nodes that v keeps.
 
     Returns the per-node signs; raises PersymmetryViolationError naming the
     first node (and component) where the pattern fails.
@@ -155,7 +159,8 @@ def persymmetric_sign_pattern(v: VerblunskySequence) -> list[int]:
     if not is_persymmetric(v):
         raise NotPersymmetricError("coefficient list is not self-dual")
     sys = build_system(v)
-    psi = laurent_eigenvectors(sys, unit_points(spectrum(sys)))
+    z = unit_points(spectrum(sys))
+    psi = _laurent_columns(v.node_values, z, sys.h)
     tau = np.conj(principal_sqrt_unimodular(v.omega))
     qpsi = _reflection_diagonal(tau, v.n + 1)[:, None] * psi[::-1]  # Q(tau) psi
     mu = np.sum(np.conj(psi) * qpsi, axis=0) / np.sum(np.abs(psi) ** 2, axis=0)

@@ -107,7 +107,7 @@ def dual_weights(sys: OpucSystem) -> np.ndarray:
     is h_N / |Phi'_{N+1}(z_s)|^2.  A dual weight of 0.0 raises WeightError,
     as in ``weights``.
     """
-    return _resolved(sys.quadrature[1][1], "N")
+    return _resolved(sys.v.quadrature[1][1], "N")
 
 
 def persymmetric_weights(nodes: "np.ndarray | Sequence[UnitCirclePoint]", h_final: float) -> np.ndarray:
@@ -182,7 +182,8 @@ def verify_persymmetry_characterizations(v: VerblunskySequence) -> PersymmetryCh
     Rejects input whose coefficient list is not self-dual (defect above
     SELF_DUAL_DEFECT, 1e-10); for valid input, returns the worst residual of
     each identity and the phase sign that fits.  The weights come from the
-    system's eigen-solve, the Phi_N values from the ladder at the nodes.
+    eigen-solve v keeps, the Phi_N values from its ladder at the nodes; any
+    other check of v reads the same memos.
     """
     if not is_persymmetric(v):
         raise NotPersymmetricError(
@@ -202,15 +203,15 @@ def _persymmetry_characterizations(sys: OpucSystem) -> PersymmetryCharacterizati
         raise WeightError(f"squared norm h_{k} underflows to 0, so the persymmetric forms are undefined")
     nodes = spectrum(sys)
     h_final = float(sys.h[-1])
-    w = sys.quadrature[1][0]
+    w = sys.v.quadrature[1][0]
     weight_residual = float(np.max(np.abs(w - persymmetric_weights(nodes, h_final))))
-    phi_n = sys.node_values[-1]
+    phi_n = sys.v.node_values[-1]
     modulus_residual = float(np.max(np.abs(np.abs(phi_n) - np.sqrt(h_final))))
 
+    predicted = phi_n_values(nodes, sys.v.omega, h_final, 1)  # epsilon = -1 predicts its exact negation
     best_eps, best = 1, np.inf
-    for eps in (1, -1):
-        predicted = phi_n_values(nodes, sys.v.omega, h_final, eps)
-        resid = float(np.max(np.abs(phi_n - predicted)))
+    for eps, diff in ((1, phi_n - predicted), (-1, phi_n + predicted)):
+        resid = float(np.max(np.abs(diff)))
         if resid < best:
             best_eps, best = eps, resid
     return PersymmetryCharacterizations(weight_residual, modulus_residual, best, best_eps)

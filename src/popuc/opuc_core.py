@@ -16,10 +16,14 @@ unit-circle Golub-Welsch rule.  U is normal, so one Hermitian eigen-solve of
 U + U^H gives V (``eigen_rows``); row N of |V|^2 holds the weights of the
 mirror dual.
 
-A system solves its eigenproblem once and runs the ladder at its own nodes
-once: ``spectrum``, ``weights``, ``mirror.dual_weights`` and the persymmetry
-checks share ``OpucSystem.quadrature``, and ``orthogonality_residual`` checks
-the weights against ``OpucSystem.node_values``, the recurrence at the nodes.
+The coefficient list owns the memos.  A ``VerblunskySequence`` builds its
+CMV factors, solves U and runs the ladder at its own nodes once, however
+many systems and checks are built from it: ``spectrum``, ``weights``,
+``mirror.dual_weights``, the persymmetry checks, the mirror relations and
+the sign pattern share ``VerblunskySequence.quadrature`` and
+``cmv_factors``, and ``orthogonality_residual`` checks the weights against
+``VerblunskySequence.node_values``, the recurrence at the nodes.  A memo
+never holds a system, so no reference cycle keeps a solve alive.
 """
 
 from __future__ import annotations
@@ -39,8 +43,13 @@ from .tolerances import EIGEN_CLUSTER, MONIC, SPECTRUM_RADIUS, UNIMODULAR, VERBL
 class VerblunskySequence:
     """Truncated coefficient data: a_0 .. a_{N-1} plus unimodular omega.
 
-    ``a`` is a read-only copy of the input, so a system built from it cannot
-    go stale when the caller's array changes.
+    ``a`` is a read-only copy of the input, so a memo built from it cannot go
+    stale when the caller's array changes.  The CMV factors, the eigen-solve
+    of U, the sorted nodes and weights, the ladder values at the nodes and
+    the ladder ``phis`` are computed on first access and kept here, so every
+    system and every check built from one coefficient list shares them.
+    Each memo is read-only and holds arrays only, never a system, so the
+    list is freed by reference counting alone.
     """
 
     a: np.ndarray
@@ -67,26 +76,18 @@ class VerblunskySequence:
     def n(self) -> int:
         return self.a.size
 
-
-@dataclass(frozen=True, eq=False)
-class OpucSystem:
-    """Verblunsky data with the squared norms h_0 .. h_N, built from v alone in O(N).
-
-    The ladder ``phis``, the eigen-solve of U, the sorted nodes and weights
-    and the ladder values at the nodes are computed on first access; every
-    memo is read-only and lives as long as the system.
-    """
-
-    v: VerblunskySequence
-    h: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "h", squared_norms(self.v.a))
+    @cached_property
+    def cmv_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """``factors`` (M1, M2) of the CMV matrix U = M2 @ M1, read-only."""
+        m1, m2 = factors(self)
+        m1.flags.writeable = m2.flags.writeable = False
+        return m1, m2
 
     @cached_property
     def eigen(self) -> tuple[np.ndarray, np.ndarray]:
         """``eigen_rows`` of the CMV matrix U, unsorted and read-only."""
-        lam, rows = eigen_rows(cmv_matrix(self.v))
+        m1, m2 = self.cmv_factors
+        lam, rows = eigen_rows(m2 @ m1)
         lam.flags.writeable = rows.flags.writeable = False
         return lam, rows
 
@@ -111,15 +112,10 @@ class OpucSystem:
         theta.flags.writeable = rows.flags.writeable = False
         return theta, rows
 
-    @property
-    def theta(self) -> np.ndarray:
-        """The sorted node angles of ``quadrature``: the roots of Phi_{N+1}."""
-        return self.quadrature[0]
-
     @cached_property
     def node_values(self) -> np.ndarray:
-        """``ladder_values`` at the nodes ``theta``, read-only."""
-        vals = ladder_values(self.v, unit_points(self.theta))
+        """``ladder_values`` at the sorted nodes of ``quadrature``, read-only."""
+        vals = ladder_values(self, unit_points(self.quadrature[0]))
         vals.flags.writeable = False
         return vals
 
@@ -130,10 +126,10 @@ class OpucSystem:
         Entry k holds the k + 1 ascending coefficients of Phi_k; the entries
         are read-only rows of one (N+2) x (N+2) array.
         """
-        size = self.v.n + 2
+        size = self.n + 2
         ladder = np.zeros((size, size), dtype=np.complex128)
         ladder[0, 0] = 1.0
-        conj_a = np.conj(np.append(self.v.a, self.v.omega))
+        conj_a = np.conj(np.append(self.a, self.omega))
         for k in range(size - 1):
             prev = ladder[k, : k + 1]
             ladder[k + 1, 1 : k + 2] = prev
@@ -142,6 +138,27 @@ class OpucSystem:
             raise ValueError("ladder coefficients must be finite")
         ladder.flags.writeable = False
         return tuple(ladder[k, : k + 1] for k in range(size))
+
+
+@dataclass(frozen=True, eq=False)
+class OpucSystem:
+    """Verblunsky data with the squared norms h_0 .. h_N, built from v alone in O(N).
+
+    The system keeps no memo of its own: ``phis`` and the functions that
+    take a system read the memos of v, so every system of one coefficient
+    list shares one eigen-solve and one ladder.
+    """
+
+    v: VerblunskySequence
+    h: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "h", squared_norms(self.v.a))
+
+    @property
+    def phis(self) -> tuple[np.ndarray, ...]:
+        """``v.phis``: the ladder Phi_0 .. Phi_{N+1}."""
+        return self.v.phis
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,14 +349,15 @@ def ladder_values(v: VerblunskySequence, z: np.ndarray) -> np.ndarray:
 
 
 def spectrum(sys: OpucSystem) -> np.ndarray:
-    """The system's node angles ``sys.theta``: sorted, in [0, 2 pi), read-only."""
-    return sys.theta
+    """The node angles ``sys.v.quadrature[0]``, the roots of Phi_{N+1}: sorted, in [0, 2 pi), read-only."""
+    return sys.v.quadrature[0]
 
 
 def _values_at(sys: OpucSystem, theta: np.ndarray) -> np.ndarray:
-    """``ladder_values`` at cos theta + i sin theta; the kept ``node_values`` when theta is ``sys.theta``."""
-    if "quadrature" in vars(sys) and theta is sys.theta:
-        return sys.node_values
+    """``ladder_values`` at cos theta + i sin theta; the kept ``node_values`` when theta is the kept nodes."""
+    kept = vars(sys.v).get("quadrature")
+    if kept is not None and theta is kept[0]:
+        return sys.v.node_values
     return ladder_values(sys.v, unit_points(theta))
 
 
@@ -353,7 +371,7 @@ def weights(sys: OpucSystem, nodes: "np.ndarray | Sequence[UnitCirclePoint]") ->
     eigenvector component is below rounding, raises WeightError naming the
     node.  SpectralData further requires a sum within WEIGHT_SUM of one.
     """
-    theta, rows = sys.quadrature
+    theta, rows = sys.v.quadrature
     if nodes is not theta and not np.array_equal(node_angles(nodes), theta):
         raise ValueError("weights are defined at the system's own nodes only: pass spectrum(sys)")
     return SpectralData(theta, _resolved(rows[0], "0"))

@@ -19,9 +19,12 @@ def random_verblunsky(rng: np.random.Generator, n: int, max_mag: float = 0.85) -
     return VerblunskySequence(radius * np.exp(1j * phase), omega)
 
 
-def count_calls(monkeypatch, module, name: str) -> list:
-    """Wrap module.name for the test; the returned list gets the arguments of each call."""
-    calls = []
+def count_calls(monkeypatch, module, name: str, calls: "list | None" = None) -> list:
+    """Wrap module.name for the test; the returned list gets the arguments of each call.
+
+    Pass the list of an earlier count as calls to count two modules' names as one.
+    """
+    calls = [] if calls is None else calls
     original = getattr(module, name)
 
     def counted(*args, **kwargs):

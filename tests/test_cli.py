@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import count_calls, random_persymmetric, random_verblunsky
-from popuc import WeightError, krawtchouk_family
+from popuc import WeightError, krawtchouk_family, mirror_dual
 from popuc.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -427,6 +427,7 @@ def test_check_all_runs_one_forward_pass_on_self_dual_data(capsys, monkeypatch):
 
 @pytest.mark.parametrize("self_dual", [False, True], ids=["random", "self_dual"])
 def test_check_all_solves_and_runs_the_ladder_once(capsys, monkeypatch, self_dual):
+    import popuc.cmv as cmv
     import popuc.opuc_core as opuc_core
 
     rng = np.random.default_rng(19)
@@ -434,9 +435,13 @@ def test_check_all_solves_and_runs_the_ladder_once(capsys, monkeypatch, self_dua
     doc = json.dumps({"a": [[z.real, z.imag] for z in v.a.tolist()], "omega": [v.omega.real, v.omega.imag]})
     solves = count_calls(monkeypatch, np.linalg, "eigh")
     ladders = count_calls(monkeypatch, opuc_core, "ladder_values")
+    builds = count_calls(monkeypatch, opuc_core, "factors")
+    count_calls(monkeypatch, cmv, "factors", builds)
     code, out, _ = run(capsys, "check", "--verblunsky", doc, "--all")
     checks = json.loads(out)["payload"]["checks"]
     assert code == 0 and checks["persymmetric"] is self_dual
     assert ("persymmetry_characterizations" in checks) is self_dual
     assert (len(solves), len(ladders)) == (1, 1)
+    # the factors of v, shared by the solve and the mirror relations, then those of its dual
+    assert [args[0].a.tolist() for args in builds] == [v.a.tolist(), mirror_dual(v).a.tolist()]
 

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import characteristic_polynomial, eigenpair_residual, random_persymmetric, random_verblunsky
+from conftest import (
+    characteristic_polynomial,
+    count_calls,
+    eigenpair_residual,
+    random_persymmetric,
+    random_verblunsky,
+)
 from popuc import (
     krawtchouk_family,
     NotPersymmetricError,
@@ -21,6 +27,7 @@ from popuc import (
     theta_block,
     unitarity_residual,
     verify_mirror_relations,
+    verify_persymmetry_characterizations,
     persymmetric_sign_pattern,
 )
 from popuc.complex_poly import unit_points
@@ -333,3 +340,23 @@ def test_sign_pattern_input_gates():
         persymmetric_sign_pattern(random_persymmetric(rng, 4))
     with pytest.raises(NotPersymmetricError):
         persymmetric_sign_pattern(VerblunskySequence([0.5, 0.1, 0.0], 1.0))
+
+
+@pytest.mark.parametrize("n", [9, 8])
+def test_mirror_checks_share_one_solve_one_ladder_and_one_factor_pair(monkeypatch, n):
+    # the checks the self-dual benchmark runs, each given the coefficient list
+    import popuc.cmv as cmv
+    import popuc.opuc_core as opuc_core
+
+    v = random_persymmetric(np.random.default_rng(71), n)
+    solves = count_calls(monkeypatch, np.linalg, "eigh")
+    ladders, builds = [], []
+    for module in (opuc_core, cmv):
+        count_calls(monkeypatch, module, "ladder_values", ladders)
+        count_calls(monkeypatch, module, "factors", builds)
+    if n % 2:
+        persymmetric_sign_pattern(v)
+    assert verify_persymmetry_characterizations(v).max_residual <= 1e-8
+    assert verify_mirror_relations(v).max_residual <= 1e-10
+    assert (len(solves), len(ladders)) == (1, 1)
+    assert [args[0] is v for args in builds] == [True, False]  # v once, then its mirror dual once

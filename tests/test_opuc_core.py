@@ -1,9 +1,12 @@
 """Recurrence, spectrum and weights of finite paraorthogonal systems."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from conftest import count_calls, random_verblunsky
+from conftest import count_calls, random_persymmetric, random_verblunsky
 from popuc import (
     OpucSystem,
     ShapeError,
@@ -18,9 +21,12 @@ from popuc import (
     free_family,
     orthogonality_residual,
     paraorthogonality_residual,
+    persymmetric_sign_pattern,
     spectrum,
     krawtchouk_family,
     verblunsky_from_polys,
+    verify_mirror_relations,
+    verify_persymmetry_characterizations,
     weights,
 )
 from popuc.complex_poly import unit_points
@@ -132,16 +138,16 @@ def test_spectrum_rotated_monomials():
 
 
 def test_spectrum_rejects_off_circle_roots():
-    # eigenvalues filled into the system's memo by hand, pushed off the
-    # circle by half and by twice SPECTRUM_RADIUS
+    # eigenvalues filled into the memos of two copies of the coefficient
+    # list by hand, pushed off the circle by half and by twice SPECTRUM_RADIUS
     v = random_verblunsky(np.random.default_rng(101), 12)
     lam, rows = eigen_rows(cmv_matrix(v))
-    inside, outside = build_system(v), build_system(v)
+    inside, outside = VerblunskySequence(v.a, v.omega), VerblunskySequence(v.a, v.omega)
     vars(inside)["eigen"] = (np.append(lam[1:], lam[0] * (1.0 + 0.5 * SPECTRUM_RADIUS)), rows)
     vars(outside)["eigen"] = (np.append(lam[1:], lam[0] * (1.0 + 2.0 * SPECTRUM_RADIUS)), rows)
-    assert spectrum(inside).size == 13
+    assert spectrum(build_system(inside)).size == 13
     with pytest.raises(SpectralValidityError):
-        spectrum(outside)
+        spectrum(build_system(outside))
 
 
 def test_weights_flat_for_monomials():
@@ -306,8 +312,8 @@ def test_paraorthogonality_flags_a_moved_coefficient():
     sys_ = build_system(v)
     top = sys_.phis[-1].copy()
     top[6] += 1e-6
-    moved = OpucSystem(v)
-    vars(moved)["phis"] = sys_.phis[:-1] + (top,)  # fill the cached ladder by hand
+    moved = OpucSystem(VerblunskySequence(v.a, v.omega))
+    vars(moved.v)["phis"] = sys_.phis[:-1] + (top,)  # fill the cached ladder by hand
     assert paraorthogonality_residual(sys_) <= 1e-14
     assert paraorthogonality_residual(moved) > 1e-8
 
@@ -326,14 +332,54 @@ def test_spectrum_weights_and_residual_share_one_solve_and_one_ladder(monkeypatc
 
 
 def test_memoised_arrays_are_read_only():
-    sys_ = build_system(random_verblunsky(np.random.default_rng(59), 6))
+    v = random_verblunsky(np.random.default_rng(59), 6)
+    sys_ = build_system(v)
     data = weights(sys_, spectrum(sys_))
-    for arr in (*sys_.eigen, *sys_.quadrature, data.theta, data.weights, sys_.node_values):
+    memos = (*v.cmv_factors, *v.eigen, *v.quadrature, v.node_values, *v.phis)
+    for arr in (*memos, data.theta, data.weights):
         with pytest.raises(ValueError):
             arr[0] = 0.0
     with pytest.raises(AttributeError):
+        v.quadrature = (np.zeros(7), np.zeros((2, 7)))
+    with pytest.raises(AttributeError):
         sys_.theta = np.zeros(7)
+    assert sys_.phis is v.phis
     assert [p.theta for p in data.nodes] == data.theta.tolist()
+
+
+def test_systems_of_one_coefficient_list_share_its_memos(monkeypatch):
+    import popuc.opuc_core as opuc_core
+
+    solves = count_calls(monkeypatch, np.linalg, "eigh")
+    builds = count_calls(monkeypatch, opuc_core, "factors")
+    v = random_verblunsky(np.random.default_rng(61), 8)
+    first, second = build_system(v), build_system(v)
+    assert spectrum(first) is spectrum(second) and first.phis is second.phis
+    dual_weights(second)
+    assert (len(solves), len(builds)) == (1, 1)
+    assert vars(first).keys() == vars(second).keys() == {"v", "h"}  # no memo on a system
+
+
+def test_a_coefficient_list_with_filled_memos_is_freed_without_the_collector():
+    # a memo that held a system would make a reference cycle, and every
+    # solve would then wait for the cycle collector
+    v = random_persymmetric(np.random.default_rng(67), 9)
+    sys_ = build_system(v)
+    data = weights(sys_, spectrum(sys_))
+    assert orthogonality_residual(sys_, data) <= 1e-8 and paraorthogonality_residual(sys_) <= 1e-10
+    verify_persymmetry_characterizations(v)
+    verify_mirror_relations(v)
+    persymmetric_sign_pattern(v)
+    assert {"cmv_factors", "eigen", "quadrature", "node_values", "phis"} <= set(vars(v))
+    ref = weakref.ref(v)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del v, sys_
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_verblunsky_data_is_a_read_only_copy():
