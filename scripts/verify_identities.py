@@ -16,7 +16,6 @@ import numpy as np
 from popuc import (
     PersymmetricSeed,
     VerblunskySequence,
-    build_system,
     cmv_matrix,
     free_family,
     krawtchouk_family,
@@ -77,17 +76,16 @@ def random_rows(seed, count, n_max):
     }
     for _ in range(count):
         v = random_verblunsky(rng, int(rng.integers(1, n_max + 1)))
-        sys_ = build_system(v)
-        nodes = spectrum(sys_)
-        data = weights(sys_, nodes)
-        worst["orthogonality"] = max(worst["orthogonality"], orthogonality_residual(sys_, data))
+        nodes = spectrum(v)
+        data = weights(v, nodes)
+        worst["orthogonality"] = max(worst["orthogonality"], orthogonality_residual(v, data))
         worst["paraorthogonality"] = max(
-            worst["paraorthogonality"], paraorthogonality_residual(sys_)
+            worst["paraorthogonality"], paraorthogonality_residual(v)
         )
         u = cmv_matrix(v)
         worst["cmv unitarity"] = max(worst["cmv unitarity"], unitarity_residual(u))
         z = unit_points(nodes)
-        psi = laurent_eigenvectors(sys_, z)
+        psi = laurent_eigenvectors(v, z)
         resid = np.max(np.abs(u @ psi - z * psi), axis=0)
         scaled = resid / np.maximum(1.0, np.max(np.abs(psi), axis=0))
         worst["cmv eigenpairs"] = max(worst["cmv eigenpairs"], float(np.max(scaled)))

@@ -67,7 +67,6 @@ from .mirror import (
     verify_persymmetry_characterizations,
 )
 from .opuc_core import (
-    OpucSystem,
     SpectralData,
     VerblunskySequence,
     build_system,
@@ -86,7 +85,6 @@ __all__ = [
     "FamilyInstance",
     "MirrorRelationReport",
     "NotPersymmetricError",
-    "OpucSystem",
     "PersymmetricSeed",
     "PersymmetryCharacterizations",
     "PersymmetryViolationError",

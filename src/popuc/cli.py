@@ -42,14 +42,9 @@ from .errors import (
     WeightError,
 )
 from .inverse_spectral import reconstruct_persymmetric
-from .mirror import (
-    _persymmetry_characterizations,
-    is_persymmetric,
-    persymmetry_defect,
-)
+from .mirror import is_persymmetric, persymmetry_defect, verify_persymmetry_characterizations
 from .opuc_core import (
     VerblunskySequence,
-    build_system,
     orthogonality_residual,
     paraorthogonality_residual,
     spectrum,
@@ -143,19 +138,18 @@ def _system_from_args(args: argparse.Namespace) -> VerblunskySequence:
 
 
 def _payload(v: VerblunskySequence, emit: str) -> dict[str, Any]:
-    sys_ = build_system(v)
     out: dict[str, Any] = {
         "n": v.n,
         "verblunsky": {"a": v.a, "omega": _pair(v.omega)},
     }
     if emit in ("phis", "all"):
-        out["phis"] = list(sys_.phis)
-        out["h"] = sys_.h
+        out["phis"] = list(v.phis)
+        out["h"] = v.h
     if emit in ("spectrum", "weights", "all"):
-        theta = spectrum(sys_)
+        theta = spectrum(v)
         out["spectrum"] = {"theta": theta, "z": unit_points(theta)}
         if emit in ("weights", "all"):
-            out["weights"] = weights(sys_, theta).weights
+            out["weights"] = weights(v, theta).weights
     if emit in ("cmv", "all"):
         m1, m2 = v.cmv_factors
         out["cmv"] = {"m1": m1, "m2": m2, "u": m2 @ m1}
@@ -179,11 +173,11 @@ def cmd_check(args: argparse.Namespace) -> int:
     run_all = args.all or not (args.persymmetric or args.mirror_relations or args.orthogonality)
     checks: dict[str, Any] = {}
     passed = True
-    sys_ = build_system(v)  # v keeps its eigen-solve, ladder values and CMV factors for every check below
+    # every check below takes v and reads the one eigen-solve, ladder and factor pair it keeps
     if args.orthogonality or run_all:
-        data = weights(sys_, spectrum(sys_))
-        ortho = orthogonality_residual(sys_, data)
-        para = paraorthogonality_residual(sys_)
+        data = weights(v, spectrum(v))
+        ortho = orthogonality_residual(v, data)
+        para = paraorthogonality_residual(v)
         checks["orthogonality_residual"] = ortho
         checks["paraorthogonality_residual"] = para
         passed = passed and ortho <= ORTHOGONALITY and para <= PARAORTHOGONALITY
@@ -200,7 +194,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     checks["persymmetric"] = persym
     checks["persymmetry_defect"] = persymmetry_defect(v)
     if persym and (args.persymmetric or run_all):
-        chars = _persymmetry_characterizations(sys_)
+        chars = verify_persymmetry_characterizations(v)
         checks["persymmetry_characterizations"] = {
             "weight_residual": chars.weight_residual,
             "modulus_residual": chars.modulus_residual,

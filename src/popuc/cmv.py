@@ -3,8 +3,10 @@
 The unitary matrix U = M2 @ M1 acts on the Laurent-polynomial basis built
 from the ladder; its eigenvalues are exactly the spectrum of the final
 polynomial, and ``opuc_core.spectrum`` computes the nodes that way.  The
-builder itself (``theta_block``, ``factors``, ``cmv_matrix``) lives in
-``opuc_core`` and is re-exported here.  Two entry conventions for the 2x2
+checks here take the coefficient list and read the factors, nodes and
+ladder values it keeps.  The builder itself (``theta_block``,
+``factors``, ``cmv_matrix``) lives in ``opuc_core`` and is re-exported
+here.  Two entry conventions for the 2x2
 rotation blocks circulate in the literature, differing by conjugation of
 the coefficient.  The one built (conjugated coefficient on the upper-left,
 plain negated coefficient on the lower-right, scalar tail conj(omega)) is
@@ -21,9 +23,9 @@ import numpy as np
 from .complex_poly import unit_points
 from .errors import NotPersymmetricError, PersymmetryViolationError, ShapeError
 from .mirror import is_persymmetric, mirror_dual, principal_sqrt_unimodular
-from .opuc_core import OpucSystem, VerblunskySequence, build_system, ladder_values, spectrum
+from .opuc_core import VerblunskySequence, ladder_values, spectrum, unimodular
 from .opuc_core import cmv_matrix, factors, theta_block  # noqa: F401  (public names of this module)
-from .tolerances import SIGN_SLACK, TRANSPORT_RESIDUAL, UNIMODULAR
+from .tolerances import SIGN_SLACK, TRANSPORT_RESIDUAL
 
 
 def unitarity_residual(m: np.ndarray) -> float:
@@ -32,7 +34,7 @@ def unitarity_residual(m: np.ndarray) -> float:
     return float(np.max(np.abs(np.conj(m.T) @ m - eye)))
 
 
-def laurent_eigenvectors(sys: OpucSystem, z: np.ndarray) -> np.ndarray:
+def laurent_eigenvectors(v: VerblunskySequence, z: np.ndarray) -> np.ndarray:
     """Eigenvectors of the CMV matrix at the points z, one per column.
 
     Component 2m is z^(-m) Phi_2m(z) / sqrt(h_2m); component 2m+1 is
@@ -41,7 +43,7 @@ def laurent_eigenvectors(sys: OpucSystem, z: np.ndarray) -> np.ndarray:
     values (``ladder_values``).  At roots of the final polynomial each
     column psi satisfies U psi = z psi.
     """
-    return _laurent_columns(ladder_values(sys.v, z), z, sys.h)
+    return _laurent_columns(ladder_values(v, z), z, v.h)
 
 
 def _laurent_columns(vals: np.ndarray, z: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -63,8 +65,7 @@ class QuasiReflection:
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ShapeError("size must be positive")
-        if abs(abs(complex(self.tau)) - 1.0) > UNIMODULAR:
-            raise ValueError("tau must be unimodular")
+        unimodular("tau", self.tau)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -158,9 +159,8 @@ def persymmetric_sign_pattern(v: VerblunskySequence) -> list[int]:
         raise ShapeError("the sign pattern needs odd n")
     if not is_persymmetric(v):
         raise NotPersymmetricError("coefficient list is not self-dual")
-    sys = build_system(v)
-    z = unit_points(spectrum(sys))
-    psi = _laurent_columns(v.node_values, z, sys.h)
+    z = unit_points(spectrum(v))
+    psi = _laurent_columns(v.node_values, z, v.h)
     tau = np.conj(principal_sqrt_unimodular(v.omega))
     qpsi = _reflection_diagonal(tau, v.n + 1)[:, None] * psi[::-1]  # Q(tau) psi
     mu = np.sum(np.conj(psi) * qpsi, axis=0) / np.sum(np.abs(psi) ** 2, axis=0)

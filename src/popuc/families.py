@@ -19,13 +19,12 @@ from .errors import ShapeError
 from .mirror import persymmetry_defect
 from .opuc_core import (
     VerblunskySequence,
-    build_system,
     orthogonality_residual,
     paraorthogonality_residual,
     spectrum,
+    unimodular,
     weights,
 )
-from .tolerances import UNIMODULAR
 
 TWO_PI = 2.0 * np.pi
 
@@ -35,7 +34,7 @@ class FamilyInstance:
     """Coefficient data plus the closed forms a family is known to satisfy.
 
     closed_form_phis, when present, holds Phi_0 .. Phi_{N+1} as ascending
-    complex coefficient arrays, entry k of length k + 1, like ``OpucSystem.phis``.
+    complex coefficient arrays, entry k of length k + 1, like ``VerblunskySequence.phis``.
     """
 
     name: str
@@ -189,9 +188,7 @@ def krawtchouk_family(n: int, omega: complex) -> FamilyInstance:
     """
     if n < 1:
         raise ShapeError("need n >= 1")
-    w_om = complex(omega)
-    if abs(abs(w_om) - 1.0) > UNIMODULAR:
-        raise ValueError("omega must be unimodular")
+    w_om = unimodular("omega", omega)
     if abs(1.0 + w_om) < 1e-4:
         raise ValueError("omega too close to -1, the family degenerates")
     a = np.array(
@@ -246,24 +243,24 @@ def verify_family(inst: FamilyInstance) -> dict[str, float]:
     "orthogonality" and "paraorthogonality", and "persymmetry_defect" for
     families that claim it.
     """
-    sys = build_system(inst.v)
+    v = inst.v
     report: dict[str, float] = {}
     if inst.closed_form_phis is not None:
-        if len(inst.closed_form_phis) != len(sys.phis):
+        if len(inst.closed_form_phis) != len(v.phis):
             raise ShapeError("closed-form ladder has the wrong length")
         worst = 0.0
-        for ours, closed in zip(sys.phis, inst.closed_form_phis):
+        for ours, closed in zip(v.phis, inst.closed_form_phis):
             worst = max(worst, float(np.max(np.abs(ours - closed))))
         report["phi"] = worst
-    nodes = spectrum(sys)
+    nodes = spectrum(v)
     if inst.closed_form_nodes is not None:
         closed_z = as_complex_array(inst.closed_form_nodes)
         report["nodes"] = float(np.max(np.abs(closed_z - unit_points(nodes))))
-    data = weights(sys, nodes)
+    data = weights(v, nodes)
     if inst.closed_form_weights is not None:
         report["weights"] = float(np.max(np.abs(inst.closed_form_weights - data.weights)))
-    report["orthogonality"] = orthogonality_residual(sys, data)
-    report["paraorthogonality"] = paraorthogonality_residual(sys)
+    report["orthogonality"] = orthogonality_residual(v, data)
+    report["paraorthogonality"] = paraorthogonality_residual(v)
     if inst.persymmetric:
-        report["persymmetry_defect"] = persymmetry_defect(inst.v)
+        report["persymmetry_defect"] = persymmetry_defect(v)
     return report

@@ -22,15 +22,8 @@ from .errors import (
     SzegoClassError,
 )
 from .mirror import _neg_log_derivative, persymmetry_defect
-from .opuc_core import VerblunskySequence, build_system, spectrum
-from .tolerances import (
-    NODE_PRODUCT_DRIFT,
-    NODE_SEPARATION,
-    RECOVERED_DEFECT,
-    RESIDUAL,
-    UNIMODULAR,
-    VERBLUNSKY_MARGIN,
-)
+from .opuc_core import VerblunskySequence, spectrum, unimodular
+from .tolerances import NODE_PRODUCT_DRIFT, NODE_SEPARATION, RECOVERED_DEFECT, RESIDUAL, VERBLUNSKY_MARGIN
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,9 +75,7 @@ def reconstruct_persymmetric(
     n_top = count - 1
     if np.any(np.diff(thetas) <= 0.0):
         raise ShapeError("nodes must be strictly increasing in theta")
-    w = complex(omega)
-    if abs(abs(w) - 1.0) > UNIMODULAR:
-        raise ValueError("omega must be unimodular")
+    w = unimodular("omega", omega)
 
     z = unit_points(thetas)
     closest = float(np.min(np.abs(np.diff(z, append=z[0]))))  # sorted: the closest pair is adjacent
@@ -129,7 +120,7 @@ def reconstruct_persymmetric(
     a[free:] = -w * np.conj(a[: n_top - free][::-1])
     v = VerblunskySequence(a, w)
 
-    rebuilt = spectrum(build_system(v))
+    rebuilt = spectrum(v)
     spectrum_residual = float(np.max(np.abs(unit_points(rebuilt) - z)))
     if not spectrum_residual <= RESIDUAL:
         raise NotPersymmetricError(

@@ -6,7 +6,8 @@ spectrum, while their weights multiply to h_N / |Phi'_{N+1}|^2 node by node;
 the dual weights are the squared last components of the eigenvectors that
 give the primal weights.  Data equal to its own dual is called
 persymmetric; such a system is pinned down by its spectrum alone, which
-drives the inverse problem elsewhere in the package.
+drives the inverse problem elsewhere in the package.  Every check here
+takes the coefficient list and reads the memos it keeps.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 
 from .complex_poly import UnitCirclePoint, node_angles, unit_points
 from .errors import NotPersymmetricError, ShapeError, WeightError
-from .opuc_core import OpucSystem, VerblunskySequence, _resolved, build_system, spectrum
-from .tolerances import SELF_DUAL_DEFECT, UNIMODULAR, VERBLUNSKY_MARGIN
+from .opuc_core import VerblunskySequence, _resolved, spectrum, unimodular
+from .tolerances import SELF_DUAL_DEFECT, VERBLUNSKY_MARGIN
 
 
 def principal_sqrt_unimodular(w: complex) -> complex:
@@ -75,9 +76,7 @@ class PersymmetricSeed:
                 raise ValueError("middle parameter must lie in (-1, 1)")
         elif self.middle_r is not None:
             raise ShapeError("even n takes no middle parameter")
-        w = complex(self.omega)
-        if abs(abs(w) - 1.0) > UNIMODULAR:
-            raise ValueError("omega must be unimodular")
+        w = unimodular("omega", self.omega)
         if self.epsilon not in (-1, 1):
             raise ValueError("epsilon must be +1 or -1")
         object.__setattr__(self, "free_params", arr)
@@ -96,8 +95,8 @@ def make_persymmetric(seed: PersymmetricSeed) -> VerblunskySequence:
     return VerblunskySequence(a, seed.omega)
 
 
-def dual_weights(sys: OpucSystem) -> np.ndarray:
-    """Weights of the mirror dual at the theta-sorted nodes of the system: |V[N, s]|^2, read-only.
+def dual_weights(v: VerblunskySequence) -> np.ndarray:
+    """Weights of the mirror dual at the theta-sorted nodes of v: |V[N, s]|^2, read-only.
 
     v_s is the unit eigenvector of U at node s.  The quasi-reflection that
     carries U to the dual's CMV matrix reverses the basis, so the dual's
@@ -107,7 +106,7 @@ def dual_weights(sys: OpucSystem) -> np.ndarray:
     is h_N / |Phi'_{N+1}(z_s)|^2.  A dual weight of 0.0 raises WeightError,
     as in ``weights``.
     """
-    return _resolved(sys.v.quadrature[1][1], "N")
+    return _resolved(v.quadrature[1][1], "N")
 
 
 def persymmetric_weights(nodes: "np.ndarray | Sequence[UnitCirclePoint]", h_final: float) -> np.ndarray:
@@ -183,32 +182,25 @@ def verify_persymmetry_characterizations(v: VerblunskySequence) -> PersymmetryCh
     SELF_DUAL_DEFECT, 1e-10); for valid input, returns the worst residual of
     each identity and the phase sign that fits.  The weights come from the
     eigen-solve v keeps, the Phi_N values from its ladder at the nodes; any
-    other check of v reads the same memos.
+    other check of v reads the same memos.  An h_N that has underflowed to
+    0.0 leaves the closed forms undefined and raises WeightError naming the
+    first such h_k.
     """
     if not is_persymmetric(v):
         raise NotPersymmetricError(
             f"coefficient list has mirror defect {persymmetry_defect(v):.3e}"
         )
-    return _persymmetry_characterizations(build_system(v))
-
-
-def _persymmetry_characterizations(sys: OpucSystem) -> PersymmetryCharacterizations:
-    """``verify_persymmetry_characterizations`` on persymmetric sys, with the weights and values it keeps.
-
-    An h_N that has underflowed to 0.0 leaves the closed forms undefined and
-    raises WeightError naming the first such h_k.
-    """
-    if not sys.h[-1] > 0.0:
-        k = int(np.argmax(sys.h <= 0.0))
+    if not v.h[-1] > 0.0:
+        k = int(np.argmax(v.h <= 0.0))
         raise WeightError(f"squared norm h_{k} underflows to 0, so the persymmetric forms are undefined")
-    nodes = spectrum(sys)
-    h_final = float(sys.h[-1])
-    w = sys.v.quadrature[1][0]
+    nodes = spectrum(v)
+    h_final = float(v.h[-1])
+    w = v.quadrature[1][0]
     weight_residual = float(np.max(np.abs(w - persymmetric_weights(nodes, h_final))))
-    phi_n = sys.v.node_values[-1]
+    phi_n = v.node_values[-1]
     modulus_residual = float(np.max(np.abs(np.abs(phi_n) - np.sqrt(h_final))))
 
-    predicted = phi_n_values(nodes, sys.v.omega, h_final, 1)  # epsilon = -1 predicts its exact negation
+    predicted = phi_n_values(nodes, v.omega, h_final, 1)  # epsilon = -1 predicts its exact negation
     best_eps, best = 1, np.inf
     for eps, diff in ((1, phi_n - predicted), (-1, phi_n + predicted)):
         resid = float(np.max(np.abs(diff)))

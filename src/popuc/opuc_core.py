@@ -16,19 +16,19 @@ unit-circle Golub-Welsch rule.  U is normal, so one Hermitian eigen-solve of
 U + U^H gives V (``eigen_rows``); row N of |V|^2 holds the weights of the
 mirror dual.
 
-The coefficient list owns the memos.  A ``VerblunskySequence`` builds its
-CMV factors, solves U and runs the ladder at its own nodes once, however
-many systems and checks are built from it: ``spectrum``, ``weights``,
+The coefficient list is the system.  A ``VerblunskySequence`` builds its
+squared norms and CMV factors, solves U and runs the ladder at its own nodes
+once, however many checks read it: ``spectrum``, ``weights``,
 ``mirror.dual_weights``, the persymmetry checks, the mirror relations and
-the sign pattern share ``VerblunskySequence.quadrature`` and
-``cmv_factors``, and ``orthogonality_residual`` checks the weights against
-``VerblunskySequence.node_values``, the recurrence at the nodes.  A memo
-never holds a system, so no reference cycle keeps a solve alive.
+the sign pattern all take the list and share ``VerblunskySequence.quadrature``
+and ``cmv_factors``, and ``orthogonality_residual`` checks the weights against
+``VerblunskySequence.node_values``, the recurrence at the nodes.  Every memo
+holds arrays only, so no reference cycle keeps a solve alive.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -43,13 +43,13 @@ from .tolerances import EIGEN_CLUSTER, MONIC, SPECTRUM_RADIUS, UNIMODULAR, VERBL
 class VerblunskySequence:
     """Truncated coefficient data: a_0 .. a_{N-1} plus unimodular omega.
 
-    ``a`` is a read-only copy of the input, so a memo built from it cannot go
-    stale when the caller's array changes.  The CMV factors, the eigen-solve
-    of U, the sorted nodes and weights, the ladder values at the nodes and
-    the ladder ``phis`` are computed on first access and kept here, so every
-    system and every check built from one coefficient list shares them.
-    Each memo is read-only and holds arrays only, never a system, so the
-    list is freed by reference counting alone.
+    The list is the finite system itself.  ``a`` is a read-only copy of the
+    input, so a memo built from it cannot go stale when the caller's array
+    changes.  The squared norms ``h``, the CMV factors, the sorted nodes and
+    weights, the ladder values at the nodes and the ladder ``phis`` are
+    computed on first access and kept here, so every check of one
+    coefficient list shares them.  Each memo is a read-only array or a tuple
+    of them, so the list is freed by reference counting alone.
     """
 
     a: np.ndarray
@@ -65,16 +65,21 @@ class VerblunskySequence:
         if (mags > 1.0 - VERBLUNSKY_MARGIN).any():
             k = int(np.argmax(mags))
             raise ValueError(f"|a_{k}| = {mags[k]!r} violates the strict bound |a| < 1")
-        w = complex(self.omega)
-        if abs(abs(w) - 1.0) > UNIMODULAR:
-            raise ValueError(f"|omega| = {abs(w)!r} is not unimodular")
         arr.flags.writeable = False
         object.__setattr__(self, "a", arr)
-        object.__setattr__(self, "omega", w)
+        object.__setattr__(self, "omega", unimodular("omega", self.omega))
 
     @property
     def n(self) -> int:
         return self.a.size
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        """The squared norms h_0 .. h_N, h_0 = 1 and h_{k+1} = h_k (1 - |a_k|^2), read-only."""
+        h = np.ones(self.n + 1)
+        h[1:] = np.cumprod(1.0 - np.abs(self.a) ** 2)
+        h.flags.writeable = False
+        return h
 
     @cached_property
     def cmv_factors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -84,24 +89,18 @@ class VerblunskySequence:
         return m1, m2
 
     @cached_property
-    def eigen(self) -> tuple[np.ndarray, np.ndarray]:
-        """``eigen_rows`` of the CMV matrix U, unsorted and read-only."""
-        m1, m2 = self.cmv_factors
-        lam, rows = eigen_rows(m2 @ m1)
-        lam.flags.writeable = rows.flags.writeable = False
-        return lam, rows
-
-    @cached_property
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         """(theta, rows): the node angles sorted in [0, 2 pi), and rows 0 and N of |V|^2 in their order.
 
-        Row 0 holds the weights, row N the weights of the mirror dual; both
-        arrays are read-only.  An eigenvalue whose radius drifts from one by
-        more than SPECTRUM_RADIUS raises SpectralValidityError.  Angles within
+        Both come from one ``eigen_rows`` of the CMV matrix U.  Row 0 holds
+        the weights, row N the weights of the mirror dual; both arrays are
+        read-only.  An eigenvalue whose radius drifts from one by more than
+        SPECTRUM_RADIUS raises SpectralValidityError.  Angles within
         UNIMODULAR below 2 pi are mapped to 0, so a node on the seam sorts
         first whichever side of it rounding put it.
         """
-        lam, rows = self.eigen
+        m1, m2 = self.cmv_factors
+        lam, rows = eigen_rows(m2 @ m1)
         drift = float(np.abs(np.abs(lam) - 1.0).max())
         if not drift <= SPECTRUM_RADIUS:
             raise SpectralValidityError(f"eigenvalue radius off the circle by {drift:.3e}")
@@ -138,27 +137,6 @@ class VerblunskySequence:
             raise ValueError("ladder coefficients must be finite")
         ladder.flags.writeable = False
         return tuple(ladder[k, : k + 1] for k in range(size))
-
-
-@dataclass(frozen=True, eq=False)
-class OpucSystem:
-    """Verblunsky data with the squared norms h_0 .. h_N, built from v alone in O(N).
-
-    The system keeps no memo of its own: ``phis`` and the functions that
-    take a system read the memos of v, so every system of one coefficient
-    list shares one eigen-solve and one ladder.
-    """
-
-    v: VerblunskySequence
-    h: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "h", squared_norms(self.v.a))
-
-    @property
-    def phis(self) -> tuple[np.ndarray, ...]:
-        """``v.phis``: the ladder Phi_0 .. Phi_{N+1}."""
-        return self.v.phis
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,16 +183,24 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def squared_norms(a: np.ndarray) -> np.ndarray:
-    """h_0 .. h_N with h_0 = 1 and h_{k+1} = h_k (1 - |a_k|^2)."""
-    h = np.ones(a.size + 1)
-    h[1:] = np.cumprod(1.0 - np.abs(a) ** 2)
-    return h
+def unimodular(name: str, value: complex) -> complex:
+    """value as a complex number, once it is within UNIMODULAR of the unit circle.
+
+    Else ValueError names the parameter and its value; NaN fails too.
+    """
+    w = complex(value)
+    if not abs(abs(w) - 1.0) <= UNIMODULAR:
+        raise ValueError(f"{name} = {w!r} is not unimodular")
+    return w
 
 
-def build_system(v: VerblunskySequence) -> OpucSystem:
-    """The system of v: squared norms now, the ladder ``phis`` on first use."""
-    return OpucSystem(v)
+def build_system(v: VerblunskySequence) -> VerblunskySequence:
+    """v itself: the coefficient list is the system and keeps every memo.
+
+    The name stays because ``bench/workloads.py`` calls it and
+    ``bench/tracer.py`` times it by name.
+    """
+    return v
 
 
 def verblunsky_from_polys(phis: Sequence[np.ndarray]) -> np.ndarray:
@@ -236,7 +222,7 @@ def verblunsky_from_polys(phis: Sequence[np.ndarray]) -> np.ndarray:
 def theta_block(a: complex) -> np.ndarray:
     """2x2 rotation block [[a, rho], [rho, -conj(a)]] with rho = sqrt(1 - |a|^2)."""
     a = np.complex128(a)
-    if np.abs(a) >= 1.0 - VERBLUNSKY_MARGIN:
+    if not np.abs(a) < 1.0 - VERBLUNSKY_MARGIN:  # NaN fails too
         raise ValueError(f"|a| = {float(np.abs(a))!r} must stay strictly inside the unit disc")
     rho = np.sqrt(1.0 - np.abs(a) ** 2)  # numpy's modulus, as in ``factors``
     return np.array([[a, rho], [rho, -np.conj(a)]], dtype=np.complex128)
@@ -348,21 +334,21 @@ def ladder_values(v: VerblunskySequence, z: np.ndarray) -> np.ndarray:
     return vals
 
 
-def spectrum(sys: OpucSystem) -> np.ndarray:
-    """The node angles ``sys.v.quadrature[0]``, the roots of Phi_{N+1}: sorted, in [0, 2 pi), read-only."""
-    return sys.v.quadrature[0]
+def spectrum(v: VerblunskySequence) -> np.ndarray:
+    """The node angles ``v.quadrature[0]``, the roots of Phi_{N+1}: sorted, in [0, 2 pi), read-only."""
+    return v.quadrature[0]
 
 
-def _values_at(sys: OpucSystem, theta: np.ndarray) -> np.ndarray:
+def _values_at(v: VerblunskySequence, theta: np.ndarray) -> np.ndarray:
     """``ladder_values`` at cos theta + i sin theta; the kept ``node_values`` when theta is the kept nodes."""
-    kept = vars(sys.v).get("quadrature")
+    kept = vars(v).get("quadrature")
     if kept is not None and theta is kept[0]:
-        return sys.v.node_values
-    return ladder_values(sys.v, unit_points(theta))
+        return v.node_values
+    return ladder_values(v, unit_points(theta))
 
 
-def weights(sys: OpucSystem, nodes: "np.ndarray | Sequence[UnitCirclePoint]") -> SpectralData:
-    """Quadrature weights |V[0, s]|^2 at the system's own nodes ``spectrum(sys)``.
+def weights(v: VerblunskySequence, nodes: "np.ndarray | Sequence[UnitCirclePoint]") -> SpectralData:
+    """Quadrature weights |V[0, s]|^2 at the system's own nodes ``spectrum(v)``.
 
     v_s is the unit eigenvector of U at node s, so these are the Gauss
     weights of the unit-circle Golub-Welsch rule, read off the solve that
@@ -371,9 +357,9 @@ def weights(sys: OpucSystem, nodes: "np.ndarray | Sequence[UnitCirclePoint]") ->
     eigenvector component is below rounding, raises WeightError naming the
     node.  SpectralData further requires a sum within WEIGHT_SUM of one.
     """
-    theta, rows = sys.v.quadrature
+    theta, rows = v.quadrature
     if nodes is not theta and not np.array_equal(node_angles(nodes), theta):
-        raise ValueError("weights are defined at the system's own nodes only: pass spectrum(sys)")
+        raise ValueError("weights are defined at the system's own nodes only: pass spectrum(v)")
     return SpectralData(theta, _resolved(rows[0], "0"))
 
 
@@ -392,7 +378,7 @@ def _resolved(w: np.ndarray, row: str) -> np.ndarray:
     return w
 
 
-def paraorthogonality_residual(sys: OpucSystem) -> float:
+def paraorthogonality_residual(v: VerblunskySequence) -> float:
     """Max coefficient magnitude of Phi_{N+1}^* + omega * Phi_{N+1}, read off ``phis[-1]``, relative.
 
     The closure a_N = omega forces Phi_{N+1}^* = -omega Phi_{N+1}, so this
@@ -400,18 +386,18 @@ def paraorthogonality_residual(sys: OpucSystem) -> float:
     is divided by max(1, max |coefficient of Phi_{N+1}|), so at large N,
     where the coefficients grow, rounding does not read as a defect.
     """
-    top = sys.phis[-1]
-    resid = np.conj(top[::-1]) + sys.v.omega * top
+    top = v.phis[-1]
+    resid = np.conj(top[::-1]) + v.omega * top
     return float(np.max(np.abs(resid))) / max(1.0, float(np.max(np.abs(top))))
 
 
-def orthogonality_residual(sys: OpucSystem, data: SpectralData) -> float:
+def orthogonality_residual(v: VerblunskySequence, data: SpectralData) -> float:
     """Max deviation of the weighted Gram matrix of Phi_0 .. Phi_N from diag(h).
 
     The values come from the recurrence, not from the eigenvectors, so this
     checks the weights independently of the solve that produced them.
     """
-    vals = _values_at(sys, data.theta)
+    vals = _values_at(v, data.theta)
     gram = (vals * data.weights) @ np.conj(vals.T)
-    gram.reshape(-1)[:: gram.shape[0] + 1] -= sys.h  # the diagonal, as a view
+    gram.reshape(-1)[:: gram.shape[0] + 1] -= v.h  # the diagonal, as a view
     return float(np.abs(gram).max())

@@ -207,6 +207,21 @@ def test_reconstruct_names_a_bad_angle_at_its_input_index(capsys, angles, messag
     assert err.startswith("invalid input:") and message in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--verblunsky", '{"a": [[0.1, 0]], "omega": [NaN, 0]}'],
+        ["reconstruct", "--spectrum", "[0.5, 2.0, 4.0]", "--omega-arg", "nan"],
+        ["check", "--family", "krawtchouk", "--n", "4", "--omega-arg", "nan"],
+    ],
+    ids=["check_verblunsky", "reconstruct", "check_krawtchouk"],
+)
+def test_nan_omega_is_invalid_input_that_names_omega(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input: omega = (nan") and "is not unimodular" in err
+
+
 def test_reconstruct_missing_file(capsys):
     code, _, err = run(
         capsys, "reconstruct", "--spectrum", "/nonexistent/angles.json", "--omega-arg", "0.0"

@@ -31,7 +31,6 @@ from popuc import (
     weights,
 )
 from popuc.complex_poly import unit_points
-from popuc.mirror import _persymmetry_characterizations
 
 
 def test_principal_sqrt():
@@ -267,4 +266,4 @@ def test_underflowed_norms_raise_weight_error():
     data = weights(sys_, spectrum(sys_))
     assert float(np.max(np.abs(data.weights - inst.closed_form_weights))) <= 1e-12
     with pytest.raises(WeightError, match="h_997 underflows"):
-        _persymmetry_characterizations(sys_)
+        verify_persymmetry_characterizations(inst.v)

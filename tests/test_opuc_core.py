@@ -8,7 +8,7 @@ import pytest
 
 from conftest import count_calls, random_persymmetric, random_verblunsky
 from popuc import (
-    OpucSystem,
+    PersymmetricSeed,
     ShapeError,
     SpectralData,
     SpectralValidityError,
@@ -22,8 +22,11 @@ from popuc import (
     orthogonality_residual,
     paraorthogonality_residual,
     persymmetric_sign_pattern,
+    quasi_reflection,
+    reconstruct_persymmetric,
     spectrum,
     krawtchouk_family,
+    theta_block,
     verblunsky_from_polys,
     verify_mirror_relations,
     verify_persymmetry_characterizations,
@@ -43,6 +46,25 @@ def test_verblunsky_validation():
         VerblunskySequence(np.array([], dtype=complex), 1.0)
     v = VerblunskySequence([0.5j], -1.0)
     assert v.n == 1
+
+
+@pytest.mark.parametrize(
+    "gate, message",
+    [
+        (lambda: VerblunskySequence([0.1, 0.2], np.nan), r"omega = \(nan\+0j\) is not unimodular"),
+        (lambda: quasi_reflection(3, np.nan), r"tau = \(nan\+0j\) is not unimodular"),
+        (lambda: PersymmetricSeed([0.1], complex(np.nan, 0.0), 2), r"omega = \(nan\+0j\) is not unimodular"),
+        (lambda: krawtchouk_family(4, complex(np.nan, np.nan)), r"omega = \(nan\+nanj\) is not unimodular"),
+        (lambda: reconstruct_persymmetric(np.array([0.5, 2.0, 4.0]), np.nan), r"omega = \(nan\+0j\)"),
+        (lambda: theta_block(np.nan), r"\|a\| = nan must stay strictly inside the unit disc"),
+    ],
+    ids=["VerblunskySequence", "quasi_reflection", "PersymmetricSeed", "krawtchouk_family",
+         "reconstruct_persymmetric", "theta_block"],
+)
+def test_nan_fails_every_unimodular_and_disc_gate(gate, message):
+    # abs(abs(nan) - 1) > bound is False, so a gate written that way lets NaN through
+    with pytest.raises(ValueError, match=message):
+        gate()
 
 
 def test_build_simplest_system():
@@ -137,17 +159,23 @@ def test_spectrum_rotated_monomials():
     assert np.allclose(nodes, expected)
 
 
-def test_spectrum_rejects_off_circle_roots():
-    # eigenvalues filled into the memos of two copies of the coefficient
-    # list by hand, pushed off the circle by half and by twice SPECTRUM_RADIUS
+def test_spectrum_rejects_off_circle_roots(monkeypatch):
+    # two copies of the coefficient list solved by a stand-in for eigen_rows
+    # that pushes one eigenvalue off the circle by half and by twice SPECTRUM_RADIUS
+    import popuc.opuc_core as opuc_core
+
     v = random_verblunsky(np.random.default_rng(101), 12)
     lam, rows = eigen_rows(cmv_matrix(v))
     inside, outside = VerblunskySequence(v.a, v.omega), VerblunskySequence(v.a, v.omega)
-    vars(inside)["eigen"] = (np.append(lam[1:], lam[0] * (1.0 + 0.5 * SPECTRUM_RADIUS)), rows)
-    vars(outside)["eigen"] = (np.append(lam[1:], lam[0] * (1.0 + 2.0 * SPECTRUM_RADIUS)), rows)
-    assert spectrum(build_system(inside)).size == 13
+
+    def off_by(scale):
+        return lambda u: (np.append(lam[1:], lam[0] * (1.0 + scale * SPECTRUM_RADIUS)), rows)
+
+    monkeypatch.setattr(opuc_core, "eigen_rows", off_by(0.5))
+    assert spectrum(inside).size == 13
+    monkeypatch.setattr(opuc_core, "eigen_rows", off_by(2.0))
     with pytest.raises(SpectralValidityError):
-        spectrum(build_system(outside))
+        spectrum(outside)
 
 
 def test_weights_flat_for_monomials():
@@ -309,12 +337,11 @@ def test_paraorthogonality_flags_a_moved_coefficient():
     # real defect on an interior coefficient must still stand out
     rng = np.random.default_rng(43)
     v = random_verblunsky(rng, 12)
-    sys_ = build_system(v)
-    top = sys_.phis[-1].copy()
+    top = v.phis[-1].copy()
     top[6] += 1e-6
-    moved = OpucSystem(VerblunskySequence(v.a, v.omega))
-    vars(moved.v)["phis"] = sys_.phis[:-1] + (top,)  # fill the cached ladder by hand
-    assert paraorthogonality_residual(sys_) <= 1e-14
+    moved = VerblunskySequence(v.a, v.omega)
+    vars(moved)["phis"] = v.phis[:-1] + (top,)  # fill the cached ladder of a copy by hand
+    assert paraorthogonality_residual(v) <= 1e-14
     assert paraorthogonality_residual(moved) > 1e-8
 
 
@@ -335,7 +362,7 @@ def test_memoised_arrays_are_read_only():
     v = random_verblunsky(np.random.default_rng(59), 6)
     sys_ = build_system(v)
     data = weights(sys_, spectrum(sys_))
-    memos = (*v.cmv_factors, *v.eigen, *v.quadrature, v.node_values, *v.phis)
+    memos = (v.h, *v.cmv_factors, *v.quadrature, v.node_values, *v.phis)
     for arr in (*memos, data.theta, data.weights):
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -357,7 +384,7 @@ def test_systems_of_one_coefficient_list_share_its_memos(monkeypatch):
     assert spectrum(first) is spectrum(second) and first.phis is second.phis
     dual_weights(second)
     assert (len(solves), len(builds)) == (1, 1)
-    assert vars(first).keys() == vars(second).keys() == {"v", "h"}  # no memo on a system
+    assert build_system(v) is v
 
 
 def test_a_coefficient_list_with_filled_memos_is_freed_without_the_collector():
@@ -370,7 +397,7 @@ def test_a_coefficient_list_with_filled_memos_is_freed_without_the_collector():
     verify_persymmetry_characterizations(v)
     verify_mirror_relations(v)
     persymmetric_sign_pattern(v)
-    assert {"cmv_factors", "eigen", "quadrature", "node_values", "phis"} <= set(vars(v))
+    assert {"h", "cmv_factors", "quadrature", "node_values", "phis"} <= set(vars(v))
     ref = weakref.ref(v)
     enabled = gc.isenabled()
     gc.disable()
