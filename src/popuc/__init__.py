@@ -18,7 +18,6 @@ from .complex_poly import (
 )
 from .cmv import (
     MirrorRelationReport,
-    QuasiReflection,
     cmv_matrix,
     factors,
     laurent_eigenvectors,
@@ -90,7 +89,6 @@ __all__ = [
     "PersymmetryViolationError",
     "Polynomial",
     "PopucError",
-    "QuasiReflection",
     "ReconstructionResult",
     "ShapeError",
     "SpectralData",

@@ -4,14 +4,15 @@ The unitary matrix U = M2 @ M1 acts on the Laurent-polynomial basis built
 from the ladder; its eigenvalues are exactly the spectrum of the final
 polynomial, and ``opuc_core.spectrum`` computes the nodes that way.  The
 checks here take the coefficient list and read the factors, nodes and
-ladder values it keeps.  The builder itself (``theta_block``,
-``factors``, ``cmv_matrix``) lives in ``opuc_core`` and is re-exported
-here.  Two entry conventions for the 2x2
-rotation blocks circulate in the literature, differing by conjugation of
-the coefficient.  The one built (conjugated coefficient on the upper-left,
-plain negated coefficient on the lower-right, scalar tail conj(omega)) is
-the one that reproduces the spectrum; the calibration test demonstrates the
-other choice produces the conjugate system.
+ladder values it keeps; they apply Q(tau), which ``quasi_reflection``
+returns as a plain matrix, as a scaled reversal.  The builder
+(``theta_block``, ``factors``, ``cmv_matrix``) lives in ``opuc_core`` and
+is re-exported here.  Two entry conventions for the 2x2 rotation blocks
+circulate in the literature, differing by conjugation of the coefficient.
+The one built (conjugated coefficient on the upper-left, plain negated
+coefficient on the lower-right, scalar tail conj(omega)) is the one that
+reproduces the spectrum; the calibration test demonstrates the other
+choice produces the conjugate system.
 """
 
 from __future__ import annotations
@@ -55,23 +56,6 @@ def _laurent_columns(vals: np.ndarray, z: np.ndarray, h: np.ndarray) -> np.ndarr
     return z ** powers[:, None] * vals / np.sqrt(h)[:, None]
 
 
-@dataclass(frozen=True)
-class QuasiReflection:
-    """Antidiagonal involution-like matrix with alternating tau, 1/tau entries."""
-
-    tau: complex
-    size: int
-
-    def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ShapeError("size must be positive")
-        unimodular("tau", self.tau)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.fliplr(np.diag(_reflection_diagonal(complex(self.tau), self.size)))
-
-
 def _reflection_diagonal(tau: complex, size: int) -> np.ndarray:
     # row i of Q(tau) holds tau (i even) or 1/tau (i odd), in column size - 1 - i
     d = np.full(size, 1.0 / tau, dtype=np.complex128)
@@ -84,13 +68,15 @@ def _reflect(d_left: np.ndarray, m: np.ndarray, d_right: np.ndarray) -> np.ndarr
     return d_left[:, None] * m[::-1, ::-1] * d_right[::-1]
 
 
-def quasi_reflection(n: int, tau: complex) -> QuasiReflection:
-    """Antidiagonal matrix of size n + 1: row i holds tau (i even) or 1/tau (i odd).
+def quasi_reflection(n: int, tau: complex) -> np.ndarray:
+    """Antidiagonal matrix Q(tau) of size n + 1: row i holds tau (i even) or 1/tau (i odd).
 
-    For n odd the matrix squares to the identity for any unimodular tau;
+    tau must be unimodular.  For n odd the matrix squares to the identity;
     for n even Q(tau) Q(1/tau) is the identity and Q(tau) is symmetric.
     """
-    return QuasiReflection(complex(tau), n + 1)
+    if n < 0:
+        raise ShapeError("size must be positive")
+    return np.fliplr(np.diag(_reflection_diagonal(unimodular("tau", tau), n + 1)))
 
 
 @dataclass(frozen=True)

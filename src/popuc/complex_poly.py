@@ -1,8 +1,8 @@
 """Points on the unit circle, plus a small monomial-coefficient layer.
 
-Nodes travel through the pipeline as a float64 array of angles theta;
-``node_angles`` reads them from such an array or from ``UnitCirclePoint``
-values, and ``unit_points`` turns them into cos theta + i sin theta.
+Nodes travel through the pipeline as a float64 array of angles theta.
+``node_angles`` is the one gate for caller-supplied angles (finite,
+strictly increasing), and ``unit_points`` turns them into cos theta + i sin theta.
 ``Polynomial`` (ascending coefficients), ``roots``, ``from_roots`` and
 ``lagrange_interpolate`` are not called by any pipeline stage; they serve
 the tests as independent checks.  ``roots`` takes the eigenvalues of
@@ -61,31 +61,32 @@ class UnitCirclePoint:
             t -= TWO_PI
         object.__setattr__(self, "theta", t)
 
-    @property
-    def value(self) -> complex:
-        return complex(np.cos(self.theta), np.sin(self.theta))
-
     def __complex__(self) -> complex:
-        return self.value
-
-
-def as_complex_array(points: Iterable) -> np.ndarray:
-    """Coerce a sequence of numbers or UnitCirclePoint values to complex128.
-
-    An ndarray is read as complex values; node angles go through ``unit_points``.
-    """
-    if isinstance(points, np.ndarray):
-        return points.astype(np.complex128)
-    return np.array([complex(p) for p in points], dtype=np.complex128)
+        return complex(np.cos(self.theta), np.sin(self.theta))
 
 
 def node_angles(nodes: "np.ndarray | Iterable[UnitCirclePoint]") -> np.ndarray:
-    """Node angles as float64: a real ndarray as it is, else each point's ``.theta``."""
+    """Node angles as float64, once they are real, non-empty, finite and strictly increasing.
+
+    A real ndarray is read as it is.  The branch that reads each point's
+    ``.theta`` stays only because ``bench/workloads.py`` passes
+    ``UnitCirclePoint`` values to ``reconstruct_persymmetric``.  A
+    non-finite angle raises ValueError naming its index, any other fault ShapeError.
+    """
     if isinstance(nodes, np.ndarray):
         if nodes.dtype.kind not in "fiu":
             raise ShapeError(f"node angles must be real, got dtype {nodes.dtype}")
-        return nodes.astype(np.float64, copy=False)
-    return np.array([p.theta for p in nodes], dtype=np.float64)
+        theta = nodes.astype(np.float64, copy=False)
+    else:
+        theta = np.array([p.theta for p in nodes], dtype=np.float64)
+    if theta.ndim != 1 or theta.size < 1:
+        raise ShapeError("need at least one node")
+    if not np.isfinite(theta).all():
+        k = int(np.argmin(np.isfinite(theta)))
+        raise ValueError(f"theta must be finite; theta[{k}] is {float(theta[k])!r}")
+    if (theta[1:] <= theta[:-1]).any():
+        raise ShapeError("nodes must be strictly increasing in theta")
+    return theta
 
 
 def unit_points(theta: np.ndarray) -> np.ndarray:
@@ -142,8 +143,8 @@ def lagrange_interpolate(nodes: Sequence, values: Sequence) -> Polynomial:
     Newton divided differences, expanded to monomial coefficients.  Nodes
     closer than NODE_SEPARATION are rejected as degenerate.
     """
-    x = as_complex_array(nodes)
-    y = as_complex_array(values)
+    x = np.asarray(nodes, dtype=np.complex128)
+    y = np.asarray(values, dtype=np.complex128)
     if x.size != y.size:
         raise ShapeError("nodes and values must have the same length")
     if x.size == 0:

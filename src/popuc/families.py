@@ -1,10 +1,10 @@
 """Closed-form example families and their cross-checks.
 
 Each constructor returns a ``FamilyInstance`` bundling the coefficient data
-with whatever closed forms the family admits (ladder polynomials, nodes,
-weights).  ``verify_family`` rebuilds everything from the recurrence and
-reports the worst deviation per closed form, so the instances double as
-regression fixtures.
+with whatever closed forms the family admits (ladder polynomials, node
+angles as one sorted array, weights).  ``verify_family`` rebuilds everything
+from the recurrence and reports the worst deviation per closed form, so the
+instances double as regression fixtures.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_poly import UnitCirclePoint, as_complex_array, unit_points
+from .complex_poly import TWO_PI, unit_points
 from .errors import ShapeError
 from .mirror import persymmetry_defect
 from .opuc_core import (
@@ -25,8 +25,7 @@ from .opuc_core import (
     unimodular,
     weights,
 )
-
-TWO_PI = 2.0 * np.pi
+from .tolerances import KRAWTCHOUK_CLOSURE, KRAWTCHOUK_DEGENERATE, KRAWTCHOUK_HALF_SINE, KRAWTCHOUK_REMAINDER
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,14 +34,19 @@ class FamilyInstance:
 
     closed_form_phis, when present, holds Phi_0 .. Phi_{N+1} as ascending
     complex coefficient arrays, entry k of length k + 1, like ``VerblunskySequence.phis``.
+    closed_form_nodes holds the node angles in [0, 2 pi), sorted and made read-only here.
     """
 
     name: str
     v: VerblunskySequence
     closed_form_phis: tuple[np.ndarray, ...] | None = None
-    closed_form_nodes: tuple[UnitCirclePoint, ...] | None = None
+    closed_form_nodes: np.ndarray | None = None
     closed_form_weights: np.ndarray | None = None
     persymmetric: bool = False
+
+    def __post_init__(self) -> None:
+        if self.closed_form_nodes is not None:
+            self.closed_form_nodes.flags.writeable = False
 
 
 def free_family(n: int, nu: float = 0.0) -> FamilyInstance:
@@ -54,6 +58,8 @@ def free_family(n: int, nu: float = 0.0) -> FamilyInstance:
     """
     if n < 1:
         raise ShapeError("need n >= 1")
+    if not math.isfinite(nu):
+        raise ValueError(f"nu = {nu!r} must be finite")
     omega = complex(np.exp(2j * np.pi * nu))
     v = VerblunskySequence(np.zeros(n, dtype=np.complex128), omega)
     phis = []
@@ -62,11 +68,11 @@ def free_family(n: int, nu: float = 0.0) -> FamilyInstance:
         c[m] = 1.0
         phis.append(c)
     phis[-1][0] = -np.conj(omega)
-    nodes = sorted(
-        UnitCirclePoint(TWO_PI * (s - nu) / (n + 1)) for s in range(n + 1)
-    )
+    nodes = TWO_PI * (np.arange(n + 1) - nu) / (n + 1) % TWO_PI
+    nodes[nodes >= TWO_PI] = 0.0  # the modulo can land exactly on the seam
+    nodes.sort()
     w = np.full(n + 1, 1.0 / (n + 1))
-    return FamilyInstance("free", v, tuple(phis), tuple(nodes), w, persymmetric=True)
+    return FamilyInstance("free", v, tuple(phis), nodes, w, persymmetric=True)
 
 
 def _running_sum_poly(m: int, scale: float) -> np.ndarray:
@@ -89,9 +95,8 @@ def single_moment(n: int) -> FamilyInstance:
     phis = [_running_sum_poly(m, 1.0 / (m + 1)) for m in range(n + 1)]
     phis.append(np.ones(n + 2, dtype=np.complex128))
     half = np.pi * (np.arange(n + 1) + 1.0) / (n + 2)
-    nodes = tuple(UnitCirclePoint(2.0 * t) for t in half)
     w = (2.0 / (n + 2)) * np.sin(half) ** 2
-    return FamilyInstance("single_moment", v, tuple(phis), nodes, w)
+    return FamilyInstance("single_moment", v, tuple(phis), 2.0 * half, w)
 
 
 def single_moment_dual(n: int) -> FamilyInstance:
@@ -112,9 +117,8 @@ def single_moment_dual(n: int) -> FamilyInstance:
         c[:m] += 1.0 / (n - m + 2)  # geometric sum (z^m - 1)/(z - 1)
         phis.append(c)
     half = np.pi * (np.arange(n + 1) + 1.0) / (n + 2)
-    nodes = tuple(UnitCirclePoint(2.0 * t) for t in half)
     w = np.full(n + 1, 1.0 / (n + 1))
-    return FamilyInstance("single_moment_dual", v, tuple(phis), nodes, w)
+    return FamilyInstance("single_moment_dual", v, tuple(phis), 2.0 * half, w)
 
 
 def single_moment_persymmetric(n: int) -> FamilyInstance:
@@ -133,10 +137,9 @@ def single_moment_persymmetric(n: int) -> FamilyInstance:
     )
     v = VerblunskySequence(a, -1.0 + 0.0j)
     half = np.pi * (np.arange(n + 1) + 1.0) / (n + 2)
-    nodes = tuple(UnitCirclePoint(2.0 * t) for t in half)
     w = np.tan(nu) * np.sin(half)
     return FamilyInstance(
-        "single_moment_persymmetric", v, None, nodes, w, persymmetric=True
+        "single_moment_persymmetric", v, None, 2.0 * half, w, persymmetric=True
     )
 
 
@@ -189,7 +192,7 @@ def krawtchouk_family(n: int, omega: complex) -> FamilyInstance:
     if n < 1:
         raise ShapeError("need n >= 1")
     w_om = unimodular("omega", omega)
-    if abs(1.0 + w_om) < 1e-4:
+    if abs(1.0 + w_om) < KRAWTCHOUK_DEGENERATE:
         raise ValueError("omega too close to -1, the family degenerates")
     a = np.array(
         [(w_om + 1.0) * (k + 1.0) / (n + 1.0) - 1.0 for k in range(n)],
@@ -200,7 +203,7 @@ def krawtchouk_family(n: int, omega: complex) -> FamilyInstance:
     kappa_sq = 4.0 * abs(1.0 + w_om) ** 2 / (n + 1.0) ** 2
     phis = []
     for m, (quotient, remainder, scale) in enumerate(_krawtchouk_ladder(n, w_om, kappa_sq)):
-        if abs(remainder) > 1e-8 * scale:
+        if abs(remainder) > KRAWTCHOUK_REMAINDER * scale:
             raise ValueError(f"ladder entry {m}: division remainder {abs(remainder):.3e}")
         phis.append(quotient)
 
@@ -210,7 +213,7 @@ def krawtchouk_family(n: int, omega: complex) -> FamilyInstance:
     half_angles = np.arccos(np.clip(xs, -1.0, 1.0))
     cand = np.exp(2j * half_angles)
     drop = int(np.argmin(np.abs(cand - w_om)))
-    if abs(cand[drop] - w_om) > 1e-6:
+    if abs(cand[drop] - w_om) > KRAWTCHOUK_CLOSURE:
         raise ValueError("no root candidate matches the closure parameter")
     kept = np.delete(ks, drop)
     half = half_angles[kept]
@@ -220,18 +223,17 @@ def krawtchouk_family(n: int, omega: complex) -> FamilyInstance:
     # limit of the ratio along sigma -> 0 is 2 cos(sigma / 2) -> 2, matching
     # the merged binomial masses C(n+1, 0) + C(n+1, n+1)
     ratio = np.full(kept.size, 2.0)
-    inner = s_half >= 1e-12
+    inner = s_half >= KRAWTCHOUK_HALF_SINE
     ratio[inner] = np.abs(np.sin(half[inner] - sigma / 2.0)) / s_half[inner]
     log_mass = np.log(ratio) - np.array(
         [math.lgamma(k + 1.0) + math.lgamma(n + 2.0 - k) for k in kept]
     )
     raw = np.exp(log_mass - log_mass.max())
     raw /= raw.sum()
-    nodes = [UnitCirclePoint(2.0 * float(t)) for t in half]
-    order = np.argsort([p.theta for p in nodes])
-    nodes_sorted = tuple(nodes[i] for i in order)
+    nodes = 2.0 * half % TWO_PI  # 2 pi, the kept candidate at z = 1 when sigma = 0, becomes 0
+    order = nodes.argsort()
     return FamilyInstance(
-        "krawtchouk", v, tuple(phis), nodes_sorted, raw[order], persymmetric=True
+        "krawtchouk", v, tuple(phis), nodes[order], raw[order], persymmetric=True
     )
 
 
@@ -254,7 +256,7 @@ def verify_family(inst: FamilyInstance) -> dict[str, float]:
         report["phi"] = worst
     nodes = spectrum(v)
     if inst.closed_form_nodes is not None:
-        closed_z = as_complex_array(inst.closed_form_nodes)
+        closed_z = unit_points(inst.closed_form_nodes)
         report["nodes"] = float(np.max(np.abs(closed_z - unit_points(nodes))))
     data = weights(v, nodes)
     if inst.closed_form_weights is not None:

@@ -50,11 +50,12 @@ def reconstruct_persymmetric(
 ) -> ReconstructionResult:
     """Recover the unique persymmetric system with the given spectrum.
 
-    nodes (angles, or UnitCirclePoint values) must be finite, theta-sorted,
-    at least NODE_SEPARATION apart, with product z_0 ... z_N = (-1)^N / omega
-    (checked to NODE_PRODUCT_DRIFT, 1e-8); that consistency pins omega to
-    the node set.  The weights are sqrt(h_N) / |Phi'_{N+1}(z_s)|, formed in
-    the log domain and normalised, which also gives log h_N.  Arnoldi on
+    nodes (angles, or UnitCirclePoint values) must pass ``node_angles``,
+    number at least two, lie at least NODE_SEPARATION apart and have the
+    product z_0 ... z_N = (-1)^N / omega (checked to NODE_PRODUCT_DRIFT,
+    1e-8); that consistency pins omega to the node set.  The weights are
+    sqrt(h_N) / |Phi'_{N+1}(z_s)|, formed in the log domain and normalised,
+    which also gives log h_N.  Arnoldi on
     diag(z) from sqrt(w), orthogonalising twice, builds the first ceil(N/2)
     columns of the unitary Hessenberg matrix H; peeling its Givens
     blocks from row 0 (a_k = conj(r_k[k]), r_{k+1} = rho_k r_k - r_k[k] H[k+1])
@@ -65,16 +66,10 @@ def reconstruct_persymmetric(
     nodes raises NotPersymmetricError.
     """
     thetas = node_angles(nodes)
-    bad = ~np.isfinite(thetas)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError(f"theta must be finite; theta[{k}] is {float(thetas[k])!r}")
     count = thetas.size
     if count < 2:
         raise ShapeError("need at least two nodes")
     n_top = count - 1
-    if np.any(np.diff(thetas) <= 0.0):
-        raise ShapeError("nodes must be strictly increasing in theta")
     w = unimodular("omega", omega)
 
     z = unit_points(thetas)

@@ -7,20 +7,20 @@ the dual weights are the squared last components of the eigenvectors that
 give the primal weights.  Data equal to its own dual is called
 persymmetric; such a system is pinned down by its spectrum alone, which
 drives the inverse problem elsewhere in the package.  Every check here
-takes the coefficient list and reads the memos it keeps.
+takes the coefficient list and reads the memos it keeps; the closed forms
+take the node angles as one array, checked by ``node_angles``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .complex_poly import UnitCirclePoint, node_angles, unit_points
+from .complex_poly import node_angles, unit_points
 from .errors import NotPersymmetricError, ShapeError, WeightError
-from .opuc_core import VerblunskySequence, _resolved, spectrum, unimodular
-from .tolerances import SELF_DUAL_DEFECT, VERBLUNSKY_MARGIN
+from .opuc_core import VerblunskySequence, _resolved, inside_disc, spectrum, unimodular
+from .tolerances import SELF_DUAL_DEFECT
 
 
 def principal_sqrt_unimodular(w: complex) -> complex:
@@ -50,16 +50,13 @@ class PersymmetricSeed:
     Even n: floor(n/2) disc values fill the first half, the second half is
     forced by duality.  Odd n: additionally a real middle parameter r in
     (-1, 1); the middle coefficient is forced onto the line
-    i * r * omega^(1/2) (principal branch).  epsilon records the sign
-    convention used by the phase identities; it does not affect the
-    coefficients themselves.
+    i * r * omega^(1/2) (principal branch).
     """
 
     free_params: np.ndarray
     omega: complex
     n: int
     middle_r: float | None = None
-    epsilon: int = 1
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -67,8 +64,7 @@ class PersymmetricSeed:
         arr = np.asarray(self.free_params, dtype=np.complex128).reshape(-1)
         if arr.size != self.n // 2:
             raise ShapeError(f"expected {self.n // 2} free parameters, got {arr.size}")
-        if arr.size and np.any(np.abs(arr) > 1.0 - VERBLUNSKY_MARGIN):
-            raise ValueError("free parameters must stay strictly inside the unit disc")
+        inside_disc("free_params", arr)
         if self.n % 2 == 1:
             if self.middle_r is None:
                 raise ShapeError("odd n needs the real middle parameter")
@@ -76,11 +72,8 @@ class PersymmetricSeed:
                 raise ValueError("middle parameter must lie in (-1, 1)")
         elif self.middle_r is not None:
             raise ShapeError("even n takes no middle parameter")
-        w = unimodular("omega", self.omega)
-        if self.epsilon not in (-1, 1):
-            raise ValueError("epsilon must be +1 or -1")
         object.__setattr__(self, "free_params", arr)
-        object.__setattr__(self, "omega", w)
+        object.__setattr__(self, "omega", unimodular("omega", self.omega))
 
 
 def make_persymmetric(seed: PersymmetricSeed) -> VerblunskySequence:
@@ -109,8 +102,8 @@ def dual_weights(v: VerblunskySequence) -> np.ndarray:
     return _resolved(v.quadrature[1][1], "N")
 
 
-def persymmetric_weights(nodes: "np.ndarray | Sequence[UnitCirclePoint]", h_final: float) -> np.ndarray:
-    """Closed-form weights sqrt(h_N) / |Phi'_{N+1}(z_s)| from nodes (angles or points) alone.
+def persymmetric_weights(nodes: np.ndarray, h_final: float) -> np.ndarray:
+    """Closed-form weights sqrt(h_N) / |Phi'_{N+1}(z_s)| from the node angles alone.
 
     Phi_{N+1} is monic with these roots, so |Phi'_{N+1}(z_s)| is the product
     of the distances |z_s - z_j| over j != s; it is summed as logarithms,
@@ -132,7 +125,7 @@ def _neg_log_derivative(z: np.ndarray) -> np.ndarray:
 
 
 def phi_n_values(
-    nodes: "np.ndarray | Sequence[UnitCirclePoint]",
+    nodes: np.ndarray,
     omega: complex,
     h_final: float,
     epsilon: int,
@@ -147,8 +140,6 @@ def phi_n_values(
     if not h_final > 0.0:
         raise ValueError("h_final must be positive")
     thetas = node_angles(nodes)
-    if np.any(np.diff(thetas) <= 0.0):
-        raise ShapeError("nodes must be sorted by theta")
     n_top = thetas.size - 1  # node count is N + 1
     signs = np.where(np.arange(thetas.size) % 2 == 0, 1.0, -1.0)
     inv_half = np.conj(principal_sqrt_unimodular(complex(omega)))

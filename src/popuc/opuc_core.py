@@ -59,12 +59,7 @@ class VerblunskySequence:
         arr = np.array(self.a, dtype=np.complex128, ndmin=1)
         if arr.ndim != 1 or arr.size < 1:
             raise ShapeError("need at least one Verblunsky coefficient")
-        if not np.isfinite(arr).all():
-            raise ValueError("Verblunsky coefficients must be finite")
-        mags = np.abs(arr)
-        if (mags > 1.0 - VERBLUNSKY_MARGIN).any():
-            k = int(np.argmax(mags))
-            raise ValueError(f"|a_{k}| = {mags[k]!r} violates the strict bound |a| < 1")
+        inside_disc("a", arr)
         arr.flags.writeable = False
         object.__setattr__(self, "a", arr)
         object.__setattr__(self, "omega", unimodular("omega", self.omega))
@@ -143,9 +138,9 @@ class VerblunskySequence:
 class SpectralData:
     """Strictly increasing node angles with positive weights summing to one.
 
-    theta (a real ndarray or a sequence of UnitCirclePoint on input) and
-    weights are stored as read-only float64 arrays; ``nodes`` gives the
-    same nodes as UnitCirclePoint values, built on first access.
+    theta passes ``node_angles``; it and the weights are stored as
+    read-only float64 arrays.  ``nodes`` gives the same nodes as
+    UnitCirclePoint values, built on first access, for ``bench/workloads.py``.
     """
 
     theta: np.ndarray
@@ -153,12 +148,6 @@ class SpectralData:
 
     def __post_init__(self) -> None:
         theta = _read_only(node_angles(self.theta))
-        if theta.ndim != 1 or theta.size < 1:
-            raise ShapeError("need at least one node")
-        if not np.isfinite(theta).all():
-            raise ValueError("theta must be finite")
-        if (theta[1:] <= theta[:-1]).any():
-            raise ShapeError("nodes must be strictly increasing in theta")
         w = _read_only(np.asarray(self.weights, dtype=np.float64))
         if w.shape != theta.shape:
             raise ShapeError("one weight per node required")
@@ -194,6 +183,16 @@ def unimodular(name: str, value: complex) -> complex:
     return w
 
 
+def inside_disc(name: str, values: "complex | np.ndarray") -> None:
+    """ValueError naming the value (``name_k`` in an array) unless |value| < 1 - VERBLUNSKY_MARGIN."""
+    mags = np.abs(np.ravel(values))
+    inside = mags < 1.0 - VERBLUNSKY_MARGIN  # NaN fails too
+    if not inside.all():
+        k = int(np.argmin(inside))
+        label = f"{name}_{k}" if np.ndim(values) else name
+        raise ValueError(f"|{label}| = {float(mags[k])!r} must stay strictly inside the unit disc")
+
+
 def build_system(v: VerblunskySequence) -> VerblunskySequence:
     """v itself: the coefficient list is the system and keeps every memo.
 
@@ -222,8 +221,7 @@ def verblunsky_from_polys(phis: Sequence[np.ndarray]) -> np.ndarray:
 def theta_block(a: complex) -> np.ndarray:
     """2x2 rotation block [[a, rho], [rho, -conj(a)]] with rho = sqrt(1 - |a|^2)."""
     a = np.complex128(a)
-    if not np.abs(a) < 1.0 - VERBLUNSKY_MARGIN:  # NaN fails too
-        raise ValueError(f"|a| = {float(np.abs(a))!r} must stay strictly inside the unit disc")
+    inside_disc("a", a)
     rho = np.sqrt(1.0 - np.abs(a) ** 2)  # numpy's modulus, as in ``factors``
     return np.array([[a, rho], [rho, -np.conj(a)]], dtype=np.complex128)
 
@@ -347,13 +345,13 @@ def _values_at(v: VerblunskySequence, theta: np.ndarray) -> np.ndarray:
     return ladder_values(v, unit_points(theta))
 
 
-def weights(v: VerblunskySequence, nodes: "np.ndarray | Sequence[UnitCirclePoint]") -> SpectralData:
+def weights(v: VerblunskySequence, nodes: np.ndarray) -> SpectralData:
     """Quadrature weights |V[0, s]|^2 at the system's own nodes ``spectrum(v)``.
 
     v_s is the unit eigenvector of U at node s, so these are the Gauss
     weights of the unit-circle Golub-Welsch rule, read off the solve that
-    gave the nodes.  nodes (angles, or UnitCirclePoint values) must be those
-    nodes, else ValueError.  A weight that comes out 0.0, where its
+    gave the nodes.  nodes must be those angles, else ValueError.  A
+    weight that comes out 0.0, where its
     eigenvector component is below rounding, raises WeightError naming the
     node.  SpectralData further requires a sum within WEIGHT_SUM of one.
     """

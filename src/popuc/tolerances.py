@@ -26,3 +26,9 @@ RECOVERED_DEFECT = 1e-8     # mirror defect allowed on recovered coefficient dat
 # ``persymmetric_sign_pattern``
 TRANSPORT_RESIDUAL = 1e-8   # eigenvector and transport residual, relative to max(1, max |psi|)
 SIGN_SLACK = 1e-6           # distance of a quasi-reflection eigenvalue from +1 or -1
+
+# ``krawtchouk_family``
+KRAWTCHOUK_DEGENERATE = 1e-4  # |1 + omega| below which the family degenerates
+KRAWTCHOUK_REMAINDER = 1e-8   # remainder of each ladder division by (w - omega), relative
+KRAWTCHOUK_CLOSURE = 1e-6     # distance of the dropped node candidate from omega
+KRAWTCHOUK_HALF_SINE = 1e-12  # |sin(theta / 2)| below which a node counts as z = 1

@@ -185,13 +185,13 @@ def test_criterion_07_quasi_reflection(corpus, persymmetric_corpus):
     worst_algebra = 0.0
     for n in range(1, 13):
         tau = np.exp(0.37j * (n + 1))
-        q = quasi_reflection(n, tau).matrix
+        q = quasi_reflection(n, tau)
         if n % 2 == 1:
             worst_algebra = max(
                 worst_algebra, float(np.max(np.abs(q @ q - np.eye(n + 1))))
             )
         else:
-            qi = quasi_reflection(n, 1.0 / tau).matrix
+            qi = quasi_reflection(n, 1.0 / tau)
             worst_algebra = max(
                 worst_algebra, float(np.max(np.abs(q @ qi - np.eye(n + 1))))
             )
@@ -204,7 +204,7 @@ def test_criterion_07_quasi_reflection(corpus, persymmetric_corpus):
     for v in odd[:50]:
         u = cmv_matrix(v)
         tau = np.conj(principal_sqrt_unimodular(v.omega))
-        q = quasi_reflection(v.n, tau).matrix
+        q = quasi_reflection(v.n, tau)
         worst_commute = max(worst_commute, float(np.max(np.abs(q @ u - u @ q))))
         signs = persymmetric_sign_pattern(v)  # raises on violation
         pattern_ok = pattern_ok and signs[0] in (1, -1)
@@ -213,7 +213,7 @@ def test_criterion_07_quasi_reflection(corpus, persymmetric_corpus):
         sys_ = build_system(v)
         u = cmv_matrix(v)
         tau = principal_sqrt_unimodular(v.omega)
-        qi = quasi_reflection(v.n, 1.0 / tau).matrix
+        qi = quasi_reflection(v.n, 1.0 / tau)
         z = unit_points(spectrum(sys_))
         phi = qi @ np.conj(laurent_eigenvectors(sys_, z))
         transport_ok = transport_ok and eigenpair_residual(u, phi, z) <= 1e-8

@@ -222,6 +222,12 @@ def test_nan_omega_is_invalid_input_that_names_omega(capsys, argv):
     assert err.startswith("invalid input: omega = (nan") and "is not unimodular" in err
 
 
+def test_nan_nu_is_invalid_input_that_names_nu(capsys):
+    code, out, err = run(capsys, "generate", "--family", "free", "--n", "3", "--nu", "nan")
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input: nu = nan must be finite")
+
+
 def test_reconstruct_missing_file(capsys):
     code, _, err = run(
         capsys, "reconstruct", "--spectrum", "/nonexistent/angles.json", "--omega-arg", "0.0"

@@ -219,14 +219,14 @@ def test_laurent_pattern_for_monomials():
 
 
 def test_quasi_reflection_layout():
-    q = quasi_reflection(3, 1j).matrix
+    q = quasi_reflection(3, 1j)
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 3] = 1j
     expected[1, 2] = -1j
     expected[2, 1] = 1j
     expected[3, 0] = -1j
     assert np.array_equal(q, expected)
-    q1 = quasi_reflection(4, 1.0).matrix
+    q1 = quasi_reflection(4, 1.0)
     assert np.array_equal(q1, np.fliplr(np.eye(5)))
 
 
@@ -239,7 +239,7 @@ def test_quasi_reflection_validation():
 def test_quasi_reflection_odd_squares_to_identity(angle, half):
     n = 2 * half - 1
     tau = np.exp(1j * angle)
-    q = quasi_reflection(n, tau).matrix
+    q = quasi_reflection(n, tau)
     assert float(np.max(np.abs(q @ q - np.eye(n + 1)))) <= 1e-12
 
 
@@ -247,8 +247,8 @@ def test_quasi_reflection_odd_squares_to_identity(angle, half):
 def test_quasi_reflection_even_pairing(angle, half):
     n = 2 * half
     tau = np.exp(1j * angle)
-    q = quasi_reflection(n, tau).matrix
-    qi = quasi_reflection(n, 1.0 / tau).matrix
+    q = quasi_reflection(n, tau)
+    qi = quasi_reflection(n, 1.0 / tau)
     assert float(np.max(np.abs(q @ qi - np.eye(n + 1)))) <= 1e-12
     assert float(np.max(np.abs(q - q.T))) == 0.0
     eig = np.linalg.eigvals(q)
@@ -291,7 +291,7 @@ def test_persymmetric_commutation():
         v = random_persymmetric(rng, n)
         u = cmv_matrix(v)
         tau = np.conj(principal_sqrt_unimodular(v.omega))
-        q = quasi_reflection(n, tau).matrix
+        q = quasi_reflection(n, tau)
         assert float(np.max(np.abs(q @ u - u @ q))) <= 1e-10
 
 
@@ -304,7 +304,7 @@ def test_even_persymmetric_transport():
         sys_ = build_system(v)
         u = cmv_matrix(v)
         tau = principal_sqrt_unimodular(v.omega)
-        qi = quasi_reflection(n, 1.0 / tau).matrix
+        qi = quasi_reflection(n, 1.0 / tau)
         z = unit_points(spectrum(sys_))
         phi = qi @ np.conj(laurent_eigenvectors(sys_, z))
         assert eigenpair_residual(u, phi, z) <= 1e-9

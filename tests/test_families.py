@@ -74,7 +74,7 @@ def test_dual_shares_nodes_with_primal():
     for n in (2, 5):
         a = single_moment(n).closed_form_nodes
         b = single_moment_dual(n).closed_form_nodes
-        assert np.allclose([p.theta for p in a], [p.theta for p in b])
+        assert np.allclose(a, b)
 
 
 def test_krawtchouk_at_omega_one():
@@ -83,9 +83,21 @@ def test_krawtchouk_at_omega_one():
     # theta = 0 carrying the merged endpoint mass
     fam = krawtchouk_family(5, 1.0)
     _assert_clean(verify_family(fam))
-    thetas = [p.theta for p in fam.closed_form_nodes]
+    thetas = fam.closed_form_nodes
     assert thetas[0] == 0.0
     assert np.all(np.diff(thetas) > 1e-9)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: free_family(5, -0.3), lambda: single_moment(5), lambda: single_moment_dual(5),
+     lambda: single_moment_persymmetric(5), lambda: krawtchouk_family(5, np.exp(-0.9j))],
+    ids=["free", "single_moment", "single_moment_dual", "single_moment_persymmetric", "krawtchouk"],
+)
+def test_closed_form_nodes_are_one_sorted_read_only_theta_array(make):
+    nodes = make().closed_form_nodes
+    assert isinstance(nodes, np.ndarray) and nodes.dtype == np.float64 and not nodes.flags.writeable
+    assert nodes[0] >= 0.0 and nodes[-1] < 2.0 * np.pi and np.all(np.diff(nodes) > 0.0)
 
 
 def test_krawtchouk_negative_angle():
@@ -98,8 +110,8 @@ def test_krawtchouk_exclusion_arc():
     for n, omega in [(3, np.exp(0.8j)), (6, np.exp(-2.0j)), (5, 1j)]:
         fam = krawtchouk_family(n, omega)
         sigma = abs(float(np.angle(complex(omega))))
-        for p in fam.closed_form_nodes:
-            dist = min(p.theta, 2.0 * np.pi - p.theta)
+        for theta in fam.closed_form_nodes:
+            dist = min(theta, 2.0 * np.pi - theta)
             assert dist >= sigma - 1e-9
 
 

@@ -171,7 +171,7 @@ def test_log_h_final_matches_recovered_coefficients():
     # itself would leave the double range (Krawtchouk at n = 1024)
     omega = complex(np.exp(0.9j))
     inst = krawtchouk_family(256, omega)
-    result = reconstruct_persymmetric(np.array([p.theta for p in inst.closed_form_nodes]), omega)
+    result = reconstruct_persymmetric(inst.closed_form_nodes, omega)
     expected = float(np.sum(np.log1p(-np.abs(result.v.a) ** 2)))
     assert abs(result.log_h_final - expected) <= 1e-9 * abs(expected)
     assert result.h_final == float(np.exp(result.log_h_final))

@@ -109,8 +109,6 @@ def test_seed_validation():
         PersymmetricSeed((0.1,), 1.0, 2, middle_r=0.5)  # even n forbids it
     with pytest.raises(ValueError):
         PersymmetricSeed((0.1,), 1.0, 3, middle_r=1.5)
-    with pytest.raises(ValueError):
-        PersymmetricSeed((0.1,), 1.0, 2, epsilon=2)
 
 
 def test_random_persymmetric_seeds_verify():

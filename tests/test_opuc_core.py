@@ -22,6 +22,8 @@ from popuc import (
     orthogonality_residual,
     paraorthogonality_residual,
     persymmetric_sign_pattern,
+    persymmetric_weights,
+    phi_n_values,
     quasi_reflection,
     reconstruct_persymmetric,
     spectrum,
@@ -49,21 +51,31 @@ def test_verblunsky_validation():
 
 
 @pytest.mark.parametrize(
-    "gate, message",
+    "gate, error, message",
     [
-        (lambda: VerblunskySequence([0.1, 0.2], np.nan), r"omega = \(nan\+0j\) is not unimodular"),
-        (lambda: quasi_reflection(3, np.nan), r"tau = \(nan\+0j\) is not unimodular"),
-        (lambda: PersymmetricSeed([0.1], complex(np.nan, 0.0), 2), r"omega = \(nan\+0j\) is not unimodular"),
-        (lambda: krawtchouk_family(4, complex(np.nan, np.nan)), r"omega = \(nan\+nanj\) is not unimodular"),
-        (lambda: reconstruct_persymmetric(np.array([0.5, 2.0, 4.0]), np.nan), r"omega = \(nan\+0j\)"),
-        (lambda: theta_block(np.nan), r"\|a\| = nan must stay strictly inside the unit disc"),
+        (lambda: VerblunskySequence([0.1, 0.2], np.nan), ValueError, r"omega = \(nan\+0j\) is not unimodular"),
+        (lambda: VerblunskySequence([0.1, np.nan], 1.0), ValueError, r"\|a_1\| = nan must stay strictly inside"),
+        (lambda: quasi_reflection(3, np.nan), ValueError, r"tau = \(nan\+0j\) is not unimodular"),
+        (lambda: PersymmetricSeed([0.1], complex(np.nan, 0.0), 2), ValueError, r"omega = \(nan\+0j\) is not unimodular"),
+        (lambda: PersymmetricSeed([np.nan], 1.0, 2), ValueError, r"\|free_params_0\| = nan must stay strictly inside"),
+        (lambda: krawtchouk_family(4, complex(np.nan, np.nan)), ValueError, r"omega = \(nan\+nanj\) is not unimodular"),
+        (lambda: free_family(3, np.nan), ValueError, r"nu = nan must be finite"),
+        (lambda: reconstruct_persymmetric(np.array([0.5, 2.0, 4.0]), np.nan), ValueError, r"omega = \(nan\+0j\)"),
+        (lambda: theta_block(np.nan), ValueError, r"\|a\| = nan must stay strictly inside the unit disc"),
+        (lambda: persymmetric_weights(np.array([0.1, np.nan]), 1.0), ValueError, r"theta\[1\] is nan"),
+        (lambda: phi_n_values(np.array([0.1, np.nan]), 1, 1.0, 1), ValueError, r"theta\[1\] is nan"),
+        (lambda: persymmetric_weights(np.array([0.1, 0.1, 2.0]), 1.0), ShapeError, "strictly increasing"),
+        (lambda: phi_n_values(np.array([0.1, 0.1, 2.0]), 1, 1.0, 1), ShapeError, "strictly increasing"),
     ],
-    ids=["VerblunskySequence", "quasi_reflection", "PersymmetricSeed", "krawtchouk_family",
-         "reconstruct_persymmetric", "theta_block"],
+    ids=["VerblunskySequence", "VerblunskySequence_a", "quasi_reflection", "PersymmetricSeed",
+         "PersymmetricSeed_free_params", "krawtchouk_family", "free_family_nu", "reconstruct_persymmetric",
+         "theta_block", "persymmetric_weights_nan", "phi_n_values_nan", "persymmetric_weights_repeated",
+         "phi_n_values_repeated"],
 )
-def test_nan_fails_every_unimodular_and_disc_gate(gate, message):
-    # abs(abs(nan) - 1) > bound is False, so a gate written that way lets NaN through
-    with pytest.raises(ValueError, match=message):
+def test_nan_fails_every_unimodular_and_disc_gate(gate, error, message):
+    # abs(abs(nan) - 1) > bound is False, so a gate written that way lets NaN through;
+    # repeated angles ride along, since the same angle gate rejects them
+    with pytest.raises(error, match=message):
         gate()
 
 
@@ -312,8 +324,7 @@ def test_free_family_pairs_split_to_closed_form(n):
     inst = free_family(n, 0.0)
     sys_ = build_system(inst.v)
     data = weights(sys_, spectrum(sys_))
-    closed = np.array([p.theta for p in inst.closed_form_nodes])
-    assert float(np.max(np.abs(data.theta - closed))) <= 1e-13
+    assert float(np.max(np.abs(data.theta - inst.closed_form_nodes))) <= 1e-13
     assert float(np.max(np.abs(data.weights - inst.closed_form_weights))) <= 1e-13
 
 
