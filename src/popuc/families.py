@@ -1,16 +1,18 @@
 """Closed-form example families and their cross-checks.
 
 Each constructor returns a ``FamilyInstance`` bundling the coefficient data
-with whatever closed forms the family admits (ladder polynomials, node
-angles as one sorted array, weights).  ``verify_family`` rebuilds everything
-from the recurrence and reports the worst deviation per closed form, so the
-instances double as regression fixtures.
+with the closed forms the family admits: node angles as one sorted array,
+weights, and ladder polynomials, built from the data on first read by
+``_LADDERS``.  ``verify_family`` rebuilds everything from the recurrence and
+reports the worst deviation per closed form, so the instances double as
+regression fixtures.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,14 +34,11 @@ from .tolerances import KRAWTCHOUK_CLOSURE, KRAWTCHOUK_DEGENERATE, KRAWTCHOUK_HA
 class FamilyInstance:
     """Coefficient data plus the closed forms a family is known to satisfy.
 
-    closed_form_phis, when present, holds Phi_0 .. Phi_{N+1} as ascending
-    complex coefficient arrays, entry k of length k + 1, like ``VerblunskySequence.phis``.
     closed_form_nodes holds the node angles in [0, 2 pi), sorted and made read-only here.
     """
 
     name: str
     v: VerblunskySequence
-    closed_form_phis: tuple[np.ndarray, ...] | None = None
     closed_form_nodes: np.ndarray | None = None
     closed_form_weights: np.ndarray | None = None
     persymmetric: bool = False
@@ -47,6 +46,12 @@ class FamilyInstance:
     def __post_init__(self) -> None:
         if self.closed_form_nodes is not None:
             self.closed_form_nodes.flags.writeable = False
+
+    @cached_property
+    def closed_form_phis(self) -> tuple[np.ndarray, ...] | None:
+        """Phi_0 .. Phi_{N+1} shaped like ``VerblunskySequence.phis``, built on first read, or None."""
+        build = _LADDERS[self.name]
+        return None if build is None else build(self.v)
 
 
 def free_family(n: int, nu: float = 0.0) -> FamilyInstance:
@@ -60,24 +65,20 @@ def free_family(n: int, nu: float = 0.0) -> FamilyInstance:
         raise ShapeError("need n >= 1")
     if not math.isfinite(nu):
         raise ValueError(f"nu = {nu!r} must be finite")
+    nu = math.fmod(nu, 1.0)  # exact, so s - nu below keeps s however large nu was
     omega = complex(np.exp(2j * np.pi * nu))
     v = VerblunskySequence(np.zeros(n, dtype=np.complex128), omega)
-    phis = []
-    for m in range(n + 2):
-        c = np.zeros(m + 1, dtype=np.complex128)
-        c[m] = 1.0
-        phis.append(c)
-    phis[-1][0] = -np.conj(omega)
     nodes = TWO_PI * (np.arange(n + 1) - nu) / (n + 1) % TWO_PI
     nodes[nodes >= TWO_PI] = 0.0  # the modulo can land exactly on the seam
     nodes.sort()
     w = np.full(n + 1, 1.0 / (n + 1))
-    return FamilyInstance("free", v, tuple(phis), nodes, w, persymmetric=True)
+    return FamilyInstance("free", v, nodes, w, persymmetric=True)
 
 
-def _running_sum_poly(m: int, scale: float) -> np.ndarray:
-    # scale * (1 + 2 z + ... + (m + 1) z^m)
-    return (scale * np.arange(1, m + 2, dtype=np.float64)).astype(np.complex128)
+def _free_ladder(v: VerblunskySequence) -> tuple[np.ndarray, ...]:
+    phis = [np.eye(1, m + 1, m, dtype=np.complex128)[0] for m in range(v.n + 2)]  # the monomials z^m
+    phis[-1][0] = -np.conj(v.omega)
+    return tuple(phis)
 
 
 def single_moment(n: int) -> FamilyInstance:
@@ -92,11 +93,14 @@ def single_moment(n: int) -> FamilyInstance:
         raise ShapeError("need n >= 1")
     a = np.array([-1.0 / (k + 2) for k in range(n)], dtype=np.complex128)
     v = VerblunskySequence(a, -1.0 + 0.0j)
-    phis = [_running_sum_poly(m, 1.0 / (m + 1)) for m in range(n + 1)]
-    phis.append(np.ones(n + 2, dtype=np.complex128))
     half = np.pi * (np.arange(n + 1) + 1.0) / (n + 2)
     w = (2.0 / (n + 2)) * np.sin(half) ** 2
-    return FamilyInstance("single_moment", v, tuple(phis), 2.0 * half, w)
+    return FamilyInstance("single_moment", v, 2.0 * half, w)
+
+
+def _single_moment_ladder(v: VerblunskySequence) -> tuple[np.ndarray, ...]:
+    running = [(1.0 / (m + 1) * np.arange(1.0, m + 2)).astype(np.complex128) for m in range(v.n + 1)]
+    return (*running, np.ones(v.n + 2, dtype=np.complex128))
 
 
 def single_moment_dual(n: int) -> FamilyInstance:
@@ -110,15 +114,15 @@ def single_moment_dual(n: int) -> FamilyInstance:
         raise ShapeError("need n >= 1")
     a = np.array([-1.0 / (n - k + 1) for k in range(n)], dtype=np.complex128)
     v = VerblunskySequence(a, -1.0 + 0.0j)
-    phis = []
-    for m in range(n + 2):
-        c = np.zeros(m + 1, dtype=np.complex128)
-        c[m] = 1.0
-        c[:m] += 1.0 / (n - m + 2)  # geometric sum (z^m - 1)/(z - 1)
-        phis.append(c)
     half = np.pi * (np.arange(n + 1) + 1.0) / (n + 2)
     w = np.full(n + 1, 1.0 / (n + 1))
-    return FamilyInstance("single_moment_dual", v, tuple(phis), 2.0 * half, w)
+    return FamilyInstance("single_moment_dual", v, 2.0 * half, w)
+
+
+def _single_moment_dual_ladder(v: VerblunskySequence) -> tuple[np.ndarray, ...]:
+    # z^m plus the geometric sum (z^m - 1)/(z - 1) = 1 + z + .. + z^(m-1), over n - m + 2
+    geometric = (np.append(np.full(m, 1.0 / (v.n - m + 2)), 1.0) for m in range(v.n + 2))
+    return tuple(c.astype(np.complex128) for c in geometric)
 
 
 def single_moment_persymmetric(n: int) -> FamilyInstance:
@@ -138,9 +142,7 @@ def single_moment_persymmetric(n: int) -> FamilyInstance:
     v = VerblunskySequence(a, -1.0 + 0.0j)
     half = np.pi * (np.arange(n + 1) + 1.0) / (n + 2)
     w = np.tan(nu) * np.sin(half)
-    return FamilyInstance(
-        "single_moment_persymmetric", v, None, 2.0 * half, w, persymmetric=True
-    )
+    return FamilyInstance("single_moment_persymmetric", v, 2.0 * half, w, persymmetric=True)
 
 
 def _divide_out_linear(coeffs: np.ndarray, root: complex) -> tuple[np.ndarray, complex]:
@@ -174,6 +176,16 @@ def _krawtchouk_ladder(n: int, omega: complex, kappa_sq: float) -> list[tuple[np
     return out
 
 
+def _krawtchouk_phis(v: VerblunskySequence) -> tuple[np.ndarray, ...]:
+    kappa_sq = 4.0 * abs(1.0 + v.omega) ** 2 / (v.n + 1.0) ** 2
+    phis = []
+    for m, (quotient, remainder, scale) in enumerate(_krawtchouk_ladder(v.n, v.omega, kappa_sq)):
+        if abs(remainder) > KRAWTCHOUK_REMAINDER * scale:
+            raise ValueError(f"ladder entry {m}: division remainder {abs(remainder):.3e}")
+        phis.append(quotient)
+    return tuple(phis)
+
+
 def krawtchouk_family(n: int, omega: complex) -> FamilyInstance:
     """Linear-coefficient family a_k = (omega + 1)(k + 1)/(n + 1) - 1.
 
@@ -200,13 +212,6 @@ def krawtchouk_family(n: int, omega: complex) -> FamilyInstance:
     )
     v = VerblunskySequence(a, w_om)
 
-    kappa_sq = 4.0 * abs(1.0 + w_om) ** 2 / (n + 1.0) ** 2
-    phis = []
-    for m, (quotient, remainder, scale) in enumerate(_krawtchouk_ladder(n, w_om, kappa_sq)):
-        if abs(remainder) > KRAWTCHOUK_REMAINDER * scale:
-            raise ValueError(f"ladder entry {m}: division remainder {abs(remainder):.3e}")
-        phis.append(quotient)
-
     sigma = float(np.angle(w_om))
     ks = np.arange(n + 2)
     xs = (2.0 * ks / (n + 1.0) - 1.0) * np.cos(sigma / 2.0)
@@ -232,9 +237,14 @@ def krawtchouk_family(n: int, omega: complex) -> FamilyInstance:
     raw /= raw.sum()
     nodes = 2.0 * half % TWO_PI  # 2 pi, the kept candidate at z = 1 when sigma = 0, becomes 0
     order = nodes.argsort()
-    return FamilyInstance(
-        "krawtchouk", v, tuple(phis), nodes[order], raw[order], persymmetric=True
-    )
+    return FamilyInstance("krawtchouk", v, nodes[order], raw[order], persymmetric=True)
+
+
+# family name -> builder of its closed-form ladder from the coefficient data
+_LADDERS = {
+    "free": _free_ladder, "single_moment": _single_moment_ladder, "krawtchouk": _krawtchouk_phis,
+    "single_moment_dual": _single_moment_dual_ladder, "single_moment_persymmetric": None,
+}
 
 
 def verify_family(inst: FamilyInstance) -> dict[str, float]:
@@ -247,13 +257,11 @@ def verify_family(inst: FamilyInstance) -> dict[str, float]:
     """
     v = inst.v
     report: dict[str, float] = {}
-    if inst.closed_form_phis is not None:
-        if len(inst.closed_form_phis) != len(v.phis):
+    closed = inst.closed_form_phis
+    if closed is not None:
+        if len(closed) != len(v.phis):
             raise ShapeError("closed-form ladder has the wrong length")
-        worst = 0.0
-        for ours, closed in zip(v.phis, inst.closed_form_phis):
-            worst = max(worst, float(np.max(np.abs(ours - closed))))
-        report["phi"] = worst
+        report["phi"] = max(float(np.max(np.abs(ours - c))) for ours, c in zip(v.phis, closed))
     nodes = spectrum(v)
     if inst.closed_form_nodes is not None:
         closed_z = unit_points(inst.closed_form_nodes)

@@ -73,7 +73,7 @@ def reconstruct_persymmetric(
     w = unimodular("omega", omega)
 
     z = unit_points(thetas)
-    closest = float(np.min(np.abs(np.diff(z, append=z[0]))))  # sorted: the closest pair is adjacent
+    closest = float(np.min(np.abs(z - np.roll(z, 1))))  # sorted: the closest pair is adjacent
     if closest <= NODE_SEPARATION:
         raise DegenerateNodesError(f"nodes only {closest:.3e} apart")
     target = (-1.0) ** n_top * np.conj(w)
@@ -92,16 +92,18 @@ def reconstruct_persymmetric(
 
     free = count // 2
     basis = np.empty((free, count), dtype=np.complex128)  # Arnoldi vectors as rows
+    conj_basis = np.empty_like(basis)  # their conjugates, each taken once
     basis[0] = np.sqrt(scaled / total)
     row = np.zeros(free, dtype=np.complex128)  # peeled row r_k in the basis of H's rows 0..k
     row[0] = 1.0
     a = np.empty(n_top, dtype=np.complex128)
     for k in range(free):
         x = z * basis[k]
-        q = basis[: k + 1]
-        column = q.conj() @ x  # H[:k+1, k] is column + again: classical Gram-Schmidt twice
+        np.conj(basis[k], out=conj_basis[k])
+        q, q_conj = basis[: k + 1], conj_basis[: k + 1]
+        column = q_conj @ x  # H[:k+1, k] is column + again: classical Gram-Schmidt twice
         x -= column @ q
-        again = q.conj() @ x
+        again = q_conj @ x
         x -= again @ q
         r_kk = complex(row[: k + 1] @ (column + again))
         a[k] = r_kk.conjugate()

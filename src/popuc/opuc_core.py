@@ -23,14 +23,15 @@ once, however many checks read it: ``spectrum``, ``weights``,
 the sign pattern all take the list and share ``VerblunskySequence.quadrature``
 and ``cmv_factors``, and ``orthogonality_residual`` checks the weights against
 ``VerblunskySequence.node_values``, the recurrence at the nodes.  Every memo
-holds arrays only, so no reference cycle keeps a solve alive.
+holds arrays only, so no reference cycle keeps a solve alive.  ``phis`` and
+the closure check share one coefficient recurrence run on one row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -118,20 +119,28 @@ class VerblunskySequence:
         """The ladder Phi_0 .. Phi_{N+1}, through the closure a_N = omega.
 
         Entry k holds the k + 1 ascending coefficients of Phi_k; the entries
-        are read-only rows of one (N+2) x (N+2) array.
+        are read-only rows of one (N+2) x (N+2) array, copied from ``_ladder_rows``.
         """
         size = self.n + 2
         ladder = np.zeros((size, size), dtype=np.complex128)
-        ladder[0, 0] = 1.0
-        conj_a = np.conj(np.append(self.a, self.omega))
-        for k in range(size - 1):
-            prev = ladder[k, : k + 1]
-            ladder[k + 1, 1 : k + 2] = prev
-            ladder[k + 1, : k + 1] -= conj_a[k] * np.conj(prev[::-1])  # z Phi_k - conj(a_k) Phi_k^*
+        for k, row in enumerate(_ladder_rows(self)):
+            ladder[k, : k + 1] = row
         if not np.all(np.isfinite(ladder)):
             raise ValueError("ladder coefficients must be finite")
         ladder.flags.writeable = False
         return tuple(ladder[k, : k + 1] for k in range(size))
+
+
+def _ladder_rows(v: VerblunskySequence) -> Iterator[np.ndarray]:
+    """Yield Phi_0 .. Phi_{N+1}, a_N = omega, as views of one (N+2)-long row that the next step overwrites."""
+    row = np.zeros(v.n + 2, dtype=np.complex128)
+    row[-1] = 1.0  # Phi_k fills the last k + 1 places behind zeros, so z Phi_k needs no shift
+    conj_a = np.conj(np.append(v.a, v.omega))
+    for k in range(v.n + 1):
+        phi = row[-k - 1 :]
+        yield phi
+        row[-k - 2 : -1] -= conj_a[k] * np.conj(phi[::-1])  # z Phi_k - conj(a_k) Phi_k^*
+    yield row
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,14 +386,18 @@ def _resolved(w: np.ndarray, row: str) -> np.ndarray:
 
 
 def paraorthogonality_residual(v: VerblunskySequence) -> float:
-    """Max coefficient magnitude of Phi_{N+1}^* + omega * Phi_{N+1}, read off ``phis[-1]``, relative.
+    """Max coefficient magnitude of Phi_{N+1}^* + omega * Phi_{N+1}, relative.
 
     The closure a_N = omega forces Phi_{N+1}^* = -omega Phi_{N+1}, so this
     vanishes for every valid system regardless of omega's phase.  The defect
     is divided by max(1, max |coefficient of Phi_{N+1}|), so at large N,
     where the coefficients grow, rounding does not read as a defect.
+    Phi_{N+1} is the last row of ``_ladder_rows``, so O(N) memory suffices.
     """
-    top = v.phis[-1]
+    for top in _ladder_rows(v):
+        pass
+    if not np.all(np.isfinite(top)):  # a non-finite entry is carried into every later row
+        raise ValueError("ladder coefficients must be finite")
     resid = np.conj(top[::-1]) + v.omega * top
     return float(np.max(np.abs(resid))) / max(1.0, float(np.max(np.abs(top))))
 

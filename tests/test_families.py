@@ -88,12 +88,46 @@ def test_krawtchouk_at_omega_one():
     assert np.all(np.diff(thetas) > 1e-9)
 
 
-@pytest.mark.parametrize(
+FAMILIES = pytest.mark.parametrize(
     "make",
     [lambda: free_family(5, -0.3), lambda: single_moment(5), lambda: single_moment_dual(5),
      lambda: single_moment_persymmetric(5), lambda: krawtchouk_family(5, np.exp(-0.9j))],
     ids=["free", "single_moment", "single_moment_dual", "single_moment_persymmetric", "krawtchouk"],
 )
+
+
+@FAMILIES
+def test_a_constructor_leaves_the_ladder_unbuilt(make):
+    inst = make()
+    assert "closed_form_phis" not in vars(inst)
+    report = verify_family(inst)
+    assert ("phi" in report) is (inst.name != "single_moment_persymmetric")
+    assert "closed_form_phis" in vars(inst)  # built by the one reader, then kept
+
+
+def test_krawtchouk_remainder_gate_fires_through_verify_family(monkeypatch):
+    import popuc.families as families
+
+    monkeypatch.setattr(families, "_krawtchouk_ladder", lambda *args: [(np.ones(1, dtype=complex), 1.0, 1.0)])
+    inst = krawtchouk_family(4, np.exp(0.9j))  # the constructor does not read the ladder
+    with pytest.raises(ValueError, match="ladder entry 0: division remainder 1.000e"):
+        verify_family(inst)
+
+
+@pytest.mark.parametrize("nu", [1e12, 1e17, -7.25])
+def test_free_family_keeps_its_nodes_at_large_nu(nu):
+    # nu is reduced mod 1 before it meets s, so each closed-form angle keeps its own s
+    fam = free_family(4, nu)
+    report = verify_family(fam)
+    assert report["nodes"] <= 1e-12
+    _assert_clean(report)
+    assert np.unique(fam.closed_form_nodes).size == 5
+    turn = nu % 1.0
+    assert abs(fam.v.omega - np.exp(2j * np.pi * turn)) <= 1e-15
+    assert np.allclose(fam.closed_form_nodes, free_family(4, turn).closed_form_nodes, rtol=0.0, atol=1e-15)
+
+
+@FAMILIES
 def test_closed_form_nodes_are_one_sorted_read_only_theta_array(make):
     nodes = make().closed_form_nodes
     assert isinstance(nodes, np.ndarray) and nodes.dtype == np.float64 and not nodes.flags.writeable
@@ -140,11 +174,11 @@ def test_verify_family_rejects_wrong_ladder_length():
     broken = type(fam)(
         name=fam.name,
         v=fam.v,
-        closed_form_phis=fam.closed_form_phis[:-1],
         closed_form_nodes=fam.closed_form_nodes,
         closed_form_weights=fam.closed_form_weights,
         persymmetric=fam.persymmetric,
     )
+    vars(broken)["closed_form_phis"] = fam.closed_form_phis[:-1]  # fill the cached ladder by hand
     with pytest.raises(ShapeError):
         verify_family(broken)
 

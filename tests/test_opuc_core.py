@@ -26,6 +26,9 @@ from popuc import (
     phi_n_values,
     quasi_reflection,
     reconstruct_persymmetric,
+    single_moment,
+    single_moment_dual,
+    single_moment_persymmetric,
     spectrum,
     krawtchouk_family,
     theta_block,
@@ -343,17 +346,32 @@ def test_cluster_of_five_is_split_on_u(monkeypatch):
     assert float(np.max(np.abs(rows[:, got] - np.abs(q[[0, -1]][:, want]) ** 2))) <= 1e-10
 
 
-def test_paraorthogonality_flags_a_moved_coefficient():
+def test_paraorthogonality_flags_a_moved_coefficient(monkeypatch):
     # the residual is relative to the largest coefficient of Phi_{N+1}; a
     # real defect on an interior coefficient must still stand out
+    import popuc.opuc_core as opuc_core
+
     rng = np.random.default_rng(43)
     v = random_verblunsky(rng, 12)
-    top = v.phis[-1].copy()
-    top[6] += 1e-6
-    moved = VerblunskySequence(v.a, v.omega)
-    vars(moved)["phis"] = v.phis[:-1] + (top,)  # fill the cached ladder of a copy by hand
+    rows = [row.copy() for row in opuc_core._ladder_rows(v)]
+    rows[-1][6] += 1e-6
     assert paraorthogonality_residual(v) <= 1e-14
-    assert paraorthogonality_residual(moved) > 1e-8
+    monkeypatch.setattr(opuc_core, "_ladder_rows", lambda _: iter(rows))  # the recurrence yields the moved top
+    assert paraorthogonality_residual(v) > 1e-8
+
+
+def test_one_row_recurrence_ends_on_the_ladder_top_bit_for_bit():
+    # the closure check reads only the last row; it must be phis[-1] exactly
+    import popuc.opuc_core as opuc_core
+
+    rng = np.random.default_rng(2026)  # the acceptance corpus: 200 draws, n from 1 to 12
+    corpus = [random_verblunsky(rng, 1 + i % 12) for i in range(200)]
+    families = [free_family(64, 0.3), single_moment(64), single_moment_dual(64),
+                single_moment_persymmetric(64), krawtchouk_family(64, np.exp(0.9j))]
+    for v in corpus + [fam.v for fam in families]:
+        for top in opuc_core._ladder_rows(v):
+            pass
+        assert top.tobytes() == v.phis[-1].tobytes()
 
 
 def test_spectrum_weights_and_residual_share_one_solve_and_one_ladder(monkeypatch):
@@ -405,6 +423,7 @@ def test_a_coefficient_list_with_filled_memos_is_freed_without_the_collector():
     sys_ = build_system(v)
     data = weights(sys_, spectrum(sys_))
     assert orthogonality_residual(sys_, data) <= 1e-8 and paraorthogonality_residual(sys_) <= 1e-10
+    assert v.phis[-1].size == 11  # the closure check does not build the ladder memo; fill it here
     verify_persymmetry_characterizations(v)
     verify_mirror_relations(v)
     persymmetric_sign_pattern(v)
