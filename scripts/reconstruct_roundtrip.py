@@ -13,7 +13,6 @@ import sys
 import numpy as np
 
 from popuc import (
-    PersymmetricSeed,
     make_persymmetric,
     reconstruct_persymmetric,
     spectrum,
@@ -25,13 +24,9 @@ def draw(rng, n, max_mag):
     half = max_mag * np.sqrt(rng.uniform(0.0, 1.0, size=n // 2))
     args = rng.uniform(0.0, 2.0 * np.pi, size=n // 2)
     omega = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-    seed = PersymmetricSeed(
-        half * np.exp(1j * args),
-        omega,
-        n,
-        middle_r=float(rng.uniform(-max_mag, max_mag)) if n % 2 else None,
+    return make_persymmetric(
+        half * np.exp(1j * args), omega, middle_r=float(rng.uniform(-max_mag, max_mag)) if n % 2 else None
     )
-    return make_persymmetric(seed)
 
 
 def main():

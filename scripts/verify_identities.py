@@ -14,7 +14,6 @@ import sys
 import numpy as np
 
 from popuc import (
-    PersymmetricSeed,
     VerblunskySequence,
     cmv_matrix,
     free_family,
@@ -110,13 +109,9 @@ def persymmetric_rows(seed, count, n_max):
         half = 0.8 * np.sqrt(rng.uniform(0.0, 1.0, size=n // 2))
         args = rng.uniform(0.0, 2.0 * np.pi, size=n // 2)
         omega = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        seed_obj = PersymmetricSeed(
-            half * np.exp(1j * args),
-            omega,
-            n,
-            middle_r=float(rng.uniform(-0.8, 0.8)) if n % 2 else None,
+        v = make_persymmetric(
+            half * np.exp(1j * args), omega, middle_r=float(rng.uniform(-0.8, 0.8)) if n % 2 else None
         )
-        v = make_persymmetric(seed_obj)
         report = verify_persymmetry_characterizations(v)
         worst = max(worst, report.max_residual)
     name = f"persymmetric characterizations ({count} draws, n <= {n_max})"

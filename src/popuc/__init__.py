@@ -53,7 +53,6 @@ from .inverse_spectral import (
     reconstruct_persymmetric,
 )
 from .mirror import (
-    PersymmetricSeed,
     PersymmetryCharacterizations,
     dual_weights,
     is_persymmetric,
@@ -84,7 +83,6 @@ __all__ = [
     "FamilyInstance",
     "MirrorRelationReport",
     "NotPersymmetricError",
-    "PersymmetricSeed",
     "PersymmetryCharacterizations",
     "PersymmetryViolationError",
     "Polynomial",

@@ -45,6 +45,7 @@ from .inverse_spectral import reconstruct_persymmetric
 from .mirror import is_persymmetric, persymmetry_defect, verify_persymmetry_characterizations
 from .opuc_core import (
     VerblunskySequence,
+    cmv_matrix,
     orthogonality_residual,
     paraorthogonality_residual,
     spectrum,
@@ -152,7 +153,7 @@ def _payload(v: VerblunskySequence, emit: str) -> dict[str, Any]:
             out["weights"] = weights(v, theta).weights
     if emit in ("cmv", "all"):
         m1, m2 = v.cmv_factors
-        out["cmv"] = {"m1": m1, "m2": m2, "u": m2 @ m1}
+        out["cmv"] = {"m1": m1, "m2": m2, "u": cmv_matrix(v)}
     return out
 
 

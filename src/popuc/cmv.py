@@ -106,10 +106,9 @@ def verify_mirror_relations(v: VerblunskySequence) -> MirrorRelationReport:
     Every identity involves tau quadratically, so both square root branches
     give the same residuals; tau is the principal branch.
     """
-    m1, m2 = v.cmv_factors
-    mh1, mh2 = mirror_dual(v).cmv_factors
-    u = m2 @ m1
-    uh = mh2 @ mh1
+    dual = mirror_dual(v)
+    (m1, m2), (mh1, mh2) = v.cmv_factors, dual.cmv_factors
+    u, uh = cmv_matrix(v), cmv_matrix(dual)
     odd = v.n % 2 == 1
     root = principal_sqrt_unimodular(v.omega)
     tau = np.conj(root) if odd else root
@@ -133,10 +132,10 @@ def persymmetric_sign_pattern(v: VerblunskySequence) -> list[int]:
     Q(tau) with eigenvalue epsilon (-1)^s for one global sign epsilon
     (nodes in theta-sorted order).  Componentwise this is the transport
     identity psi_{N-k} = epsilon (-1)^s omega^(+-1/2) psi_k, with exponent
-    +1/2 for even k and -1/2 for odd k; both are verified here to
-    TRANSPORT_RESIDUAL, with each eigenvalue within SIGN_SLACK of +-1, for
-    all nodes at once on the matrix of eigenvectors (``laurent_eigenvectors``),
-    built from the ladder values at the nodes that v keeps.
+    +1/2 for even k and -1/2 for odd k, read off the one Q(tau) psi; both
+    are verified here to TRANSPORT_RESIDUAL, with each eigenvalue within
+    SIGN_SLACK of +-1, for all nodes at once on the matrix of eigenvectors
+    (``laurent_eigenvectors``) built from the ladder values v keeps.
 
     Returns the per-node signs; raises PersymmetryViolationError naming the
     first node (and component) where the pattern fails.
@@ -153,10 +152,7 @@ def persymmetric_sign_pattern(v: VerblunskySequence) -> list[int]:
     scale = np.maximum(1.0, np.max(np.abs(psi), axis=0))
     resid = np.max(np.abs(qpsi - mu * psi), axis=0) / scale
     signs = np.where(np.abs(mu - 1.0) <= SIGN_SLACK, 1, np.where(np.abs(mu + 1.0) <= SIGN_SLACK, -1, 0))
-    # componentwise transport across the middle of the vector
-    omega_half = principal_sqrt_unimodular(v.omega)
-    twist = np.resize([omega_half, np.conj(omega_half)], v.n + 1)[:, None]
-    transport = np.abs(psi[::-1] - signs * twist * psi)
+    transport = np.abs(qpsi - signs * psi)  # componentwise, across the middle of the vector
     off = transport > TRANSPORT_RESIDUAL * scale
     failing = (resid > TRANSPORT_RESIDUAL) | (signs == 0) | np.any(off, axis=0)
     if np.any(failing):

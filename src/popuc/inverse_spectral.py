@@ -21,7 +21,7 @@ from .errors import (
     SpectrumInconsistencyError,
     SzegoClassError,
 )
-from .mirror import _neg_log_derivative, persymmetry_defect
+from .mirror import _neg_log_derivative, mirrored, persymmetry_defect
 from .opuc_core import VerblunskySequence, spectrum, unimodular
 from .tolerances import NODE_PRODUCT_DRIFT, NODE_SEPARATION, RECOVERED_DEFECT, RESIDUAL, VERBLUNSKY_MARGIN
 
@@ -60,10 +60,10 @@ def reconstruct_persymmetric(
     columns of the unitary Hessenberg matrix H; peeling its Givens
     blocks from row 0 (a_k = conj(r_k[k]), r_{k+1} = rho_k r_k - r_k[k] H[k+1])
     reads a_k without dividing by a product of the rho_k.  A peeled
-    |a_k| >= 1 - VERBLUNSKY_MARGIN raises SzegoClassError.  The rest of
-    the data follows from a_{N-1-k} = -omega conj(a_k); the system is built
-    forward again, and a rebuilt spectrum farther than RESIDUAL from the
-    nodes raises NotPersymmetricError.
+    |a_k| >= 1 - VERBLUNSKY_MARGIN raises SzegoClassError.  ``mirrored``
+    gives the rest of the data, a_{N-1-k} = -omega conj(a_k); the system is
+    built forward again, and a rebuilt spectrum farther than RESIDUAL from
+    the nodes raises NotPersymmetricError.
     """
     thetas = node_angles(nodes)
     count = thetas.size
@@ -114,7 +114,7 @@ def reconstruct_persymmetric(
             basis[k + 1] = x / rho
             row[: k + 1] *= rho
             row[k + 1] = -r_kk
-    a[free:] = -w * np.conj(a[: n_top - free][::-1])
+    a[free:] = mirrored(a[: n_top - free], w)
     v = VerblunskySequence(a, w)
 
     rebuilt = spectrum(v)

@@ -1,11 +1,12 @@
 """Mirror duality and the persymmetric subclass.
 
 The mirror dual of (a_0 .. a_{N-1}, omega) is (-omega conj(a_{N-1}) ..
--omega conj(a_0), omega).  Dual data share the final polynomial, hence the
-spectrum, while their weights multiply to h_N / |Phi'_{N+1}|^2 node by node;
-the dual weights are the squared last components of the eigenvectors that
-give the primal weights.  Data equal to its own dual is called
-persymmetric; such a system is pinned down by its spectrum alone, which
+-omega conj(a_0), omega), the map ``mirrored``.  Dual data share the final
+polynomial, hence the spectrum, while their weights multiply to
+h_N / |Phi'_{N+1}|^2 node by node; the dual weights are the squared last
+components of the eigenvectors that give the primal weights.  Data equal to
+its own dual is called persymmetric; ``make_persymmetric`` builds it from
+its free half.  Such a system is pinned down by its spectrum alone, which
 drives the inverse problem elsewhere in the package.  Every check here
 takes the coefficient list and reads the memos it keeps; the closed forms
 take the node angles as one array, checked by ``node_angles``.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complex_poly import node_angles, unit_points
-from .errors import NotPersymmetricError, ShapeError, WeightError
+from .errors import NotPersymmetricError, WeightError
 from .opuc_core import VerblunskySequence, _resolved, inside_disc, spectrum, unimodular
 from .tolerances import SELF_DUAL_DEFECT
 
@@ -28,14 +29,19 @@ def principal_sqrt_unimodular(w: complex) -> complex:
     return complex(np.exp(0.5j * np.angle(w)))
 
 
+def mirrored(a: np.ndarray, omega: complex) -> np.ndarray:
+    """The mirror map a_k -> -omega conj(a_{N-1-k}) on a coefficient array."""
+    return -omega * np.conj(a[::-1])
+
+
 def mirror_dual(v: VerblunskySequence) -> VerblunskySequence:
     """Reverse, conjugate and twist the coefficient list; omega is kept."""
-    return VerblunskySequence(-v.omega * np.conj(v.a[::-1]), v.omega)
+    return VerblunskySequence(mirrored(v.a, v.omega), v.omega)
 
 
 def persymmetry_defect(v: VerblunskySequence) -> float:
-    """Max distance between the data and its own mirror dual, max |a + omega conj(a reversed)|."""
-    return float(np.max(np.abs(v.a + v.omega * np.conj(v.a[::-1]))))
+    """Max distance between the data and its own mirror dual, max |a - mirrored(a, omega)|."""
+    return float(np.max(np.abs(v.a - mirrored(v.a, v.omega))))
 
 
 def is_persymmetric(v: VerblunskySequence) -> bool:
@@ -43,49 +49,23 @@ def is_persymmetric(v: VerblunskySequence) -> bool:
     return persymmetry_defect(v) <= SELF_DUAL_DEFECT
 
 
-@dataclass(frozen=True, eq=False)
-class PersymmetricSeed:
-    """Free parameters that pin down a persymmetric coefficient list.
+def make_persymmetric(
+    free_params: np.ndarray, omega: complex, middle_r: float | None = None
+) -> VerblunskySequence:
+    """The self-dual list whose first half is free_params: a fixed point of ``mirrored``.
 
-    Even n: floor(n/2) disc values fill the first half, the second half is
-    forced by duality.  Odd n: additionally a real middle parameter r in
-    (-1, 1); the middle coefficient is forced onto the line
-    i * r * omega^(1/2) (principal branch).
+    n = 2 len(free_params), plus one when the real middle parameter r in
+    (-1, 1) is given: the middle coefficient is then i r omega^(1/2)
+    (principal branch).  A free parameter outside the disc, r outside
+    (-1, 1) or omega off the circle raises ValueError; empty input ShapeError.
     """
-
-    free_params: np.ndarray
-    omega: complex
-    n: int
-    middle_r: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ShapeError("need n >= 1")
-        arr = np.asarray(self.free_params, dtype=np.complex128).reshape(-1)
-        if arr.size != self.n // 2:
-            raise ShapeError(f"expected {self.n // 2} free parameters, got {arr.size}")
-        inside_disc("free_params", arr)
-        if self.n % 2 == 1:
-            if self.middle_r is None:
-                raise ShapeError("odd n needs the real middle parameter")
-            if not -1.0 < float(self.middle_r) < 1.0:
-                raise ValueError("middle parameter must lie in (-1, 1)")
-        elif self.middle_r is not None:
-            raise ShapeError("even n takes no middle parameter")
-        object.__setattr__(self, "free_params", arr)
-        object.__setattr__(self, "omega", unimodular("omega", self.omega))
-
-
-def make_persymmetric(seed: PersymmetricSeed) -> VerblunskySequence:
-    """Expand a seed into the full self-dual coefficient list."""
-    a = np.zeros(seed.n, dtype=np.complex128)
-    half = seed.n // 2
-    a[:half] = seed.free_params
-    for k in range(half):
-        a[seed.n - 1 - k] = -seed.omega * np.conj(seed.free_params[k])
-    if seed.n % 2 == 1:
-        a[half] = 1j * float(seed.middle_r) * principal_sqrt_unimodular(seed.omega)
-    return VerblunskySequence(a, seed.omega)
+    free = np.asarray(free_params, dtype=np.complex128).reshape(-1)
+    inside_disc("free_params", free)
+    if middle_r is not None and not -1.0 < float(middle_r) < 1.0:
+        raise ValueError("middle parameter must lie in (-1, 1)")
+    omega = unimodular("omega", omega)
+    middle = () if middle_r is None else (1j * float(middle_r) * principal_sqrt_unimodular(omega),)
+    return VerblunskySequence(np.concatenate((free, middle, mirrored(free, omega))), omega)
 
 
 def dual_weights(v: VerblunskySequence) -> np.ndarray:

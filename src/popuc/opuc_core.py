@@ -22,9 +22,10 @@ once, however many checks read it: ``spectrum``, ``weights``,
 ``mirror.dual_weights``, the persymmetry checks, the mirror relations and
 the sign pattern all take the list and share ``VerblunskySequence.quadrature``
 and ``cmv_factors``, and ``orthogonality_residual`` checks the weights against
-``VerblunskySequence.node_values``, the recurrence at the nodes.  Every memo
-holds arrays only, so no reference cycle keeps a solve alive.  ``phis`` and
-the closure check share one coefficient recurrence run on one row.
+``VerblunskySequence.node_values``, the recurrence at the nodes; U itself is
+formed in one place, ``cmv_matrix``.  Every memo holds arrays only, so no
+reference cycle keeps a solve alive.  ``phis`` copies the rows of one
+coefficient recurrence run on one row, whose last row the closure check reads.
 """
 
 from __future__ import annotations
@@ -95,8 +96,7 @@ class VerblunskySequence:
         UNIMODULAR below 2 pi are mapped to 0, so a node on the seam sorts
         first whichever side of it rounding put it.
         """
-        m1, m2 = self.cmv_factors
-        lam, rows = eigen_rows(m2 @ m1)
+        lam, rows = eigen_rows(cmv_matrix(self))
         drift = float(np.abs(np.abs(lam) - 1.0).max())
         if not drift <= SPECTRUM_RADIUS:
             raise SpectralValidityError(f"eigenvalue radius off the circle by {drift:.3e}")
@@ -118,17 +118,13 @@ class VerblunskySequence:
     def phis(self) -> tuple[np.ndarray, ...]:
         """The ladder Phi_0 .. Phi_{N+1}, through the closure a_N = omega.
 
-        Entry k holds the k + 1 ascending coefficients of Phi_k; the entries
-        are read-only rows of one (N+2) x (N+2) array, copied from ``_ladder_rows``.
+        Entry k holds the k + 1 ascending coefficients of Phi_k, a read-only
+        copy of row k of ``_ladder_rows``, so no zero padding is kept.
         """
-        size = self.n + 2
-        ladder = np.zeros((size, size), dtype=np.complex128)
-        for k, row in enumerate(_ladder_rows(self)):
-            ladder[k, : k + 1] = row
-        if not np.all(np.isfinite(ladder)):
+        ladder = tuple(_read_only(row) for row in _ladder_rows(self))
+        if not np.all(np.isfinite(ladder[-1])):  # a non-finite entry is carried into every later row
             raise ValueError("ladder coefficients must be finite")
-        ladder.flags.writeable = False
-        return tuple(ladder[k, : k + 1] for k in range(size))
+        return ladder
 
 
 def _ladder_rows(v: VerblunskySequence) -> Iterator[np.ndarray]:
@@ -258,8 +254,8 @@ def factors(v: VerblunskySequence) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmv_matrix(v: VerblunskySequence) -> np.ndarray:
-    """The (N+1) x (N+1) unitary five-diagonal matrix U = M2 @ M1."""
-    m1, m2 = factors(v)
+    """The (N+1) x (N+1) unitary five-diagonal matrix U = M2 @ M1, from the factors v keeps."""
+    m1, m2 = v.cmv_factors
     return m2 @ m1
 
 
@@ -346,12 +342,11 @@ def spectrum(v: VerblunskySequence) -> np.ndarray:
     return v.quadrature[0]
 
 
-def _values_at(v: VerblunskySequence, theta: np.ndarray) -> np.ndarray:
-    """``ladder_values`` at cos theta + i sin theta; the kept ``node_values`` when theta is the kept nodes."""
-    kept = vars(v).get("quadrature")
-    if kept is not None and theta is kept[0]:
-        return v.node_values
-    return ladder_values(v, unit_points(theta))
+def _own_nodes(v: VerblunskySequence, nodes: np.ndarray) -> None:
+    """ValueError unless nodes are the angles ``spectrum(v)``, where v keeps its weights and ladder values."""
+    theta = v.quadrature[0]
+    if nodes is not theta and not np.array_equal(node_angles(nodes), theta):
+        raise ValueError("weights are defined at the system's own nodes only: pass spectrum(v)")
 
 
 def weights(v: VerblunskySequence, nodes: np.ndarray) -> SpectralData:
@@ -364,9 +359,8 @@ def weights(v: VerblunskySequence, nodes: np.ndarray) -> SpectralData:
     eigenvector component is below rounding, raises WeightError naming the
     node.  SpectralData further requires a sum within WEIGHT_SUM of one.
     """
+    _own_nodes(v, nodes)
     theta, rows = v.quadrature
-    if nodes is not theta and not np.array_equal(node_angles(nodes), theta):
-        raise ValueError("weights are defined at the system's own nodes only: pass spectrum(v)")
     return SpectralData(theta, _resolved(rows[0], "0"))
 
 
@@ -406,9 +400,11 @@ def orthogonality_residual(v: VerblunskySequence, data: SpectralData) -> float:
     """Max deviation of the weighted Gram matrix of Phi_0 .. Phi_N from diag(h).
 
     The values come from the recurrence, not from the eigenvectors, so this
-    checks the weights independently of the solve that produced them.
+    checks the weights independently of the solve that produced them.  data
+    must come from ``weights(v, spectrum(v))``, else ValueError.
     """
-    vals = _values_at(v, data.theta)
+    _own_nodes(v, data.theta)
+    vals = v.node_values
     gram = (vals * data.weights) @ np.conj(vals.T)
     gram.reshape(-1)[:: gram.shape[0] + 1] -= v.h  # the diagonal, as a view
     return float(np.abs(gram).max())

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import settings
 
-from popuc import PersymmetricSeed, ShapeError, VerblunskySequence, make_persymmetric
+from popuc import ShapeError, VerblunskySequence, make_persymmetric
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -42,7 +42,7 @@ def random_persymmetric(rng: np.random.Generator, n: int, max_mag: float = 0.8) 
     free = radius * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, half))
     mid = float(rng.uniform(-max_mag, max_mag)) if n % 2 else None
     omega = complex(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
-    return make_persymmetric(PersymmetricSeed(free, omega, n, middle_r=mid))
+    return make_persymmetric(free, omega, middle_r=mid)
 
 
 def eigenpair_residual(u: np.ndarray, psi: np.ndarray, z: np.ndarray) -> float:

@@ -129,6 +129,9 @@ def test_check_requires_a_system(capsys):
     code, _, err = run(capsys, "check")
     assert code == 2
     assert "verblunsky" in err or "family" in err
+    code, out, err = run(capsys, "check", "--family", "free")
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input:") and "--family needs --n" in err
 
 
 def test_reconstruct_inline(capsys):
@@ -327,6 +330,9 @@ def test_bad_json_input(capsys):
     assert code == 2
     code, _, err = run(capsys, "generate", "--verblunsky", "{not json")
     assert code == 2
+    code, out, err = run(capsys, "reconstruct", "--spectrum", '{"x": 1}', "--omega-arg", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input:") and "list of angles" in err
 
 
 def test_unknown_family_rejected(capsys):

@@ -14,6 +14,7 @@ from conftest import (
 from popuc import (
     krawtchouk_family,
     NotPersymmetricError,
+    PersymmetryViolationError,
     ShapeError,
     VerblunskySequence,
     build_system,
@@ -23,6 +24,7 @@ from popuc import (
     mirror_dual,
     principal_sqrt_unimodular,
     quasi_reflection,
+    single_moment_persymmetric,
     spectrum,
     theta_block,
     unitarity_residual,
@@ -233,6 +235,8 @@ def test_quasi_reflection_layout():
 def test_quasi_reflection_validation():
     with pytest.raises(ValueError):
         quasi_reflection(3, 2.0)
+    with pytest.raises(ShapeError):
+        quasi_reflection(-1, 1.0)
 
 
 @given(st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True), st.integers(1, 6))
@@ -340,6 +344,39 @@ def test_sign_pattern_input_gates():
         persymmetric_sign_pattern(random_persymmetric(rng, 4))
     with pytest.raises(NotPersymmetricError):
         persymmetric_sign_pattern(VerblunskySequence([0.5, 0.1, 0.0], 1.0))
+
+
+def _scale_one_value(theta, vals):
+    vals[3, 2] *= 1.0 + 1e-6
+
+
+def _shrink_a_mixed_column(theta, vals):
+    vals[:, 4] = 1e-12 * (vals[:, 4] + vals[:, 5])  # too small to fail the eigenvector test
+
+
+def _swap_two_nodes(theta, vals):
+    theta[[2, 3]] = theta[[3, 2]]
+    vals[:, [2, 3]] = vals[:, [3, 2]]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_scale_one_value, "node 2: eigenvector not reproduced"),
+        (_shrink_a_mixed_column, r"node 4: eigenvalue .* is not \+-1"),
+        (_swap_two_nodes, "signs do not alternate from a single epsilon"),
+    ],
+    ids=["eigenvector", "eigenvalue", "alternation"],
+)
+def test_sign_pattern_names_each_fault(corrupt, message):
+    # valid self-dual data whose kept nodes and ladder values are then corrupted
+    v = single_moment_persymmetric(9).v
+    theta, vals = v.quadrature[0].copy(), v.node_values.copy()
+    corrupt(theta, vals)
+    vars(v)["quadrature"] = (theta, v.quadrature[1])
+    vars(v)["node_values"] = vals
+    with pytest.raises(PersymmetryViolationError, match=message):
+        persymmetric_sign_pattern(v)
 
 
 @pytest.mark.parametrize("n", [9, 8])

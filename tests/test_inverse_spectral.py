@@ -7,6 +7,7 @@ from conftest import random_persymmetric, random_verblunsky
 from popuc import (
     DegenerateNodesError,
     NotPersymmetricError,
+    ReconstructionResult,
     ShapeError,
     SpectrumInconsistencyError,
     UnitCirclePoint,
@@ -18,6 +19,7 @@ from popuc import (
     persymmetry_defect,
     phi_n_values,
     reconstruct_persymmetric,
+    single_moment,
     single_moment_persymmetric,
     spectrum,
 )
@@ -99,6 +101,11 @@ def test_reconstruct_raises_when_rebuilt_spectrum_misses(monkeypatch):
     monkeypatch.setattr(inverse_spectral, "RESIDUAL", 1e-300)
     with pytest.raises(NotPersymmetricError, match=f"rebuilt spectrum misses the nodes by {residual:.3e}"):
         reconstruct_persymmetric(nodes, fam.v.omega)
+
+
+def test_result_rejects_data_that_is_not_self_dual():
+    with pytest.raises(NotPersymmetricError, match="recovered data has mirror defect"):
+        ReconstructionResult(single_moment(4).v, 0.0, 0.0)
 
 
 def test_any_node_set_is_the_spectrum_of_a_self_dual_system():

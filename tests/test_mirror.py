@@ -8,7 +8,6 @@ from numpy.polynomial import polynomial as npoly
 from conftest import random_persymmetric, random_verblunsky
 from popuc import (
     NotPersymmetricError,
-    PersymmetricSeed,
     ShapeError,
     UnitCirclePoint,
     VerblunskySequence,
@@ -78,37 +77,45 @@ def test_running_sum_is_not_persymmetric():
 
 
 def test_make_persymmetric_even():
-    v = make_persymmetric(PersymmetricSeed((0.3,), 1.0, 2))
+    v = make_persymmetric((0.3,), 1.0)
     assert np.allclose(v.a, [0.3, -0.3])
     assert is_persymmetric(v)
 
 
 def test_make_persymmetric_odd():
-    v = make_persymmetric(PersymmetricSeed((0.2j,), 1.0, 3, middle_r=0.5))
+    v = make_persymmetric((0.2j,), 1.0, middle_r=0.5)
     assert np.allclose(v.a, [0.2j, 0.5j, 0.2j])
     assert is_persymmetric(v)
 
 
 def test_make_persymmetric_odd_rotated():
     # middle coefficient sits on the i * sqrt(omega) ray
-    v = make_persymmetric(PersymmetricSeed((), 1j, 1, middle_r=0.4))
+    v = make_persymmetric((), 1j, middle_r=0.4)
     assert np.allclose(v.a, [0.4j * np.exp(0.25j * np.pi)])
     assert is_persymmetric(v)
 
 
 def test_seed_validation():
-    with pytest.raises(ShapeError):
-        PersymmetricSeed((0.1, 0.2), 1.0, 2)
     with pytest.raises(ValueError):
-        PersymmetricSeed((1.2,), 1.0, 2)
+        make_persymmetric((1.2,), 1.0)
     with pytest.raises(ValueError):
-        PersymmetricSeed((0.1,), 2.0, 2)
-    with pytest.raises(ShapeError):
-        PersymmetricSeed((0.1,), 1.0, 3)  # odd n needs middle_r
-    with pytest.raises(ShapeError):
-        PersymmetricSeed((0.1,), 1.0, 2, middle_r=0.5)  # even n forbids it
+        make_persymmetric((0.1,), 2.0)
     with pytest.raises(ValueError):
-        PersymmetricSeed((0.1,), 1.0, 3, middle_r=1.5)
+        make_persymmetric((0.1,), 1.0, middle_r=1.5)
+    with pytest.raises(ShapeError, match="at least one Verblunsky coefficient"):
+        make_persymmetric((), 1.0)
+
+
+def test_make_persymmetric_matches_the_scalar_mirror_loop():
+    # the array multiply may round apart from the scalar one, by at most 2 ulp of |a_k|
+    rng = np.random.default_rng(17)
+    for n in range(1, 40):
+        free = 0.85 * np.sqrt(rng.uniform(size=n // 2)) * np.exp(2j * np.pi * rng.uniform(size=n // 2))
+        omega = complex(np.exp(2j * np.pi * rng.uniform()))
+        a = make_persymmetric(free, omega, middle_r=0.3 if n % 2 else None).a
+        loop = np.array([-omega * np.conj(free[k]) for k in range(n // 2)])
+        assert np.array_equal(a[: n // 2], free)
+        assert np.all(np.abs(a[::-1][: n // 2] - loop) <= 2.0 * np.spacing(np.abs(loop)))
 
 
 def test_random_persymmetric_seeds_verify():
@@ -207,6 +214,11 @@ def test_phi_values_match_recurrence():
             vals = phi_n_values(nodes, v.omega, sys_.h[-1], eps)
             errs.append(float(np.max(np.abs(vals - actual))))
         assert min(errs) <= 1e-9
+
+
+def test_phi_values_take_a_sign():
+    with pytest.raises(ValueError, match="epsilon must be"):
+        phi_n_values(np.array([0.5, 2.0, 4.0]), 1.0, 0.5, epsilon=0)
 
 
 def test_phi_values_consecutive_ratio():

@@ -8,7 +8,6 @@ import pytest
 
 from conftest import count_calls, random_persymmetric, random_verblunsky
 from popuc import (
-    PersymmetricSeed,
     ShapeError,
     SpectralData,
     SpectralValidityError,
@@ -19,6 +18,7 @@ from popuc import (
     cmv_matrix,
     dual_weights,
     free_family,
+    make_persymmetric,
     orthogonality_residual,
     paraorthogonality_residual,
     persymmetric_sign_pattern,
@@ -59,8 +59,8 @@ def test_verblunsky_validation():
         (lambda: VerblunskySequence([0.1, 0.2], np.nan), ValueError, r"omega = \(nan\+0j\) is not unimodular"),
         (lambda: VerblunskySequence([0.1, np.nan], 1.0), ValueError, r"\|a_1\| = nan must stay strictly inside"),
         (lambda: quasi_reflection(3, np.nan), ValueError, r"tau = \(nan\+0j\) is not unimodular"),
-        (lambda: PersymmetricSeed([0.1], complex(np.nan, 0.0), 2), ValueError, r"omega = \(nan\+0j\) is not unimodular"),
-        (lambda: PersymmetricSeed([np.nan], 1.0, 2), ValueError, r"\|free_params_0\| = nan must stay strictly inside"),
+        (lambda: make_persymmetric([0.1], complex(np.nan, 0.0)), ValueError, r"omega = \(nan\+0j\) is not unimodular"),
+        (lambda: make_persymmetric([np.nan], 1.0), ValueError, r"\|free_params_0\| = nan must stay strictly inside"),
         (lambda: krawtchouk_family(4, complex(np.nan, np.nan)), ValueError, r"omega = \(nan\+nanj\) is not unimodular"),
         (lambda: free_family(3, np.nan), ValueError, r"nu = nan must be finite"),
         (lambda: reconstruct_persymmetric(np.array([0.5, 2.0, 4.0]), np.nan), ValueError, r"omega = \(nan\+0j\)"),
@@ -70,8 +70,8 @@ def test_verblunsky_validation():
         (lambda: persymmetric_weights(np.array([0.1, 0.1, 2.0]), 1.0), ShapeError, "strictly increasing"),
         (lambda: phi_n_values(np.array([0.1, 0.1, 2.0]), 1, 1.0, 1), ShapeError, "strictly increasing"),
     ],
-    ids=["VerblunskySequence", "VerblunskySequence_a", "quasi_reflection", "PersymmetricSeed",
-         "PersymmetricSeed_free_params", "krawtchouk_family", "free_family_nu", "reconstruct_persymmetric",
+    ids=["VerblunskySequence", "VerblunskySequence_a", "quasi_reflection", "make_persymmetric",
+         "make_persymmetric_free_params", "krawtchouk_family", "free_family_nu", "reconstruct_persymmetric",
          "theta_block", "persymmetric_weights_nan", "phi_n_values_nan", "persymmetric_weights_repeated",
          "phi_n_values_repeated"],
 )
