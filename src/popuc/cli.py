@@ -31,7 +31,7 @@ import numpy as np
 
 from . import cmv as cmv_mod
 from . import families as fam_mod
-from .complex_poly import TWO_PI, unit_points
+from .complex_poly import unit_points
 from .errors import (
     ConvergenceError,
     NotPersymmetricError,
@@ -234,10 +234,7 @@ def _angles(doc: Any) -> np.ndarray:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    theta = _angles(_load_json_arg(args.spectrum))
-    theta %= TWO_PI
-    theta[theta >= TWO_PI] -= TWO_PI  # the modulo can land exactly on the seam
-    theta.sort()
+    theta = np.sort(_angles(_load_json_arg(args.spectrum)))
     omega = complex(np.exp(1j * args.omega_arg))
     result = reconstruct_persymmetric(theta, omega)
     payload = {

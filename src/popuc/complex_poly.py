@@ -1,8 +1,9 @@
 """Points on the unit circle, plus a small monomial-coefficient layer.
 
 Nodes travel through the pipeline as a float64 array of angles theta.
-``node_angles`` is the one gate for caller-supplied angles (finite,
-strictly increasing), and ``unit_points`` turns them into cos theta + i sin theta.
+``node_angles`` is the one gate for caller-supplied angles (finite, strictly
+increasing), ``wrap_angles`` the one convention for where an angle lies ([0, 2 pi),
+seam at 0), and ``unit_points`` turns angles into cos theta + i sin theta.
 ``Polynomial`` (ascending coefficients), ``roots``, ``from_roots`` and
 ``lagrange_interpolate`` are not called by any pipeline stage; they serve
 the tests as independent checks.  ``roots`` takes the eigenvalues of
@@ -18,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateNodesError, ShapeError
-from .tolerances import NODE_SEPARATION, RESIDUAL
+from .tolerances import NODE_SEPARATION, RESIDUAL, UNIMODULAR
 
 TWO_PI = 2.0 * np.pi
 
@@ -87,6 +88,13 @@ def node_angles(nodes: "np.ndarray | Iterable[UnitCirclePoint]") -> np.ndarray:
     if (theta[1:] <= theta[:-1]).any():
         raise ShapeError("nodes must be strictly increasing in theta")
     return theta
+
+
+def wrap_angles(theta: np.ndarray) -> np.ndarray:
+    """theta mod 2 pi in [0, 2 pi) as a new array, with 0 for an angle within UNIMODULAR below 2 pi."""
+    wrapped = np.mod(theta, TWO_PI)
+    wrapped[wrapped > TWO_PI - UNIMODULAR] = 0.0
+    return wrapped
 
 
 def unit_points(theta: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .complex_poly import TWO_PI, unit_points
+from .complex_poly import TWO_PI, unit_points, wrap_angles
 from .errors import ShapeError
 from .mirror import persymmetry_defect
 from .opuc_core import (
@@ -32,20 +32,16 @@ from .tolerances import KRAWTCHOUK_CLOSURE, KRAWTCHOUK_DEGENERATE, KRAWTCHOUK_HA
 
 @dataclass(frozen=True, eq=False)
 class FamilyInstance:
-    """Coefficient data plus the closed forms a family is known to satisfy.
-
-    closed_form_nodes holds the node angles in [0, 2 pi), sorted and made read-only here.
-    """
+    """Coefficient data plus its closed forms; closed_form_nodes is sorted in [0, 2 pi) and made read-only."""
 
     name: str
     v: VerblunskySequence
-    closed_form_nodes: np.ndarray | None = None
-    closed_form_weights: np.ndarray | None = None
+    closed_form_nodes: np.ndarray
+    closed_form_weights: np.ndarray
     persymmetric: bool = False
 
     def __post_init__(self) -> None:
-        if self.closed_form_nodes is not None:
-            self.closed_form_nodes.flags.writeable = False
+        self.closed_form_nodes.flags.writeable = False
 
     @cached_property
     def closed_form_phis(self) -> tuple[np.ndarray, ...] | None:
@@ -68,9 +64,7 @@ def free_family(n: int, nu: float = 0.0) -> FamilyInstance:
     nu = math.fmod(nu, 1.0)  # exact, so s - nu below keeps s however large nu was
     omega = complex(np.exp(2j * np.pi * nu))
     v = VerblunskySequence(np.zeros(n, dtype=np.complex128), omega)
-    nodes = TWO_PI * (np.arange(n + 1) - nu) / (n + 1) % TWO_PI
-    nodes[nodes >= TWO_PI] = 0.0  # the modulo can land exactly on the seam
-    nodes.sort()
+    nodes = np.sort(wrap_angles(TWO_PI * (np.arange(n + 1) - nu) / (n + 1)))
     w = np.full(n + 1, 1.0 / (n + 1))
     return FamilyInstance("free", v, nodes, w, persymmetric=True)
 
@@ -214,15 +208,18 @@ def krawtchouk_family(n: int, omega: complex) -> FamilyInstance:
 
     sigma = float(np.angle(w_om))
     ks = np.arange(n + 2)
-    xs = (2.0 * ks / (n + 1.0) - 1.0) * np.cos(sigma / 2.0)
-    half_angles = np.arccos(np.clip(xs, -1.0, 1.0))
+    xs = 2.0 * ks / (n + 1.0) - 1.0
+    # sin(theta_k / 2) = sqrt((1 - xc)(1 + xc)), c = cos(sigma / 2), from 1 - xc = (1 - x) + x t and
+    # 1 + xc = (1 + x) - x t with t = 1 - c = 2 sin^2(sigma / 4): like-signed terms, so nothing cancels
+    t = 2.0 * np.sin(sigma / 4.0) ** 2
+    sines = np.sqrt((2.0 * (n + 1.0 - ks) / (n + 1.0) + xs * t) * (2.0 * ks / (n + 1.0) - xs * t))
+    half_angles = np.arctan2(sines, xs * np.cos(sigma / 2.0))
     cand = np.exp(2j * half_angles)
     drop = int(np.argmin(np.abs(cand - w_om)))
     if abs(cand[drop] - w_om) > KRAWTCHOUK_CLOSURE:
         raise ValueError("no root candidate matches the closure parameter")
     kept = np.delete(ks, drop)
-    half = half_angles[kept]
-    s_half = np.abs(np.sin(half))
+    half, s_half = half_angles[kept], sines[kept]
     # a vanishing sin(theta_k / 2) is reachable only when sigma = 0, where the
     # two endpoint candidates coincide at z = 1 and contribute jointly; the
     # limit of the ratio along sigma -> 0 is 2 cos(sigma / 2) -> 2, matching
@@ -235,7 +232,7 @@ def krawtchouk_family(n: int, omega: complex) -> FamilyInstance:
     )
     raw = np.exp(log_mass - log_mass.max())
     raw /= raw.sum()
-    nodes = 2.0 * half % TWO_PI  # 2 pi, the kept candidate at z = 1 when sigma = 0, becomes 0
+    nodes = wrap_angles(2.0 * half)  # 2 pi, the kept candidate at z = 1 when sigma = 0, becomes 0
     order = nodes.argsort()
     return FamilyInstance("krawtchouk", v, nodes[order], raw[order], persymmetric=True)
 
@@ -250,10 +247,9 @@ _LADDERS = {
 def verify_family(inst: FamilyInstance) -> dict[str, float]:
     """Rebuild a family instance from the recurrence and report worst deviations.
 
-    Keys present depend on which closed forms the instance carries:
-    "phi" (coefficientwise ladder deviation), "nodes", "weights", always
-    "orthogonality" and "paraorthogonality", and "persymmetry_defect" for
-    families that claim it.
+    Keys: "phi" (coefficientwise ladder deviation) for families with a
+    closed-form ladder, always "nodes", "weights", "orthogonality" and
+    "paraorthogonality", and "persymmetry_defect" for families that claim it.
     """
     v = inst.v
     report: dict[str, float] = {}
@@ -263,12 +259,9 @@ def verify_family(inst: FamilyInstance) -> dict[str, float]:
             raise ShapeError("closed-form ladder has the wrong length")
         report["phi"] = max(float(np.max(np.abs(ours - c))) for ours, c in zip(v.phis, closed))
     nodes = spectrum(v)
-    if inst.closed_form_nodes is not None:
-        closed_z = unit_points(inst.closed_form_nodes)
-        report["nodes"] = float(np.max(np.abs(closed_z - unit_points(nodes))))
+    report["nodes"] = float(np.max(np.abs(unit_points(inst.closed_form_nodes) - unit_points(nodes))))
     data = weights(v, nodes)
-    if inst.closed_form_weights is not None:
-        report["weights"] = float(np.max(np.abs(inst.closed_form_weights - data.weights)))
+    report["weights"] = float(np.max(np.abs(inst.closed_form_weights - data.weights)))
     report["orthogonality"] = orthogonality_residual(v, data)
     report["paraorthogonality"] = paraorthogonality_residual(v)
     if inst.persymmetric:

@@ -3,7 +3,8 @@
 A persymmetric system is determined by its node set alone: its weights are
 sqrt(h_N) / |Phi'_{N+1}(z_s)|, and only its first ceil(N/2) coefficients
 are free.  The recovery solves the unitary inverse eigenvalue problem
-(Ammar, Gragg and Reichel, 1991) for just those coefficients.
+(Ammar, Gragg and Reichel, 1991) for just those coefficients.  It reads the
+nodes as a set on the circle, through ``wrap_angles`` and a sort.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .complex_poly import UnitCirclePoint, node_angles, unit_points
+from .complex_poly import UnitCirclePoint, node_angles, unit_points, wrap_angles
 from .errors import (
     DegenerateNodesError,
     NotPersymmetricError,
@@ -50,8 +51,9 @@ def reconstruct_persymmetric(
 ) -> ReconstructionResult:
     """Recover the unique persymmetric system with the given spectrum.
 
-    nodes (angles, or UnitCirclePoint values) must pass ``node_angles``,
-    number at least two, lie at least NODE_SEPARATION apart and have the
+    nodes (angles, or UnitCirclePoint values) must pass ``node_angles``, are
+    read as a set on the circle (sorted after ``wrap_angles``), must number
+    at least two, lie at least NODE_SEPARATION apart and have the
     product z_0 ... z_N = (-1)^N / omega (checked to NODE_PRODUCT_DRIFT,
     1e-8); that consistency pins omega to the node set.  The weights are
     sqrt(h_N) / |Phi'_{N+1}(z_s)|, formed in the log domain and normalised,
@@ -65,7 +67,7 @@ def reconstruct_persymmetric(
     built forward again, and a rebuilt spectrum farther than RESIDUAL from
     the nodes raises NotPersymmetricError.
     """
-    thetas = node_angles(nodes)
+    thetas = np.sort(wrap_angles(node_angles(nodes)))
     count = thetas.size
     if count < 2:
         raise ShapeError("need at least two nodes")

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_poly import node_angles, unit_points
-from .errors import NotPersymmetricError, WeightError
+from .complex_poly import TWO_PI, node_angles, unit_points
+from .errors import NotPersymmetricError, ShapeError, WeightError
 from .opuc_core import VerblunskySequence, _resolved, inside_disc, spectrum, unimodular
 from .tolerances import SELF_DUAL_DEFECT
 
@@ -113,13 +113,15 @@ def phi_n_values(
     """Predicted values of Phi_N at the theta-sorted nodes of a persymmetric system.
 
     Phi_N(z_s) = (-1)^s epsilon omega^(-1/2) exp(i (N-1) theta_s / 2) sqrt(h_N)
-    with the principal square root branch and theta kept in [0, 2*pi).
+    with the principal square root branch; theta outside [0, 2 pi) raises ShapeError.
     """
     if epsilon not in (-1, 1):
         raise ValueError("epsilon must be +1 or -1")
     if not h_final > 0.0:
         raise ValueError("h_final must be positive")
     thetas = node_angles(nodes)
+    if thetas[0] < 0.0 or thetas[-1] >= TWO_PI:
+        raise ShapeError(f"node angles must lie in [0, 2 pi), got {thetas[0]:.17g} .. {thetas[-1]:.17g}")
     n_top = thetas.size - 1  # node count is N + 1
     signs = np.where(np.arange(thetas.size) % 2 == 0, 1.0, -1.0)
     inv_half = np.conj(principal_sqrt_unimodular(complex(omega)))

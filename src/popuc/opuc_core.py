@@ -36,7 +36,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .complex_poly import TWO_PI, UnitCirclePoint, node_angles, unit_points
+from .complex_poly import UnitCirclePoint, node_angles, unit_points, wrap_angles
 from .errors import ShapeError, SpectralValidityError, WeightError
 from .tolerances import EIGEN_CLUSTER, MONIC, SPECTRUM_RADIUS, UNIMODULAR, VERBLUNSKY_MARGIN, WEIGHT_SUM
 
@@ -92,16 +92,14 @@ class VerblunskySequence:
         Both come from one ``eigen_rows`` of the CMV matrix U.  Row 0 holds
         the weights, row N the weights of the mirror dual; both arrays are
         read-only.  An eigenvalue whose radius drifts from one by more than
-        SPECTRUM_RADIUS raises SpectralValidityError.  Angles within
-        UNIMODULAR below 2 pi are mapped to 0, so a node on the seam sorts
-        first whichever side of it rounding put it.
+        SPECTRUM_RADIUS raises SpectralValidityError.  The angles pass
+        ``wrap_angles``, so a node on the seam sorts first.
         """
         lam, rows = eigen_rows(cmv_matrix(self))
         drift = float(np.abs(np.abs(lam) - 1.0).max())
         if not drift <= SPECTRUM_RADIUS:
             raise SpectralValidityError(f"eigenvalue radius off the circle by {drift:.3e}")
-        theta = np.arctan2(lam.imag, lam.real) % TWO_PI
-        theta[theta > TWO_PI - UNIMODULAR] = 0.0
+        theta = wrap_angles(np.arctan2(lam.imag, lam.real))
         order = theta.argsort()
         theta, rows = theta.take(order), rows.take(order, axis=1)
         theta.flags.writeable = rows.flags.writeable = False

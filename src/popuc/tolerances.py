@@ -5,7 +5,7 @@ the command line tool agree on what "passes".
 """
 
 RESIDUAL = 1e-10            # root / identity residual bound
-UNIMODULAR = 1e-12          # slack on |z| = 1 for circle points; seam slack below 2 pi
+UNIMODULAR = 1e-12          # slack on |z| = 1 for circle points; seam slack below 2 pi, read by ``wrap_angles``
 NODE_SEPARATION = 1e-12     # minimum pairwise node distance
 WEIGHT_SUM = 1e-9           # slack on sum of weights = 1
 SPECTRUM_RADIUS = 1e-7      # eigenvalue radius slack before a spectrum is rejected

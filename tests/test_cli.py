@@ -188,6 +188,14 @@ def test_reconstruct_krawtchouk_spectrum_at_n36(capsys):
     assert float(np.max(np.abs(a[:, 0] + 1j * a[:, 1] - expected))) <= 1e-10
 
 
+def test_reconstruct_reads_a_node_just_below_two_pi_as_zero(capsys):
+    # the free family's nodes at nu = 1e-13: the first lies 1.3e-13 below 2 pi, on the seam
+    theta = json.dumps((2 * np.pi * (np.arange(5) - 1e-13) / 5 % (2 * np.pi)).tolist())
+    code, out, err = run(capsys, "reconstruct", "--spectrum", theta, "--omega-arg", repr(2 * np.pi * 1e-13))
+    assert (code, err) == (0, "")
+    assert float(np.max(np.abs(np.array(json.loads(out)["payload"]["a"])))) <= 1e-12
+
+
 def test_reconstruct_integer_beyond_double_range_is_invalid_input(capsys):
     code, out, err = run(capsys, "reconstruct", "--spectrum", f"[1.0, 1{'0' * 400}, 2.0]", "--omega-arg", "0")
     assert (code, out) == (2, "")

@@ -124,9 +124,10 @@ def test_krawtchouk_remainder_gate_fires_through_verify_family(monkeypatch):
         verify_family(inst)
 
 
-@pytest.mark.parametrize("nu", [1e12, 1e17, -7.25])
+@pytest.mark.parametrize("nu", [1e12, 1e17, -7.25, 1e-13])
 def test_free_family_keeps_its_nodes_at_large_nu(nu):
-    # nu is reduced mod 1 before it meets s, so each closed-form angle keeps its own s
+    # nu is reduced mod 1 before it meets s, so each closed-form angle keeps its own s;
+    # at nu = 1e-13 the first node lies within UNIMODULAR below 2 pi and reads as 0 on both sides
     fam = free_family(4, nu)
     report = verify_family(fam)
     assert report["nodes"] <= 1e-12
@@ -142,6 +143,12 @@ def test_closed_form_nodes_are_one_sorted_read_only_theta_array(make):
     nodes = make().closed_form_nodes
     assert isinstance(nodes, np.ndarray) and nodes.dtype == np.float64 and not nodes.flags.writeable
     assert nodes[0] >= 0.0 and nodes[-1] < 2.0 * np.pi and np.all(np.diff(nodes) > 0.0)
+
+
+@pytest.mark.parametrize("sigma", [1e-9, -1e-9, 1e-6])
+def test_krawtchouk_nodes_keep_sigma_near_omega_one(sigma):
+    # cos(sigma / 2) rounds to 1 here, so the half angles are formed without it cancelling
+    assert verify_family(krawtchouk_family(6, np.exp(1j * sigma)))["nodes"] <= 1e-12
 
 
 def test_krawtchouk_negative_angle():

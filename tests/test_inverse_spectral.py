@@ -92,6 +92,21 @@ def test_reconstruct_random_draws_at_n64():
         assert float(np.max(np.abs(result.v.a - v.a))) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "inst, angles",
+    [
+        (free_family(4, 1e-13), lambda inst: inst.closed_form_nodes),
+        (krawtchouk_family(7, np.exp(0.9j)), lambda inst: np.sort(np.angle(unit_points(inst.closed_form_nodes)))),
+    ],
+    ids=["free_node_just_below_two_pi", "krawtchouk_angles_in_minus_pi_pi"],
+)
+def test_reconstruct_reads_nodes_as_a_set_on_the_circle(inst, angles):
+    # a node within UNIMODULAR below 2 pi and angles in (-pi, pi] name the same points as the spectrum
+    result = reconstruct_persymmetric(angles(inst), inst.v.omega)
+    assert float(np.max(np.abs(result.v.a - inst.v.a))) <= 1e-12
+    assert result.spectrum_residual <= 1e-12
+
+
 def test_reconstruct_raises_when_rebuilt_spectrum_misses(monkeypatch):
     import popuc.inverse_spectral as inverse_spectral
 
@@ -158,6 +173,10 @@ def test_reconstruct_input_gates():
     nodes = (UnitCirclePoint(1.0), UnitCirclePoint(1.0 + 1e-13), UnitCirclePoint(4.0))
     with pytest.raises(DegenerateNodesError):
         reconstruct_persymmetric(nodes, 1.0)
+    # increasing, but each point twice on the circle: read as a set, the copies are adjacent
+    theta = np.array([0.5, 3.0, 0.5 + 2.0 * np.pi, 3.0 + 2.0 * np.pi])
+    with pytest.raises(DegenerateNodesError, match="nodes only"):
+        reconstruct_persymmetric(theta, complex(-1.0 / np.prod(np.exp(1j * theta))))
 
 
 def test_non_finite_input_is_rejected_up_front():

@@ -221,6 +221,15 @@ def test_phi_values_take_a_sign():
         phi_n_values(np.array([0.5, 2.0, 4.0]), 1.0, 0.5, epsilon=0)
 
 
+@pytest.mark.parametrize("turn", [-1.0, 1.0])
+def test_phi_values_need_angles_in_one_turn(turn):
+    # the sign alternation and the half-angle phase hold only for theta in [0, 2 pi)
+    fam = single_moment_persymmetric(6)
+    nodes = spectrum(build_system(fam.v))
+    with pytest.raises(ShapeError, match=r"node angles must lie in \[0, 2 pi\)"):
+        phi_n_values(nodes + turn * 2.0 * np.pi, fam.v.omega, fam.v.h[-1], 1)
+
+
 def test_phi_values_consecutive_ratio():
     # sign alternation: ratio of consecutive values is -exp(i (n-1) dtheta / 2)
     n = 5
