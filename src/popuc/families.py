@@ -213,20 +213,23 @@ def krawtchouk_family(n: int, omega: complex) -> FamilyInstance:
     # 1 + xc = (1 + x) - x t with t = 1 - c = 2 sin^2(sigma / 4): like-signed terms, so nothing cancels
     t = 2.0 * np.sin(sigma / 4.0) ** 2
     sines = np.sqrt((2.0 * (n + 1.0 - ks) / (n + 1.0) + xs * t) * (2.0 * ks / (n + 1.0) - xs * t))
-    half_angles = np.arctan2(sines, xs * np.cos(sigma / 2.0))
+    c = np.cos(sigma / 2.0)
+    half_angles = np.arctan2(sines, xs * c)
     cand = np.exp(2j * half_angles)
     drop = int(np.argmin(np.abs(cand - w_om)))
     if abs(cand[drop] - w_om) > KRAWTCHOUK_CLOSURE:
         raise ValueError("no root candidate matches the closure parameter")
     kept = np.delete(ks, drop)
-    half, s_half = half_angles[kept], sines[kept]
+    half, s_half, x_kept = half_angles[kept], sines[kept], xs[kept]
     # a vanishing sin(theta_k / 2) is reachable only when sigma = 0, where the
     # two endpoint candidates coincide at z = 1 and contribute jointly; the
     # limit of the ratio along sigma -> 0 is 2 cos(sigma / 2) -> 2, matching
     # the merged binomial masses C(n+1, 0) + C(n+1, n+1)
     ratio = np.full(kept.size, 2.0)
     inner = s_half >= KRAWTCHOUK_HALF_SINE
-    ratio[inner] = np.abs(np.sin(half[inner] - sigma / 2.0)) / s_half[inner]
+    # sin(theta_k / 2 - sigma / 2) = c (sin(theta_k / 2) - x_k sin(sigma / 2)), as cos(theta_k / 2) = x_k c:
+    # no sine of an angle near pi, whose absolute rounding would swamp sin ~ sigma / 2 at the kept endpoint
+    ratio[inner] = c * np.abs(s_half[inner] - x_kept[inner] * np.sin(sigma / 2.0)) / s_half[inner]
     log_mass = np.log(ratio) - np.array(
         [math.lgamma(k + 1.0) + math.lgamma(n + 2.0 - k) for k in kept]
     )

@@ -14,7 +14,8 @@ Phi_{N+1} (Cantero-Moral-Velazquez 2003): the nodes are its eigenvalues and
 the weight of node s is |V[0, s]|^2 for the unit eigenvector v_s, the
 unit-circle Golub-Welsch rule.  U is normal, so one Hermitian eigen-solve of
 U + U^H gives V (``eigen_rows``); row N of |V|^2 holds the weights of the
-mirror dual.
+mirror dual.  Real data (real a_k, omega = +-1) give a real orthogonal U,
+which ``eigen_rows`` solves in real arithmetic.
 
 The coefficient list is the system.  A ``VerblunskySequence`` builds its
 squared norms and CMV factors, solves U and runs the ladder at its own nodes
@@ -267,12 +268,18 @@ def eigen_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     data) eigh may return any basis of their span, and u is diagonalised
     again on it: pairs in closed form and all at once, or, where some
     cluster holds three or more, every cluster by ``eig`` of V_g^H u V_g.
-    Only the two rows are kept, not V.
+    Only the two rows are kept, not V.  A u with no non-zero imaginary entry
+    (real Verblunsky data and omega = +-1) is solved in real arithmetic: a
+    real orthogonal u gives a real symmetric u + u^T, whose ``eigh`` is
+    cheaper than the complex one.  The split stays complex, since a real
+    eigenvector pair spans theta and -theta.
     """
+    if not u.imag.any():
+        u = np.ascontiguousarray(u.real)
     c, vec = np.linalg.eigh(u + u.conj().T)
     uv = u @ vec
-    lam = np.vecdot(vec, uv, axis=0)
-    edge = vec[:: vec.shape[0] - 1]  # rows 0 and N, a view
+    lam = np.vecdot(vec, uv, axis=0).astype(np.complex128, copy=False)
+    edge = vec[:: vec.shape[0] - 1].astype(np.complex128, copy=False)  # rows 0 and N; a view for complex u
     close = c[1:] - c[:-1] < 2.0 * EIGEN_CLUSTER  # column k clusters with column k + 1
     if close.any():
         if (close[1:] & close[:-1]).any():

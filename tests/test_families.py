@@ -151,6 +151,12 @@ def test_krawtchouk_nodes_keep_sigma_near_omega_one(sigma):
     assert verify_family(krawtchouk_family(6, np.exp(1j * sigma)))["nodes"] <= 1e-12
 
 
+def test_krawtchouk_weights_keep_sigma_near_omega_one():
+    # the kept endpoint has half angle pi - sigma / 2; its weight ratio takes no sine of it
+    for n in range(1, 21):
+        _assert_clean(verify_family(krawtchouk_family(n, np.exp(1e-9j))))
+
+
 def test_krawtchouk_negative_angle():
     fam = krawtchouk_family(4, np.exp(-0.9j))
     _assert_clean(verify_family(fam))

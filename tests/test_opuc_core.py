@@ -37,7 +37,7 @@ from popuc import (
     verify_persymmetry_characterizations,
     weights,
 )
-from popuc.complex_poly import unit_points
+from popuc.complex_poly import unit_points, wrap_angles
 from popuc.opuc_core import eigen_rows
 from popuc.tolerances import SPECTRUM_RADIUS
 
@@ -320,15 +320,55 @@ def test_weight_below_eigenvector_resolution_is_a_typed_error():
         dual_weights(sys_)
 
 
-@pytest.mark.parametrize("n", [8, 9, 64, 256])
-def test_free_family_pairs_split_to_closed_form(n):
-    # real data: theta and -theta share cos theta, so every node but those at
-    # 0 (and at pi, for odd n) is one of a pair that eigh cannot separate
-    inst = free_family(n, 0.0)
+def _assert_closed_form(inst):
     sys_ = build_system(inst.v)
     data = weights(sys_, spectrum(sys_))
     assert float(np.max(np.abs(data.theta - inst.closed_form_nodes))) <= 1e-13
     assert float(np.max(np.abs(data.weights - inst.closed_form_weights))) <= 1e-13
+
+
+REAL_SIZES = pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 65, 256])
+
+
+@REAL_SIZES
+def test_free_family_pairs_split_to_closed_form(n):
+    # real data: theta and -theta share cos theta, so every node but those at
+    # 0 (and at pi, for odd n) is one of a pair that eigh cannot separate
+    _assert_closed_form(free_family(n, 0.0))
+
+
+@REAL_SIZES
+def test_single_moment_pairs_split_to_closed_form(n):
+    # the nodes are the (n + 2)-th roots of unity but 1: pi, for even n, is the one node not paired
+    _assert_closed_form(single_moment(n))
+
+
+def test_real_data_is_solved_in_real_arithmetic(monkeypatch):
+    # U is real orthogonal for real a and omega = +-1, so its eigh runs on float64
+    calls = count_calls(monkeypatch, np.linalg, "eigh")
+    spectrum(single_moment(5).v)
+    spectrum(random_verblunsky(np.random.default_rng(5), 5))
+    assert [args[0].dtype for args in calls] == [np.float64, np.complex128]
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 64, 128, 256])
+def test_real_data_matches_the_cmv_eigenproblem(n):
+    # reference: numpy's eig of the same U, rows 0 and N read before the weight
+    # check, which some first components miss at n = 256.  Any double-precision
+    # solve, the reference's too, fixes an eigenvector only to about eps / gap,
+    # gap the distance to the nearest other node: at n = 256 these draws hold
+    # nodes 9e-11 apart across the seam (omega = -1) and 3e-7 apart at pi (omega = 1)
+    rng = np.random.default_rng([n, 1])
+    for omega in (1.0, -1.0):
+        v = VerblunskySequence(rng.uniform(-0.85, 0.85, n), omega)
+        theta, rows = v.quadrature
+        lam, vecs = np.linalg.eig(cmv_matrix(v))
+        order = np.argsort(wrap_angles(np.angle(lam)))
+        z = unit_points(theta)
+        assert float(np.max(np.abs(z - lam[order]))) <= 1e-12
+        dist = np.abs(z[:, None] - z)
+        np.fill_diagonal(dist, np.inf)
+        assert np.all(np.abs(rows - np.abs(vecs[[0, -1]][:, order]) ** 2) <= 1e-10 + 1e-14 / dist.min(axis=0))
 
 
 def test_cluster_of_five_is_split_on_u(monkeypatch):
