@@ -2,11 +2,14 @@
 
 Subcommands: generate (emit a system as JSON), check (run identity
 verifications, exit 1 on failure), reconstruct (persymmetric recovery from
-a spectrum file), export (JSON or CSV to a path).
+a spectrum file), export (write the generate document, or its weights as
+s,theta,weight CSV, to a path).  The report blocks of check are the fields
+of ``MirrorRelationReport`` and ``PersymmetryCharacterizations`` as they are.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 reconstruction failure, 4 I/O failure, 5 numerical failure on valid
-input (weights, convergence or spectrum validity).
+3 reconstruction failure (reconstruct only), 4 I/O failure, 5 numerical
+failure on valid input (weights, convergence, spectrum validity, coincident
+nodes or ladder overflow).
 
 JSON output is canonical and byte-stable: keys sorted, floats printed with
 17 significant digits (enough to round-trip doubles bit-exactly, -0 kept),
@@ -87,6 +90,8 @@ def _canonical(value: Any) -> str:
         return _array(value)
     if type(value) is float:
         return f"{value:.17g}"
+    if type(value) is complex:
+        return f"[{value.real:.17g},{value.imag:.17g}]"
     if isinstance(value, dict):
         items = sorted(value.items())
         inner = ",".join(f"{json.dumps(k)}:{_canonical(v)}" for k, v in items)
@@ -102,11 +107,6 @@ def _canonical(value: Any) -> str:
     if value is None:
         return "null"
     return json.dumps(value)
-
-
-def _pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
 
 
 def _load_json_arg(text: str) -> Any:
@@ -139,10 +139,7 @@ def _system_from_args(args: argparse.Namespace) -> VerblunskySequence:
 
 
 def _payload(v: VerblunskySequence, emit: str) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "n": v.n,
-        "verblunsky": {"a": v.a, "omega": _pair(v.omega)},
-    }
+    out: dict[str, Any] = {"n": v.n, "verblunsky": {"a": v.a, "omega": v.omega}}
     if emit in ("phis", "all"):
         out["phis"] = list(v.phis)
         out["h"] = v.h
@@ -164,8 +161,18 @@ def _document(command: str, payload: dict[str, Any]) -> str:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    """Print the ``--emit`` document; ``export`` writes it, or its weights as CSV, to ``--out``."""
     v = _system_from_args(args)
-    print(_document("generate", _payload(v, args.emit)))
+    if args.format == "csv":
+        data = weights(v, spectrum(v))
+        rows = enumerate(zip(data.theta.tolist(), data.weights.tolist()))
+        text = "s,theta,weight\n" + "".join(f"{s},{t:.17g},{w:.17g}\n" for s, (t, w) in rows)
+    else:
+        text = _document(args.command, _payload(v, args.emit)) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        Path(args.out).write_text(text)
     return EXIT_OK
 
 
@@ -184,24 +191,14 @@ def cmd_check(args: argparse.Namespace) -> int:
         passed = passed and ortho <= ORTHOGONALITY and para <= PARAORTHOGONALITY
     if args.mirror_relations or run_all:
         report = cmv_mod.verify_mirror_relations(v)
-        checks["mirror_relations"] = {
-            "m1_residual": report.m1_residual,
-            "m2_residual": report.m2_residual,
-            "u_residual": report.u_residual,
-            "parity": report.parity,
-        }
+        checks["mirror_relations"] = vars(report)
         passed = passed and report.max_residual <= MIRROR_RELATIONS
     persym = is_persymmetric(v)
     checks["persymmetric"] = persym
     checks["persymmetry_defect"] = persymmetry_defect(v)
     if persym and (args.persymmetric or run_all):
         chars = verify_persymmetry_characterizations(v)
-        checks["persymmetry_characterizations"] = {
-            "weight_residual": chars.weight_residual,
-            "modulus_residual": chars.modulus_residual,
-            "phase_residual": chars.phase_residual,
-            "epsilon": chars.epsilon,
-        }
+        checks["persymmetry_characterizations"] = vars(chars)
         passed = passed and chars.max_residual <= PERSYMMETRY_IDENTITIES
     elif args.persymmetric:
         passed = False
@@ -239,7 +236,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     result = reconstruct_persymmetric(theta, omega)
     payload = {
         "a": result.v.a,
-        "omega": _pair(result.v.omega),
+        "omega": result.v.omega,
         "n": result.v.n,
         "h_final": result.h_final,
         "log_h_final": result.log_h_final,
@@ -249,27 +246,14 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_export(args: argparse.Namespace) -> int:
-    v = _system_from_args(args)
-    path = Path(args.out)
-    if args.format == "json":
-        text = _document("export", _payload(v, args.emit)) + "\n"
-        path.write_text(text)
-    else:
-        payload = _payload(v, "weights")
-        lines = ["s,theta,weight"]
-        for s, (theta, wgt) in enumerate(zip(payload["spectrum"]["theta"], payload["weights"])):
-            lines.append(f"{s},{theta:.17g},{wgt:.17g}")
-        path.write_text("\n".join(lines) + "\n")
-    return EXIT_OK
-
-
-def _add_system_arguments(p: argparse.ArgumentParser) -> None:
+def _add_system_arguments(p: argparse.ArgumentParser, emit: bool = False) -> None:
     p.add_argument("--verblunsky", help="inline JSON or path: {\"a\": [[re,im],..], \"omega\": [re,im]}")
     p.add_argument("--family", choices=list(FAMILIES))
     p.add_argument("--n", type=int, help="number of coefficients below the closure")
     p.add_argument("--nu", type=float, default=0.0, help="free family rotation (turns)")
     p.add_argument("--omega-arg", type=float, default=0.0, help="arg(omega) in radians")
+    if emit:
+        p.add_argument("--emit", choices=["phis", "spectrum", "weights", "cmv", "all"], default="all")
 
 
 @functools.cache
@@ -282,9 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="build a system and print it as JSON")
-    _add_system_arguments(g)
-    g.add_argument("--emit", choices=["phis", "spectrum", "weights", "cmv", "all"], default="all")
-    g.set_defaults(fn=cmd_generate)
+    _add_system_arguments(g, emit=True)
+    g.set_defaults(fn=cmd_generate, format="json", out=None)
 
     c = sub.add_parser("check", help="verify identities; exit 1 when any fails")
     _add_system_arguments(c)
@@ -300,11 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(fn=cmd_reconstruct)
 
     e = sub.add_parser("export", help="write JSON or CSV output to a file")
-    _add_system_arguments(e)
-    e.add_argument("--emit", choices=["phis", "spectrum", "weights", "cmv", "all"], default="all")
+    _add_system_arguments(e, emit=True)
     e.add_argument("--format", choices=["json", "csv"], required=True)
     e.add_argument("--out", required=True)
-    e.set_defaults(fn=cmd_export)
+    e.set_defaults(fn=cmd_generate)
     return parser
 
 
@@ -314,12 +296,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return int(args.fn(args))
     except (SpectrumInconsistencyError, NotPersymmetricError, SzegoClassError) as exc:
-        if args.command == "reconstruct":
-            print(f"reconstruction failed: {exc}", file=sys.stderr)
-            return EXIT_RECONSTRUCTION
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (WeightError, ConvergenceError, SpectralValidityError) as exc:
+        print(f"reconstruction failed: {exc}", file=sys.stderr)
+        return EXIT_RECONSTRUCTION
+    except (WeightError, ConvergenceError, SpectralValidityError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, KeyError, TypeError, json.JSONDecodeError, PopucError) as exc:

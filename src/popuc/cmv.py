@@ -81,10 +81,9 @@ def quasi_reflection(n: int, tau: complex) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MirrorRelationReport:
-    """Residuals of the reflection identities linking a system to its mirror dual."""
+    """Residuals of the reflection identities to the mirror dual; ``check`` prints each field."""
 
     parity: str               # "odd" or "even" (parity of n)
-    tau: complex              # principal square root branch used
     m1_residual: float
     m2_residual: float
     u_residual: float
@@ -121,7 +120,7 @@ def verify_mirror_relations(v: VerblunskySequence) -> MirrorRelationReport:
         r1 = float(np.max(np.abs(_reflect(q_inv, m1, q_inv) - mh2)))
         r2 = float(np.max(np.abs(_reflect(q_tau, m2, q_tau) - mh1)))
         r3 = float(np.max(np.abs(_reflect(q_tau, u, q_inv) - uh.T)))
-    return MirrorRelationReport("odd" if odd else "even", complex(tau), r1, r2, r3)
+    return MirrorRelationReport("odd" if odd else "even", r1, r2, r3)
 
 
 def persymmetric_sign_pattern(v: VerblunskySequence) -> list[int]:

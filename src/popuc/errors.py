@@ -22,7 +22,7 @@ class DegenerateNodesError(PopucError):
 
 
 class SpectralValidityError(PopucError):
-    """A computed spectrum left the unit circle by more than the allowed slack."""
+    """A computed spectrum left the unit circle by more than the allowed slack, or two nodes coincide."""
 
 
 class WeightError(PopucError):

@@ -136,7 +136,7 @@ def phi_n_values(
 
 @dataclass(frozen=True)
 class PersymmetryCharacterizations:
-    """Residuals of the three equivalent descriptions of a persymmetric system."""
+    """Residuals of the three equivalent descriptions of a persymmetric system; ``check`` prints each field."""
 
     weight_residual: float    # w_s versus sqrt(h_N) / |Phi'_{N+1}(z_s)|
     modulus_residual: float   # |Phi_N(z_s)| versus sqrt(h_N)

@@ -94,7 +94,8 @@ class VerblunskySequence:
         the weights, row N the weights of the mirror dual; both arrays are
         read-only.  An eigenvalue whose radius drifts from one by more than
         SPECTRUM_RADIUS raises SpectralValidityError.  The angles pass
-        ``wrap_angles``, so a node on the seam sorts first.
+        ``wrap_angles``, so a node on the seam sorts first; two nodes equal in
+        double precision raise SpectralValidityError naming the pair.
         """
         lam, rows = eigen_rows(cmv_matrix(self))
         drift = float(np.abs(np.abs(lam) - 1.0).max())
@@ -103,6 +104,12 @@ class VerblunskySequence:
         theta = wrap_angles(np.arctan2(lam.imag, lam.real))
         order = theta.argsort()
         theta, rows = theta.take(order), rows.take(order, axis=1)
+        tied = theta[1:] == theta[:-1]
+        if np.count_nonzero(tied):
+            s = int(np.argmax(tied))
+            raise SpectralValidityError(
+                f"nodes {s} and {s + 1} coincide in double precision at theta {theta[s]}"
+            )
         theta.flags.writeable = rows.flags.writeable = False
         return theta, rows
 
@@ -120,21 +127,26 @@ class VerblunskySequence:
         Entry k holds the k + 1 ascending coefficients of Phi_k, a read-only
         copy of row k of ``_ladder_rows``, so no zero padding is kept.
         """
-        ladder = tuple(_read_only(row) for row in _ladder_rows(self))
-        if not np.all(np.isfinite(ladder[-1])):  # a non-finite entry is carried into every later row
-            raise ValueError("ladder coefficients must be finite")
-        return ladder
+        return tuple(_read_only(row) for row in _ladder_rows(self))
 
 
 def _ladder_rows(v: VerblunskySequence) -> Iterator[np.ndarray]:
-    """Yield Phi_0 .. Phi_{N+1}, a_N = omega, as views of one (N+2)-long row that the next step overwrites."""
+    """Yield Phi_0 .. Phi_{N+1}, a_N = omega, as views of one (N+2)-long row that the next step overwrites.
+
+    An overflow raises OverflowError naming the rung before numpy can warn.  That
+    error state also holds while the generator waits, so readers only copy or skip rows.
+    """
     row = np.zeros(v.n + 2, dtype=np.complex128)
     row[-1] = 1.0  # Phi_k fills the last k + 1 places behind zeros, so z Phi_k needs no shift
     conj_a = np.conj(np.append(v.a, v.omega))
-    for k in range(v.n + 1):
-        phi = row[-k - 1 :]
-        yield phi
-        row[-k - 2 : -1] -= conj_a[k] * np.conj(phi[::-1])  # z Phi_k - conj(a_k) Phi_k^*
+    with np.errstate(over="raise", invalid="raise"):
+        for k in range(v.n + 1):
+            phi = row[-k - 1 :]
+            yield phi
+            try:
+                row[-k - 2 : -1] -= conj_a[k] * np.conj(phi[::-1])  # z Phi_k - conj(a_k) Phi_k^*
+            except FloatingPointError:
+                raise OverflowError(f"ladder coefficients of Phi_{k + 1} overflow the double range") from None
     yield row
 
 
@@ -395,8 +407,6 @@ def paraorthogonality_residual(v: VerblunskySequence) -> float:
     """
     for top in _ladder_rows(v):
         pass
-    if not np.all(np.isfinite(top)):  # a non-finite entry is carried into every later row
-        raise ValueError("ladder coefficients must be finite")
     resid = np.conj(top[::-1]) + v.omega * top
     return float(np.max(np.abs(resid))) / max(1.0, float(np.max(np.abs(top))))
 

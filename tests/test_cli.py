@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import count_calls, random_persymmetric, random_verblunsky
-from popuc import WeightError, krawtchouk_family, mirror_dual
+from popuc import VerblunskySequence, WeightError, krawtchouk_family, mirror_dual
 from popuc.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -302,6 +303,81 @@ def test_export_csv(tmp_path, capsys):
     assert s == "0" and float(theta) == 0.0 and float(weight) == 0.25000000000000033
 
 
+def _verblunsky_doc(v) -> str:
+    return json.dumps({"a": [[z.real, z.imag] for z in v.a.tolist()], "omega": [v.omega.real, v.omega.imag]})
+
+
+EXPORT_SYSTEMS = {
+    "free_3": ["--family", "free", "--n", "3"],
+    "krawtchouk_9": ["--family", "krawtchouk", "--n", "9", "--omega-arg", "0.9"],
+    "random_11": ["--verblunsky", _verblunsky_doc(random_verblunsky(np.random.default_rng(52), 11))],
+}
+
+
+@pytest.mark.parametrize("emit", ["phis", "spectrum", "weights", "cmv", "all"])
+@pytest.mark.parametrize("system", list(EXPORT_SYSTEMS))
+def test_export_json_writes_the_generate_document(tmp_path, capsys, system, emit):
+    out_path = tmp_path / "system.json"
+    args = [*EXPORT_SYSTEMS[system], "--emit", emit]
+    code, out, err = run(capsys, "generate", *args)
+    assert code == 0 and err == ""
+    code, written, err = run(capsys, "export", *args, "--format", "json", "--out", str(out_path))
+    assert (code, written, err) == (0, "", "")
+    expected = out.replace('"command":"generate"', '"command":"export"', 1)
+    assert expected != out and out_path.read_text() == expected
+
+
+@pytest.mark.parametrize("system", list(EXPORT_SYSTEMS))
+def test_export_csv_rows_are_the_generate_weights(tmp_path, capsys, system):
+    out_path = tmp_path / "weights.csv"
+    code, out, _ = run(capsys, "generate", *EXPORT_SYSTEMS[system], "--emit", "weights")
+    payload = json.loads(out)["payload"]
+    code, _, _ = run(capsys, "export", *EXPORT_SYSTEMS[system], "--format", "csv", "--out", str(out_path))
+    assert code == 0
+    rows = zip(payload["spectrum"]["theta"], payload["weights"])
+    expected = ["s,theta,weight"] + [f"{s},{t:.17g},{w:.17g}" for s, (t, w) in enumerate(rows)]
+    assert out_path.read_text() == "\n".join(expected) + "\n"
+
+
+def test_check_report_blocks_hold_exactly_the_report_fields(capsys):
+    # the blocks are the report dataclasses as they are, so a new field shows here first
+    code, out, _ = run(capsys, "check", "--family", "krawtchouk", "--n", "9", "--omega-arg", "0.9", "--all")
+    checks = json.loads(out)["payload"]["checks"]
+    assert code == 0
+    assert set(checks) == {
+        "orthogonality_residual", "paraorthogonality_residual", "mirror_relations",
+        "persymmetric", "persymmetry_defect", "persymmetry_characterizations", "passed",
+    }
+    assert set(checks["mirror_relations"]) == {"parity", "m1_residual", "m2_residual", "u_residual"}
+    assert set(checks["persymmetry_characterizations"]) == {
+        "weight_residual", "modulus_residual", "phase_residual", "epsilon",
+    }
+
+
+@pytest.mark.parametrize("flag", ["--all", "--orthogonality", "--persymmetric"])
+def test_coincident_nodes_of_valid_data_are_a_numerical_failure(capsys, flag):
+    # past the gap collapse two nodes of this self-dual draw are one double;
+    # the solve names the pair instead of its own nodes reading as bad input
+    doc = _verblunsky_doc(random_persymmetric(np.random.default_rng(0), 128, max_mag=0.85))
+    code, out, err = run(capsys, "check", "--verblunsky", doc, flag)
+    assert (code, out) == (5, "")
+    match = re.match(r"numerical failure: nodes (\d+) and (\d+) coincide in double precision at theta (\S+)\n$", err)
+    assert match and int(match[2]) == int(match[1]) + 1
+    assert float(match[3]) >= 0.0  # a plain float, not a numpy repr
+    code, _, _ = run(capsys, "check", "--verblunsky", doc, "--mirror-relations")
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv", [["check", "--all"], ["generate", "--emit", "phis"]], ids=["check", "phis"])
+def test_ladder_overflow_is_a_numerical_failure_that_names_the_rung(capsys, argv):
+    # valid data whose ladder coefficients pass the double range at Phi_1036;
+    # the suite turns a RuntimeWarning into an error, so none may be emitted
+    doc = _verblunsky_doc(VerblunskySequence(np.full(1100, 0.999), 1.0))
+    code, out, err = run(capsys, argv[0], "--verblunsky", doc, *argv[1:])
+    assert (code, out) == (5, "")
+    assert err == "numerical failure: ladder coefficients of Phi_1036 overflow the double range\n"
+
+
 def test_export_to_unwritable_path(capsys):
     code, _, err = run(
         capsys,
@@ -467,7 +543,7 @@ def test_check_all_solves_and_runs_the_ladder_once(capsys, monkeypatch, self_dua
 
     rng = np.random.default_rng(19)
     v = random_persymmetric(rng, 7) if self_dual else random_verblunsky(rng, 7)
-    doc = json.dumps({"a": [[z.real, z.imag] for z in v.a.tolist()], "omega": [v.omega.real, v.omega.imag]})
+    doc = _verblunsky_doc(v)
     solves = count_calls(monkeypatch, np.linalg, "eigh")
     ladders = count_calls(monkeypatch, opuc_core, "ladder_values")
     builds = count_calls(monkeypatch, opuc_core, "factors")

@@ -276,18 +276,6 @@ def test_mirror_relations_random_corpus():
             assert report.parity == ("odd" if n % 2 else "even")
 
 
-def test_mirror_relations_report_the_principal_branch():
-    # tau is conj(sqrt(omega)) for odd n and sqrt(omega) for even n, with the
-    # principal square root, whichever half-plane omega lies in
-    rng = np.random.default_rng(37)
-    for n in (1, 2, 5, 8):
-        for arg in (0.4, 1.9, -2.5, 3.0):
-            v = VerblunskySequence(random_verblunsky(rng, n).a, np.exp(1j * arg))
-            root = np.sqrt(complex(v.omega))
-            expected = np.conj(root) if n % 2 else root
-            assert abs(verify_mirror_relations(v).tau - expected) <= 1e-15
-
-
 def test_persymmetric_commutation():
     # for self-dual data with odd n the reflection commutes with the matrix
     rng = np.random.default_rng(31)

@@ -400,6 +400,22 @@ def test_paraorthogonality_flags_a_moved_coefficient(monkeypatch):
     assert paraorthogonality_residual(v) > 1e-8
 
 
+def test_ladder_overflow_names_the_rung_and_restores_the_error_state():
+    # one gate for both readers of the ladder, raised before numpy warns
+    v = VerblunskySequence(np.full(1100, 0.999), 1.0)
+    before = np.geterr()
+    for read in (lambda: v.phis, lambda: paraorthogonality_residual(v)):
+        with pytest.raises(OverflowError, match=r"^ladder coefficients of Phi_1036 overflow the double range$"):
+            read()
+        assert np.geterr() == before
+
+
+def test_coincident_nodes_fail_the_solve_that_made_them():
+    v = random_persymmetric(np.random.default_rng(0), 128, max_mag=0.85)
+    with pytest.raises(SpectralValidityError, match=r"^nodes \d+ and \d+ coincide in double precision at theta \d"):
+        spectrum(v)
+
+
 def test_one_row_recurrence_ends_on_the_ladder_top_bit_for_bit():
     # the closure check reads only the last row; it must be phis[-1] exactly
     import popuc.opuc_core as opuc_core
