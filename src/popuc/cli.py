@@ -13,8 +13,8 @@ nodes or ladder overflow).
 
 JSON output is canonical and byte-stable: keys sorted, floats printed with
 17 significant digits (enough to round-trip doubles bit-exactly, -0 kept),
-complex numbers as [real, imag] pairs.  Arrays are rendered straight from
-their ndarrays, one join per row.
+complex numbers as [real, imag] pairs.  Each array is rendered by one
+printf template built for its shape and filled once from its flat entries.
 
 ``main`` builds its argument parser once per process, so callers that run
 it in-process repeatedly pay only for the numerical work of each command.
@@ -76,12 +76,17 @@ FAMILIES = {
 
 
 def _array(arr: np.ndarray) -> str:
-    """A real or complex array as nested JSON lists, complex entries as [re, im]."""
-    if arr.ndim > 1:
-        return "[" + ",".join(map(_array, arr)) + "]"
+    """A real or complex array as nested JSON lists, complex entries as [re, im].
+
+    One printf template per shape takes the flat entries in a single
+    ``%``; "%.17g" % x gives the bytes of f"{x:.17g}".
+    """
+    flat, template = arr.ravel(), "%.17g"
     if arr.dtype.kind == "c":
-        return "[" + ",".join(f"[{z.real:.17g},{z.imag:.17g}]" for z in arr.tolist()) + "]"
-    return "[" + ",".join(f"{x:.17g}" for x in arr.tolist()) + "]"
+        flat, template = flat.view(flat.real.dtype), "[%.17g,%.17g]"
+    for size in reversed(arr.shape):
+        template = "[" + ",".join([template] * size) + "]"
+    return template % tuple(flat.tolist())
 
 
 def _canonical(value: Any) -> str:

@@ -75,7 +75,7 @@ def reconstruct_persymmetric(
     w = unimodular("omega", omega)
 
     z = unit_points(thetas)
-    closest = float(np.min(np.abs(z - np.roll(z, 1))))  # sorted: the closest pair is adjacent
+    closest = float(np.min(np.abs(np.diff(z, prepend=z[-1:]))))  # sorted: the closest pair is adjacent
     if closest <= NODE_SEPARATION:
         raise DegenerateNodesError(f"nodes only {closest:.3e} apart")
     target = (-1.0) ** n_top * np.conj(w)

@@ -11,8 +11,17 @@ import numpy as np
 import pytest
 
 from conftest import count_calls, random_persymmetric, random_verblunsky
-from popuc import VerblunskySequence, WeightError, krawtchouk_family, mirror_dual
-from popuc.cli import main
+from popuc import (
+    VerblunskySequence,
+    WeightError,
+    cmv_matrix,
+    krawtchouk_family,
+    mirror_dual,
+    spectrum,
+    unit_points,
+    weights,
+)
+from popuc.cli import _array, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -498,6 +507,83 @@ def test_canonical_output_is_byte_exact(capsys):
     tiny = '{"a": [[-0.0, 5e-301], [0.5, -0.0]], "omega": [1, 0]}'
     code, out, _ = run(capsys, "generate", "--verblunsky", tiny, "--emit", "phis")
     assert code == 0 and out == GOLDEN_TINY_PHIS
+
+
+def _reference_array(arr: np.ndarray) -> str:
+    """The per-entry renderer that ``cli._array`` replaced: one f-string per entry, one join per row."""
+    if arr.ndim > 1:
+        return "[" + ",".join(map(_reference_array, arr)) + "]"
+    if arr.dtype.kind == "c":
+        return "[" + ",".join(f"[{z.real:.17g},{z.imag:.17g}]" for z in arr.tolist()) + "]"
+    return "[" + ",".join(f"{x:.17g}" for x in arr.tolist()) + "]"
+
+
+_EDGE = [0.0, np.nan, np.inf, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 1e17]
+EDGE_VALUES = np.array(_EDGE + [-x for x in _EDGE])
+EDGE_PAIRS = np.empty((EDGE_VALUES.size, EDGE_VALUES.size), dtype=np.complex128)
+EDGE_PAIRS.real, EDGE_PAIRS.imag = np.meshgrid(EDGE_VALUES, EDGE_VALUES)
+_GRID = np.random.default_rng(23).standard_normal((5, 8)) * 10.0 ** np.arange(-160, 160, 40)
+_CGRID = _GRID + 1j * _GRID[::-1]
+
+RENDER_CASES = {
+    "edge_values": EDGE_VALUES,
+    "edge_pairs": EDGE_PAIRS,
+    "float32": np.array([1 / 3, -0.0, 1e-45, 1.2e-38, 3.4028235e38, np.nan, -np.inf], dtype=np.float32),
+    "int64": np.array([0, -1, 2**53 + 1, np.iinfo(np.int64).max, np.iinfo(np.int64).min]),
+    "bool": np.array([[True, False], [False, True]]),
+    "reversed_strided": _GRID[::-1, ::2],
+    "transposed": _GRID.T,
+    "complex_reversed_strided": _CGRID[::-1, ::2],
+    "complex_transposed": _CGRID.T,
+    "3d": _GRID.reshape(2, 5, 4),
+    "complex_3d": _CGRID.reshape(4, 2, 5).transpose(1, 0, 2),
+    "empty": np.empty(0),
+    "empty_rows": np.empty((3, 0)),
+    "no_rows": np.empty((0, 3)),
+    "complex_empty_rows": np.empty((3, 0), dtype=np.complex128),
+}
+
+
+@pytest.mark.parametrize("name", list(RENDER_CASES))
+def test_array_renders_what_the_per_entry_reference_renders(name):
+    arr = RENDER_CASES[name]
+    assert _array(arr) == _reference_array(arr)
+
+
+def _assert_same_bits(rendered, expected: np.ndarray) -> None:
+    """rendered (parsed JSON, complex entries as [re, im]) holds exactly the doubles of expected, -0 included."""
+    parsed = np.array(rendered, dtype=np.float64)
+    assert parsed.shape == expected.shape + ((2,) if expected.dtype.kind == "c" else ())
+    assert np.array_equal(parsed.view(np.uint64).ravel(), expected.ravel().view(np.float64).view(np.uint64))
+
+
+def test_large_generate_document_parses_back_to_the_arrays_bit_for_bit(capsys):
+    code, out, err = run(capsys, "generate", "--family", "krawtchouk", "--n", "64", "--omega-arg", "0.9", "--emit", "all")
+    assert code == 0 and err == ""
+    # "-0" must come back as the float -0.0, not the integer 0
+    payload = json.loads(out, parse_int=float)["payload"]
+    v = krawtchouk_family(64, complex(np.exp(0.9j))).v
+    theta = spectrum(v)
+    m1, m2 = v.cmv_factors
+    assert len(payload["phis"]) == len(v.phis) == 66
+    for rendered, phi in zip(payload["phis"], v.phis):
+        _assert_same_bits(rendered, phi)
+    expected = {
+        ("verblunsky", "a"): v.a,
+        ("verblunsky", "omega"): np.array(v.omega),
+        ("h",): v.h,
+        ("spectrum", "theta"): theta,
+        ("spectrum", "z"): unit_points(theta),
+        ("weights",): weights(v, theta).weights,
+        ("cmv", "m1"): m1,
+        ("cmv", "m2"): m2,
+        ("cmv", "u"): cmv_matrix(v),
+    }
+    for path, array in expected.items():
+        node = payload
+        for key in path:
+            node = node[key]
+        _assert_same_bits(node, array)
 
 
 def test_nothing_leaks_between_in_process_runs(capsys):
