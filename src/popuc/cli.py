@@ -45,7 +45,7 @@ from .errors import (
     WeightError,
 )
 from .inverse_spectral import reconstruct_persymmetric
-from .mirror import is_persymmetric, persymmetry_defect, verify_persymmetry_characterizations
+from .mirror import persymmetry_defect, verify_persymmetry_characterizations
 from .opuc_core import (
     VerblunskySequence,
     cmv_matrix,
@@ -54,7 +54,7 @@ from .opuc_core import (
     spectrum,
     weights,
 )
-from .tolerances import MIRROR_RELATIONS, ORTHOGONALITY, PARAORTHOGONALITY, PERSYMMETRY_IDENTITIES
+from .tolerances import MIRROR_RELATIONS, ORTHOGONALITY, PARAORTHOGONALITY, PERSYMMETRY_IDENTITIES, SELF_DUAL_DEFECT
 
 SCHEMA_VERSION = "3"
 
@@ -198,9 +198,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         report = cmv_mod.verify_mirror_relations(v)
         checks["mirror_relations"] = vars(report)
         passed = passed and report.max_residual <= MIRROR_RELATIONS
-    persym = is_persymmetric(v)
+    defect = persymmetry_defect(v)
+    persym = defect <= SELF_DUAL_DEFECT
     checks["persymmetric"] = persym
-    checks["persymmetry_defect"] = persymmetry_defect(v)
+    checks["persymmetry_defect"] = defect
     if persym and (args.persymmetric or run_all):
         chars = verify_persymmetry_characterizations(v)
         checks["persymmetry_characterizations"] = vars(chars)

@@ -7,9 +7,9 @@ h_N / |Phi'_{N+1}|^2 node by node; the dual weights are the squared last
 components of the eigenvectors that give the primal weights.  Data equal to
 its own dual is called persymmetric; ``make_persymmetric`` builds it from
 its free half.  Such a system is pinned down by its spectrum alone, which
-drives the inverse problem elsewhere in the package.  Every check here
-takes the coefficient list and reads the memos it keeps; the closed forms
-take the node angles as one array, checked by ``node_angles``.
+drives the inverse problem elsewhere in the package.  Every check here takes
+the coefficient list and reads the memos it keeps.  The public closed forms pass
+their node angles through ``node_angles``; the characterizations read ``spectrum(v)`` as is.
 """
 
 from __future__ import annotations
@@ -94,7 +94,12 @@ def persymmetric_weights(nodes: np.ndarray, h_final: float) -> np.ndarray:
     """
     if not h_final > 0.0:
         raise ValueError("h_final must be positive")
-    return np.exp(0.5 * np.log(h_final) + _neg_log_derivative(unit_points(node_angles(nodes))))
+    return _weights_at(node_angles(nodes), h_final)
+
+
+def _weights_at(theta: np.ndarray, h_final: float) -> np.ndarray:
+    """``persymmetric_weights`` at checked angles theta and a positive h_final."""
+    return np.exp(0.5 * np.log(h_final) + _neg_log_derivative(unit_points(theta)))
 
 
 def _neg_log_derivative(z: np.ndarray) -> np.ndarray:
@@ -122,16 +127,15 @@ def phi_n_values(
     thetas = node_angles(nodes)
     if thetas[0] < 0.0 or thetas[-1] >= TWO_PI:
         raise ShapeError(f"node angles must lie in [0, 2 pi), got {thetas[0]:.17g} .. {thetas[-1]:.17g}")
+    return _phi_n_at(thetas, omega, h_final, epsilon)
+
+
+def _phi_n_at(thetas: np.ndarray, omega: complex, h_final: float, epsilon: int) -> np.ndarray:
+    """``phi_n_values`` at checked, sorted angles in [0, 2 pi) and a positive h_final."""
     n_top = thetas.size - 1  # node count is N + 1
     signs = np.where(np.arange(thetas.size) % 2 == 0, 1.0, -1.0)
     inv_half = np.conj(principal_sqrt_unimodular(complex(omega)))
-    return (
-        signs
-        * float(epsilon)
-        * inv_half
-        * np.exp(0.5j * (n_top - 1) * thetas)
-        * float(np.sqrt(h_final))
-    )
+    return signs * float(epsilon) * inv_half * np.exp(0.5j * (n_top - 1) * thetas) * float(np.sqrt(h_final))
 
 
 @dataclass(frozen=True)
@@ -155,25 +159,24 @@ def verify_persymmetry_characterizations(v: VerblunskySequence) -> PersymmetryCh
     SELF_DUAL_DEFECT, 1e-10); for valid input, returns the worst residual of
     each identity and the phase sign that fits.  The weights come from the
     eigen-solve v keeps, the Phi_N values from its ladder at the nodes; any
-    other check of v reads the same memos.  An h_N that has underflowed to
-    0.0 leaves the closed forms undefined and raises WeightError naming the
-    first such h_k.
+    other check of v reads the same memos, and the closed forms read the
+    solve's angles as they are.  An h_N that has underflowed to 0.0 leaves
+    the closed forms undefined and raises WeightError naming the first h_k.
     """
-    if not is_persymmetric(v):
-        raise NotPersymmetricError(
-            f"coefficient list has mirror defect {persymmetry_defect(v):.3e}"
-        )
+    defect = persymmetry_defect(v)
+    if not defect <= SELF_DUAL_DEFECT:
+        raise NotPersymmetricError(f"coefficient list has mirror defect {defect:.3e}")
     if not v.h[-1] > 0.0:
         k = int(np.argmax(v.h <= 0.0))
         raise WeightError(f"squared norm h_{k} underflows to 0, so the persymmetric forms are undefined")
     nodes = spectrum(v)
     h_final = float(v.h[-1])
     w = v.quadrature[1][0]
-    weight_residual = float(np.max(np.abs(w - persymmetric_weights(nodes, h_final))))
+    weight_residual = float(np.max(np.abs(w - _weights_at(nodes, h_final))))
     phi_n = v.node_values[-1]
     modulus_residual = float(np.max(np.abs(np.abs(phi_n) - np.sqrt(h_final))))
 
-    predicted = phi_n_values(nodes, v.omega, h_final, 1)  # epsilon = -1 predicts its exact negation
+    predicted = _phi_n_at(nodes, v.omega, h_final, 1)  # epsilon = -1 predicts its exact negation
     best_eps, best = 1, np.inf
     for eps, diff in ((1, phi_n - predicted), (-1, phi_n + predicted)):
         resid = float(np.max(np.abs(diff)))

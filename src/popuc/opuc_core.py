@@ -133,18 +133,20 @@ class VerblunskySequence:
 def _ladder_rows(v: VerblunskySequence) -> Iterator[np.ndarray]:
     """Yield Phi_0 .. Phi_{N+1}, a_N = omega, as views of one (N+2)-long row that the next step overwrites.
 
+    Each step runs ``row[-k-2:-1] -= conj(a_k) * conj(phi[::-1])`` in place through one scratch row.
     An overflow raises OverflowError naming the rung before numpy can warn.  That
     error state also holds while the generator waits, so readers only copy or skip rows.
     """
     row = np.zeros(v.n + 2, dtype=np.complex128)
     row[-1] = 1.0  # Phi_k fills the last k + 1 places behind zeros, so z Phi_k needs no shift
-    conj_a = np.conj(np.append(v.a, v.omega))
+    scratch = np.empty_like(row)
+    subtract, multiply, conjugate = np.subtract, np.multiply, np.conjugate  # looked up once, not per rung
     with np.errstate(over="raise", invalid="raise"):
-        for k in range(v.n + 1):
-            phi = row[-k - 1 :]
+        for k, conj_a_k in enumerate(np.conj(np.append(v.a, v.omega)).tolist()):
+            phi, tmp, lower = row[-k - 1 :], scratch[: k + 1], row[-k - 2 : -1]
             yield phi
-            try:
-                row[-k - 2 : -1] -= conj_a[k] * np.conj(phi[::-1])  # z Phi_k - conj(a_k) Phi_k^*
+            try:  # z Phi_k - conj(a_k) Phi_k^*
+                subtract(lower, multiply(conj_a_k, conjugate(phi[::-1], tmp), tmp), lower)
             except FloatingPointError:
                 raise OverflowError(f"ladder coefficients of Phi_{k + 1} overflow the double range") from None
     yield row
@@ -154,8 +156,8 @@ def _ladder_rows(v: VerblunskySequence) -> Iterator[np.ndarray]:
 class SpectralData:
     """Strictly increasing node angles with positive weights summing to one.
 
-    theta passes ``node_angles``; it and the weights are stored as
-    read-only float64 arrays.  ``nodes`` gives the same nodes as
+    A caller's theta passes ``node_angles``, the solve's own in ``weights`` does not; it and
+    the weights are stored as read-only float64 arrays.  ``nodes`` gives the same nodes as
     UnitCirclePoint values, built on first access, for ``bench/workloads.py``.
     """
 
@@ -169,11 +171,14 @@ class SpectralData:
             raise ShapeError("one weight per node required")
         if not (w > 0.0).all():  # NaN fails too
             raise WeightError(f"non-positive weight {float(w.min())!r}")
+        self._hold(theta, w)
+
+    def _hold(self, theta: np.ndarray, w: np.ndarray) -> None:
+        """Keep theta and w once the weights sum to one within WEIGHT_SUM, else WeightError."""
         total = float(w.sum())
         if not abs(total - 1.0) <= WEIGHT_SUM:
             raise WeightError(f"weights sum to {total!r}, expected 1")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "weights", w)
+        self.__dict__.update(theta=theta, weights=w)
 
     @cached_property
     def nodes(self) -> tuple[UnitCirclePoint, ...]:
@@ -371,14 +376,16 @@ def weights(v: VerblunskySequence, nodes: np.ndarray) -> SpectralData:
 
     v_s is the unit eigenvector of U at node s, so these are the Gauss
     weights of the unit-circle Golub-Welsch rule, read off the solve that
-    gave the nodes.  nodes must be those angles, else ValueError.  A
-    weight that comes out 0.0, where its
-    eigenvector component is below rounding, raises WeightError naming the
-    node.  SpectralData further requires a sum within WEIGHT_SUM of one.
+    gave the nodes.  nodes must be those angles, else ValueError.  The SpectralData holds
+    the read-only arrays of ``v.quadrature``, which the solve made sorted, distinct and
+    finite.  A weight of 0.0, where its eigenvector component is below rounding, raises
+    WeightError naming the node; a sum off one by more than WEIGHT_SUM raises WeightError.
     """
     _own_nodes(v, nodes)
     theta, rows = v.quadrature
-    return SpectralData(theta, _resolved(rows[0], "0"))
+    data = object.__new__(SpectralData)  # past the caller gate of __post_init__
+    data._hold(theta, _resolved(rows[0], "0"))
+    return data
 
 
 def _resolved(w: np.ndarray, row: str) -> np.ndarray:

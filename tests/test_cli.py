@@ -625,6 +625,7 @@ def test_check_all_runs_one_forward_pass_on_self_dual_data(capsys, monkeypatch):
 @pytest.mark.parametrize("self_dual", [False, True], ids=["random", "self_dual"])
 def test_check_all_solves_and_runs_the_ladder_once(capsys, monkeypatch, self_dual):
     import popuc.cmv as cmv
+    import popuc.mirror as mirror
     import popuc.opuc_core as opuc_core
 
     rng = np.random.default_rng(19)
@@ -634,11 +635,14 @@ def test_check_all_solves_and_runs_the_ladder_once(capsys, monkeypatch, self_dua
     ladders = count_calls(monkeypatch, opuc_core, "ladder_values")
     builds = count_calls(monkeypatch, opuc_core, "factors")
     count_calls(monkeypatch, cmv, "factors", builds)
+    gated = count_calls(monkeypatch, opuc_core, "node_angles")
+    count_calls(monkeypatch, mirror, "node_angles", gated)
     code, out, _ = run(capsys, "check", "--verblunsky", doc, "--all")
     checks = json.loads(out)["payload"]["checks"]
     assert code == 0 and checks["persymmetric"] is self_dual
     assert ("persymmetry_characterizations" in checks) is self_dual
     assert (len(solves), len(ladders)) == (1, 1)
+    assert gated == []  # the solve checked its own angles; no check sends them through the caller gate
     # the factors of v, shared by the solve and the mirror relations, then those of its dual
     assert [args[0].a.tolist() for args in builds] == [v.a.tolist(), mirror_dual(v).a.tolist()]
 

@@ -8,6 +8,7 @@ from numpy.polynomial import polynomial as npoly
 from conftest import random_persymmetric, random_verblunsky
 from popuc import (
     NotPersymmetricError,
+    PersymmetryCharacterizations,
     ShapeError,
     UnitCirclePoint,
     VerblunskySequence,
@@ -268,6 +269,26 @@ def test_characterizations_random_corpus():
         v = random_persymmetric(rng, n)
         report = verify_persymmetry_characterizations(v)
         assert report.max_residual <= 1e-8, f"n={n}: {report}"
+
+
+def test_characterizations_equal_the_public_closed_forms_on_the_solve():
+    # the characterizations skip node_angles on spectrum(v); the public forms must give the same residuals
+    rng = np.random.default_rng(2406)
+    corpus = [random_persymmetric(rng, n) for n in range(2, 12) for _ in range(5)]
+    corpus += [single_moment_persymmetric(9).v, krawtchouk_family(9, np.exp(0.9j)).v]
+    for v in corpus:
+        nodes, h_final = spectrum(v), float(v.h[-1])
+        phi_n = v.node_values[-1]
+        predicted = phi_n_values(nodes, v.omega, h_final, 1)
+        phase = {1: float(np.max(np.abs(phi_n - predicted))), -1: float(np.max(np.abs(phi_n + predicted)))}
+        eps = -1 if phase[-1] < phase[1] else 1
+        expected = PersymmetryCharacterizations(
+            float(np.max(np.abs(weights(v, nodes).weights - persymmetric_weights(nodes, h_final)))),
+            float(np.max(np.abs(np.abs(phi_n) - np.sqrt(h_final)))),
+            phase[eps],
+            eps,
+        )
+        assert verify_persymmetry_characterizations(v) == expected
 
 
 def test_characterizations_reject_non_persymmetric():

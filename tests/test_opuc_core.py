@@ -236,6 +236,94 @@ def test_spectral_data_validation():
         SpectralData(nodes, np.array([1.0]))
 
 
+def _weights_corpus() -> list:
+    rng = np.random.default_rng(2402)
+    corpus = [random_verblunsky(rng, n) for n in range(1, 13) for _ in range(4)]
+    for n in (1, 2, 3, 8, 17, 64):
+        corpus += [fam.v for fam in (free_family(n, 0.3), single_moment(n), single_moment_dual(n),
+                                     single_moment_persymmetric(n), krawtchouk_family(n, np.exp(0.9j)))]
+    return corpus + [random_persymmetric(rng, n) for n in range(1, 13)]
+
+
+def test_weights_hold_the_solve_arrays_that_the_public_gate_passes():
+    # weights skips the caller gate of SpectralData; the gate would pass the same arrays, bit for bit
+    for v in _weights_corpus():
+        data = weights(v, spectrum(v))
+        theta, rows = v.quadrature
+        assert data.theta is theta
+        assert data.weights.base is rows and np.shares_memory(data.weights, rows[0])
+        gated = SpectralData(theta, rows[0])
+        for got, want in ((data.theta, gated.theta), (data.weights, gated.weights)):
+            assert got.dtype == want.dtype == np.float64 and not got.flags.writeable
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _patched_weight_row(monkeypatch, edit_row) -> None:
+    """Make opuc_core.eigen_rows hand back row 0 as edit_row leaves it."""
+    import popuc.opuc_core as opuc_core
+
+    original = opuc_core.eigen_rows
+
+    def eigen_rows(u):
+        lam, rows = original(u)
+        rows = rows.copy()
+        edit_row(rows[0])
+        return lam, rows
+
+    monkeypatch.setattr(opuc_core, "eigen_rows", eigen_rows)
+
+
+def test_weights_still_check_the_sum_the_solve_does_not(monkeypatch):
+    from popuc.tolerances import WEIGHT_SUM
+
+    def rescale(w):
+        w *= (1.0 + 2.0 * WEIGHT_SUM) / w.sum()
+
+    _patched_weight_row(monkeypatch, rescale)
+    v = random_verblunsky(np.random.default_rng(2403), 7)
+    with pytest.raises(WeightError, match=r"^weights sum to 1\.0000000\d+, expected 1$"):
+        weights(v, spectrum(v))
+
+
+def test_weights_still_name_a_node_whose_weight_is_lost(monkeypatch):
+    def lose(w):
+        w[3] = 0.0
+
+    _patched_weight_row(monkeypatch, lose)
+    v = random_verblunsky(np.random.default_rng(2404), 7)
+    with pytest.raises(WeightError, match=r"^weight 0\.0 at node \d+ is below what the eigenvector resolves"):
+        weights(v, spectrum(v))
+
+
+def _reference_ladder_rows(v) -> list:
+    """Rows Phi_0 .. Phi_{N+1} by the update ``_ladder_rows`` replaced: fresh temporaries each step."""
+    row = np.zeros(v.n + 2, dtype=np.complex128)
+    row[-1] = 1.0
+    conj_a = np.conj(np.append(v.a, v.omega))
+    rows = []
+    for k in range(v.n + 1):
+        phi = row[-k - 1 :]
+        rows.append(phi.copy())
+        row[-k - 2 : -1] -= conj_a[k] * np.conj(phi[::-1])
+    return rows + [row.copy()]
+
+
+def test_in_place_ladder_matches_the_reference_update_bit_for_bit():
+    import popuc.opuc_core as opuc_core
+
+    rng = np.random.default_rng(2405)
+    corpus = [random_verblunsky(rng, n) for n in range(1, 65)]
+    corpus += [VerblunskySequence([-0.0 + 5e-301j, 0.5 - 0.0j], 1.0),  # the -0 parts of GOLDEN_TINY_PHIS
+               krawtchouk_family(64, np.exp(0.9j)).v]
+    for v in corpus:
+        got = [row.copy() for row in opuc_core._ladder_rows(v)]
+        want = _reference_ladder_rows(v)
+        assert len(got) == len(want) == v.n + 2
+        for g, w in zip(got, want):
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+    # the overflow rung, Phi_1036, stays as test_ladder_overflow_names_the_rung_and_restores_the_error_state pins it
+
+
 def test_paraorthogonality_closed_forms():
     v = VerblunskySequence(np.zeros(4, dtype=complex), np.exp(1.3j))
     assert paraorthogonality_residual(build_system(v)) <= 1e-15
