@@ -8,7 +8,6 @@ spectrum alone.
 """
 
 from .complex_poly import (
-    Polynomial,
     UnitCirclePoint,
     from_roots,
     lagrange_interpolate,
@@ -71,7 +70,6 @@ from .opuc_core import (
     orthogonality_residual,
     paraorthogonality_residual,
     spectrum,
-    verblunsky_from_polys,
     weights,
 )
 
@@ -85,7 +83,6 @@ __all__ = [
     "NotPersymmetricError",
     "PersymmetryCharacterizations",
     "PersymmetryViolationError",
-    "Polynomial",
     "PopucError",
     "ReconstructionResult",
     "ShapeError",
@@ -124,7 +121,6 @@ __all__ = [
     "spectrum",
     "theta_block",
     "unitarity_residual",
-    "verblunsky_from_polys",
     "verify_family",
     "verify_mirror_relations",
     "verify_persymmetry_characterizations",

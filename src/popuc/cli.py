@@ -8,8 +8,8 @@ of ``MirrorRelationReport`` and ``PersymmetryCharacterizations`` as they are.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 reconstruction failure (reconstruct only), 4 I/O failure, 5 numerical
-failure on valid input (weights, convergence, spectrum validity, coincident
-nodes or ladder overflow).
+failure on valid input (weights, spectrum validity, coincident nodes or
+ladder overflow).
 
 JSON output is canonical and byte-stable: keys sorted, floats printed with
 17 significant digits (enough to round-trip doubles bit-exactly, -0 kept),
@@ -36,7 +36,6 @@ from . import cmv as cmv_mod
 from . import families as fam_mod
 from .complex_poly import unit_points
 from .errors import (
-    ConvergenceError,
     NotPersymmetricError,
     PopucError,
     SpectralValidityError,
@@ -122,15 +121,33 @@ def _load_json_arg(text: str) -> Any:
     return json.loads(Path(text).read_text())
 
 
+def _number(field: str, x: Any) -> float:
+    """x as a float once it is a JSON number (int or float, not bool) within the double range.
+
+    Else ValueError naming the field.
+    """
+    if type(x) not in (int, float):
+        raise ValueError(f"{field} is {json.dumps(x)}, not a number")
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{field} is an integer outside the double range") from None
+
+
+def _pair(field: str, entry: Any) -> complex:
+    """re + i im from a JSON list [re, im] of two ``_number`` entries, else ValueError naming the field."""
+    if type(entry) is not list or len(entry) != 2:
+        raise ValueError(f"{field} is {json.dumps(entry)}, not a pair [re, im] of numbers")
+    return complex(_number(f"{field}[0]", entry[0]), _number(f"{field}[1]", entry[1]))
+
+
 def _verblunsky_from_json(doc: Any) -> VerblunskySequence:
     if not isinstance(doc, dict) or "a" not in doc or "omega" not in doc:
         raise ValueError('expected an object with keys "a" and "omega"')
-    try:
-        a = np.array([complex(re, im) for re, im in doc["a"]], dtype=np.complex128)
-        om = complex(doc["omega"][0], doc["omega"][1])
-    except OverflowError:
-        raise ValueError("a JSON integer is outside the double range") from None
-    return VerblunskySequence(a, om)
+    if type(doc["a"]) is not list:
+        raise ValueError(f"a is {json.dumps(doc['a'])}, not a list of [re, im] pairs")
+    a = np.array([_pair(f"a[{k}]", z) for k, z in enumerate(doc["a"])], dtype=np.complex128)
+    return VerblunskySequence(a, _pair("omega", doc["omega"]))
 
 
 def _system_from_args(args: argparse.Namespace) -> VerblunskySequence:
@@ -216,22 +233,16 @@ def cmd_check(args: argparse.Namespace) -> int:
 def _angles(doc: Any) -> np.ndarray:
     """A JSON list of angles as float64, each entry checked in input order.
 
-    An entry that is not a number (null, a string, a list), an integer
-    beyond the double range, or a non-finite number raises ValueError
-    naming its index in the input.
+    An entry that is not a ``_number`` (null, a string, a list, an integer
+    beyond the double range) or is not finite raises ValueError naming its
+    index in the input.
     """
     if isinstance(doc, dict) and "theta" in doc:
         doc = doc["theta"]
     if not isinstance(doc, list):
         raise ValueError("spectrum input must be a JSON list of angles")
     for k, t in enumerate(doc):
-        if type(t) not in (int, float):
-            raise ValueError(f"theta[{k}] is {json.dumps(t)}, not a number")
-        try:
-            finite = math.isfinite(t)
-        except OverflowError:
-            raise ValueError(f"theta[{k}] is an integer outside the double range") from None
-        if not finite:
+        if not math.isfinite(_number(f"theta[{k}]", t)):
             raise ValueError(f"theta must be finite; theta[{k}] is {t!r}")
     return np.array(doc, dtype=np.float64)
 
@@ -304,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SpectrumInconsistencyError, NotPersymmetricError, SzegoClassError) as exc:
         print(f"reconstruction failed: {exc}", file=sys.stderr)
         return EXIT_RECONSTRUCTION
-    except (WeightError, ConvergenceError, SpectralValidityError, OverflowError) as exc:
+    except (WeightError, SpectralValidityError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, KeyError, TypeError, json.JSONDecodeError, PopucError) as exc:

@@ -1,13 +1,13 @@
-"""Points on the unit circle, plus a small monomial-coefficient layer.
+"""Points on the unit circle, and three monomial-coefficient helpers.
 
 Nodes travel through the pipeline as a float64 array of angles theta.
 ``node_angles`` is the one gate for caller-supplied angles (finite, strictly
 increasing), ``wrap_angles`` the one convention for where an angle lies ([0, 2 pi),
 seam at 0), and ``unit_points`` turns angles into cos theta + i sin theta.
-``Polynomial`` (ascending coefficients), ``roots``, ``from_roots`` and
-``lagrange_interpolate`` are not called by any pipeline stage; they serve
-the tests as independent checks.  ``roots`` takes the eigenvalues of
-the companion matrix.
+``roots``, ``from_roots`` and ``lagrange_interpolate`` work on ascending
+coefficient arrays.  No pipeline stage calls them, nor builds a
+``UnitCirclePoint``; both stay because ``bench/`` reads them by name.
+``roots`` takes the eigenvalues of the companion matrix.
 """
 
 from __future__ import annotations
@@ -22,29 +22,6 @@ from .errors import ConvergenceError, DegenerateNodesError, ShapeError
 from .tolerances import NODE_SEPARATION, RESIDUAL, UNIMODULAR
 
 TWO_PI = 2.0 * np.pi
-
-
-@dataclass(frozen=True, eq=False)
-class Polynomial:
-    """Dense complex polynomial; ``coeffs[k]`` multiplies ``z**k``."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=np.complex128))
-        if c.ndim != 1 or c.size == 0:
-            raise ShapeError("coefficient vector must be one-dimensional and non-empty")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("polynomial coefficients must be finite")
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size - 1
-
-    @property
-    def leading(self) -> complex:
-        return complex(self.coeffs[-1])
 
 
 @dataclass(frozen=True, order=True)
@@ -66,20 +43,28 @@ class UnitCirclePoint:
         return complex(np.cos(self.theta), np.sin(self.theta))
 
 
-def node_angles(nodes: "np.ndarray | Iterable[UnitCirclePoint]") -> np.ndarray:
+def node_angles(nodes: "np.ndarray | Sequence[float] | Sequence[UnitCirclePoint]") -> np.ndarray:
     """Node angles as float64, once they are real, non-empty, finite and strictly increasing.
 
-    A real ndarray is read as it is.  The branch that reads each point's
-    ``.theta`` stays only because ``bench/workloads.py`` passes
-    ``UnitCirclePoint`` values to ``reconstruct_persymmetric``.  A
-    non-finite angle raises ValueError naming its index, any other fault ShapeError.
+    A real ndarray is read as it is, a sequence of real numbers as its
+    array.  The branch that reads each point's ``.theta`` stays only because
+    ``bench/workloads.py`` passes ``UnitCirclePoint`` values to
+    ``reconstruct_persymmetric``.  A non-finite angle raises ValueError
+    naming its index, any other fault ShapeError.
     """
     if isinstance(nodes, np.ndarray):
         if nodes.dtype.kind not in "fiu":
             raise ShapeError(f"node angles must be real, got dtype {nodes.dtype}")
         theta = nodes.astype(np.float64, copy=False)
     else:
-        theta = np.array([p.theta for p in nodes], dtype=np.float64)
+        try:
+            theta = np.array([p.theta for p in nodes], dtype=np.float64)
+        except (AttributeError, TypeError):  # not points: the branch above gates the array
+            try:
+                arr = np.array(nodes)
+            except ValueError:  # a ragged nesting
+                raise ShapeError("node angles must be a flat sequence of real numbers") from None
+            return node_angles(arr)
     if theta.ndim != 1 or theta.size < 1:
         raise ShapeError("need at least one node")
     if not np.isfinite(theta).all():
@@ -102,51 +87,42 @@ def unit_points(theta: np.ndarray) -> np.ndarray:
     return np.cos(theta) + 1j * np.sin(theta)
 
 
-def _horner_many(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(z, dtype=np.complex128)
-    for c in coeffs[::-1]:
-        acc = acc * z + c
-    return acc
+def roots(coeffs: "np.ndarray | Sequence[complex]") -> list[complex]:
+    """All complex roots of sum_k coeffs[k] z^k, as the eigenvalues of the companion matrix.
 
-
-def _root_residuals(p: Polynomial, z: np.ndarray) -> np.ndarray:
-    """|p(z)| / (1 + |p'(z)| |z|) at each z, for p of degree >= 1."""
-    pv = np.abs(_horner_many(p.coeffs, z))
-    dc = p.coeffs[1:] * np.arange(1, p.degree + 1)
-    dv = np.abs(_horner_many(dc, z))
-    return pv / (1.0 + dv * np.abs(z))
-
-
-def roots(p: Polynomial) -> list[complex]:
-    """All complex roots, as the eigenvalues of the companion matrix.
-
-    The backward-style residual |p(r)| / (1 + |p'(r)| |r|) must meet
-    RESIDUAL for every root, else ConvergenceError.
+    coeffs must be finite (else ValueError) and one-dimensional, of degree
+    >= 1 with a non-zero leading coefficient (else ShapeError).  The
+    backward-style residual |p(r)| / (1 + |p'(r)| |r|) must meet RESIDUAL
+    for every root, else ConvergenceError.
     """
-    n = p.degree
-    if n < 1:
-        raise ShapeError("root finding needs degree >= 1")
-    if abs(p.leading) == 0.0:
+    c = np.asarray(coeffs, dtype=np.complex128)
+    if c.ndim != 1 or c.size < 2:
+        raise ShapeError("root finding needs a coefficient vector of degree >= 1")
+    if not np.isfinite(c).all():
+        raise ValueError("polynomial coefficients must be finite")
+    if c[-1] == 0.0:
         raise ShapeError("leading coefficient must be nonzero")
-    companion = np.diag(np.ones(n - 1, dtype=np.complex128), -1)
-    companion[:, -1] = -p.coeffs[:-1] / p.leading
+    companion = np.diag(np.ones(c.size - 2, dtype=np.complex128), -1)
+    companion[:, -1] = -c[:-1] / c[-1]
     z = np.linalg.eigvals(companion)
-    worst = float(np.max(_root_residuals(p, z)))
+    p = c[::-1]  # descending, as np.polyval reads it
+    slope = np.abs(np.polyval(np.polyder(p), z)) * np.abs(z)
+    worst = float(np.max(np.abs(np.polyval(p, z)) / (1.0 + slope)))
     if worst > RESIDUAL:
         raise ConvergenceError("root residual above tolerance", worst)
     return [complex(r) for r in z]
 
 
-def from_roots(rts: Iterable[complex]) -> Polynomial:
-    """Monic polynomial with the given roots (empty product gives 1)."""
+def from_roots(rts: Iterable[complex]) -> np.ndarray:
+    """Ascending coefficients of the monic polynomial with the given roots (empty product gives [1])."""
     coeffs = np.array([1.0 + 0.0j])
     for r in rts:
         coeffs = np.convolve(coeffs, np.array([-complex(r), 1.0 + 0.0j]))
-    return Polynomial(coeffs)
+    return coeffs
 
 
-def lagrange_interpolate(nodes: Sequence, values: Sequence) -> Polynomial:
-    """Interpolating polynomial through (nodes[k], values[k]).
+def lagrange_interpolate(nodes: Sequence, values: Sequence) -> np.ndarray:
+    """Ascending coefficients of the interpolating polynomial through (nodes[k], values[k]).
 
     Newton divided differences, expanded to monomial coefficients.  Nodes
     closer than NODE_SEPARATION are rejected as degenerate.
@@ -171,4 +147,4 @@ def lagrange_interpolate(nodes: Sequence, values: Sequence) -> Polynomial:
     for k in range(m - 2, -1, -1):
         coeffs = np.convolve(coeffs, np.array([-x[k], 1.0 + 0.0j]))
         coeffs[0] += dd[k]
-    return Polynomial(coeffs)
+    return coeffs

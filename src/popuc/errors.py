@@ -6,7 +6,7 @@ class PopucError(Exception):
 
 
 class ShapeError(PopucError):
-    """Structurally invalid input: wrong arity, degree, ordering or monicity."""
+    """Structurally invalid input: wrong arity, degree or ordering."""
 
 
 class ConvergenceError(PopucError):

@@ -47,12 +47,13 @@ class ReconstructionResult:
 
 
 def reconstruct_persymmetric(
-    nodes: "np.ndarray | Sequence[UnitCirclePoint]", omega: complex
+    nodes: "np.ndarray | Sequence[float] | Sequence[UnitCirclePoint]", omega: complex
 ) -> ReconstructionResult:
     """Recover the unique persymmetric system with the given spectrum.
 
-    nodes (angles, or UnitCirclePoint values) must pass ``node_angles``, are
-    read as a set on the circle (sorted after ``wrap_angles``), must number
+    nodes (angles as an array or a sequence of reals, or UnitCirclePoint
+    values) must pass ``node_angles``, are read as a set on the circle
+    (sorted after ``wrap_angles``), must number
     at least two, lie at least NODE_SEPARATION apart and have the
     product z_0 ... z_N = (-1)^N / omega (checked to NODE_PRODUCT_DRIFT,
     1e-8); that consistency pins omega to the node set.  The weights are

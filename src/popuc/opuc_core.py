@@ -33,13 +33,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .complex_poly import UnitCirclePoint, node_angles, unit_points, wrap_angles
 from .errors import ShapeError, SpectralValidityError, WeightError
-from .tolerances import EIGEN_CLUSTER, MONIC, SPECTRUM_RADIUS, UNIMODULAR, VERBLUNSKY_MARGIN, WEIGHT_SUM
+from .tolerances import EIGEN_CLUSTER, SPECTRUM_RADIUS, UNIMODULAR, VERBLUNSKY_MARGIN, WEIGHT_SUM
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,22 +221,6 @@ def build_system(v: VerblunskySequence) -> VerblunskySequence:
     ``bench/tracer.py`` times it by name.
     """
     return v
-
-
-def verblunsky_from_polys(phis: Sequence[np.ndarray]) -> np.ndarray:
-    """Read coefficients back off the ladder: a_k = -conj(Phi_{k+1}(0)).
-
-    phis holds ascending coefficient arrays, entry k of length k + 1 with a
-    leading coefficient within MONIC of one.
-    """
-    if len(phis) < 2:
-        raise ShapeError("need at least Phi_0 and Phi_1")
-    for k, p in enumerate(phis):
-        if np.shape(p) != (k + 1,):
-            raise ShapeError(f"entry {k} has shape {np.shape(p)}, expected ({k + 1},)")
-        if abs(p[-1] - 1.0) > MONIC:
-            raise ShapeError(f"entry {k} is not monic")
-    return np.array([-np.conj(p[0]) for p in phis[1:]])
 
 
 def theta_block(a: complex) -> np.ndarray:

@@ -10,7 +10,6 @@ NODE_SEPARATION = 1e-12     # minimum pairwise node distance
 WEIGHT_SUM = 1e-9           # slack on sum of weights = 1
 SPECTRUM_RADIUS = 1e-7      # eigenvalue radius slack before a spectrum is rejected
 VERBLUNSKY_MARGIN = 1e-12   # strictness margin for |a| < 1
-MONIC = 1e-9                # slack on a leading coefficient of 1 (``verblunsky_from_polys``)
 EIGEN_CLUSTER = 1e-6        # cos theta gap below which eigenvectors of (U + U^H)/2 are split again on U
 
 # pass bounds of ``popuc check``

@@ -15,7 +15,6 @@ from conftest import characteristic_polynomial, eigenpair_residual, random_persy
 from popuc import (
     NotPersymmetricError,
     VerblunskySequence,
-    build_system,
     cmv_matrix,
     dual_weights,
     free_family,
@@ -32,7 +31,6 @@ from popuc import (
     single_moment_dual,
     single_moment_persymmetric,
     spectrum,
-    verblunsky_from_polys,
     verify_family,
     verify_mirror_relations,
     verify_persymmetry_characterizations,
@@ -54,10 +52,9 @@ def corpus():
     for i in range(200):
         n = 1 + i % 12
         v = random_verblunsky(rng, n)
-        sys_ = build_system(v)
-        nodes = spectrum(sys_)
-        data = weights(sys_, nodes)
-        systems.append((v, sys_, nodes, data))
+        nodes = spectrum(v)
+        data = weights(v, nodes)
+        systems.append((v, nodes, data))
     return systems
 
 
@@ -71,8 +68,8 @@ def persymmetric_corpus():
 
 def test_criterion_01_coefficient_round_trip(corpus):
     worst = 0.0
-    for v, sys_, _, _ in corpus:
-        rec = verblunsky_from_polys(sys_.phis)
+    for v, _, _ in corpus:
+        rec = np.array([-np.conj(p[0]) for p in v.phis[1:]])  # a_k = -conj(Phi_{k+1}(0))
         full = np.concatenate([v.a, [v.omega]])
         worst = max(worst, float(np.max(np.abs(rec - full))))
     ok = worst <= 1e-12
@@ -82,8 +79,8 @@ def test_criterion_01_coefficient_round_trip(corpus):
 
 def test_criterion_02_orthogonality(corpus):
     worst = 0.0
-    for _, sys_, _, data in corpus:
-        worst = max(worst, orthogonality_residual(sys_, data))
+    for v, _, data in corpus:
+        worst = max(worst, orthogonality_residual(v, data))
     ok = worst <= 1e-8
     _report(2, ok, f"ladder Gram matrix equals diag(h) under the node measure, worst {worst:.2e} <= 1e-8")
     assert ok
@@ -91,8 +88,8 @@ def test_criterion_02_orthogonality(corpus):
 
 def test_criterion_03_paraorthogonality(corpus):
     worst = 0.0
-    for _, sys_, _, _ in corpus:
-        worst = max(worst, paraorthogonality_residual(sys_))
+    for v, _, _ in corpus:
+        worst = max(worst, paraorthogonality_residual(v))
     ok = worst <= 1e-10
     _report(3, ok, f"final polynomial closure identity, worst {worst:.2e} <= 1e-10")
     assert ok
@@ -102,19 +99,19 @@ def test_criterion_04_mirror_duality(corpus):
     worst_top = 0.0
     worst_h = 0.0
     worst_product = 0.0
-    for v, sys_, nodes, data in corpus:
-        dual_sys = build_system(mirror_dual(v))
+    for v, nodes, data in corpus:
+        dual = mirror_dual(v)
         worst_top = max(
             worst_top,
-            float(np.max(np.abs(dual_sys.phis[-1] - sys_.phis[-1]))),
+            float(np.max(np.abs(dual.phis[-1] - v.phis[-1]))),
         )
         worst_h = max(
             worst_h,
-            abs(float(dual_sys.h[-1]) - float(sys_.h[-1])) / float(sys_.h[-1]),
+            abs(float(dual.h[-1]) - float(v.h[-1])) / float(v.h[-1]),
         )
-        hat = dual_weights(sys_)
-        dvals = np.abs(npoly.polyval(unit_points(nodes), npoly.polyder(sys_.phis[-1])))
-        product = data.weights * hat * dvals**2 / float(sys_.h[-1])
+        hat = dual_weights(v)
+        dvals = np.abs(npoly.polyval(unit_points(nodes), npoly.polyder(v.phis[-1])))
+        product = data.weights * hat * dvals**2 / float(v.h[-1])
         worst_product = max(worst_product, float(np.max(np.abs(product - 1.0))))
     ok = worst_top <= 1e-10 and worst_h <= 1e-10 and worst_product <= 1e-8
     _report(
@@ -153,7 +150,7 @@ def test_criterion_06_cmv_spectral(corpus):
     worst_band = 0.0
     worst_eigen = 0.0
     worst_charpoly = 0.0
-    for v, sys_, nodes, _ in corpus:
+    for v, nodes, _ in corpus:
         u = cmv_matrix(v)
         eye = np.eye(u.shape[0])
         worst_unitary = max(worst_unitary, float(np.max(np.abs(np.conj(u.T) @ u - eye))))
@@ -161,10 +158,10 @@ def test_criterion_06_cmv_spectral(corpus):
         band = np.abs(u[np.abs(i - j) > 2])
         worst_band = max(worst_band, float(np.max(band, initial=0.0)))
         z = unit_points(nodes)
-        worst_eigen = max(worst_eigen, eigenpair_residual(u, laurent_eigenvectors(sys_, z), z))
+        worst_eigen = max(worst_eigen, eigenpair_residual(u, laurent_eigenvectors(v, z), z))
         if v.n <= 8:
             chi = characteristic_polynomial(u)
-            worst_charpoly = max(worst_charpoly, float(np.max(np.abs(chi - sys_.phis[-1]))))
+            worst_charpoly = max(worst_charpoly, float(np.max(np.abs(chi - v.phis[-1]))))
     ok = (
         worst_unitary <= 1e-12
         and worst_band <= 1e-14
@@ -196,7 +193,7 @@ def test_criterion_07_quasi_reflection(corpus, persymmetric_corpus):
                 worst_algebra, float(np.max(np.abs(q @ qi - np.eye(n + 1))))
             )
     worst_mirror = 0.0
-    for v, _, _, _ in corpus:
+    for v, _, _ in corpus:
         worst_mirror = max(worst_mirror, verify_mirror_relations(v).max_residual)
     odd, even = persymmetric_corpus
     worst_commute = 0.0
@@ -210,12 +207,11 @@ def test_criterion_07_quasi_reflection(corpus, persymmetric_corpus):
         pattern_ok = pattern_ok and signs[0] in (1, -1)
     transport_ok = True
     for v in even[:50]:
-        sys_ = build_system(v)
         u = cmv_matrix(v)
         tau = principal_sqrt_unimodular(v.omega)
         qi = quasi_reflection(v.n, 1.0 / tau)
-        z = unit_points(spectrum(sys_))
-        phi = qi @ np.conj(laurent_eigenvectors(sys_, z))
+        z = unit_points(spectrum(v))
+        phi = qi @ np.conj(laurent_eigenvectors(v, z))
         transport_ok = transport_ok and eigenpair_residual(u, phi, z) <= 1e-8
     ok = (
         worst_algebra <= 1e-14
@@ -240,12 +236,11 @@ def test_criterion_08_inverse_spectral(persymmetric_corpus):
     worst_a = 0.0
     worst_h = 0.0
     for v in odd + even:
-        sys_ = build_system(v)
-        nodes = spectrum(sys_)
+        nodes = spectrum(v)
         result = reconstruct_persymmetric(nodes, v.omega)
         worst_a = max(worst_a, float(np.max(np.abs(result.v.a - v.a))))
         worst_h = max(
-            worst_h, abs(result.h_final - float(sys_.h[-1])) / float(sys_.h[-1])
+            worst_h, abs(result.h_final - float(v.h[-1])) / float(v.h[-1])
         )
     ok = worst_a <= 1e-7 and worst_h <= 1e-8
     _report(
@@ -288,8 +283,7 @@ def test_criterion_10_formula_calibrations():
     # weight prefactor: 2/(n+2) normalizes, (n+2)/2 does not
     n = 5
     fam = single_moment(n)
-    sys_ = build_system(fam.v)
-    data = weights(sys_, spectrum(sys_))
+    data = weights(fam.v, spectrum(fam.v))
     half = np.pi * (np.arange(n + 1) + 1.0) / (n + 2)
     correct = (2.0 / (n + 2)) * np.sin(half) ** 2
     facts.append(float(np.max(np.abs(data.weights - correct))) <= 1e-12)
@@ -304,8 +298,7 @@ def test_criterion_10_formula_calibrations():
     # rotation block conjugation side
     rng = np.random.default_rng(101)
     v = random_verblunsky(rng, 5)
-    sys_ = build_system(v)
-    nodes = spectrum(sys_)
+    nodes = spectrum(v)
 
     def eigen_residual(conjugate_blocks):
         # the plain-block variant is the conjugated-block builder on conjugated data
@@ -313,7 +306,7 @@ def test_criterion_10_formula_calibrations():
         m1, m2 = factors(w)
         u = m2 @ m1
         z = unit_points(nodes)
-        return eigenpair_residual(u, laurent_eigenvectors(sys_, z), z)
+        return eigenpair_residual(u, laurent_eigenvectors(v, z), z)
 
     facts.append(eigen_residual(True) <= 1e-10)
     facts.append(eigen_residual(False) > 1e-2)
@@ -330,7 +323,7 @@ def test_criterion_10_formula_calibrations():
 
     # conjugation side of the closure identity
     w = 1j
-    top = build_system(VerblunskySequence(np.zeros(3, dtype=complex), w)).phis[-1]
+    top = VerblunskySequence(np.zeros(3, dtype=complex), w).phis[-1]
     starred = np.conj(top[::-1])
     facts.append(float(np.max(np.abs(starred + w * top))) <= 1e-15)
     facts.append(np.isclose(float(np.max(np.abs(w * starred + top))), 2.0))

@@ -128,6 +128,21 @@ def test_check_rejects_bad_coefficient(capsys):
     assert "invalid input" in err
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ('{"a": [[0.1, 0]], "omega": [1]}', "omega is [1], not a pair [re, im] of numbers"),
+        ('{"a": [[0.1, 0]], "omega": []}', "omega is [], not a pair [re, im] of numbers"),
+        ('{"a": [[0.1, 0]], "omega": [1, 0, 5]}', "omega is [1, 0, 5], not a pair [re, im] of numbers"),
+        ('{"a": [[false, 0]], "omega": [1, 0]}', "a[0][0] is false, not a number"),
+    ],
+    ids=["omega_one_entry", "omega_empty", "omega_three_entries", "a_bool"],
+)
+def test_check_names_a_malformed_coefficient_field(capsys, doc, message):
+    code, out, err = run(capsys, "check", "--verblunsky", doc)
+    assert (code, out, err) == (2, "", f"invalid input: {message}\n")
+
+
 def test_check_rejects_an_integer_beyond_double_range(capsys):
     doc = f'{{"a": [[1{"0" * 400}, 0]], "omega": [1, 0]}}'
     code, out, err = run(capsys, "check", "--verblunsky", doc)

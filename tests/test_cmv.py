@@ -17,7 +17,6 @@ from popuc import (
     PersymmetryViolationError,
     ShapeError,
     VerblunskySequence,
-    build_system,
     cmv_matrix,
     factors,
     laurent_eigenvectors,
@@ -153,10 +152,9 @@ def test_eigenvector_relation():
     rng = np.random.default_rng(19)
     for _ in range(30):
         v = random_verblunsky(rng, int(rng.integers(1, 13)))
-        sys_ = build_system(v)
         u = cmv_matrix(v)
-        z = unit_points(spectrum(sys_))
-        assert eigenpair_residual(u, laurent_eigenvectors(sys_, z), z) <= 1e-9
+        z = unit_points(spectrum(v))
+        assert eigenpair_residual(u, laurent_eigenvectors(v, z), z) <= 1e-9
 
 
 def test_laurent_matrix_matches_per_node_horner():
@@ -166,19 +164,18 @@ def test_laurent_matrix_matches_per_node_horner():
     rng = np.random.default_rng(21)
     for n in (1, 2, 5, 8, 11, 12):
         v = random_verblunsky(rng, n)
-        sys_ = build_system(v)
-        z = unit_points(spectrum(sys_))
+        z = unit_points(spectrum(v))
         ref = np.empty((n + 1, n + 1), dtype=complex)
         for s, zz in enumerate(z):
             for k in range(n + 1):
                 val = 0.0j
-                for c in sys_.phis[k][::-1]:
+                for c in v.phis[k][::-1]:
                     val = val * zz + c
                 if k % 2 == 0:
-                    ref[k, s] = zz ** (-(k // 2)) * val / np.sqrt(sys_.h[k])
+                    ref[k, s] = zz ** (-(k // 2)) * val / np.sqrt(v.h[k])
                 else:
-                    ref[k, s] = zz ** ((k - 1) // 2) * np.conj(val) / np.sqrt(sys_.h[k])
-        got = laurent_eigenvectors(sys_, z)
+                    ref[k, s] = zz ** ((k - 1) // 2) * np.conj(val) / np.sqrt(v.h[k])
+        got = laurent_eigenvectors(v, z)
         assert float(np.max(np.abs(got - ref))) <= tol * max(1.0, float(np.max(np.abs(ref))))
 
 
@@ -186,18 +183,16 @@ def test_characteristic_polynomial_matches_ladder_top():
     rng = np.random.default_rng(23)
     for n in range(1, 9):
         v = random_verblunsky(rng, n)
-        sys_ = build_system(v)
         chi = characteristic_polynomial(cmv_matrix(v))
-        assert float(np.max(np.abs(chi - sys_.phis[-1]))) <= 1e-10
+        assert float(np.max(np.abs(chi - v.phis[-1]))) <= 1e-10
 
 
 def test_numpy_eigenvalues_match_spectrum():
     rng = np.random.default_rng(27)
     for _ in range(20):
         v = random_verblunsky(rng, int(rng.integers(1, 13)))
-        sys_ = build_system(v)
         eig = np.linalg.eigvals(cmv_matrix(v))
-        z = unit_points(spectrum(sys_))
+        z = unit_points(spectrum(v))
         # Hausdorff distance between the two point sets
         d = np.abs(eig[:, None] - z[None, :])
         assert float(max(d.min(axis=0).max(), d.min(axis=1).max())) <= 1e-8
@@ -213,9 +208,8 @@ def test_characteristic_polynomial_small_oracle():
 def test_laurent_pattern_for_monomials():
     n = 5
     v = VerblunskySequence(np.zeros(n, dtype=complex), np.exp(0.8j))
-    sys_ = build_system(v)
-    z = complex(unit_points(spectrum(sys_))[2])
-    psi = laurent_eigenvectors(sys_, np.array([z]))[:, 0]
+    z = complex(unit_points(spectrum(v))[2])
+    psi = laurent_eigenvectors(v, np.array([z]))[:, 0]
     expected = [1, z**-1, z, z**-2, z**2, z**-3]
     assert np.allclose(psi, expected)
 
@@ -293,12 +287,11 @@ def test_even_persymmetric_transport():
     rng = np.random.default_rng(37)
     for n in range(2, 13, 2):
         v = random_persymmetric(rng, n)
-        sys_ = build_system(v)
         u = cmv_matrix(v)
         tau = principal_sqrt_unimodular(v.omega)
         qi = quasi_reflection(n, 1.0 / tau)
-        z = unit_points(spectrum(sys_))
-        phi = qi @ np.conj(laurent_eigenvectors(sys_, z))
+        z = unit_points(spectrum(v))
+        phi = qi @ np.conj(laurent_eigenvectors(v, z))
         assert eigenpair_residual(u, phi, z) <= 1e-9
 
 

@@ -12,7 +12,6 @@ import numpy as np
 from conftest import eigenpair_residual, random_verblunsky
 from popuc import (
     VerblunskySequence,
-    build_system,
     krawtchouk_family,
     laurent_eigenvectors,
     single_moment,
@@ -30,8 +29,7 @@ def test_running_sum_weight_prefactor():
     # ((n+2)/2)^2
     for n in (2, 5, 9):
         fam = single_moment(n)
-        sys_ = build_system(fam.v)
-        data = weights(sys_, spectrum(sys_))
+        data = weights(fam.v, spectrum(fam.v))
         half = np.pi * (np.arange(n + 1) + 1.0) / (n + 2)
         correct = (2.0 / (n + 2)) * np.sin(half) ** 2
         assert float(np.max(np.abs(data.weights - correct))) <= 1e-12
@@ -56,8 +54,7 @@ def test_rotation_block_conjugation():
     # produces the conjugate system and misses by O(1)
     rng = np.random.default_rng(101)
     v = random_verblunsky(rng, 5)
-    sys_ = build_system(v)
-    nodes = spectrum(sys_)
+    nodes = spectrum(v)
 
     def eigen_residual(conjugate_blocks):
         # the plain-block variant is the conjugated-block builder on conjugated data
@@ -65,7 +62,7 @@ def test_rotation_block_conjugation():
         m1, m2 = factors(w)
         u = m2 @ m1
         z = unit_points(nodes)
-        return eigenpair_residual(u, laurent_eigenvectors(sys_, z), z)
+        return eigenpair_residual(u, laurent_eigenvectors(v, z), z)
 
     assert eigen_residual(True) <= 1e-10
     assert eigen_residual(False) > 1e-2
@@ -93,7 +90,7 @@ def test_closure_conjugation_side():
     # works for real omega; at omega = i it misses by exactly 2
     omega = 1j
     v = VerblunskySequence(np.zeros(3, dtype=complex), omega)
-    top = build_system(v).phis[-1]
+    top = v.phis[-1]
     starred = np.conj(top[::-1])
     correct = np.max(np.abs(starred + omega * top))
     variant = np.max(np.abs(omega * starred + top))
@@ -107,7 +104,7 @@ def test_closure_conjugation_side():
     for angle in (0.6, 2.0, -1.2, -2.7):
         w = np.exp(1j * angle)
         a = random_verblunsky(rng, 6).a
-        top = build_system(VerblunskySequence(a, w)).phis[-1]
+        top = VerblunskySequence(a, w).phis[-1]
         starred = np.conj(top[::-1])
         assert float(np.max(np.abs(starred + w * top))) <= 1e-12
         variant = float(np.max(np.abs(w * starred + top)))

@@ -5,7 +5,6 @@ import pytest
 
 from popuc import (
     ShapeError,
-    build_system,
     free_family,
     krawtchouk_family,
     single_moment,
@@ -57,8 +56,7 @@ def test_krawtchouk_many_settings():
 def test_single_moment_h_closed_form():
     # the squared norm of the top Szego-class entry is (n+2)/(2(n+1))
     for n in (1, 2, 5, 9):
-        sys_ = build_system(single_moment(n).v)
-        assert np.isclose(sys_.h[-1], (n + 2.0) / (2.0 * (n + 1.0)))
+        assert np.isclose(single_moment(n).v.h[-1], (n + 2.0) / (2.0 * (n + 1.0)))
 
 
 def test_persymmetric_weights_are_sqrt_of_primal():

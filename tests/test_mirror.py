@@ -10,10 +10,8 @@ from popuc import (
     NotPersymmetricError,
     PersymmetryCharacterizations,
     ShapeError,
-    UnitCirclePoint,
     VerblunskySequence,
     WeightError,
-    build_system,
     dual_weights,
     is_persymmetric,
     krawtchouk_family,
@@ -128,14 +126,13 @@ def test_random_persymmetric_seeds_verify():
 
 def test_dual_weights_of_running_sum_are_flat():
     for n in range(1, 8):
-        sys_ = build_system(single_moment(n).v)
-        hat = dual_weights(sys_)
+        hat = dual_weights(single_moment(n).v)
         assert np.allclose(hat, np.full(n + 1, 1.0 / (n + 1)), atol=1e-12)
 
 
 def test_dual_weights_of_running_sum_are_flat_at_large_n():
     for n in (32, 64):
-        hat = dual_weights(build_system(single_moment(n).v))
+        hat = dual_weights(single_moment(n).v)
         assert np.allclose(hat, np.full(n + 1, 1.0 / (n + 1)), rtol=0.0, atol=1e-13)
 
 
@@ -144,12 +141,11 @@ def test_weight_product_identity():
     rng = np.random.default_rng(47)
     for _ in range(40):
         v = random_verblunsky(rng, int(rng.integers(1, 13)))
-        sys_ = build_system(v)
-        nodes = spectrum(sys_)
-        w = weights(sys_, nodes).weights
-        hat = dual_weights(sys_)
-        dvals = np.abs(npoly.polyval(unit_points(nodes), npoly.polyder(sys_.phis[-1])))
-        combined = w * hat * dvals**2 / sys_.h[-1]
+        nodes = spectrum(v)
+        w = weights(v, nodes).weights
+        hat = dual_weights(v)
+        dvals = np.abs(npoly.polyval(unit_points(nodes), npoly.polyder(v.phis[-1])))
+        combined = w * hat * dvals**2 / v.h[-1]
         assert float(np.max(np.abs(combined - 1.0))) <= 1e-8
 
 
@@ -157,25 +153,22 @@ def test_persymmetric_weights_match_dual():
     rng = np.random.default_rng(53)
     for n in range(1, 11):
         v = random_persymmetric(rng, n)
-        sys_ = build_system(v)
-        nodes = spectrum(sys_)
-        w = weights(sys_, nodes).weights
-        hat = dual_weights(sys_)
+        nodes = spectrum(v)
+        w = weights(v, nodes).weights
+        hat = dual_weights(v)
         assert float(np.max(np.abs(w - hat))) <= 1e-9
 
 
 def test_persymmetric_weights_closed_form_flat():
     n = 4
     v = VerblunskySequence(np.zeros(n, dtype=complex), np.exp(0.9j))
-    sys_ = build_system(v)
-    nodes = spectrum(sys_)
-    w = persymmetric_weights(nodes, sys_.h[-1])
+    nodes = spectrum(v)
+    w = persymmetric_weights(nodes, v.h[-1])
     assert np.allclose(w, np.full(n + 1, 1.0 / (n + 1)))
 
 
 def test_persymmetric_weights_two_nodes():
-    nodes = (UnitCirclePoint(0.0), UnitCirclePoint(np.pi))
-    w = persymmetric_weights(nodes, 1.0)
+    w = persymmetric_weights(np.array([0.0, np.pi]), 1.0)
     assert np.allclose(w, [0.5, 0.5])
 
 
@@ -183,10 +176,9 @@ def test_persymmetric_weights_against_system():
     rng = np.random.default_rng(59)
     for n in range(1, 11):
         v = random_persymmetric(rng, n)
-        sys_ = build_system(v)
-        nodes = spectrum(sys_)
-        w_direct = weights(sys_, nodes).weights
-        w_closed = persymmetric_weights(nodes, sys_.h[-1])
+        nodes = spectrum(v)
+        w_direct = weights(v, nodes).weights
+        w_closed = persymmetric_weights(nodes, v.h[-1])
         assert float(np.max(np.abs(w_direct - w_closed))) <= 1e-9
 
 
@@ -194,11 +186,10 @@ def test_phi_values_modulus():
     rng = np.random.default_rng(61)
     for n in range(1, 11):
         v = random_persymmetric(rng, n)
-        sys_ = build_system(v)
-        nodes = spectrum(sys_)
+        nodes = spectrum(v)
         for eps in (1, -1):
-            vals = phi_n_values(nodes, v.omega, sys_.h[-1], eps)
-            assert np.allclose(np.abs(vals), np.sqrt(sys_.h[-1]))
+            vals = phi_n_values(nodes, v.omega, v.h[-1], eps)
+            assert np.allclose(np.abs(vals), np.sqrt(v.h[-1]))
 
 
 def test_phi_values_match_recurrence():
@@ -207,12 +198,11 @@ def test_phi_values_match_recurrence():
     rng = np.random.default_rng(67)
     for n in range(1, 11):
         v = random_persymmetric(rng, n)
-        sys_ = build_system(v)
-        nodes = spectrum(sys_)
-        actual = npoly.polyval(unit_points(nodes), sys_.phis[n])
+        nodes = spectrum(v)
+        actual = npoly.polyval(unit_points(nodes), v.phis[n])
         errs = []
         for eps in (1, -1):
-            vals = phi_n_values(nodes, v.omega, sys_.h[-1], eps)
+            vals = phi_n_values(nodes, v.omega, v.h[-1], eps)
             errs.append(float(np.max(np.abs(vals - actual))))
         assert min(errs) <= 1e-9
 
@@ -226,7 +216,7 @@ def test_phi_values_take_a_sign():
 def test_phi_values_need_angles_in_one_turn(turn):
     # the sign alternation and the half-angle phase hold only for theta in [0, 2 pi)
     fam = single_moment_persymmetric(6)
-    nodes = spectrum(build_system(fam.v))
+    nodes = spectrum(fam.v)
     with pytest.raises(ShapeError, match=r"node angles must lie in \[0, 2 pi\)"):
         phi_n_values(nodes + turn * 2.0 * np.pi, fam.v.omega, fam.v.h[-1], 1)
 
@@ -236,9 +226,8 @@ def test_phi_values_consecutive_ratio():
     n = 5
     rng = np.random.default_rng(71)
     v = random_persymmetric(rng, n)
-    sys_ = build_system(v)
-    nodes = spectrum(sys_)
-    vals = phi_n_values(nodes, v.omega, sys_.h[-1], 1)
+    nodes = spectrum(v)
+    vals = phi_n_values(nodes, v.omega, v.h[-1], 1)
     for s in range(n):
         expected = -np.exp(0.5j * (n - 1) * (nodes[s + 1] - nodes[s]))
         assert np.isclose(vals[s + 1] / vals[s], expected)
@@ -301,9 +290,9 @@ def test_underflowed_norms_raise_weight_error():
     # the eigenvector weights do not read h and still meet the closed form,
     # while the persymmetry forms, which need h_N, name the first zero
     inst = krawtchouk_family(1024, complex(np.exp(0.9j)))
-    sys_ = build_system(inst.v)
-    assert float(sys_.h[997]) == 0.0
-    data = weights(sys_, spectrum(sys_))
+    v = inst.v
+    assert float(v.h[997]) == 0.0
+    data = weights(v, spectrum(v))
     assert float(np.max(np.abs(data.weights - inst.closed_form_weights))) <= 1e-12
     with pytest.raises(WeightError, match="h_997 underflows"):
-        verify_persymmetry_characterizations(inst.v)
+        verify_persymmetry_characterizations(v)

@@ -11,10 +11,8 @@ from popuc import (
     ShapeError,
     SpectralData,
     SpectralValidityError,
-    UnitCirclePoint,
     VerblunskySequence,
     WeightError,
-    build_system,
     cmv_matrix,
     dual_weights,
     free_family,
@@ -32,12 +30,11 @@ from popuc import (
     spectrum,
     krawtchouk_family,
     theta_block,
-    verblunsky_from_polys,
     verify_mirror_relations,
     verify_persymmetry_characterizations,
     weights,
 )
-from popuc.complex_poly import unit_points, wrap_angles
+from popuc.complex_poly import node_angles, unit_points, wrap_angles
 from popuc.opuc_core import eigen_rows
 from popuc.tolerances import SPECTRUM_RADIUS
 
@@ -84,33 +81,30 @@ def test_nan_fails_every_unimodular_and_disc_gate(gate, error, message):
 
 def test_build_simplest_system():
     v = VerblunskySequence([0.0j], 1.0)
-    sys_ = build_system(v)
-    assert np.allclose(sys_.phis[1], [0, 1])
-    assert np.allclose(sys_.phis[2], [-1, 0, 1])
-    assert np.allclose(sys_.h, [1.0, 1.0])
+    assert np.allclose(v.phis[1], [0, 1])
+    assert np.allclose(v.phis[2], [-1, 0, 1])
+    assert np.allclose(v.h, [1.0, 1.0])
 
 
 def test_build_running_sum_system():
     # a = (-1/2, -1/3), omega = -1 gives the running-sum ladder
     v = VerblunskySequence([-0.5, -1.0 / 3.0], -1.0)
-    sys_ = build_system(v)
-    assert np.allclose(sys_.phis[1], [0.5, 1])
-    assert np.allclose(sys_.phis[2], [1.0 / 3.0, 2.0 / 3.0, 1.0])
-    assert np.allclose(sys_.phis[3], [1, 1, 1, 1])
-    assert np.allclose(sys_.h, [1.0, 0.75, 2.0 / 3.0])
+    assert np.allclose(v.phis[1], [0.5, 1])
+    assert np.allclose(v.phis[2], [1.0 / 3.0, 2.0 / 3.0, 1.0])
+    assert np.allclose(v.phis[3], [1, 1, 1, 1])
+    assert np.allclose(v.h, [1.0, 0.75, 2.0 / 3.0])
 
 
 def test_monomial_ladder():
     v = VerblunskySequence(np.zeros(4, dtype=complex), np.exp(0.6j))
-    sys_ = build_system(v)
     for k in range(5):
         expected = np.zeros(k + 1)
         expected[k] = 1.0
-        assert np.allclose(sys_.phis[k], expected)
+        assert np.allclose(v.phis[k], expected)
     top = np.zeros(6, dtype=complex)
     top[5] = 1.0
     top[0] = -np.conj(np.exp(0.6j))
-    assert np.allclose(sys_.phis[5], top)
+    assert np.allclose(v.phis[5], top)
 
 
 def _ladder_by_polynomials(v):
@@ -130,13 +124,13 @@ def test_ladder_array_matches_polynomial_construction():
     cases = [random_verblunsky(rng, n) for n in range(1, 13)]
     cases.append(krawtchouk_family(64, np.exp(0.9j)).v)
     for v in cases:
-        phis = build_system(v).phis
+        phis = v.phis
         expected = _ladder_by_polynomials(v)
         assert len(phis) == len(expected) == v.n + 2
         for k, (row, ref) in enumerate(zip(phis, expected)):
             assert type(row) is np.ndarray and row.shape == (k + 1,)
             assert np.array_equal(row, ref)
-    row = build_system(cases[0]).phis[1]
+    row = cases[0].phis[1]
     with pytest.raises(ValueError):
         row[0] = 0.0
 
@@ -145,23 +139,14 @@ def test_verblunsky_round_trip():
     rng = np.random.default_rng(5)
     for _ in range(50):
         v = random_verblunsky(rng, int(rng.integers(1, 13)))
-        rec = verblunsky_from_polys(build_system(v).phis)
+        rec = np.array([-np.conj(p[0]) for p in v.phis[1:]])  # a_k = -conj(Phi_{k+1}(0))
         full = np.concatenate([v.a, [v.omega]])
         assert float(np.max(np.abs(rec - full))) <= 1e-12
 
 
-def test_verblunsky_from_polys_rejects_bad_input():
-    with pytest.raises(ShapeError):
-        verblunsky_from_polys([np.array([1.0])])
-    with pytest.raises(ShapeError):
-        verblunsky_from_polys([np.array([1.0]), np.array([0, 2.0])])
-    with pytest.raises(ShapeError):
-        verblunsky_from_polys([np.array([1.0]), np.array([0, 0, 1.0])])
-
-
 def test_spectrum_fourth_roots():
     v = VerblunskySequence(np.zeros(3, dtype=complex), 1.0)
-    nodes = spectrum(build_system(v))
+    nodes = spectrum(v)
     assert np.allclose(nodes, [0, np.pi / 2, np.pi, 3 * np.pi / 2])
 
 
@@ -169,7 +154,7 @@ def test_spectrum_rotated_monomials():
     nu = 0.3
     n = 5
     v = VerblunskySequence(np.zeros(n, dtype=complex), np.exp(2j * np.pi * nu))
-    nodes = spectrum(build_system(v))
+    nodes = spectrum(v)
     expected = sorted((2 * np.pi * (s - nu) / (n + 1)) % (2 * np.pi) for s in range(n + 1))
     assert np.allclose(nodes, expected)
 
@@ -196,17 +181,15 @@ def test_spectrum_rejects_off_circle_roots(monkeypatch):
 def test_weights_flat_for_monomials():
     n = 4
     v = VerblunskySequence(np.zeros(n, dtype=complex), np.exp(1.1j))
-    sys_ = build_system(v)
-    nodes = spectrum(sys_)
-    data = weights(sys_, nodes)
+    nodes = spectrum(v)
+    data = weights(v, nodes)
     assert np.allclose(data.weights, np.full(n + 1, 1.0 / (n + 1)))
 
 
 def test_weights_running_sum_n2():
     v = VerblunskySequence([-0.5, -1.0 / 3.0], -1.0)
-    sys_ = build_system(v)
-    nodes = spectrum(sys_)
-    data = weights(sys_, nodes)
+    nodes = spectrum(v)
+    data = weights(v, nodes)
     assert np.allclose(nodes, [np.pi / 2, np.pi, 3 * np.pi / 2])
     assert np.allclose(data.weights, [0.25, 0.5, 0.25])
 
@@ -215,17 +198,15 @@ def test_weights_positive_real_sum_one():
     rng = np.random.default_rng(29)
     for _ in range(60):
         v = random_verblunsky(rng, int(rng.integers(1, 13)))
-        sys_ = build_system(v)
-        data = weights(sys_, spectrum(sys_))
+        data = weights(v, spectrum(v))
         assert np.all(data.weights > 0)
         assert abs(float(np.sum(data.weights)) - 1.0) <= 1e-9
 
 
 def test_spectral_data_validation():
-    nodes = (UnitCirclePoint(0.5), UnitCirclePoint(0.2))
     with pytest.raises(ShapeError):
-        SpectralData(nodes, np.array([0.5, 0.5]))
-    nodes = (UnitCirclePoint(0.2), UnitCirclePoint(0.5))
+        SpectralData(np.array([0.5, 0.2]), np.array([0.5, 0.5]))
+    nodes = np.array([0.2, 0.5])
     with pytest.raises(WeightError):
         SpectralData(nodes, np.array([1.5, -0.5]))
     with pytest.raises(WeightError):
@@ -234,6 +215,21 @@ def test_spectral_data_validation():
         SpectralData(nodes, np.array([np.nan, 1.0]))
     with pytest.raises(ShapeError):
         SpectralData(nodes, np.array([1.0]))
+
+
+def test_every_node_entry_point_reads_a_list_of_floats():
+    v = single_moment_persymmetric(5).v
+    theta, h_final = spectrum(v), float(v.h[-1])
+    listed = theta.tolist()
+    w = weights(v, theta).weights
+    assert np.array_equal(SpectralData(listed, w).theta, theta)
+    assert np.array_equal(weights(v, listed).weights, w)
+    assert np.array_equal(persymmetric_weights(listed, h_final), persymmetric_weights(theta, h_final))
+    assert np.array_equal(phi_n_values(tuple(listed), v.omega, h_final, 1), phi_n_values(theta, v.omega, h_final, 1))
+    assert np.array_equal(reconstruct_persymmetric(listed, v.omega).v.a, reconstruct_persymmetric(theta, v.omega).v.a)
+    for bad in ([0.1, None], ["0.1", "0.2"], [0.1, [0.2, 0.3]], [True, False], [0.1 + 1j], 0.5, None):
+        with pytest.raises(ShapeError):
+            node_angles(bad)
 
 
 def _weights_corpus() -> list:
@@ -326,32 +322,31 @@ def test_in_place_ladder_matches_the_reference_update_bit_for_bit():
 
 def test_paraorthogonality_closed_forms():
     v = VerblunskySequence(np.zeros(4, dtype=complex), np.exp(1.3j))
-    assert paraorthogonality_residual(build_system(v)) <= 1e-15
+    assert paraorthogonality_residual(v) <= 1e-15
     v = VerblunskySequence([-0.5, -1.0 / 3.0], -1.0)
-    assert paraorthogonality_residual(build_system(v)) <= 1e-15
+    assert paraorthogonality_residual(v) <= 1e-15
 
 
 def test_paraorthogonality_random_corpus():
     rng = np.random.default_rng(31)
     for _ in range(60):
         v = random_verblunsky(rng, int(rng.integers(1, 13)))
-        assert paraorthogonality_residual(build_system(v)) <= 1e-10
+        assert paraorthogonality_residual(v) <= 1e-10
 
 
 def test_orthogonality_random_corpus():
     rng = np.random.default_rng(37)
     for _ in range(60):
         v = random_verblunsky(rng, int(rng.integers(1, 13)))
-        sys_ = build_system(v)
-        data = weights(sys_, spectrum(sys_))
-        assert orthogonality_residual(sys_, data) <= 1e-8
+        data = weights(v, spectrum(v))
+        assert orthogonality_residual(v, data) <= 1e-8
 
 
 def test_spectrum_gaps_are_positive():
     rng = np.random.default_rng(41)
     for _ in range(30):
         v = random_verblunsky(rng, int(rng.integers(1, 13)))
-        nodes = spectrum(build_system(v))
+        nodes = spectrum(v)
         gaps = np.diff(nodes)
         assert np.all(gaps > 1e-9)
 
@@ -365,8 +360,7 @@ def test_large_n_forward_matches_cmv_eigenproblem(n, seed):
     rng = np.random.default_rng([n, seed])
     for _ in range(5):
         v = random_verblunsky(rng, n)
-        sys_ = build_system(v)
-        data = weights(sys_, spectrum(sys_))
+        data = weights(v, spectrum(v))
         lam, vecs = np.linalg.eig(cmv_matrix(v))
         order = np.argsort(np.angle(lam) % (2.0 * np.pi))
         ref_z = lam[order] / np.abs(lam[order])
@@ -374,43 +368,40 @@ def test_large_n_forward_matches_cmv_eigenproblem(n, seed):
         got_z = unit_points(data.theta)
         assert float(np.max(np.abs(got_z - ref_z))) <= 1e-12
         assert float(np.max(np.abs(data.weights - ref_w))) <= 1e-10
-        assert orthogonality_residual(sys_, data) <= 1e-8
+        assert orthogonality_residual(v, data) <= 1e-8
 
 
 def test_random_weights_at_n128_match_the_cmv_eigenvectors():
     # the Christoffel sum missed one by far more than WEIGHT_SUM on this draw;
     # the eigenvector weights meet numpy's eig, nodes and weights alike
     v = random_verblunsky(np.random.default_rng([128, 0]), 128)
-    sys_ = build_system(v)
-    data = weights(sys_, spectrum(sys_))
+    data = weights(v, spectrum(v))
     lam, vecs = np.linalg.eig(cmv_matrix(v))
     order = np.argsort(np.angle(lam) % (2.0 * np.pi))
     assert float(np.max(np.abs(unit_points(data.theta) - lam[order]))) <= 1e-12
     assert float(np.max(np.abs(data.weights - np.abs(vecs[0, order]) ** 2))) <= 1e-12
-    assert orthogonality_residual(sys_, data) <= 1e-8
+    assert orthogonality_residual(v, data) <= 1e-8
 
 
 def test_weights_are_read_at_the_systems_own_nodes_only():
-    sys_ = build_system(random_verblunsky(np.random.default_rng(61), 5))
-    nodes = spectrum(sys_)
-    as_points = [UnitCirclePoint(t) for t in nodes.tolist()]
-    assert np.array_equal(weights(sys_, as_points).weights, weights(sys_, nodes).weights)
+    v = random_verblunsky(np.random.default_rng(61), 5)
+    nodes = spectrum(v)
+    assert np.array_equal(weights(v, nodes.copy()).weights, weights(v, nodes).weights)
     with pytest.raises(ValueError, match="own nodes"):
-        weights(sys_, nodes + 1e-3)
+        weights(v, nodes + 1e-3)
 
 
 def test_weight_below_eigenvector_resolution_is_a_typed_error():
     # at n = 256 some first components round to exactly 0.0 in the solve
-    sys_ = build_system(random_verblunsky(np.random.default_rng([256, 0]), 256))
+    v = random_verblunsky(np.random.default_rng([256, 0]), 256)
     with pytest.raises(WeightError, match=r"weight 0\.0 at node \d+ is below what the eigenvector resolves"):
-        weights(sys_, spectrum(sys_))
+        weights(v, spectrum(v))
     with pytest.raises(WeightError, match=r"\|V\[N, \d+\]\| is lost to rounding"):
-        dual_weights(sys_)
+        dual_weights(v)
 
 
 def _assert_closed_form(inst):
-    sys_ = build_system(inst.v)
-    data = weights(sys_, spectrum(sys_))
+    data = weights(inst.v, spectrum(inst.v))
     assert float(np.max(np.abs(data.theta - inst.closed_form_nodes))) <= 1e-13
     assert float(np.max(np.abs(data.weights - inst.closed_form_weights))) <= 1e-13
 
@@ -523,18 +514,17 @@ def test_spectrum_weights_and_residual_share_one_solve_and_one_ladder(monkeypatc
 
     solves = count_calls(monkeypatch, np.linalg, "eigh")
     ladders = count_calls(monkeypatch, opuc_core, "ladder_values")
-    sys_ = build_system(random_verblunsky(np.random.default_rng(53), 9))
-    nodes = spectrum(sys_)
-    data = weights(sys_, nodes)
-    assert orthogonality_residual(sys_, data) <= 1e-8
+    v = random_verblunsky(np.random.default_rng(53), 9)
+    nodes = spectrum(v)
+    data = weights(v, nodes)
+    assert orthogonality_residual(v, data) <= 1e-8
     assert (len(solves), len(ladders)) == (1, 1)
-    assert spectrum(sys_) is nodes and data.theta is nodes
+    assert spectrum(v) is nodes and data.theta is nodes
 
 
 def test_memoised_arrays_are_read_only():
     v = random_verblunsky(np.random.default_rng(59), 6)
-    sys_ = build_system(v)
-    data = weights(sys_, spectrum(sys_))
+    data = weights(v, spectrum(v))
     memos = (v.h, *v.cmv_factors, *v.quadrature, v.node_values, *v.phis)
     for arr in (*memos, data.theta, data.weights):
         with pytest.raises(ValueError):
@@ -542,9 +532,7 @@ def test_memoised_arrays_are_read_only():
     with pytest.raises(AttributeError):
         v.quadrature = (np.zeros(7), np.zeros((2, 7)))
     with pytest.raises(AttributeError):
-        sys_.theta = np.zeros(7)
-    assert sys_.phis is v.phis
-    assert [p.theta for p in data.nodes] == data.theta.tolist()
+        v.theta = np.zeros(7)
 
 
 def test_systems_of_one_coefficient_list_share_its_memos(monkeypatch):
@@ -553,20 +541,17 @@ def test_systems_of_one_coefficient_list_share_its_memos(monkeypatch):
     solves = count_calls(monkeypatch, np.linalg, "eigh")
     builds = count_calls(monkeypatch, opuc_core, "factors")
     v = random_verblunsky(np.random.default_rng(61), 8)
-    first, second = build_system(v), build_system(v)
-    assert spectrum(first) is spectrum(second) and first.phis is second.phis
-    dual_weights(second)
+    assert spectrum(v) is spectrum(v) and v.phis is v.phis
+    dual_weights(v)
     assert (len(solves), len(builds)) == (1, 1)
-    assert build_system(v) is v
 
 
 def test_a_coefficient_list_with_filled_memos_is_freed_without_the_collector():
     # a memo that held a system would make a reference cycle, and every
     # solve would then wait for the cycle collector
     v = random_persymmetric(np.random.default_rng(67), 9)
-    sys_ = build_system(v)
-    data = weights(sys_, spectrum(sys_))
-    assert orthogonality_residual(sys_, data) <= 1e-8 and paraorthogonality_residual(sys_) <= 1e-10
+    data = weights(v, spectrum(v))
+    assert orthogonality_residual(v, data) <= 1e-8 and paraorthogonality_residual(v) <= 1e-10
     assert v.phis[-1].size == 11  # the closure check does not build the ladder memo; fill it here
     verify_persymmetry_characterizations(v)
     verify_mirror_relations(v)
@@ -576,7 +561,7 @@ def test_a_coefficient_list_with_filled_memos_is_freed_without_the_collector():
     enabled = gc.isenabled()
     gc.disable()
     try:
-        del v, sys_
+        del v
         assert ref() is None
     finally:
         if enabled:
@@ -586,10 +571,9 @@ def test_a_coefficient_list_with_filled_memos_is_freed_without_the_collector():
 def test_verblunsky_data_is_a_read_only_copy():
     a = np.array([0.3 + 0.1j, -0.2j, 0.5])
     v = VerblunskySequence(a, 1.0)
-    sys_ = build_system(v)
     a[0] = 0.9
     assert v.a[0] == 0.3 + 0.1j
-    assert float(sys_.h[1]) == 1.0 - abs(0.3 + 0.1j) ** 2
+    assert float(v.h[1]) == 1.0 - abs(0.3 + 0.1j) ** 2
     with pytest.raises(ValueError):
         v.a[0] = 0.9
 
