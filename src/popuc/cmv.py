@@ -73,6 +73,7 @@ def quasi_reflection(n: int, tau: complex) -> np.ndarray:
 
     tau must be unimodular.  For n odd the matrix squares to the identity;
     for n even Q(tau) Q(1/tau) is the identity and Q(tau) is symmetric.
+    The dense reference form that tests compare ``_reflect`` against; no pipeline stage calls it.
     """
     if n < 0:
         raise ShapeError("size must be positive")

@@ -50,7 +50,7 @@ def node_angles(nodes: "np.ndarray | Sequence[float] | Sequence[UnitCirclePoint]
     array.  The branch that reads each point's ``.theta`` stays only because
     ``bench/workloads.py`` passes ``UnitCirclePoint`` values to
     ``reconstruct_persymmetric``.  A non-finite angle raises ValueError
-    naming its index, any other fault ShapeError.
+    naming its index, any other fault ShapeError; an angle given twice is named.
     """
     if isinstance(nodes, np.ndarray):
         if nodes.dtype.kind not in "fiu":
@@ -71,7 +71,9 @@ def node_angles(nodes: "np.ndarray | Sequence[float] | Sequence[UnitCirclePoint]
         k = int(np.argmin(np.isfinite(theta)))
         raise ValueError(f"theta must be finite; theta[{k}] is {float(theta[k])!r}")
     if (theta[1:] <= theta[:-1]).any():
-        raise ShapeError("nodes must be strictly increasing in theta")
+        tied = theta[1:] == theta[:-1]
+        twice = f"; theta {float(theta[np.argmax(tied)])!r} is given twice" if tied.any() else ""
+        raise ShapeError(f"nodes must be strictly increasing in theta{twice}")
     return theta
 
 

@@ -4,7 +4,9 @@ A persymmetric system is determined by its node set alone: its weights are
 sqrt(h_N) / |Phi'_{N+1}(z_s)|, and only its first ceil(N/2) coefficients
 are free.  The recovery solves the unitary inverse eigenvalue problem
 (Ammar, Gragg and Reichel, 1991) for just those coefficients.  It reads the
-nodes as a set on the circle, through ``wrap_angles`` and a sort.
+nodes as a set on the circle, through ``wrap_angles`` and a sort, and checks
+what it recovers before it returns: the mirror defect first, then the
+spectrum rebuilt forward.  ``ReconstructionResult`` is a plain record.
 """
 
 from __future__ import annotations
@@ -29,16 +31,11 @@ from .tolerances import NODE_PRODUCT_DRIFT, NODE_SEPARATION, RECOVERED_DEFECT, R
 
 @dataclass(frozen=True, eq=False)
 class ReconstructionResult:
-    """Recovered coefficient data plus the diagnostics of the recovery."""
+    """Recovered coefficient data plus the diagnostics of the recovery; ``reconstruct_persymmetric`` checks both."""
 
     v: VerblunskySequence
     log_h_final: float        # log of the recovered squared norm of Phi_N
     spectrum_residual: float  # max node distance after rebuilding forward
-
-    def __post_init__(self) -> None:
-        defect = persymmetry_defect(self.v)
-        if not defect <= RECOVERED_DEFECT:
-            raise NotPersymmetricError(f"recovered data has mirror defect {defect:.3e}")
 
     @property
     def h_final(self) -> float:
@@ -64,9 +61,10 @@ def reconstruct_persymmetric(
     blocks from row 0 (a_k = conj(r_k[k]), r_{k+1} = rho_k r_k - r_k[k] H[k+1])
     reads a_k without dividing by a product of the rho_k.  A peeled
     |a_k| >= 1 - VERBLUNSKY_MARGIN raises SzegoClassError.  ``mirrored``
-    gives the rest of the data, a_{N-1-k} = -omega conj(a_k); the system is
-    built forward again, and a rebuilt spectrum farther than RESIDUAL from
-    the nodes raises NotPersymmetricError.
+    gives the rest of the data, a_{N-1-k} = -omega conj(a_k).  A mirror
+    defect above RECOVERED_DEFECT raises NotPersymmetricError before the
+    system is built forward again; a rebuilt spectrum farther than RESIDUAL
+    from the nodes raises it too.
     """
     thetas = np.sort(wrap_angles(node_angles(nodes)))
     count = thetas.size
@@ -119,6 +117,9 @@ def reconstruct_persymmetric(
             row[k + 1] = -r_kk
     a[free:] = mirrored(a[: n_top - free], w)
     v = VerblunskySequence(a, w)
+    defect = persymmetry_defect(v)
+    if not defect <= RECOVERED_DEFECT:
+        raise NotPersymmetricError(f"recovered data has mirror defect {defect:.3e}")
 
     rebuilt = spectrum(v)
     spectrum_residual = float(np.max(np.abs(unit_points(rebuilt) - z)))

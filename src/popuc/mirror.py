@@ -76,8 +76,8 @@ def dual_weights(v: VerblunskySequence) -> np.ndarray:
     eigenvector at the shared node z_s has the moduli of v_s in reverse
     order, and its first component is v_s's last.  The dual weights equal
     Phi_N(z_s) / Phi'_{N+1}(z_s), and their product with the primal weight
-    is h_N / |Phi'_{N+1}(z_s)|^2.  A dual weight of 0.0 raises WeightError,
-    as in ``weights``.
+    is h_N / |Phi'_{N+1}(z_s)|^2.  A dual weight of 0.0, or a sum off one
+    by more than WEIGHT_SUM, raises WeightError, as in ``weights``.
     """
     return _resolved(v.quadrature[1][1], "N")
 

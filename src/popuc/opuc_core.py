@@ -25,7 +25,9 @@ the sign pattern all take the list and share ``VerblunskySequence.quadrature``
 and ``cmv_factors``, and ``orthogonality_residual`` checks the weights against
 ``VerblunskySequence.node_values``, the recurrence at the nodes; U itself is
 formed in one place, ``cmv_matrix``.  Every memo holds arrays only, so no
-reference cycle keeps a solve alive.  ``phis`` copies the rows of one
+reference cycle keeps a solve alive.  ``_resolved`` checks each row of |V|^2
+once, where ``weights`` (row 0) or ``mirror.dual_weights`` (row N) hands it
+out, so ``SpectralData`` is a plain record.  ``phis`` copies the rows of one
 coefficient recurrence run on one row, whose last row the closure check reads.
 """
 
@@ -127,7 +129,10 @@ class VerblunskySequence:
         Entry k holds the k + 1 ascending coefficients of Phi_k, a read-only
         copy of row k of ``_ladder_rows``, so no zero padding is kept.
         """
-        return tuple(_read_only(row) for row in _ladder_rows(self))
+        rows = tuple(row.copy() for row in _ladder_rows(self))
+        for row in rows:
+            row.flags.writeable = False
+        return rows
 
 
 def _ladder_rows(v: VerblunskySequence) -> Iterator[np.ndarray]:
@@ -154,43 +159,18 @@ def _ladder_rows(v: VerblunskySequence) -> Iterator[np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class SpectralData:
-    """Strictly increasing node angles with positive weights summing to one.
+    """The node angles theta and their weights, as ``weights`` makes them: read-only float64 arrays.
 
-    A caller's theta passes ``node_angles``, the solve's own in ``weights`` does not; it and
-    the weights are stored as read-only float64 arrays.  ``nodes`` gives the same nodes as
-    UnitCirclePoint values, built on first access, for ``bench/workloads.py``.
+    ``nodes`` gives the same nodes as UnitCirclePoint values, built on first
+    access, for ``bench/workloads.py``.
     """
 
     theta: np.ndarray
     weights: np.ndarray
 
-    def __post_init__(self) -> None:
-        theta = _read_only(node_angles(self.theta))
-        w = _read_only(np.asarray(self.weights, dtype=np.float64))
-        if w.shape != theta.shape:
-            raise ShapeError("one weight per node required")
-        if not (w > 0.0).all():  # NaN fails too
-            raise WeightError(f"non-positive weight {float(w.min())!r}")
-        self._hold(theta, w)
-
-    def _hold(self, theta: np.ndarray, w: np.ndarray) -> None:
-        """Keep theta and w once the weights sum to one within WEIGHT_SUM, else WeightError."""
-        total = float(w.sum())
-        if not abs(total - 1.0) <= WEIGHT_SUM:
-            raise WeightError(f"weights sum to {total!r}, expected 1")
-        self.__dict__.update(theta=theta, weights=w)
-
     @cached_property
     def nodes(self) -> tuple[UnitCirclePoint, ...]:
         return tuple(UnitCirclePoint(t) for t in self.theta.tolist())
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    """arr itself when it is already read-only, else a read-only copy."""
-    if arr.flags.writeable:
-        arr = arr.copy()
-        arr.flags.writeable = False
-    return arr
 
 
 def unimodular(name: str, value: complex) -> complex:
@@ -224,7 +204,10 @@ def build_system(v: VerblunskySequence) -> VerblunskySequence:
 
 
 def theta_block(a: complex) -> np.ndarray:
-    """2x2 rotation block [[a, rho], [rho, -conj(a)]] with rho = sqrt(1 - |a|^2)."""
+    """2x2 rotation block [[a, rho], [rho, -conj(a)]] with rho = sqrt(1 - |a|^2).
+
+    The dense reference form that tests compare ``factors`` against; no pipeline stage calls it.
+    """
     a = np.complex128(a)
     inside_disc("a", a)
     rho = np.sqrt(1.0 - np.abs(a) ** 2)  # numpy's modulus, as in ``factors``
@@ -349,7 +332,10 @@ def spectrum(v: VerblunskySequence) -> np.ndarray:
 
 
 def _own_nodes(v: VerblunskySequence, nodes: np.ndarray) -> None:
-    """ValueError unless nodes are the angles ``spectrum(v)``, where v keeps its weights and ladder values."""
+    """ValueError unless nodes are the angles ``spectrum(v)``, where v keeps its weights and ladder values.
+
+    nodes has one legal value: this stays only for the two-argument calls of ``bench/workloads.py``.
+    """
     theta = v.quadrature[0]
     if nodes is not theta and not np.array_equal(node_angles(nodes), theta):
         raise ValueError("weights are defined at the system's own nodes only: pass spectrum(v)")
@@ -360,23 +346,21 @@ def weights(v: VerblunskySequence, nodes: np.ndarray) -> SpectralData:
 
     v_s is the unit eigenvector of U at node s, so these are the Gauss
     weights of the unit-circle Golub-Welsch rule, read off the solve that
-    gave the nodes.  nodes must be those angles, else ValueError.  The SpectralData holds
-    the read-only arrays of ``v.quadrature``, which the solve made sorted, distinct and
-    finite.  A weight of 0.0, where its eigenvector component is below rounding, raises
-    WeightError naming the node; a sum off one by more than WEIGHT_SUM raises WeightError.
+    gave the nodes.  nodes must be those angles, else ValueError.  The
+    SpectralData holds the read-only arrays of ``v.quadrature``, which the
+    solve made sorted, distinct and finite, once ``_resolved`` passes row 0.
     """
     _own_nodes(v, nodes)
     theta, rows = v.quadrature
-    data = object.__new__(SpectralData)  # past the caller gate of __post_init__
-    data._hold(theta, _resolved(rows[0], "0"))
-    return data
+    return SpectralData(theta, _resolved(rows[0], "0"))
 
 
 def _resolved(w: np.ndarray, row: str) -> np.ndarray:
-    """w, the squared moduli of row ``row`` of V, once each is checked to be positive.
+    """w, the squared moduli of row ``row`` of V, once its entries are positive and sum to one.
 
     A weight of 0.0 (or NaN) means the eigenvector component is below
-    rounding; WeightError names the node and the smallest weight.
+    rounding; WeightError names the node and the smallest weight.  A sum off
+    one by more than WEIGHT_SUM raises WeightError too.
     """
     if not w.min() > 0.0:
         s = int(np.argmin(w))
@@ -384,6 +368,9 @@ def _resolved(w: np.ndarray, row: str) -> np.ndarray:
             f"weight {float(w[s])!r} at node {s} is below what the eigenvector resolves: "
             f"|V[{row}, {s}]| is lost to rounding in a unit vector"
         )
+    total = float(w.sum())
+    if not abs(total - 1.0) <= WEIGHT_SUM:
+        raise WeightError(f"weights sum to {total!r}, expected 1")
     return w
 
 

@@ -243,6 +243,13 @@ def test_reconstruct_names_a_bad_angle_at_its_input_index(capsys, angles, messag
     assert err.startswith("invalid input:") and message in err
 
 
+def test_reconstruct_names_an_angle_given_twice(capsys):
+    # the command sorts the angles itself, so only a repeat can fail the ordering gate
+    code, out, err = run(capsys, "reconstruct", "--spectrum", "[2, 0.5, 0.5]", "--omega-arg", "0")
+    expected = "invalid input: nodes must be strictly increasing in theta; theta 0.5 is given twice\n"
+    assert (code, out, err) == (2, "", expected)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -471,7 +478,7 @@ def test_generate_krawtchouk_at_large_n(capsys):
 
 def test_numerical_failure_has_its_own_exit_code(capsys, monkeypatch):
     def breakdown(*_args, **_kwargs):
-        raise WeightError("Christoffel weights sum to 0.5, expected 1")
+        raise WeightError("weights sum to 0.5, expected 1")
 
     monkeypatch.setattr("popuc.cli.weights", breakdown)
     code, out, err = run(capsys, "check", "--family", "single_moment", "--n", "3", "--orthogonality")

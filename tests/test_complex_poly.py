@@ -16,7 +16,6 @@ from popuc import (
     roots,
     single_moment_persymmetric,
     spectrum,
-    weights,
 )
 
 
@@ -130,15 +129,17 @@ def test_unit_circle_point():
 
 
 def test_names_the_benchmark_reads():
-    # bench/workloads.py calls build_system, reads SpectralData.nodes and passes
-    # UnitCirclePoint values to reconstruct_persymmetric; bench/tracer.py wraps the
-    # three helpers above by name.  These go once the benchmark reads arrays only.
+    # bench/workloads.py calls build_system, the two-argument weights and
+    # orthogonality_residual, reads SpectralData.nodes and passes UnitCirclePoint
+    # values to reconstruct_persymmetric; bench/tracer.py wraps the three helpers
+    # above by name.  These go once the benchmark reads arrays only.
     import popuc.complex_poly as cp
     import popuc.opuc_core as oc
 
     v = random_verblunsky(np.random.default_rng(3), 6)
     assert oc.build_system(v) is v
-    data = weights(v, spectrum(v))
+    data = oc.weights(v, oc.spectrum(v))
+    assert oc.orthogonality_residual(v, data) <= 1e-12
     assert [p.theta for p in data.nodes] == data.theta.tolist()
     fam = single_moment_persymmetric(5)
     theta = spectrum(fam.v)

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from conftest import random_persymmetric, random_verblunsky
+from conftest import count_calls, random_persymmetric, random_verblunsky
 from popuc import (
     DegenerateNodesError,
     NotPersymmetricError,
-    ReconstructionResult,
     ShapeError,
     SpectrumInconsistencyError,
     VerblunskySequence,
@@ -20,7 +19,6 @@ from popuc import (
     persymmetry_defect,
     phi_n_values,
     reconstruct_persymmetric,
-    single_moment,
     single_moment_persymmetric,
     spectrum,
 )
@@ -117,9 +115,17 @@ def test_reconstruct_raises_when_rebuilt_spectrum_misses(monkeypatch):
         reconstruct_persymmetric(nodes, fam.v.omega)
 
 
-def test_result_rejects_data_that_is_not_self_dual():
-    with pytest.raises(NotPersymmetricError, match="recovered data has mirror defect"):
-        ReconstructionResult(single_moment(4).v, 0.0, 0.0)
+def test_recovered_defect_is_checked_before_the_rebuild(monkeypatch):
+    import popuc.inverse_spectral as inverse_spectral
+
+    fam = single_moment_persymmetric(5)
+    nodes = spectrum(fam.v)
+    defect = persymmetry_defect(reconstruct_persymmetric(nodes, fam.v.omega).v)
+    rebuilds = count_calls(monkeypatch, inverse_spectral, "spectrum")
+    monkeypatch.setattr(inverse_spectral, "RECOVERED_DEFECT", -1.0)  # raises whatever the defect, 0.0 included
+    with pytest.raises(NotPersymmetricError, match=re.escape(f"recovered data has mirror defect {defect:.3e}")):
+        reconstruct_persymmetric(nodes, fam.v.omega)
+    assert rebuilds == []
 
 
 def test_any_node_set_is_the_spectrum_of_a_self_dual_system():

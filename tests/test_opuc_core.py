@@ -9,7 +9,6 @@ import pytest
 from conftest import count_calls, random_persymmetric, random_verblunsky
 from popuc import (
     ShapeError,
-    SpectralData,
     SpectralValidityError,
     VerblunskySequence,
     WeightError,
@@ -64,8 +63,8 @@ def test_verblunsky_validation():
         (lambda: theta_block(np.nan), ValueError, r"\|a\| = nan must stay strictly inside the unit disc"),
         (lambda: persymmetric_weights(np.array([0.1, np.nan]), 1.0), ValueError, r"theta\[1\] is nan"),
         (lambda: phi_n_values(np.array([0.1, np.nan]), 1, 1.0, 1), ValueError, r"theta\[1\] is nan"),
-        (lambda: persymmetric_weights(np.array([0.1, 0.1, 2.0]), 1.0), ShapeError, "strictly increasing"),
-        (lambda: phi_n_values(np.array([0.1, 0.1, 2.0]), 1, 1.0, 1), ShapeError, "strictly increasing"),
+        (lambda: persymmetric_weights(np.array([0.1, 0.1, 2.0]), 1.0), ShapeError, r"strictly increasing in theta; theta 0\.1 is given twice$"),
+        (lambda: phi_n_values(np.array([0.1, 0.1, 2.0]), 1, 1.0, 1), ShapeError, r"strictly increasing in theta; theta 0\.1 is given twice$"),
     ],
     ids=["VerblunskySequence", "VerblunskySequence_a", "quasi_reflection", "make_persymmetric",
          "make_persymmetric_free_params", "krawtchouk_family", "free_family_nu", "reconstruct_persymmetric",
@@ -203,26 +202,11 @@ def test_weights_positive_real_sum_one():
         assert abs(float(np.sum(data.weights)) - 1.0) <= 1e-9
 
 
-def test_spectral_data_validation():
-    with pytest.raises(ShapeError):
-        SpectralData(np.array([0.5, 0.2]), np.array([0.5, 0.5]))
-    nodes = np.array([0.2, 0.5])
-    with pytest.raises(WeightError):
-        SpectralData(nodes, np.array([1.5, -0.5]))
-    with pytest.raises(WeightError):
-        SpectralData(nodes, np.array([0.6, 0.6]))
-    with pytest.raises(WeightError):
-        SpectralData(nodes, np.array([np.nan, 1.0]))
-    with pytest.raises(ShapeError):
-        SpectralData(nodes, np.array([1.0]))
-
-
 def test_every_node_entry_point_reads_a_list_of_floats():
     v = single_moment_persymmetric(5).v
     theta, h_final = spectrum(v), float(v.h[-1])
     listed = theta.tolist()
     w = weights(v, theta).weights
-    assert np.array_equal(SpectralData(listed, w).theta, theta)
     assert np.array_equal(weights(v, listed).weights, w)
     assert np.array_equal(persymmetric_weights(listed, h_final), persymmetric_weights(theta, h_final))
     assert np.array_equal(phi_n_values(tuple(listed), v.omega, h_final, 1), phi_n_values(theta, v.omega, h_final, 1))
@@ -241,21 +225,17 @@ def _weights_corpus() -> list:
     return corpus + [random_persymmetric(rng, n) for n in range(1, 13)]
 
 
-def test_weights_hold_the_solve_arrays_that_the_public_gate_passes():
-    # weights skips the caller gate of SpectralData; the gate would pass the same arrays, bit for bit
+def test_weights_hold_the_solve_arrays_as_made():
+    # the record holds the solve's own read-only arrays, not copies
     for v in _weights_corpus():
         data = weights(v, spectrum(v))
         theta, rows = v.quadrature
         assert data.theta is theta
         assert data.weights.base is rows and np.shares_memory(data.weights, rows[0])
-        gated = SpectralData(theta, rows[0])
-        for got, want in ((data.theta, gated.theta), (data.weights, gated.weights)):
-            assert got.dtype == want.dtype == np.float64 and not got.flags.writeable
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def _patched_weight_row(monkeypatch, edit_row) -> None:
-    """Make opuc_core.eigen_rows hand back row 0 as edit_row leaves it."""
+def _patched_weight_row(monkeypatch, edit_row, row: int = 0) -> None:
+    """Make opuc_core.eigen_rows hand back row 0 (or row N, at row = 1) as edit_row leaves it."""
     import popuc.opuc_core as opuc_core
 
     original = opuc_core.eigen_rows
@@ -263,22 +243,30 @@ def _patched_weight_row(monkeypatch, edit_row) -> None:
     def eigen_rows(u):
         lam, rows = original(u)
         rows = rows.copy()
-        edit_row(rows[0])
+        edit_row(rows[row])
         return lam, rows
 
     monkeypatch.setattr(opuc_core, "eigen_rows", eigen_rows)
 
 
-def test_weights_still_check_the_sum_the_solve_does_not(monkeypatch):
+def _rescale_past_the_sum_bound(w):
     from popuc.tolerances import WEIGHT_SUM
 
-    def rescale(w):
-        w *= (1.0 + 2.0 * WEIGHT_SUM) / w.sum()
+    w *= (1.0 + 2.0 * WEIGHT_SUM) / w.sum()
 
-    _patched_weight_row(monkeypatch, rescale)
+
+def test_weights_still_check_the_sum_the_solve_does_not(monkeypatch):
+    _patched_weight_row(monkeypatch, _rescale_past_the_sum_bound)
     v = random_verblunsky(np.random.default_rng(2403), 7)
     with pytest.raises(WeightError, match=r"^weights sum to 1\.0000000\d+, expected 1$"):
         weights(v, spectrum(v))
+
+
+def test_dual_weights_check_the_sum_the_solve_does_not(monkeypatch):
+    _patched_weight_row(monkeypatch, _rescale_past_the_sum_bound, row=1)
+    v = random_verblunsky(np.random.default_rng(2403), 7)
+    with pytest.raises(WeightError, match=r"^weights sum to 1\.0000000\d+, expected 1$"):
+        dual_weights(v)
 
 
 def test_weights_still_name_a_node_whose_weight_is_lost(monkeypatch):
