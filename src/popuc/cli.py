@@ -47,7 +47,7 @@ from .inverse_spectral import reconstruct_persymmetric
 from .mirror import persymmetry_defect, verify_persymmetry_characterizations
 from .opuc_core import (
     VerblunskySequence,
-    cmv_matrix,
+    factors,
     orthogonality_residual,
     paraorthogonality_residual,
     spectrum,
@@ -171,8 +171,8 @@ def _payload(v: VerblunskySequence, emit: str) -> dict[str, Any]:
         if emit in ("weights", "all"):
             out["weights"] = weights(v, theta).weights
     if emit in ("cmv", "all"):
-        m1, m2 = v.cmv_factors
-        out["cmv"] = {"m1": m1, "m2": m2, "u": cmv_matrix(v)}
+        m1, m2 = factors(v)
+        out["cmv"] = {"m1": m1, "m2": m2, "u": m2 @ m1}  # the product ``cmv_matrix`` forms
     return out
 
 
@@ -203,7 +203,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     run_all = args.all or not (args.persymmetric or args.mirror_relations or args.orthogonality)
     checks: dict[str, Any] = {}
     passed = True
-    # every check below takes v and reads the one eigen-solve, ladder and factor pair it keeps
+    # every check below takes v and reads the one eigen-solve and ladder it keeps
     if args.orthogonality or run_all:
         data = weights(v, spectrum(v))
         ortho = orthogonality_residual(v, data)

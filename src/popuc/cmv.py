@@ -3,16 +3,16 @@
 The unitary matrix U = M2 @ M1 acts on the Laurent-polynomial basis built
 from the ladder; its eigenvalues are exactly the spectrum of the final
 polynomial, and ``opuc_core.spectrum`` computes the nodes that way.  The
-checks here take the coefficient list and read the factors, nodes and
-ladder values it keeps; they apply Q(tau), which ``quasi_reflection``
-returns as a plain matrix, as a scaled reversal.  The builder
-(``theta_block``, ``factors``, ``cmv_matrix``) lives in ``opuc_core`` and
-is re-exported here.  Two entry conventions for the 2x2 rotation blocks
-circulate in the literature, differing by conjugation of the coefficient.
-The one built (conjugated coefficient on the upper-left, plain negated
-coefficient on the lower-right, scalar tail conj(omega)) is the one that
-reproduces the spectrum; the calibration test demonstrates the other
-choice produces the conjugate system.
+checks here take the coefficient list and read the nodes and ladder values
+it keeps, or build its factors where they read them; they apply Q(tau),
+which ``quasi_reflection`` returns as a plain matrix, as a scaled reversal.
+The builder (``theta_block``, ``factors``, ``cmv_matrix``) lives in
+``opuc_core`` and is re-exported here.  Two entry conventions for the 2x2
+rotation blocks circulate in the literature, differing by conjugation of
+the coefficient.  The one built (conjugated coefficient on the upper-left,
+plain negated coefficient on the lower-right, scalar tail conj(omega)) is
+the one that reproduces the spectrum; the calibration test demonstrates the
+other choice produces the conjugate system.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complex_poly import unit_points
-from .errors import NotPersymmetricError, PersymmetryViolationError, ShapeError
-from .mirror import is_persymmetric, mirror_dual, principal_sqrt_unimodular
+from .errors import PersymmetryViolationError, ShapeError
+from .mirror import _persymmetry_gate, mirror_dual, principal_sqrt_unimodular
 from .opuc_core import VerblunskySequence, ladder_values, spectrum, unimodular
 from .opuc_core import cmv_matrix, factors, theta_block  # noqa: F401  (public names of this module)
 from .tolerances import SIGN_SLACK, TRANSPORT_RESIDUAL
@@ -42,8 +42,9 @@ def laurent_eigenvectors(v: VerblunskySequence, z: np.ndarray) -> np.ndarray:
     z^m conj(Phi_{2m+1}(z)) / sqrt(h_{2m+1}), using that 1/z = conj(z) on
     the circle.  The Phi_k(z) come from one run of the recurrence on the
     values (``ladder_values``).  At roots of the final polynomial each
-    column psi satisfies U psi = z psi.
+    column psi satisfies U psi = z psi.  An h_k underflowed to 0 raises WeightError.
     """
+    _persymmetry_gate(v, self_dual=False)
     return _laurent_columns(ladder_values(v, z), z, v.h)
 
 
@@ -106,9 +107,8 @@ def verify_mirror_relations(v: VerblunskySequence) -> MirrorRelationReport:
     Every identity involves tau quadratically, so both square root branches
     give the same residuals; tau is the principal branch.
     """
-    dual = mirror_dual(v)
-    (m1, m2), (mh1, mh2) = v.cmv_factors, dual.cmv_factors
-    u, uh = cmv_matrix(v), cmv_matrix(dual)
+    (m1, m2), (mh1, mh2) = factors(v), factors(mirror_dual(v))
+    u, uh = m2 @ m1, mh2 @ mh1  # the products ``cmv_matrix`` forms
     odd = v.n % 2 == 1
     root = principal_sqrt_unimodular(v.omega)
     tau = np.conj(root) if odd else root
@@ -138,12 +138,12 @@ def persymmetric_sign_pattern(v: VerblunskySequence) -> list[int]:
     (``laurent_eigenvectors``) built from the ladder values v keeps.
 
     Returns the per-node signs; raises PersymmetryViolationError naming the
-    first node (and component) where the pattern fails.
+    first node (and component) where the pattern fails; before the solve,
+    ``mirror._persymmetry_gate`` rejects data that are not self-dual or whose h_k underflows.
     """
     if v.n % 2 == 0:
         raise ShapeError("the sign pattern needs odd n")
-    if not is_persymmetric(v):
-        raise NotPersymmetricError("coefficient list is not self-dual")
+    _persymmetry_gate(v)
     z = unit_points(spectrum(v))
     psi = _laurent_columns(v.node_values, z, v.h)
     tau = np.conj(principal_sqrt_unimodular(v.omega))

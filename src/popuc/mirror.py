@@ -49,6 +49,21 @@ def is_persymmetric(v: VerblunskySequence) -> bool:
     return persymmetry_defect(v) <= SELF_DUAL_DEFECT
 
 
+def _persymmetry_gate(v: VerblunskySequence, self_dual: bool = True) -> None:
+    """Raise before any solve where the persymmetric forms are undefined.
+
+    NotPersymmetricError names a mirror defect above SELF_DUAL_DEFECT (when self_dual); WeightError
+    names the first h_k that underflows to 0.0, by whose square root the forms divide.
+    """
+    if self_dual:
+        defect = persymmetry_defect(v)
+        if not defect <= SELF_DUAL_DEFECT:
+            raise NotPersymmetricError(f"coefficient list has mirror defect {defect:.3e}")
+    if not v.h[-1] > 0.0:
+        k = int(np.argmax(v.h <= 0.0))
+        raise WeightError(f"squared norm h_{k} underflows to 0, so the persymmetric forms are undefined")
+
+
 def make_persymmetric(
     free_params: np.ndarray, omega: complex, middle_r: float | None = None
 ) -> VerblunskySequence:
@@ -163,12 +178,7 @@ def verify_persymmetry_characterizations(v: VerblunskySequence) -> PersymmetryCh
     solve's angles as they are.  An h_N that has underflowed to 0.0 leaves
     the closed forms undefined and raises WeightError naming the first h_k.
     """
-    defect = persymmetry_defect(v)
-    if not defect <= SELF_DUAL_DEFECT:
-        raise NotPersymmetricError(f"coefficient list has mirror defect {defect:.3e}")
-    if not v.h[-1] > 0.0:
-        k = int(np.argmax(v.h <= 0.0))
-        raise WeightError(f"squared norm h_{k} underflows to 0, so the persymmetric forms are undefined")
+    _persymmetry_gate(v)
     nodes = spectrum(v)
     h_final = float(v.h[-1])
     w = v.quadrature[1][0]

@@ -18,16 +18,16 @@ mirror dual.  Real data (real a_k, omega = +-1) give a real orthogonal U,
 which ``eigen_rows`` solves in real arithmetic.
 
 The coefficient list is the system.  A ``VerblunskySequence`` builds its
-squared norms and CMV factors, solves U and runs the ladder at its own nodes
-once, however many checks read it: ``spectrum``, ``weights``,
-``mirror.dual_weights``, the persymmetry checks, the mirror relations and
-the sign pattern all take the list and share ``VerblunskySequence.quadrature``
-and ``cmv_factors``, and ``orthogonality_residual`` checks the weights against
-``VerblunskySequence.node_values``, the recurrence at the nodes; U itself is
-formed in one place, ``cmv_matrix``.  Every memo holds arrays only, so no
-reference cycle keeps a solve alive.  ``_resolved`` checks each row of |V|^2
-once, where ``weights`` (row 0) or ``mirror.dual_weights`` (row N) hands it
-out, so ``SpectralData`` is a plain record.  ``phis`` copies the rows of one
+squared norms, solves U and runs the ladder at its own nodes once, however
+many checks read it: ``spectrum``, ``weights``, ``mirror.dual_weights``, the
+persymmetry checks and the sign pattern share ``quadrature``, and
+``orthogonality_residual`` checks the weights against ``node_values``, the
+recurrence at the nodes.  No CMV factor is kept: ``cmv_matrix``, the mirror
+relations and ``generate --emit cmv`` each build M1 and M2 with ``factors``
+and form U as ``m2 @ m1``.  Every memo holds arrays only, so no reference
+cycle keeps a solve alive.  ``_resolved`` checks each row of |V|^2 once,
+where ``weights`` (row 0) or ``mirror.dual_weights`` (row N) hands it out, so
+``SpectralData`` is a plain record.  ``phis`` copies the rows of one
 coefficient recurrence run on one row, whose last row the closure check reads.
 """
 
@@ -50,11 +50,11 @@ class VerblunskySequence:
 
     The list is the finite system itself.  ``a`` is a read-only copy of the
     input, so a memo built from it cannot go stale when the caller's array
-    changes.  The squared norms ``h``, the CMV factors, the sorted nodes and
-    weights, the ladder values at the nodes and the ladder ``phis`` are
-    computed on first access and kept here, so every check of one
-    coefficient list shares them.  Each memo is a read-only array or a tuple
-    of them, so the list is freed by reference counting alone.
+    changes.  The squared norms ``h``, the sorted nodes and weights, the
+    ladder values at the nodes and the ladder ``phis`` are computed on first
+    access and kept here, so every check of one coefficient list shares
+    them.  Each memo is a read-only array or a tuple of them, so the list is
+    freed by reference counting alone.
     """
 
     a: np.ndarray
@@ -80,13 +80,6 @@ class VerblunskySequence:
         h[1:] = np.cumprod(1.0 - np.abs(self.a) ** 2)
         h.flags.writeable = False
         return h
-
-    @cached_property
-    def cmv_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """``factors`` (M1, M2) of the CMV matrix U = M2 @ M1, read-only."""
-        m1, m2 = factors(self)
-        m1.flags.writeable = m2.flags.writeable = False
-        return m1, m2
 
     @cached_property
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
@@ -237,8 +230,8 @@ def factors(v: VerblunskySequence) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmv_matrix(v: VerblunskySequence) -> np.ndarray:
-    """The (N+1) x (N+1) unitary five-diagonal matrix U = M2 @ M1, from the factors v keeps."""
-    m1, m2 = v.cmv_factors
+    """The (N+1) x (N+1) unitary five-diagonal matrix U = M2 @ M1 of the pair ``factors`` builds."""
+    m1, m2 = factors(v)
     return m2 @ m1
 
 
@@ -314,15 +307,19 @@ def ladder_values(v: VerblunskySequence, z: np.ndarray) -> np.ndarray:
 
     The recurrence runs on values, carrying the reversed polynomials along:
     Phi_{k+1} = z Phi_k - conj(a_k) Phi_k^* and
-    Phi_{k+1}^* = Phi_k^* - a_k z Phi_k.
+    Phi_{k+1}^* = Phi_k^* - a_k z Phi_k.  An overflow raises OverflowError naming the rung.
     """
     vals = np.empty((v.n + 1, z.size), dtype=np.complex128)
     vals[0] = 1.0
     rev = np.ones(z.size, dtype=np.complex128)
-    for k, a_k in enumerate(v.a.tolist()):
-        shifted = z * vals[k]
-        vals[k + 1] = shifted - a_k.conjugate() * rev
-        rev = rev - a_k * shifted
+    with np.errstate(over="raise", invalid="raise"):
+        for k, a_k in enumerate(v.a.tolist()):
+            try:
+                shifted = z * vals[k]
+                vals[k + 1] = shifted - a_k.conjugate() * rev
+                rev = rev - a_k * shifted
+            except FloatingPointError:
+                raise OverflowError(f"ladder values of Phi_{k + 1} overflow the double range") from None
     return vals
 
 
@@ -394,10 +391,14 @@ def orthogonality_residual(v: VerblunskySequence, data: SpectralData) -> float:
 
     The values come from the recurrence, not from the eigenvectors, so this
     checks the weights independently of the solve that produced them.  data
-    must come from ``weights(v, spectrum(v))``, else ValueError.
+    must come from ``weights(v, spectrum(v))``, else ValueError.  An overflow raises OverflowError.
     """
     _own_nodes(v, data.theta)
     vals = v.node_values
-    gram = (vals * data.weights) @ np.conj(vals.T)
-    gram.reshape(-1)[:: gram.shape[0] + 1] -= v.h  # the diagonal, as a view
-    return float(np.abs(gram).max())
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            gram = (vals * data.weights) @ np.conj(vals.T)
+            gram.reshape(-1)[:: gram.shape[0] + 1] -= v.h  # the diagonal, as a view
+            return float(np.abs(gram).max())
+        except FloatingPointError:
+            raise OverflowError("orthogonality check: the weighted Gram matrix overflows the double range") from None

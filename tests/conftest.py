@@ -10,6 +10,10 @@ from popuc import ShapeError, VerblunskySequence, make_persymmetric
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
 
+# what a VerblunskySequence may hold once checks have read it: its two fields
+# and its memos; the CMV factors are built where they are read, never kept
+KEPT = {"a", "omega", "h", "quadrature", "node_values", "phis"}
+
 
 def random_verblunsky(rng: np.random.Generator, n: int, max_mag: float = 0.85) -> VerblunskySequence:
     """Coefficients uniform in the disc of radius max_mag, omega uniform on the circle."""

@@ -10,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import count_calls, random_persymmetric, random_verblunsky
+from conftest import KEPT, count_calls, random_persymmetric, random_verblunsky
 from popuc import (
     VerblunskySequence,
     WeightError,
     cmv_matrix,
+    factors,
     krawtchouk_family,
     mirror_dual,
     spectrum,
@@ -586,7 +587,7 @@ def test_large_generate_document_parses_back_to_the_arrays_bit_for_bit(capsys):
     payload = json.loads(out, parse_int=float)["payload"]
     v = krawtchouk_family(64, complex(np.exp(0.9j))).v
     theta = spectrum(v)
-    m1, m2 = v.cmv_factors
+    m1, m2 = factors(v)
     assert len(payload["phis"]) == len(v.phis) == 66
     for rendered, phi in zip(payload["phis"], v.phis):
         _assert_same_bits(rendered, phi)
@@ -665,6 +666,9 @@ def test_check_all_solves_and_runs_the_ladder_once(capsys, monkeypatch, self_dua
     assert ("persymmetry_characterizations" in checks) is self_dual
     assert (len(solves), len(ladders)) == (1, 1)
     assert gated == []  # the solve checked its own angles; no check sends them through the caller gate
-    # the factors of v, shared by the solve and the mirror relations, then those of its dual
-    assert [args[0].a.tolist() for args in builds] == [v.a.tolist(), mirror_dual(v).a.tolist()]
+    # the factors of v, built for the solve and again by the mirror relations, then those of its dual
+    system = builds[0][0]
+    assert [args[0] is system for args in builds] == [True, True, False]
+    assert [args[0].a.tolist() for args in builds] == [v.a.tolist(), v.a.tolist(), mirror_dual(v).a.tolist()]
+    assert set(vars(system)) <= KEPT
 

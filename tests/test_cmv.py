@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
+    KEPT,
     characteristic_polynomial,
     count_calls,
     eigenpair_residual,
@@ -17,9 +18,11 @@ from popuc import (
     PersymmetryViolationError,
     ShapeError,
     VerblunskySequence,
+    WeightError,
     cmv_matrix,
     factors,
     laurent_eigenvectors,
+    make_persymmetric,
     mirror_dual,
     principal_sqrt_unimodular,
     quasi_reflection,
@@ -323,8 +326,21 @@ def test_sign_pattern_input_gates():
     rng = np.random.default_rng(43)
     with pytest.raises(ShapeError):
         persymmetric_sign_pattern(random_persymmetric(rng, 4))
-    with pytest.raises(NotPersymmetricError):
+    with pytest.raises(NotPersymmetricError, match=r"^coefficient list has mirror defect 5\.000e-01$"):
         persymmetric_sign_pattern(VerblunskySequence([0.5, 0.1, 0.0], 1.0))
+
+
+def test_persymmetry_forms_name_an_underflowed_norm_before_the_solve(monkeypatch):
+    # n = 241: h_k reaches exactly 0.0 at k = 192, so sqrt(h_k) is no divisor
+    v = make_persymmetric(np.full(120, 0.99), 1.0, 0.5)
+    assert float(v.h[191]) > 0.0 and float(v.h[192]) == 0.0
+    solves = count_calls(monkeypatch, np.linalg, "eigh")
+    checks = (persymmetric_sign_pattern, verify_persymmetry_characterizations,
+              lambda v: laurent_eigenvectors(v, np.array([1 + 0j])))
+    for check in checks:
+        with pytest.raises(WeightError, match=r"^squared norm h_192 underflows to 0"):
+            check(v)
+    assert solves == [] and "quadrature" not in vars(v)
 
 
 def _scale_one_value(theta, vals):
@@ -361,7 +377,7 @@ def test_sign_pattern_names_each_fault(corrupt, message):
 
 
 @pytest.mark.parametrize("n", [9, 8])
-def test_mirror_checks_share_one_solve_one_ladder_and_one_factor_pair(monkeypatch, n):
+def test_mirror_checks_share_one_solve_and_one_ladder(monkeypatch, n):
     # the checks the self-dual benchmark runs, each given the coefficient list
     import popuc.cmv as cmv
     import popuc.opuc_core as opuc_core
@@ -374,7 +390,11 @@ def test_mirror_checks_share_one_solve_one_ladder_and_one_factor_pair(monkeypatc
         count_calls(monkeypatch, module, "factors", builds)
     if n % 2:
         persymmetric_sign_pattern(v)
+        assert set(vars(v)) <= KEPT
     assert verify_persymmetry_characterizations(v).max_residual <= 1e-8
+    assert set(vars(v)) <= KEPT
     assert verify_mirror_relations(v).max_residual <= 1e-10
+    assert set(vars(v)) <= KEPT
     assert (len(solves), len(ladders)) == (1, 1)
-    assert [args[0] is v for args in builds] == [True, False]  # v once, then its mirror dual once
+    # v for the solve, v again and then its mirror dual for the relations, which keep neither pair
+    assert [args[0] is v for args in builds] == [True, True, False]

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import count_calls, random_persymmetric, random_verblunsky
+from conftest import KEPT, count_calls, random_persymmetric, random_verblunsky
 from popuc import (
     ShapeError,
     SpectralValidityError,
@@ -34,7 +34,7 @@ from popuc import (
     weights,
 )
 from popuc.complex_poly import node_angles, unit_points, wrap_angles
-from popuc.opuc_core import eigen_rows
+from popuc.opuc_core import eigen_rows, ladder_values
 from popuc.tolerances import SPECTRUM_RADIUS
 
 
@@ -477,6 +477,23 @@ def test_ladder_overflow_names_the_rung_and_restores_the_error_state():
         assert np.geterr() == before
 
 
+def test_ladder_value_overflow_names_the_rung_and_restores_the_error_state():
+    v = VerblunskySequence(np.full(1100, 0.999j), 1.0)
+    before = np.geterr()
+    with pytest.raises(OverflowError, match=r"^ladder values of Phi_1026 overflow the double range$"):
+        ladder_values(v, np.array([1 + 0j]))
+    assert np.geterr() == before
+
+
+def test_gram_overflow_names_the_stage():
+    # valid data whose kept ladder values are then made huge but finite
+    v = single_moment_persymmetric(9).v
+    data = weights(v, spectrum(v))
+    vars(v)["node_values"] = np.full_like(v.node_values, 1e200)
+    with pytest.raises(OverflowError, match=r"^orthogonality check: the weighted Gram matrix overflows"):
+        orthogonality_residual(v, data)
+
+
 def test_coincident_nodes_fail_the_solve_that_made_them():
     v = random_persymmetric(np.random.default_rng(0), 128, max_mag=0.85)
     with pytest.raises(SpectralValidityError, match=r"^nodes \d+ and \d+ coincide in double precision at theta \d"):
@@ -513,7 +530,8 @@ def test_spectrum_weights_and_residual_share_one_solve_and_one_ladder(monkeypatc
 def test_memoised_arrays_are_read_only():
     v = random_verblunsky(np.random.default_rng(59), 6)
     data = weights(v, spectrum(v))
-    memos = (v.h, *v.cmv_factors, *v.quadrature, v.node_values, *v.phis)
+    memos = (v.h, *v.quadrature, v.node_values, *v.phis)
+    assert set(vars(v)) == KEPT
     for arr in (*memos, data.theta, data.weights):
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -540,11 +558,12 @@ def test_a_coefficient_list_with_filled_memos_is_freed_without_the_collector():
     v = random_persymmetric(np.random.default_rng(67), 9)
     data = weights(v, spectrum(v))
     assert orthogonality_residual(v, data) <= 1e-8 and paraorthogonality_residual(v) <= 1e-10
+    assert set(vars(v)) <= KEPT
     assert v.phis[-1].size == 11  # the closure check does not build the ladder memo; fill it here
-    verify_persymmetry_characterizations(v)
-    verify_mirror_relations(v)
-    persymmetric_sign_pattern(v)
-    assert {"h", "cmv_factors", "quadrature", "node_values", "phis"} <= set(vars(v))
+    for check in (verify_persymmetry_characterizations, verify_mirror_relations, persymmetric_sign_pattern):
+        check(v)
+        assert set(vars(v)) <= KEPT
+    assert set(vars(v)) == KEPT
     ref = weakref.ref(v)
     enabled = gc.isenabled()
     gc.disable()
