@@ -248,7 +248,8 @@ def _angles(doc: Any) -> np.ndarray:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    theta = np.sort(_angles(_load_json_arg(args.spectrum)))
+    theta = _angles(_load_json_arg(args.spectrum))  # a new array, sorted in place
+    theta.sort()
     omega = complex(np.exp(1j * args.omega_arg))
     result = reconstruct_persymmetric(theta, omega)
     payload = {

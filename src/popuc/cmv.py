@@ -26,13 +26,13 @@ from .errors import PersymmetryViolationError, ShapeError
 from .mirror import _persymmetry_gate, mirror_dual, principal_sqrt_unimodular
 from .opuc_core import VerblunskySequence, ladder_values, spectrum, unimodular
 from .opuc_core import cmv_matrix, factors, theta_block  # noqa: F401  (public names of this module)
-from .tolerances import SIGN_SLACK, TRANSPORT_RESIDUAL
+from .tolerances import SIGN_SLACK, TRANSPORT_RESIDUAL, UNIMODULAR
 
 
 def unitarity_residual(m: np.ndarray) -> float:
     """Max deviation of m* m from the identity."""
     eye = np.eye(m.shape[0], dtype=np.complex128)
-    return float(np.max(np.abs(np.conj(m.T) @ m - eye)))
+    return float(np.abs(np.conj(m.T) @ m - eye).max())
 
 
 def laurent_eigenvectors(v: VerblunskySequence, z: np.ndarray) -> np.ndarray:
@@ -42,8 +42,17 @@ def laurent_eigenvectors(v: VerblunskySequence, z: np.ndarray) -> np.ndarray:
     z^m conj(Phi_{2m+1}(z)) / sqrt(h_{2m+1}), using that 1/z = conj(z) on
     the circle.  The Phi_k(z) come from one run of the recurrence on the
     values (``ladder_values``).  At roots of the final polynomial each
-    column psi satisfies U psi = z psi.  An h_k underflowed to 0 raises WeightError.
+    column psi satisfies U psi = z psi.  z must be one-dimensional (else
+    ShapeError) and on the circle to UNIMODULAR (else ValueError naming the
+    first point off it).  An h_k underflowed to 0 raises WeightError.
     """
+    z = np.asarray(z, dtype=np.complex128)
+    if z.ndim != 1:
+        raise ShapeError(f"points must form a one-dimensional array, got shape {z.shape}")
+    on_circle = np.abs(np.abs(z) - 1.0) <= UNIMODULAR  # NaN fails too
+    if not on_circle.all():
+        k = int(np.argmin(on_circle))
+        raise ValueError(f"z[{k}] = {complex(z[k])!r} is not unimodular")
     _persymmetry_gate(v, self_dual=False)
     return _laurent_columns(ladder_values(v, z), z, v.h)
 
@@ -59,8 +68,8 @@ def _laurent_columns(vals: np.ndarray, z: np.ndarray, h: np.ndarray) -> np.ndarr
 
 def _reflection_diagonal(tau: complex, size: int) -> np.ndarray:
     # row i of Q(tau) holds tau (i even) or 1/tau (i odd), in column size - 1 - i
-    d = np.full(size, 1.0 / tau, dtype=np.complex128)
-    d[::2] = tau
+    d = np.empty(size, dtype=np.complex128)
+    d[::2], d[1::2] = tau, 1.0 / tau
     return d
 
 
@@ -114,13 +123,13 @@ def verify_mirror_relations(v: VerblunskySequence) -> MirrorRelationReport:
     tau = np.conj(root) if odd else root
     q_tau, q_inv = _reflection_diagonal(tau, v.n + 1), _reflection_diagonal(1.0 / tau, v.n + 1)
     if odd:
-        r1 = float(np.max(np.abs(_reflect(q_inv, m1, q_tau) - mh1)))
-        r2 = float(np.max(np.abs(_reflect(q_tau, m2, q_inv) - mh2)))
-        r3 = float(np.max(np.abs(_reflect(q_tau, u, q_tau) - uh)))
+        r1 = float(np.abs(_reflect(q_inv, m1, q_tau) - mh1).max())
+        r2 = float(np.abs(_reflect(q_tau, m2, q_inv) - mh2).max())
+        r3 = float(np.abs(_reflect(q_tau, u, q_tau) - uh).max())
     else:
-        r1 = float(np.max(np.abs(_reflect(q_inv, m1, q_inv) - mh2)))
-        r2 = float(np.max(np.abs(_reflect(q_tau, m2, q_tau) - mh1)))
-        r3 = float(np.max(np.abs(_reflect(q_tau, u, q_inv) - uh.T)))
+        r1 = float(np.abs(_reflect(q_inv, m1, q_inv) - mh2).max())
+        r2 = float(np.abs(_reflect(q_tau, m2, q_tau) - mh1).max())
+        r3 = float(np.abs(_reflect(q_tau, u, q_inv) - uh.T).max())
     return MirrorRelationReport("odd" if odd else "even", r1, r2, r3)
 
 
@@ -148,14 +157,14 @@ def persymmetric_sign_pattern(v: VerblunskySequence) -> list[int]:
     psi = _laurent_columns(v.node_values, z, v.h)
     tau = np.conj(principal_sqrt_unimodular(v.omega))
     qpsi = _reflection_diagonal(tau, v.n + 1)[:, None] * psi[::-1]  # Q(tau) psi
-    mu = np.sum(np.conj(psi) * qpsi, axis=0) / np.sum(np.abs(psi) ** 2, axis=0)
-    scale = np.maximum(1.0, np.max(np.abs(psi), axis=0))
-    resid = np.max(np.abs(qpsi - mu * psi), axis=0) / scale
+    mu = (np.conj(psi) * qpsi).sum(axis=0) / (np.abs(psi) ** 2).sum(axis=0)
+    scale = np.maximum(1.0, np.abs(psi).max(axis=0))
+    resid = np.abs(qpsi - mu * psi).max(axis=0) / scale
     signs = np.where(np.abs(mu - 1.0) <= SIGN_SLACK, 1, np.where(np.abs(mu + 1.0) <= SIGN_SLACK, -1, 0))
     transport = np.abs(qpsi - signs * psi)  # componentwise, across the middle of the vector
     off = transport > TRANSPORT_RESIDUAL * scale
-    failing = (resid > TRANSPORT_RESIDUAL) | (signs == 0) | np.any(off, axis=0)
-    if np.any(failing):
+    failing = (resid > TRANSPORT_RESIDUAL) | (signs == 0) | off.any(axis=0)
+    if failing.any():
         s = int(np.argmax(failing))
         if resid[s] > TRANSPORT_RESIDUAL:
             raise PersymmetryViolationError(
@@ -167,6 +176,6 @@ def persymmetric_sign_pattern(v: VerblunskySequence) -> list[int]:
         raise PersymmetryViolationError(
             f"node {s}, component {k}: transport identity off by {transport[k, s]:.3e}"
         )
-    if np.any(signs != signs[0] * (-1) ** np.arange(v.n + 1)):
+    if (signs != signs[0] * (-1) ** np.arange(v.n + 1)).any():
         raise PersymmetryViolationError("signs do not alternate from a single epsilon")
     return signs.tolist()

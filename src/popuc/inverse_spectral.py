@@ -66,7 +66,8 @@ def reconstruct_persymmetric(
     system is built forward again; a rebuilt spectrum farther than RESIDUAL
     from the nodes raises it too.
     """
-    thetas = np.sort(wrap_angles(node_angles(nodes)))
+    thetas = wrap_angles(node_angles(nodes))  # a new array, sorted in place
+    thetas.sort()
     count = thetas.size
     if count < 2:
         raise ShapeError("need at least two nodes")
@@ -74,11 +75,11 @@ def reconstruct_persymmetric(
     w = unimodular("omega", omega)
 
     z = unit_points(thetas)
-    closest = float(np.min(np.abs(np.diff(z, prepend=z[-1:]))))  # sorted: the closest pair is adjacent
+    closest = float(np.abs(z - np.concatenate((z[-1:], z[:-1]))).min())  # sorted: the closest pair is adjacent
     if closest <= NODE_SEPARATION:
         raise DegenerateNodesError(f"nodes only {closest:.3e} apart")
     target = (-1.0) ** n_top * np.conj(w)
-    drift = abs(complex(np.prod(z)) - target)
+    drift = abs(complex(z.prod()) - target)
     if drift > NODE_PRODUCT_DRIFT:
         raise SpectrumInconsistencyError(
             f"node product misses (-1)^N / omega by {drift:.3e}"
@@ -86,9 +87,9 @@ def reconstruct_persymmetric(
 
     # weights w_s = sqrt(h_N) exp(log_w[s]) sum to one, which fixes h_N
     log_w = _neg_log_derivative(z)
-    shift = float(np.max(log_w))
+    shift = float(log_w.max())
     scaled = np.exp(log_w - shift)
-    total = float(np.sum(scaled))
+    total = float(scaled.sum())
     log_h_final = float(-2.0 * (shift + np.log(total)))
 
     free = count // 2
@@ -122,7 +123,7 @@ def reconstruct_persymmetric(
         raise NotPersymmetricError(f"recovered data has mirror defect {defect:.3e}")
 
     rebuilt = spectrum(v)
-    spectrum_residual = float(np.max(np.abs(unit_points(rebuilt) - z)))
+    spectrum_residual = float(np.abs(unit_points(rebuilt) - z).max())
     if not spectrum_residual <= RESIDUAL:
         raise NotPersymmetricError(
             f"rebuilt spectrum misses the nodes by {spectrum_residual:.3e} (bound {RESIDUAL:.1e})"

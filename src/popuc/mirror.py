@@ -26,7 +26,7 @@ from .tolerances import SELF_DUAL_DEFECT
 
 def principal_sqrt_unimodular(w: complex) -> complex:
     """exp(i arg(w) / 2) with arg taken in (-pi, pi]."""
-    return complex(np.exp(0.5j * np.angle(w)))
+    return complex(np.exp(0.5j * np.arctan2(w.imag, w.real)))
 
 
 def mirrored(a: np.ndarray, omega: complex) -> np.ndarray:
@@ -41,7 +41,7 @@ def mirror_dual(v: VerblunskySequence) -> VerblunskySequence:
 
 def persymmetry_defect(v: VerblunskySequence) -> float:
     """Max distance between the data and its own mirror dual, max |a - mirrored(a, omega)|."""
-    return float(np.max(np.abs(v.a - mirrored(v.a, v.omega))))
+    return float(np.abs(v.a - mirrored(v.a, v.omega)).max())
 
 
 def is_persymmetric(v: VerblunskySequence) -> bool:
@@ -120,8 +120,8 @@ def _weights_at(theta: np.ndarray, h_final: float) -> np.ndarray:
 def _neg_log_derivative(z: np.ndarray) -> np.ndarray:
     """-log |Phi'_{N+1}(z_s)| = -sum_{j != s} log |z_s - z_j| for the monic Phi_{N+1} with roots z."""
     gaps = np.abs(z[:, None] - z[None, :])
-    np.fill_diagonal(gaps, 1.0)
-    return -np.sum(np.log(gaps), axis=1)
+    gaps.reshape(-1)[:: z.size + 1] = 1.0  # the diagonal, as a view
+    return -np.log(gaps).sum(axis=1)
 
 
 def phi_n_values(
@@ -133,12 +133,14 @@ def phi_n_values(
     """Predicted values of Phi_N at the theta-sorted nodes of a persymmetric system.
 
     Phi_N(z_s) = (-1)^s epsilon omega^(-1/2) exp(i (N-1) theta_s / 2) sqrt(h_N)
-    with the principal square root branch; theta outside [0, 2 pi) raises ShapeError.
+    with the principal square root branch.  omega off the unit circle raises
+    ValueError, theta outside [0, 2 pi) ShapeError.
     """
     if epsilon not in (-1, 1):
         raise ValueError("epsilon must be +1 or -1")
     if not h_final > 0.0:
         raise ValueError("h_final must be positive")
+    omega = unimodular("omega", omega)
     thetas = node_angles(nodes)
     if thetas[0] < 0.0 or thetas[-1] >= TWO_PI:
         raise ShapeError(f"node angles must lie in [0, 2 pi), got {thetas[0]:.17g} .. {thetas[-1]:.17g}")
@@ -146,10 +148,11 @@ def phi_n_values(
 
 
 def _phi_n_at(thetas: np.ndarray, omega: complex, h_final: float, epsilon: int) -> np.ndarray:
-    """``phi_n_values`` at checked, sorted angles in [0, 2 pi) and a positive h_final."""
+    """``phi_n_values`` at checked, sorted angles in [0, 2 pi), a checked complex omega and a positive h_final."""
     n_top = thetas.size - 1  # node count is N + 1
-    signs = np.where(np.arange(thetas.size) % 2 == 0, 1.0, -1.0)
-    inv_half = np.conj(principal_sqrt_unimodular(complex(omega)))
+    signs = np.ones(thetas.size)
+    signs[1::2] = -1.0
+    inv_half = np.conj(principal_sqrt_unimodular(omega))
     return signs * float(epsilon) * inv_half * np.exp(0.5j * (n_top - 1) * thetas) * float(np.sqrt(h_final))
 
 
@@ -182,14 +185,14 @@ def verify_persymmetry_characterizations(v: VerblunskySequence) -> PersymmetryCh
     nodes = spectrum(v)
     h_final = float(v.h[-1])
     w = v.quadrature[1][0]
-    weight_residual = float(np.max(np.abs(w - _weights_at(nodes, h_final))))
+    weight_residual = float(np.abs(w - _weights_at(nodes, h_final)).max())
     phi_n = v.node_values[-1]
-    modulus_residual = float(np.max(np.abs(np.abs(phi_n) - np.sqrt(h_final))))
+    modulus_residual = float(np.abs(np.abs(phi_n) - np.sqrt(h_final)).max())
 
     predicted = _phi_n_at(nodes, v.omega, h_final, 1)  # epsilon = -1 predicts its exact negation
     best_eps, best = 1, np.inf
     for eps, diff in ((1, phi_n - predicted), (-1, phi_n + predicted)):
-        resid = float(np.max(np.abs(diff)))
+        resid = float(np.abs(diff).max())
         if resid < best:
             best_eps, best = eps, resid
     return PersymmetryCharacterizations(weight_residual, modulus_residual, best, best_eps)

@@ -76,8 +76,9 @@ class VerblunskySequence:
     @cached_property
     def h(self) -> np.ndarray:
         """The squared norms h_0 .. h_N, h_0 = 1 and h_{k+1} = h_k (1 - |a_k|^2), read-only."""
-        h = np.ones(self.n + 1)
-        h[1:] = np.cumprod(1.0 - np.abs(self.a) ** 2)
+        h = np.empty(self.n + 1)
+        h[0] = 1.0
+        (1.0 - np.abs(self.a) ** 2).cumprod(out=h[1:])
         h.flags.writeable = False
         return h
 
@@ -100,7 +101,7 @@ class VerblunskySequence:
         order = theta.argsort()
         theta, rows = theta.take(order), rows.take(order, axis=1)
         tied = theta[1:] == theta[:-1]
-        if np.count_nonzero(tied):
+        if tied.any():
             s = int(np.argmax(tied))
             raise SpectralValidityError(
                 f"nodes {s} and {s + 1} coincide in double precision at theta {theta[s]}"
@@ -140,7 +141,7 @@ def _ladder_rows(v: VerblunskySequence) -> Iterator[np.ndarray]:
     scratch = np.empty_like(row)
     subtract, multiply, conjugate = np.subtract, np.multiply, np.conjugate  # looked up once, not per rung
     with np.errstate(over="raise", invalid="raise"):
-        for k, conj_a_k in enumerate(np.conj(np.append(v.a, v.omega)).tolist()):
+        for k, conj_a_k in enumerate(np.conj(v.a).tolist() + [v.omega.conjugate()]):
             phi, tmp, lower = row[-k - 1 :], scratch[: k + 1], row[-k - 2 : -1]
             yield phi
             try:  # z Phi_k - conj(a_k) Phi_k^*
@@ -177,13 +178,13 @@ def unimodular(name: str, value: complex) -> complex:
     return w
 
 
-def inside_disc(name: str, values: "complex | np.ndarray") -> None:
+def inside_disc(name: str, values: "np.complex128 | np.ndarray") -> None:
     """ValueError naming the value (``name_k`` in an array) unless |value| < 1 - VERBLUNSKY_MARGIN."""
-    mags = np.abs(np.ravel(values))
+    mags = np.abs(values.ravel())
     inside = mags < 1.0 - VERBLUNSKY_MARGIN  # NaN fails too
     if not inside.all():
         k = int(np.argmin(inside))
-        label = f"{name}_{k}" if np.ndim(values) else name
+        label = f"{name}_{k}" if values.ndim else name
         raise ValueError(f"|{label}| = {float(mags[k])!r} must stay strictly inside the unit disc")
 
 
@@ -383,7 +384,7 @@ def paraorthogonality_residual(v: VerblunskySequence) -> float:
     for top in _ladder_rows(v):
         pass
     resid = np.conj(top[::-1]) + v.omega * top
-    return float(np.max(np.abs(resid))) / max(1.0, float(np.max(np.abs(top))))
+    return float(np.abs(resid).max()) / max(1.0, float(np.abs(top).max()))
 
 
 def orthogonality_residual(v: VerblunskySequence, data: SpectralData) -> float:

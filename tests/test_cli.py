@@ -17,12 +17,18 @@ from popuc import (
     cmv_matrix,
     factors,
     krawtchouk_family,
+    make_persymmetric,
     mirror_dual,
+    persymmetric_sign_pattern,
+    reconstruct_persymmetric,
     spectrum,
     unit_points,
+    verify_mirror_relations,
+    verify_persymmetry_characterizations,
     weights,
 )
 from popuc.cli import _array, main
+from popuc.tolerances import MIRROR_RELATIONS, PERSYMMETRY_IDENTITIES, RESIDUAL
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -672,3 +678,34 @@ def test_check_all_solves_and_runs_the_ladder_once(capsys, monkeypatch, self_dua
     assert [args[0].a.tolist() for args in builds] == [v.a.tolist(), v.a.tolist(), mirror_dual(v).a.tolist()]
     assert set(vars(system)) <= KEPT
 
+
+# numpy's Python-level wrappers of an ndarray method or a ufunc, each as slow as the C call it forwards to
+NUMPY_WRAPPERS = ("max", "min", "sum", "prod", "any", "all", "angle", "diff", "fill_diagonal", "cumprod",
+                  "ravel", "count_nonzero", "full", "sort")
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_self_dual_path_calls_no_numpy_wrapper(capsys, monkeypatch, n):
+    for name in NUMPY_WRAPPERS:
+        def refuse(*args, name=name, **kwargs):
+            raise AssertionError(f"np.{name} called")
+
+        monkeypatch.setattr(np, name, refuse)
+    rng = np.random.default_rng(n)
+    free = 0.8 * rng.uniform(size=n // 2) * np.exp(2j * np.pi * rng.uniform(size=n // 2))
+    arg = float(rng.uniform(-np.pi, np.pi))
+    v = make_persymmetric(free, complex(np.exp(1j * arg)), 0.3 if n % 2 else None)
+    theta = spectrum(v)
+    assert verify_persymmetry_characterizations(v).max_residual <= PERSYMMETRY_IDENTITIES
+    assert verify_mirror_relations(v).max_residual <= MIRROR_RELATIONS
+    if n % 2:
+        assert len(persymmetric_sign_pattern(v)) == n + 1
+    assert np.abs(reconstruct_persymmetric(theta, v.omega).v.a - v.a).max() <= RESIDUAL
+    doc = _verblunsky_doc(v)
+    commands = (
+        ("check", "--verblunsky", doc, "--all"),
+        ("generate", "--verblunsky", doc, "--emit", "all"),
+        ("reconstruct", "--spectrum", json.dumps(theta.tolist()), "--omega-arg", repr(arg)),
+    )
+    for argv in commands:
+        assert run(capsys, *argv)[::2] == (0, "")

@@ -217,6 +217,23 @@ def test_laurent_pattern_for_monomials():
     assert np.allclose(psi, expected)
 
 
+def test_laurent_eigenvectors_read_a_list_of_points():
+    v = random_verblunsky(np.random.default_rng(45), 6)
+    got = laurent_eigenvectors(v, [1 + 0j, 1j])
+    assert got.tobytes() == laurent_eigenvectors(v, np.array([1 + 0j, 1j])).tobytes()
+
+
+def test_laurent_eigenvectors_reject_points_off_the_circle():
+    # the columns take conj(z) for 1/z, which holds only on the circle
+    v = random_verblunsky(np.random.default_rng(46), 6)
+    with pytest.raises(ValueError, match=r"^z\[1\] = \(1\.1\+0j\) is not unimodular$"):
+        laurent_eigenvectors(v, np.array([1.0, 1.1, 2.0]))
+    with pytest.raises(ValueError, match=r"^z\[0\] = \(nan\+0j\) is not unimodular$"):
+        laurent_eigenvectors(v, np.array([np.nan]))
+    with pytest.raises(ShapeError, match=r"one-dimensional array, got shape \(1, 1\)$"):
+        laurent_eigenvectors(v, np.array([[1 + 0j]]))
+
+
 def test_quasi_reflection_layout():
     q = quasi_reflection(3, 1j)
     expected = np.zeros((4, 4), dtype=complex)

@@ -39,6 +39,15 @@ def test_principal_sqrt():
     assert np.isclose(principal_sqrt_unimodular(np.exp(-0.1j)), np.exp(-0.05j))
 
 
+def test_principal_sqrt_is_the_half_angle_exponential_bit_for_bit():
+    rng = np.random.default_rng(31)
+    omegas = np.exp(1j * rng.uniform(-np.pi, np.pi, 10_000)).tolist()
+    omegas += [1 + 0j, -1 + 0j, 1j, -1j, complex(-1.0, -0.0)]  # the seam: -1 - 0j has arg -pi
+    got = np.array([principal_sqrt_unimodular(w) for w in omegas])
+    want = np.array([complex(np.exp(0.5j * np.angle(w))) for w in omegas])
+    assert got.tobytes() == want.tobytes()
+
+
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**32 - 1))
 def test_dual_is_an_involution(n, seed):
     rng = np.random.default_rng(seed)
@@ -210,6 +219,12 @@ def test_phi_values_match_recurrence():
 def test_phi_values_take_a_sign():
     with pytest.raises(ValueError, match="epsilon must be"):
         phi_n_values(np.array([0.5, 2.0, 4.0]), 1.0, 0.5, epsilon=0)
+
+
+def test_phi_values_gate_omega():
+    # every other public entry point rejects this omega through ``unimodular``
+    with pytest.raises(ValueError, match=r"^omega = \(2\+0j\) is not unimodular$"):
+        phi_n_values(np.array([1.0, 2.0]), 2.0, 0.5, 1)
 
 
 @pytest.mark.parametrize("turn", [-1.0, 1.0])
