@@ -7,27 +7,16 @@ verifiers, and persymmetric systems can be reconstructed from their
 spectrum alone.
 """
 
-from .complex_poly import (
-    UnitCirclePoint,
-    from_roots,
-    lagrange_interpolate,
-    node_angles,
-    roots,
-    unit_points,
-)
+from .complex_poly import unit_points
 from .cmv import (
     MirrorRelationReport,
-    cmv_matrix,
-    factors,
     laurent_eigenvectors,
     persymmetric_sign_pattern,
     quasi_reflection,
-    theta_block,
     unitarity_residual,
     verify_mirror_relations,
 )
 from .errors import (
-    ConvergenceError,
     DegenerateNodesError,
     NotPersymmetricError,
     PersymmetryViolationError,
@@ -66,17 +55,18 @@ from .mirror import (
 from .opuc_core import (
     SpectralData,
     VerblunskySequence,
-    build_system,
+    cmv_matrix,
+    factors,
     orthogonality_residual,
     paraorthogonality_residual,
     spectrum,
+    theta_block,
     weights,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvergenceError",
     "DegenerateNodesError",
     "FamilyInstance",
     "MirrorRelationReport",
@@ -90,18 +80,14 @@ __all__ = [
     "SpectralValidityError",
     "SpectrumInconsistencyError",
     "SzegoClassError",
-    "UnitCirclePoint",
     "VerblunskySequence",
     "WeightError",
-    "build_system",
     "cmv_matrix",
     "dual_weights",
     "factors",
     "free_family",
-    "from_roots",
     "is_persymmetric",
     "krawtchouk_family",
-    "lagrange_interpolate",
     "laurent_eigenvectors",
     "make_persymmetric",
     "mirror_dual",
@@ -114,12 +100,12 @@ __all__ = [
     "principal_sqrt_unimodular",
     "quasi_reflection",
     "reconstruct_persymmetric",
-    "roots",
     "single_moment",
     "single_moment_dual",
     "single_moment_persymmetric",
     "spectrum",
     "theta_block",
+    "unit_points",
     "unitarity_residual",
     "verify_family",
     "verify_mirror_relations",

@@ -7,12 +7,12 @@ checks here take the coefficient list and read the nodes and ladder values
 it keeps, or build its factors where they read them; they apply Q(tau),
 which ``quasi_reflection`` returns as a plain matrix, as a scaled reversal.
 The builder (``theta_block``, ``factors``, ``cmv_matrix``) lives in
-``opuc_core`` and is re-exported here.  Two entry conventions for the 2x2
-rotation blocks circulate in the literature, differing by conjugation of
-the coefficient.  The one built (conjugated coefficient on the upper-left,
-plain negated coefficient on the lower-right, scalar tail conj(omega)) is
-the one that reproduces the spectrum; the calibration test demonstrates the
-other choice produces the conjugate system.
+``opuc_core``.  Two entry conventions for the 2x2 rotation blocks circulate
+in the literature, differing by conjugation of the coefficient.  The one
+built (conjugated coefficient on the upper-left, plain negated coefficient
+on the lower-right, scalar tail conj(omega)) is the one that reproduces the
+spectrum; the calibration test demonstrates the other choice produces the
+conjugate system.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ import numpy as np
 from .complex_poly import unit_points
 from .errors import PersymmetryViolationError, ShapeError
 from .mirror import _persymmetry_gate, mirror_dual, principal_sqrt_unimodular
-from .opuc_core import VerblunskySequence, ladder_values, spectrum, unimodular
-from .opuc_core import cmv_matrix, factors, theta_block  # noqa: F401  (public names of this module)
+from .opuc_core import VerblunskySequence, factors, ladder_values, spectrum, unimodular
 from .tolerances import SIGN_SLACK, TRANSPORT_RESIDUAL, UNIMODULAR
 
 

@@ -5,8 +5,8 @@ Nodes travel through the pipeline as a float64 array of angles theta.
 increasing), ``wrap_angles`` the one convention for where an angle lies ([0, 2 pi),
 seam at 0), and ``unit_points`` turns angles into cos theta + i sin theta.
 ``roots``, ``from_roots`` and ``lagrange_interpolate`` work on ascending
-coefficient arrays.  No pipeline stage calls them, nor builds a
-``UnitCirclePoint``; both stay because ``bench/`` reads them by name.
+coefficient arrays.  No pipeline stage calls them, nor builds a ``UnitCirclePoint``;
+``popuc`` does not export them, and they stay because ``bench/`` reads them here.
 ``roots`` takes the eigenvalues of the companion matrix.
 """
 
@@ -24,7 +24,7 @@ from .tolerances import NODE_SEPARATION, RESIDUAL, UNIMODULAR
 TWO_PI = 2.0 * np.pi
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class UnitCirclePoint:
     """Point exp(i*theta) on the unit circle; theta is kept in [0, 2*pi)."""
 
@@ -38,9 +38,6 @@ class UnitCirclePoint:
         if t >= TWO_PI:  # the modulo can land exactly on the seam in floats
             t -= TWO_PI
         object.__setattr__(self, "theta", t)
-
-    def __complex__(self) -> complex:
-        return complex(np.cos(self.theta), np.sin(self.theta))
 
 
 def node_angles(nodes: "np.ndarray | Sequence[float] | Sequence[UnitCirclePoint]") -> np.ndarray:

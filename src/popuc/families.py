@@ -63,6 +63,8 @@ def free_family(n: int, nu: float = 0.0) -> FamilyInstance:
         raise ValueError(f"nu = {nu!r} must be finite")
     nu = math.fmod(nu, 1.0)  # exact, so s - nu below keeps s however large nu was
     omega = complex(np.exp(2j * np.pi * nu))
+    if (4.0 * nu).is_integer():  # quarter turns: 1, i, -1 or -i exactly, +0.0 parts, so real data stay real
+        omega = complex(round(omega.real), round(omega.imag))
     v = VerblunskySequence(np.zeros(n, dtype=np.complex128), omega)
     nodes = np.sort(wrap_angles(TWO_PI * (np.arange(n + 1) - nu) / (n + 1)))
     w = np.full(n + 1, 1.0 / (n + 1))

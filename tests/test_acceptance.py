@@ -36,7 +36,7 @@ from popuc import (
     verify_persymmetry_characterizations,
     weights,
 )
-from popuc.cmv import factors
+from popuc.opuc_core import factors
 from popuc.complex_poly import unit_points
 from popuc.families import _krawtchouk_ladder
 

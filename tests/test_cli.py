@@ -27,7 +27,7 @@ from popuc import (
     verify_persymmetry_characterizations,
     weights,
 )
-from popuc.cli import _array, main
+from popuc.cli import _array, _canonical, main
 from popuc.tolerances import MIRROR_RELATIONS, PERSYMMETRY_IDENTITIES, RESIDUAL
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -142,8 +142,10 @@ def test_check_rejects_bad_coefficient(capsys):
         ('{"a": [[0.1, 0]], "omega": []}', "omega is [], not a pair [re, im] of numbers"),
         ('{"a": [[0.1, 0]], "omega": [1, 0, 5]}', "omega is [1, 0, 5], not a pair [re, im] of numbers"),
         ('{"a": [[false, 0]], "omega": [1, 0]}', "a[0][0] is false, not a number"),
+        ('{"a": [["a", 0]], "omega": [1, 0]}', 'a[0][0] is "a", not a number'),
+        ('{"a": 5, "omega": [1, 0]}', "a is 5, not a list of [re, im] pairs"),
     ],
-    ids=["omega_one_entry", "omega_empty", "omega_three_entries", "a_bool"],
+    ids=["omega_one_entry", "omega_empty", "omega_three_entries", "a_bool", "a_string", "a_number"],
 )
 def test_check_names_a_malformed_coefficient_field(capsys, doc, message):
     code, out, err = run(capsys, "check", "--verblunsky", doc)
@@ -276,6 +278,35 @@ def test_nan_nu_is_invalid_input_that_names_nu(capsys):
     code, out, err = run(capsys, "generate", "--family", "free", "--n", "3", "--nu", "nan")
     assert (code, out) == (2, "")
     assert err.startswith("invalid input: nu = nan must be finite")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--family", "krawtchouk", "--n", "3", "--omega-arg=inf"],
+        ["reconstruct", "--spectrum", "[0.1, 2.0]", "--omega-arg=-inf"],
+    ],
+    ids=["generate_inf", "reconstruct_minus_inf"],
+)
+def test_infinite_omega_arg_is_invalid_input_before_numpy_warns(capsys, argv):
+    # exp(i inf) would warn "invalid value encountered in exp", an error under this suite's filter
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"invalid input: omega-arg = {argv[-1].split('=')[1]} must be finite\n")
+
+
+@pytest.mark.parametrize("error", [TypeError, KeyError])
+def test_a_fault_inside_a_command_is_not_reported_as_invalid_input(capsys, monkeypatch, error):
+    def fault(*_args, **_kwargs):
+        raise error("a fault in the program")
+
+    monkeypatch.setattr("popuc.cli.spectrum", fault)
+    with pytest.raises(error, match="a fault in the program"):
+        main(["generate", "--family", "free", "--n", "3"])
+
+
+def test_free_family_at_a_half_turn_prints_an_exact_omega(capsys):
+    code, out, _ = run(capsys, "generate", "--family", "free", "--n", "3", "--nu", "0.5", "--emit", "phis")
+    assert code == 0 and '"omega":[-1,0]' in out
 
 
 def test_reconstruct_missing_file(capsys):
@@ -452,9 +483,10 @@ def test_bad_json_input(capsys):
     assert code == 2
     code, _, err = run(capsys, "generate", "--verblunsky", "{not json")
     assert code == 2
-    code, out, err = run(capsys, "reconstruct", "--spectrum", '{"x": 1}', "--omega-arg", "0")
-    assert (code, out) == (2, "")
-    assert err.startswith("invalid input:") and "list of angles" in err
+    for doc in ('{"x": 1}', '{"theta": 5}'):
+        code, out, err = run(capsys, "reconstruct", "--spectrum", doc, "--omega-arg", "0")
+        assert (code, out) == (2, "")
+        assert err.startswith("invalid input:") and "list of angles" in err
 
 
 def test_unknown_family_rejected(capsys):
@@ -528,6 +560,25 @@ GOLDEN_TINY_PHIS = (
     '"verblunsky":{"a":[[-0,5.0000000000000001e-301],[0.5,-0]],"omega":[1,0]}},'
     '"schema_version":"3"}\n'
 )
+
+
+def test_canonical_renders_each_kind_a_document_holds():
+    doc = {
+        "array": np.array([0.5, -0.0]),
+        "float": 0.1,
+        "complex": complex(1.0, -0.0),
+        "list": [True, False],
+        "int": 3,
+        "str": "odd",
+    }
+    expected = '{"array":[0.5,-0],"complex":[1,-0],"float":0.10000000000000001,"int":3,"list":[true,false],"str":"odd"}'
+    assert _canonical(doc) == expected
+
+
+@pytest.mark.parametrize("value, kind", [(np.float64(0.5), "float64"), ((1, 2), "tuple"), (None, "NoneType")])
+def test_canonical_rejects_a_kind_no_document_holds(value, kind):
+    with pytest.raises(TypeError, match=f"no canonical JSON form for {kind}$"):
+        _canonical({"payload": [value]})
 
 
 def test_canonical_output_is_byte_exact(capsys):

@@ -136,6 +136,19 @@ def test_free_family_keeps_its_nodes_at_large_nu(nu):
     assert np.allclose(fam.closed_form_nodes, free_family(4, turn).closed_form_nodes, rtol=0.0, atol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "nu, parts",
+    [(0.25, (0.0, 1.0)), (0.5, (-1.0, 0.0)), (0.75, (0.0, -1.0)), (-0.5, (-1.0, 0.0)), (1e12 + 0.5, (-1.0, 0.0))],
+)
+def test_free_family_omega_is_exact_at_quarter_turns(nu, parts):
+    # exp(2 pi i nu) leaves about 1e-16 in the part that should be 0; each 0 here is +0.0
+    fam = free_family(5, nu)
+    omega = fam.v.omega
+    assert (omega.real, omega.imag) == parts
+    assert np.signbit([omega.real, omega.imag]).tolist() == np.signbit(parts).tolist()
+    _assert_clean(verify_family(fam), bound=1e-14)
+
+
 @FAMILIES
 def test_closed_form_nodes_are_one_sorted_read_only_theta_array(make):
     nodes = make().closed_form_nodes

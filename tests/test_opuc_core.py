@@ -414,8 +414,9 @@ def test_real_data_is_solved_in_real_arithmetic(monkeypatch):
     # U is real orthogonal for real a and omega = +-1, so its eigh runs on float64
     calls = count_calls(monkeypatch, np.linalg, "eigh")
     spectrum(single_moment(5).v)
+    spectrum(free_family(5, 0.5).v)  # omega = -1 exactly, not exp(i pi) with its 1.2e-16 imaginary part
     spectrum(random_verblunsky(np.random.default_rng(5), 5))
-    assert [args[0].dtype for args in calls] == [np.float64, np.complex128]
+    assert [args[0].dtype for args in calls] == [np.float64, np.float64, np.complex128]
 
 
 @pytest.mark.parametrize("n", [*range(1, 41), 64, 128, 256])
