@@ -16,6 +16,7 @@ import numpy as np
 from popuc import (
     VerblunskySequence,
     cmv_matrix,
+    factors,
     free_family,
     krawtchouk_family,
     laurent_eigenvectors,
@@ -33,6 +34,7 @@ from popuc import (
     verify_persymmetry_characterizations,
     weights,
 )
+from popuc.opuc_core import symmetric_form
 from popuc.tolerances import (
     MIRROR_RELATIONS,
     ORTHOGONALITY,
@@ -47,6 +49,40 @@ def random_verblunsky(rng, n, max_mag=0.85):
     args = rng.uniform(0.0, 2.0 * np.pi, size=n)
     omega = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
     return VerblunskySequence(mags * np.exp(1j * args), omega)
+
+
+def symmetric_form_residual(v):
+    """Worst of |W W^T - M1|, |S - S^T|, W's unitarity and |U conj(W) - conj(W) S| for v's symmetric form."""
+    m1, m2 = factors(v)
+    w, s = symmetric_form(v)
+    u = m2 @ m1
+    return max(
+        float(np.max(np.abs(w @ w.T - m1))),
+        float(np.max(np.abs(s - s.T))),
+        unitarity_residual(w),
+        float(np.max(np.abs(u @ w.conj() - w.conj() @ s))),
+    )
+
+
+def symmetric_form_rows(n_values):
+    """The symmetric form of the five families, and the nodes that its solve gives complex data, at each n."""
+    rows = []
+    for n in n_values:
+        families = (
+            free_family(n, nu=0.3),
+            single_moment(n),
+            single_moment_dual(n),
+            single_moment_persymmetric(n),
+            krawtchouk_family(n, np.exp(0.9j)),
+        )
+        worst = max(symmetric_form_residual(inst.v) for inst in families)
+        nodes = max(
+            float(np.max(np.abs(unit_points(spectrum(inst.v)) - unit_points(inst.closed_form_nodes))))
+            for inst in families
+        )
+        rows.append((f"symmetric form, five families n={n}", worst, RESIDUAL))
+        rows.append((f"nodes against the closed form, five families n={n}", nodes, RESIDUAL))
+    return rows
 
 
 def family_rows(n_values):
@@ -72,6 +108,7 @@ def random_rows(seed, count, n_max):
         "cmv unitarity": 0.0,
         "cmv eigenpairs": 0.0,
         "mirror relations": 0.0,
+        "symmetric form": 0.0,
     }
     for _ in range(count):
         v = random_verblunsky(rng, int(rng.integers(1, n_max + 1)))
@@ -91,12 +128,14 @@ def random_rows(seed, count, n_max):
         worst["mirror relations"] = max(
             worst["mirror relations"], verify_mirror_relations(v).max_residual
         )
+        worst["symmetric form"] = max(worst["symmetric form"], symmetric_form_residual(v))
     bounds = {
         "orthogonality": ORTHOGONALITY,
         "paraorthogonality": PARAORTHOGONALITY,
         "cmv unitarity": RESIDUAL,
         "cmv eigenpairs": RESIDUAL,
         "mirror relations": MIRROR_RELATIONS,
+        "symmetric form": RESIDUAL,
     }
     return [(f"random ({count} draws, n <= {n_max}): {k}", v, bounds[k]) for k, v in worst.items()]
 
@@ -128,6 +167,7 @@ def main():
 
     rows = []
     rows.extend(family_rows((2, 5, 9)))
+    rows.extend(symmetric_form_rows((20, 64, 255)))
     rows.extend(random_rows(args.seed, args.count, args.n_max))
     rows.extend(persymmetric_rows(args.seed + 1, args.count, args.n_max))
 

@@ -64,8 +64,6 @@ from .opuc_core import (
     weights,
 )
 
-__version__ = "0.1.0"
-
 __all__ = [
     "DegenerateNodesError",
     "FamilyInstance",

@@ -29,7 +29,18 @@ from .tolerances import SIGN_SLACK, TRANSPORT_RESIDUAL, UNIMODULAR
 
 
 def unitarity_residual(m: np.ndarray) -> float:
-    """Max deviation of m* m from the identity."""
+    """Max deviation of m* m from the identity.
+
+    m must be a square two-dimensional array (else ShapeError) of finite
+    entries (else ValueError naming the first entry that is not).
+    """
+    m = np.asarray(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ShapeError(f"need a square matrix, got shape {m.shape}")
+    finite = np.isfinite(m)
+    if not finite.all():
+        i, j = np.unravel_index(np.argmin(finite), m.shape)
+        raise ValueError(f"m[{i}, {j}] = {m[i, j].item()!r} is not finite")
     eye = np.eye(m.shape[0], dtype=np.complex128)
     return float(np.abs(np.conj(m.T) @ m - eye).max())
 

@@ -15,7 +15,11 @@ the weight of node s is |V[0, s]|^2 for the unit eigenvector v_s, the
 unit-circle Golub-Welsch rule.  U is normal, so one Hermitian eigen-solve of
 U + U^H gives V (``eigen_rows``); row N of |V|^2 holds the weights of the
 mirror dual.  Real data (real a_k, omega = +-1) give a real orthogonal U,
-which ``eigen_rows`` solves in real arithmetic.
+which ``eigen_rows`` solves in real arithmetic.  Complex lists of at least
+SYMMETRIC_SOLVE_N coefficients are solved in float64 too: M1 and M2 are
+complex symmetric, so U is unitarily similar to the complex symmetric unitary
+S = W^T M2 W, M1 = W W^T, whose real part one real ``eigh`` diagonalises
+(``symmetric_rows``).
 
 The coefficient list is the system.  A ``VerblunskySequence`` builds its
 squared norms, solves U and runs the ladder at its own nodes once, however
@@ -42,6 +46,11 @@ import numpy as np
 from .complex_poly import UnitCirclePoint, node_angles, unit_points, wrap_angles
 from .errors import ShapeError, SpectralValidityError, WeightError
 from .tolerances import EIGEN_CLUSTER, SPECTRUM_RADIUS, UNIMODULAR, VERBLUNSKY_MARGIN, WEIGHT_SUM
+
+# Complex lists of at least this many coefficients are solved in float64 by
+# ``symmetric_rows``; below it the complex ``eigh`` of ``eigen_rows`` costs less
+# than forming S (the timing sweep is in CHANGES.md).
+SYMMETRIC_SOLVE_N = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,14 +95,19 @@ class VerblunskySequence:
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         """(theta, rows): the node angles sorted in [0, 2 pi), and rows 0 and N of |V|^2 in their order.
 
-        Both come from one ``eigen_rows`` of the CMV matrix U.  Row 0 holds
+        Both come from one solve of the CMV matrix U: ``symmetric_rows`` for a
+        list with a non-zero imaginary part in some a_k or in omega and at
+        least SYMMETRIC_SOLVE_N coefficients, else ``eigen_rows``.  Row 0 holds
         the weights, row N the weights of the mirror dual; both arrays are
         read-only.  An eigenvalue whose radius drifts from one by more than
         SPECTRUM_RADIUS raises SpectralValidityError.  The angles pass
         ``wrap_angles``, so a node on the seam sorts first; two nodes equal in
         double precision raise SpectralValidityError naming the pair.
         """
-        lam, rows = eigen_rows(cmv_matrix(self))
+        if self.n >= SYMMETRIC_SOLVE_N and (self.a.imag.any() or self.omega.imag):
+            lam, rows = symmetric_rows(self)
+        else:
+            lam, rows = eigen_rows(cmv_matrix(self))
         drift = float(np.abs(np.abs(lam) - 1.0).max())
         if not drift <= SPECTRUM_RADIUS:
             raise SpectralValidityError(f"eigenvalue radius off the circle by {drift:.3e}")
@@ -258,7 +272,81 @@ def eigen_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     uv = u @ vec
     lam = np.vecdot(vec, uv, axis=0).astype(np.complex128, copy=False)
     edge = vec[:: vec.shape[0] - 1].astype(np.complex128, copy=False)  # rows 0 and N; a view for complex u
-    close = c[1:] - c[:-1] < 2.0 * EIGEN_CLUSTER  # column k clusters with column k + 1
+    return _split_close(c[1:] - c[:-1] < 2.0 * EIGEN_CLUSTER, vec, uv, lam, edge)
+
+
+def symmetric_form(v: VerblunskySequence) -> tuple[np.ndarray, np.ndarray]:
+    """(W, S): a block-diagonal unitary W with W W^T = M1, and the complex symmetric unitary S = W^T M2 W.
+
+    M1 and M2 of ``factors`` are complex symmetric, so U = M2 M1 = conj(W) S W^T
+    is unitarily similar to S, and ``symmetric_rows`` solves U through S.  The
+    dense reference form that tests and ``scripts/verify_identities.py`` check;
+    the solve reads W's blocks from ``_symmetric_blocks`` and never forms W.
+    """
+    wt, last, s = _symmetric_blocks(v)
+    return _rows_by_blocks(np.eye(v.n + 1, dtype=np.complex128), wt, last).T, s
+
+
+def _symmetric_blocks(v: VerblunskySequence) -> tuple[np.ndarray, "complex | None", np.ndarray]:
+    """(wt, last, S): the 2x2 blocks of W^T, W's trailing scalar (None at even n) and S = W^T M2 W.
+
+    W has M1's block pattern.  Its leading entry is 1.  In place of each
+    block theta_block(conj a) of M1, with a = x + iy and rho = sqrt(1 - |a|^2),
+    it has R(psi / 2) diag(e^{-i phi / 2}, i e^{i phi / 2}), where
+    psi = atan2(rho, x) and phi = atan2(y, hypot(x, rho)).  At odd n the
+    trailing conj(omega) of M1 becomes sqrt(conj(omega)).  S costs O(n^2): W^T
+    mixes the rows of M2 two at a time, then the rows of the transpose.
+    """
+    a = v.a[1::2]
+    rho = np.sqrt(1.0 - np.abs(a) ** 2)  # as in ``factors``
+    half = 0.5 * np.arctan2(rho, a.real)
+    cos, sin = np.cos(half), np.sin(half)
+    d0 = np.exp(-0.5j * np.arctan2(a.imag, np.hypot(a.real, rho)))
+    d1 = 1j * d0.conj()
+    wt = np.empty((a.size, 2, 2), dtype=np.complex128)
+    wt[:, 0, 0], wt[:, 0, 1], wt[:, 1, 0], wt[:, 1, 1] = cos * d0, sin * d0, -sin * d1, cos * d1
+    last = np.sqrt(v.omega.conjugate()) if v.n % 2 else None
+    m2 = _rows_by_blocks(factors(v)[1], wt, last)  # W^T M2
+    return wt, last, _rows_by_blocks(m2.T.copy(), wt, last)  # W^T (W^T M2)^T, as M2 is symmetric
+
+
+def _rows_by_blocks(x: np.ndarray, wt: np.ndarray, last: "complex | None") -> np.ndarray:
+    """x, its rows 2j + 1 and 2j + 2 replaced in place by wt[j] times them, and its last row times last unless None."""
+    k = wt.shape[0]
+    pairs = x[1 : 2 * k + 1].reshape(k, 2, x.shape[1])
+    pairs[...] = wt @ pairs
+    if last is not None:
+        x[-1] *= last
+    return x
+
+
+def symmetric_rows(v: VerblunskySequence) -> tuple[np.ndarray, np.ndarray]:
+    """``eigen_rows`` of v's CMV matrix U = conj(W) S W^T in float64, through ``_symmetric_blocks``.
+
+    S is complex symmetric and unitary, so Re S and Im S are commuting real
+    symmetric matrices with one real orthogonal eigenbasis O: one real
+    ``eigh`` of Re S gives cos theta_s and O, and conj(W) O holds the unit
+    eigenvectors of U.  Row 0 of W is e_0, so row 0 of conj(W) O is O[0];
+    row N mixes rows N - 1 and N of O by W's last block at even n, and is
+    O[N] times a phase, which |.|^2 drops, at odd n.  The eigenvalues are the
+    Rayleigh quotients diag(O^T S O), from one real product of O^T with S
+    read as interleaved real and imaginary columns.  Clusters in cos theta
+    are split on S as ``eigen_rows`` splits them on U.
+    """
+    wt, last, s = _symmetric_blocks(v)
+    c, o = np.linalg.eigh(s.real)
+    so = (o.T @ s.view(np.float64)).view(np.complex128).T  # (O^T S)^T = S O, S symmetric
+    lam = np.vecdot(o, so, axis=0)
+    edge = o[:: o.shape[0] - 1].astype(np.complex128)  # rows 0 and N of O
+    if last is None:
+        edge[1] = wt[-1, :, 1].conj() @ o[-2:]  # W[N, N-1:] is column 1 of W^T's last block
+    return _split_close(c[1:] - c[:-1] < EIGEN_CLUSTER, o, so, lam, edge)
+
+
+def _split_close(
+    close: np.ndarray, vec: np.ndarray, uv: np.ndarray, lam: np.ndarray, edge: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, |edge|^2) once u is diagonalised again where ``close`` links column k with column k + 1."""
     if close.any():
         if (close[1:] & close[:-1]).any():
             _split_clusters(vec, uv, close, lam, edge)

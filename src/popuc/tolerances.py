@@ -10,7 +10,7 @@ NODE_SEPARATION = 1e-12     # minimum pairwise node distance
 WEIGHT_SUM = 1e-9           # slack on sum of weights = 1
 SPECTRUM_RADIUS = 1e-7      # eigenvalue radius slack before a spectrum is rejected
 VERBLUNSKY_MARGIN = 1e-12   # strictness margin for |a| < 1
-EIGEN_CLUSTER = 1e-6        # cos theta gap below which eigenvectors of (U + U^H)/2 are split again on U
+EIGEN_CLUSTER = 1e-6        # cos theta gap below which eigenvectors of (U + U^H)/2 (or Re S) are split again on U (or S)
 
 # pass bounds of ``popuc check``
 ORTHOGONALITY = 1e-8            # weighted Gram matrix versus diag(h)

@@ -89,6 +89,24 @@ def test_factor_layout_even():
     assert unitarity_residual(m2) <= 1e-14
 
 
+@pytest.mark.parametrize(
+    "m, error, message",
+    [
+        (np.ones((3, 2)), ShapeError, r"^need a square matrix, got shape \(3, 2\)$"),
+        (np.ones(3), ShapeError, r"^need a square matrix, got shape \(3,\)$"),
+        (np.ones((2, 2, 2)), ShapeError, r"^need a square matrix, got shape \(2, 2, 2\)$"),
+        (np.array([[1.0, 0.0], [np.nan, 1.0]]), ValueError, r"^m\[1, 0\] = nan is not finite$"),
+        (np.array([[1.0, np.inf], [np.nan, 1.0]], dtype=complex), ValueError, r"^m\[0, 1\] = \(inf\+0j\) is not finite$"),
+    ],
+    ids=["3x2", "1d", "3d", "nan", "inf_before_nan"],
+)
+def test_unitarity_residual_checks_its_input(m, error, message):
+    # a non-square array used to raise numpy's unrelated broadcast error or, in
+    # one dimension, return 3.0; a NaN entry used to come back as nan
+    with pytest.raises(error, match=message):
+        unitarity_residual(m)
+
+
 def test_free_cmv_is_a_permutation():
     v = VerblunskySequence(np.zeros(3, dtype=complex), 1.0)
     u = cmv_matrix(v)

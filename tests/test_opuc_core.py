@@ -14,6 +14,7 @@ from popuc import (
     WeightError,
     cmv_matrix,
     dual_weights,
+    factors,
     free_family,
     make_persymmetric,
     orthogonality_residual,
@@ -29,12 +30,13 @@ from popuc import (
     spectrum,
     krawtchouk_family,
     theta_block,
+    unitarity_residual,
     verify_mirror_relations,
     verify_persymmetry_characterizations,
     weights,
 )
 from popuc.complex_poly import node_angles, unit_points, wrap_angles
-from popuc.opuc_core import eigen_rows, ladder_values
+from popuc.opuc_core import SYMMETRIC_SOLVE_N, eigen_rows, ladder_values, symmetric_form, symmetric_rows
 from popuc.tolerances import SPECTRUM_RADIUS
 
 
@@ -412,11 +414,84 @@ def test_single_moment_pairs_split_to_closed_form(n):
 
 def test_real_data_is_solved_in_real_arithmetic(monkeypatch):
     # U is real orthogonal for real a and omega = +-1, so its eigh runs on float64
+    # at every n; a complex list runs the complex eigh of U + U^H below
+    # SYMMETRIC_SOLVE_N and the float64 eigh of Re S from it on
     calls = count_calls(monkeypatch, np.linalg, "eigh")
     spectrum(single_moment(5).v)
     spectrum(free_family(5, 0.5).v)  # omega = -1 exactly, not exp(i pi) with its 1.2e-16 imaginary part
     spectrum(random_verblunsky(np.random.default_rng(5), 5))
     assert [args[0].dtype for args in calls] == [np.float64, np.float64, np.complex128]
+    calls.clear()
+    rng = np.random.default_rng(6)
+    spectrum(random_verblunsky(rng, SYMMETRIC_SOLVE_N - 1))
+    spectrum(random_verblunsky(rng, SYMMETRIC_SOLVE_N))
+    spectrum(krawtchouk_family(SYMMETRIC_SOLVE_N, np.exp(0.9j)).v)
+    for n in (SYMMETRIC_SOLVE_N - 1, SYMMETRIC_SOLVE_N, 64, 255):
+        spectrum(VerblunskySequence(rng.uniform(-0.85, 0.85, n), (-1.0) ** n))
+        spectrum(single_moment_persymmetric(n).v)
+    assert [args[0].dtype for args in calls] == [np.complex128] + [np.float64] * 10
+    assert [args[0].shape for args in calls[1:3]] == [(SYMMETRIC_SOLVE_N + 1,) * 2] * 2
+
+
+def _symmetric_form_corpus() -> list:
+    rng = np.random.default_rng(2406)
+    corpus = [random_verblunsky(rng, n) for n in (*range(1, 25), 64, 65) for _ in range(3)]
+    corpus += [VerblunskySequence(np.full(n, edge), np.exp(0.7j)) for n in (1, 2, 3, 20, 21)
+               for edge in (1j * (1 - 1e-9), -1j * (1 - 1e-9), 1 - 1e-9, -(1 - 1e-9))]
+    corpus += [VerblunskySequence(edge * (1 - 1e-9) * (-1.0) ** np.arange(n), -1j) for n in (1, 2, 20, 21)
+               for edge in (1j, 1)]
+    return corpus + [fam.v for fam in (free_family(20, 0.3), krawtchouk_family(21, np.exp(0.9j)))]
+
+
+def test_symmetric_form_factors_m1_and_is_symmetric_and_unitary():
+    # W W^T = M1 with W unitary, and S = W^T M2 W = S^T, each to 1e-15, on
+    # random lists, on a_k within 1e-9 of +-1 and +-i, and at both parities of n
+    for v in _symmetric_form_corpus():
+        m1, m2 = factors(v)
+        w, s = symmetric_form(v)
+        assert float(np.max(np.abs(w @ w.T - m1))) <= 1e-15
+        assert unitarity_residual(w) <= 1e-15
+        assert float(np.max(np.abs(s - s.T))) <= 1e-15
+        assert float(np.max(np.abs(s - w.T @ m2 @ w))) <= 1e-15
+        assert float(np.max(np.abs(w[0]))) == 1.0 and w[0, 0] == 1.0  # W fixes e_0, so row 0 of V is O[0]
+
+
+def test_symmetric_rows_match_the_complex_solve():
+    # the float64 solve of S gives the eigenvalues and rows 0 and N of the
+    # complex solve of U; rows agree to about eps / gap, gap the cos theta
+    # distance to the nearest other node, as any double-precision solve does
+    rng = np.random.default_rng(2407)
+    for n in (1, 2, 3, 19, 20, 21, 33, 64):
+        v = random_verblunsky(rng, n)
+        lam, rows = symmetric_rows(v)
+        ref_lam, ref_rows = eigen_rows(cmv_matrix(v))
+        got, want = np.argsort(np.angle(lam)), np.argsort(np.angle(ref_lam))
+        assert float(np.max(np.abs(lam[got] - ref_lam[want]))) <= 1e-14
+        cos = lam[got].real
+        gap = np.abs(cos[:, None] - cos)
+        np.fill_diagonal(gap, np.inf)
+        assert np.all(np.abs(rows[:, got] - ref_rows[:, want]) <= 1e-13 + 1e-15 / gap.min(axis=0))
+
+
+def test_near_real_pairs_are_split_on_s(monkeypatch):
+    # real a_k with a 1e-12 imaginary part: each node lies within 1e-6 in
+    # cos theta of a partner near -theta, so the float64 solve splits every
+    # pair on S, and its nodes and rows meet numpy's eig of U
+    import popuc.opuc_core as opuc_core
+
+    splits = count_calls(monkeypatch, opuc_core, "_split_pairs")
+    rng = np.random.default_rng(2408)
+    for n in (SYMMETRIC_SOLVE_N, 21, 64):
+        v = VerblunskySequence(rng.uniform(-0.85, 0.85, n) + 1e-12j, 1.0)
+        theta, rows = v.quadrature
+        lam, vecs = np.linalg.eig(cmv_matrix(v))
+        order = np.argsort(wrap_angles(np.angle(lam)))
+        z = unit_points(theta)
+        assert float(np.max(np.abs(z - lam[order]))) <= 1e-12
+        dist = np.abs(z[:, None] - z)
+        np.fill_diagonal(dist, np.inf)
+        assert np.all(np.abs(rows - np.abs(vecs[[0, -1]][:, order]) ** 2) <= 1e-10 + 1e-14 / dist.min(axis=0))
+    assert len(splits) == 3
 
 
 @pytest.mark.parametrize("n", [*range(1, 41), 64, 128, 256])
