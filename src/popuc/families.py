@@ -233,7 +233,7 @@ def krawtchouk_family(n: int, omega: complex) -> FamilyInstance:
     # no sine of an angle near pi, whose absolute rounding would swamp sin ~ sigma / 2 at the kept endpoint
     ratio[inner] = c * np.abs(s_half[inner] - x_kept[inner] * np.sin(sigma / 2.0)) / s_half[inner]
     log_mass = np.log(ratio) - np.array(
-        [math.lgamma(k + 1.0) + math.lgamma(n + 2.0 - k) for k in kept]
+        [math.lgamma(k + 1.0) + math.lgamma(n + 2.0 - k) for k in kept.tolist()]  # Python floats, not numpy scalars
     )
     raw = np.exp(log_mass - log_mass.max())
     raw /= raw.sum()

@@ -229,19 +229,25 @@ def factors(v: VerblunskySequence) -> tuple[np.ndarray, np.ndarray]:
     leading scalar 1 and the odd-index blocks, M2 the even-index blocks.
     Whichever factor runs out of blocks first ends in the scalar conj(omega).
     """
-    n, size = v.n, v.n + 1
-    m1 = np.zeros((size, size), dtype=np.complex128)
-    m2 = np.zeros((size, size), dtype=np.complex128)
-    m1[0, 0] = 1.0
     rho = np.sqrt(1.0 - np.abs(v.a) ** 2)
-    for m, first in ((m2, 0), (m1, 1)):
-        flat = m.reshape(-1)  # views of the main, upper and lower diagonals
-        main, upper, lower = flat[:: size + 1], flat[1 :: size + 1], flat[size :: size + 1]
-        main[first:n:2] = np.conj(v.a[first::2])
-        main[first + 1 :: 2] = -v.a[first::2]
-        upper[first::2] = lower[first::2] = rho[first::2]
-    (m1 if n % 2 == 1 else m2)[n, n] = np.conj(v.omega)
-    return m1, m2
+    return _factor(v, 1, rho), _factor(v, 0, rho)
+
+
+def _factor(v: VerblunskySequence, first: int, rho: np.ndarray) -> np.ndarray:
+    """M1 of ``factors`` for first = 1, M2 for first = 0; rho holds sqrt(1 - |a_k|^2) for every k."""
+    n, size = v.n, v.n + 1
+    m = np.zeros((size, size), dtype=np.complex128)
+    a = v.a[first::2]
+    flat = m.reshape(-1)  # views of the main, upper and lower diagonals
+    main, upper, lower = flat[:: size + 1], flat[1 :: size + 1], flat[size :: size + 1]
+    main[first:n:2] = np.conj(a)
+    main[first + 1 :: 2] = -a
+    upper[first::2] = lower[first::2] = rho[first::2]
+    if first:
+        m[0, 0] = 1.0
+    if n % 2 == first:
+        m[n, n] = np.conj(v.omega)
+    return m
 
 
 def cmv_matrix(v: VerblunskySequence) -> np.ndarray:
@@ -297,16 +303,16 @@ def _symmetric_blocks(v: VerblunskySequence) -> tuple[np.ndarray, "complex | Non
     trailing conj(omega) of M1 becomes sqrt(conj(omega)).  S costs O(n^2): W^T
     mixes the rows of M2 two at a time, then the rows of the transpose.
     """
-    a = v.a[1::2]
-    rho = np.sqrt(1.0 - np.abs(a) ** 2)  # as in ``factors``
-    half = 0.5 * np.arctan2(rho, a.real)
+    rho = np.sqrt(1.0 - np.abs(v.a) ** 2)  # as in ``factors``
+    a, rho_odd = v.a[1::2], rho[1::2]
+    half = 0.5 * np.arctan2(rho_odd, a.real)
     cos, sin = np.cos(half), np.sin(half)
-    d0 = np.exp(-0.5j * np.arctan2(a.imag, np.hypot(a.real, rho)))
+    d0 = np.exp(-0.5j * np.arctan2(a.imag, np.hypot(a.real, rho_odd)))
     d1 = 1j * d0.conj()
     wt = np.empty((a.size, 2, 2), dtype=np.complex128)
     wt[:, 0, 0], wt[:, 0, 1], wt[:, 1, 0], wt[:, 1, 1] = cos * d0, sin * d0, -sin * d1, cos * d1
     last = np.sqrt(v.omega.conjugate()) if v.n % 2 else None
-    m2 = _rows_by_blocks(factors(v)[1], wt, last)  # W^T M2
+    m2 = _rows_by_blocks(_factor(v, 0, rho), wt, last)  # W^T M2, with no M1 built
     return wt, last, _rows_by_blocks(m2.T.copy(), wt, last)  # W^T (W^T M2)^T, as M2 is symmetric
 
 
@@ -396,17 +402,22 @@ def ladder_values(v: VerblunskySequence, z: np.ndarray) -> np.ndarray:
 
     The recurrence runs on values, carrying the reversed polynomials along:
     Phi_{k+1} = z Phi_k - conj(a_k) Phi_k^* and
-    Phi_{k+1}^* = Phi_k^* - a_k z Phi_k.  An overflow raises OverflowError naming the rung.
+    Phi_{k+1}^* = Phi_k^* - a_k z Phi_k.  Each rung writes into row k + 1,
+    the reversed values and two scratch vectors made once, with the same
+    operations on the same operands as fresh temporaries, so no rung allocates.
+    An overflow raises OverflowError naming the rung.
     """
     vals = np.empty((v.n + 1, z.size), dtype=np.complex128)
     vals[0] = 1.0
     rev = np.ones(z.size, dtype=np.complex128)
+    shifted, scaled = np.empty_like(rev), np.empty_like(rev)
+    subtract, multiply = np.subtract, np.multiply
     with np.errstate(over="raise", invalid="raise"):
         for k, a_k in enumerate(v.a.tolist()):
             try:
-                shifted = z * vals[k]
-                vals[k + 1] = shifted - a_k.conjugate() * rev
-                rev = rev - a_k * shifted
+                multiply(z, vals[k], shifted)
+                subtract(shifted, multiply(a_k.conjugate(), rev, scaled), vals[k + 1])
+                subtract(rev, multiply(a_k, shifted, scaled), rev)
             except FloatingPointError:
                 raise OverflowError(f"ladder values of Phi_{k + 1} overflow the double range") from None
     return vals
@@ -468,6 +479,12 @@ def paraorthogonality_residual(v: VerblunskySequence) -> float:
     is divided by max(1, max |coefficient of Phi_{N+1}|), so at large N,
     where the coefficients grow, rounding does not read as a defect.
     Phi_{N+1} is the last row of ``_ladder_rows``, so O(N) memory suffices.
+
+    It depends on Phi_N only through the one closure step:
+    Phi_{N+1}^* + omega Phi_{N+1} vanishes for every Phi_N of degree N, so it
+    checks that step's rounding and cannot see a defect in an earlier rung.
+    At N = 12 (seed 43, omega = e^{0.7i}), moving one coefficient of Phi_5
+    by 1e-3 left it at 1.4e-16 (2.2e-16 untouched).
     """
     for top in _ladder_rows(v):
         pass

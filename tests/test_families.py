@@ -230,3 +230,25 @@ def test_krawtchouk_clean_at_large_n():
         scale = max(float(np.max(np.abs(p))) for p in fam.closed_form_phis)
         assert report.pop("phi") <= 1e-12 * scale
         _assert_clean(report)
+
+
+class _NumpyScalars(np.ndarray):
+    """An index array whose ``tolist`` gives numpy int64 scalars, as plain iteration over it does."""
+
+    def tolist(self):
+        return list(self.view(np.ndarray))
+
+
+def test_krawtchouk_weights_on_python_floats_match_numpy_scalars_bit_for_bit(monkeypatch):
+    # the log masses sum lgamma over the kept indices as Python numbers; the
+    # same comprehension over numpy int64 scalars gives the same bytes
+    import popuc.families as families
+
+    got = {n: krawtchouk_family(n, np.exp(0.9j)) for n in range(1, 71)}
+    delete = np.delete
+    monkeypatch.setattr(families.np, "delete", lambda *args: delete(*args).view(_NumpyScalars))
+    for n, fam in got.items():
+        want = krawtchouk_family(n, np.exp(0.9j))
+        assert type(want.closed_form_weights) is np.ndarray
+        assert fam.closed_form_weights.tobytes() == want.closed_form_weights.tobytes()
+        assert fam.closed_form_nodes.tobytes() == want.closed_form_nodes.tobytes()

@@ -456,6 +456,17 @@ def test_symmetric_form_factors_m1_and_is_symmetric_and_unitary():
         assert float(np.max(np.abs(w[0]))) == 1.0 and w[0, 0] == 1.0  # W fixes e_0, so row 0 of V is O[0]
 
 
+def test_symmetric_form_builds_s_from_m2_alone_bit_for_bit():
+    # _symmetric_blocks builds M2 without M1; S keeps the bytes of S built from factors(v)[1]
+    from popuc.opuc_core import _rows_by_blocks, _symmetric_blocks
+
+    for v in _symmetric_form_corpus():
+        wt, last, s = _symmetric_blocks(v)
+        m2 = _rows_by_blocks(factors(v)[1], wt, last)
+        want = _rows_by_blocks(m2.T.copy(), wt, last)
+        assert s.tobytes() == want.tobytes()
+
+
 def test_symmetric_rows_match_the_complex_solve():
     # the float64 solve of S gives the eigenvalues and rows 0 and N of the
     # complex solve of U; rows agree to about eps / gap, gap the cos theta
@@ -529,6 +540,29 @@ def test_cluster_of_five_is_split_on_u(monkeypatch):
     assert float(np.max(np.abs(rows[:, got] - np.abs(q[[0, -1]][:, want]) ** 2))) <= 1e-10
 
 
+def test_paraorthogonality_cannot_see_a_defect_in_an_earlier_rung(monkeypatch):
+    # Phi_{N+1}^* + omega Phi_{N+1} = Phi_N^* - omega z Phi_N + omega z Phi_N - |omega|^2 Phi_N^* = 0
+    # for every Phi_N, so the closure check reads only the last step's rounding: a
+    # coefficient of Phi_5 moved by 1e-3 moves Phi_13 by 4.5e-4 and still reads below 1e-15
+    import popuc.opuc_core as opuc_core
+
+    v = VerblunskySequence(random_verblunsky(np.random.default_rng(43), 12).a, complex(np.exp(0.7j)))
+    clean_top = [row.copy() for row in opuc_core._ladder_rows(v)][-1]
+    original = opuc_core._ladder_rows
+
+    def moved(v):
+        for k, phi in enumerate(original(v)):
+            if k == 5:
+                phi[0] += 1e-3  # the next rung reads the row it yielded
+            yield phi
+
+    moved_top = [row.copy() for row in moved(v)][-1]
+    assert float(np.max(np.abs(moved_top - clean_top))) > 1e-4
+    assert paraorthogonality_residual(v) <= 1e-15
+    monkeypatch.setattr(opuc_core, "_ladder_rows", moved)
+    assert paraorthogonality_residual(v) <= 1e-15
+
+
 def test_paraorthogonality_flags_a_moved_coefficient(monkeypatch):
     # the residual is relative to the largest coefficient of Phi_{N+1}; a
     # real defect on an interior coefficient must still stand out
@@ -551,6 +585,31 @@ def test_ladder_overflow_names_the_rung_and_restores_the_error_state():
         with pytest.raises(OverflowError, match=r"^ladder coefficients of Phi_1036 overflow the double range$"):
             read()
         assert np.geterr() == before
+
+
+def _reference_ladder_values(v, z) -> np.ndarray:
+    """Values of Phi_0 .. Phi_N at z by the update ``ladder_values`` replaced: fresh temporaries each rung."""
+    vals = np.empty((v.n + 1, z.size), dtype=np.complex128)
+    vals[0] = 1.0
+    rev = np.ones(z.size, dtype=np.complex128)
+    for k, a_k in enumerate(v.a.tolist()):
+        shifted = z * vals[k]
+        vals[k + 1] = shifted - a_k.conjugate() * rev
+        rev = rev - a_k * shifted
+    return vals
+
+
+@pytest.mark.parametrize("n", [1, 9, 59, 63, 64, 65, 128])
+def test_buffered_ladder_values_match_the_reference_update_bit_for_bit(n):
+    # a rung vector holds n + 1 complex entries: at most 1,024 bytes up to
+    # n = 63, 1,040 from n = 64, past the small blocks that allocate cheaply
+    rng = np.random.default_rng(2406 + n)
+    complex_list = random_verblunsky(rng, n)
+    real_list = VerblunskySequence(complex_list.a.real, 1.0 if n % 2 else -1.0)
+    for v in (complex_list, real_list):
+        for z in (unit_points(spectrum(v)), 1.5 * np.exp(2j * np.pi * rng.uniform(size=n + 1))):
+            got, want = ladder_values(v, z), _reference_ladder_values(v, z)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_ladder_value_overflow_names_the_rung_and_restores_the_error_state():
