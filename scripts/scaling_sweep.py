@@ -14,7 +14,13 @@ a fresh coefficient list, so no memo of an earlier run is read, and times:
   self-dual families only.
 
 Each row holds the median, best and worst time of the runs, in ms, after
-one untimed warm-up run of the same family and n.  BLAS runs on one
+one untimed warm-up run of the same family and n, and ``scaled_median_ms``,
+the median of the same times put on one scale: the reference kernel of
+``bench/reference.py`` (imported read-only, as ``bench/run.py`` imports it) is
+timed just before and just after each stage call, and the call's time is
+multiplied by ``REFERENCE_S`` over the shorter of the two.  The host the
+benchmark was built on runs at two speeds about 1.6 times apart, in spells,
+so compare two checkouts by ``scaled_median_ms``.  BLAS runs on one
 thread: the script sets OMP_NUM_THREADS, OPENBLAS_NUM_THREADS
 and MKL_NUM_THREADS to 1 before numpy loads.  It prints one line per row.
 With --out it also writes the rows to a JSON file under --label, keeping the
@@ -24,9 +30,10 @@ file:
     PYTHONPATH=<parent>/src python scripts/scaling_sweep.py --label before --out BENCH.json
     PYTHONPATH=src python scripts/scaling_sweep.py --label after --out BENCH.json
 
-Times only: no oracle or accuracy column.  A stage that raises is reported
-with its error, the rest of that family and n is skipped, and the script
-exits 1; no time makes it fail.
+Times only: no oracle or accuracy column.  The settings record
+``reference_s``.  A stage that raises is reported with its error, the rest
+of that family and n is skipped, and the script exits 1; no time makes it
+fail.
 """
 
 import os
@@ -43,7 +50,10 @@ import time
 
 import numpy as np
 
-from popuc import (
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench"))
+from reference import REFERENCE_S, time_reference  # noqa: E402
+
+from popuc import (  # noqa: E402
     VerblunskySequence,
     free_family,
     krawtchouk_family,
@@ -57,7 +67,7 @@ from popuc import (
     unit_points,
     weights,
 )
-from popuc.opuc_core import ladder_values
+from popuc.opuc_core import ladder_values  # noqa: E402
 
 FAMILIES = {
     "free": lambda n: free_family(n, 0.3),
@@ -89,9 +99,13 @@ def _run(stage, call):
 
 
 def _timed(times, stage, call):
+    """call's result; appends (ms, ms at reference speed) to times[stage]."""
+    before = time_reference()
     start = time.perf_counter()
     result = _run(stage, call)
-    times.setdefault(stage, []).append(1e3 * (time.perf_counter() - start))
+    elapsed = time.perf_counter() - start
+    after = time_reference()
+    times.setdefault(stage, []).append((1e3 * elapsed, 1e3 * elapsed * REFERENCE_S / min(before, after)))
     return result
 
 
@@ -124,12 +138,14 @@ def sweep(n_max):
                 errors.append(f"{family} n = {n} {exc}")
             for stage in STAGES:
                 if stage in times:
-                    t = times[stage]
+                    t, scaled = zip(*times[stage])
                     row = {"family": family, "n": n, "stage": stage, "median_ms": round(statistics.median(t), 4),
-                           "best_ms": round(min(t), 4), "worst_ms": round(max(t), 4), "runs": len(t)}
+                           "best_ms": round(min(t), 4), "worst_ms": round(max(t), 4), "runs": len(t),
+                           "scaled_median_ms": round(statistics.median(scaled), 4)}
                     rows.append(row)
                     print(f"{family:>27} {n:>5} {stage:>27} {row['median_ms']:>10.3f} ms"
-                          f"  ({row['best_ms']:.3f} to {row['worst_ms']:.3f}, {len(t)} runs)", flush=True)
+                          f"  ({row['best_ms']:.3f} to {row['worst_ms']:.3f}, {len(t)} runs)"
+                          f"  scaled {row['scaled_median_ms']:.3f} ms", flush=True)
     return rows, errors
 
 
@@ -162,6 +178,7 @@ def main():
         doc[args.label] = {
             "settings": {
                 "runs": RUNS,
+                "reference_s": REFERENCE_S,
                 "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
                 "python": platform.python_version(),
                 "numpy": np.__version__,

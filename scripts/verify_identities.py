@@ -34,7 +34,7 @@ from popuc import (
     verify_persymmetry_characterizations,
     weights,
 )
-from popuc.opuc_core import symmetric_form
+from popuc.opuc_core import reflection_form, symmetric_form
 from popuc.tolerances import (
     MIRROR_RELATIONS,
     ORTHOGONALITY,
@@ -82,6 +82,38 @@ def symmetric_form_rows(n_values):
         )
         rows.append((f"symmetric form, five families n={n}", worst, RESIDUAL))
         rows.append((f"nodes against the closed form, five families n={n}", nodes, RESIDUAL))
+    return rows
+
+
+def reflection_form_residual(v):
+    """Worst of |G^T M1 G - D| and |T - T^T| for the reflection form of real data v (real a_k, omega = +-1)."""
+    m1 = factors(v)[0].real
+    g, d, t = reflection_form(v)
+    return max(float(np.max(np.abs(g.T @ m1 @ g - np.diag(d)))), float(np.max(np.abs(t - t.T))))
+
+
+def reflection_form_rows(n_values, seed, count, n_max=70):
+    """The reflection form of the six real families at each n, and of count random real lists with n <= n_max."""
+    rows = []
+    for n in n_values:
+        families = (
+            free_family(n, nu=0.0),
+            free_family(n, nu=0.5),
+            single_moment(n),
+            single_moment_dual(n),
+            single_moment_persymmetric(n),
+            krawtchouk_family(n, 1.0),
+        )
+        worst = max(reflection_form_residual(inst.v) for inst in families)
+        rows.append((f"reflection form, six real families n={n}", worst, RESIDUAL))
+    rng = np.random.default_rng(seed)
+    worst = max(
+        reflection_form_residual(
+            VerblunskySequence(rng.uniform(-0.85, 0.85, int(rng.integers(1, n_max + 1))), float(rng.choice((1.0, -1.0))))
+        )
+        for _ in range(count)
+    )
+    rows.append((f"random real ({count} draws, n <= {n_max}): reflection form", worst, RESIDUAL))
     return rows
 
 
@@ -168,6 +200,7 @@ def main():
     rows = []
     rows.extend(family_rows((2, 5, 9)))
     rows.extend(symmetric_form_rows((20, 64, 255)))
+    rows.extend(reflection_form_rows((20, 64, 255), args.seed + 2, args.count))
     rows.extend(random_rows(args.seed, args.count, args.n_max))
     rows.extend(persymmetric_rows(args.seed + 1, args.count, args.n_max))
 

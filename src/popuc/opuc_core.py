@@ -15,11 +15,13 @@ the weight of node s is |V[0, s]|^2 for the unit eigenvector v_s, the
 unit-circle Golub-Welsch rule.  U is normal, so one Hermitian eigen-solve of
 U + U^H gives V (``eigen_rows``); row N of |V|^2 holds the weights of the
 mirror dual.  Real data (real a_k, omega = +-1) give a real orthogonal U,
-which ``eigen_rows`` solves in real arithmetic.  Complex lists of at least
-SYMMETRIC_SOLVE_N coefficients are solved in float64 too: M1 and M2 are
-complex symmetric, so U is unitarily similar to the complex symmetric unitary
+which ``eigen_rows`` solves in real arithmetic.  From SYMMETRIC_SOLVE_N
+coefficients on, the factors' symmetry cuts the solve.  M1 and M2 are complex
+symmetric, so U is unitarily similar to the complex symmetric unitary
 S = W^T M2 W, M1 = W W^T, whose real part one real ``eigh`` diagonalises
-(``symmetric_rows``).
+(``symmetric_rows``, complex lists).  For real data M1 is a real reflection
+that U + U^T commutes with, so one half-size ``eigh`` per eigenspace of M1
+gives the same eigenvectors (``reflection_rows``).
 
 The coefficient list is the system.  A ``VerblunskySequence`` builds its
 squared norms, solves U and runs the ladder at its own nodes once, however
@@ -47,9 +49,11 @@ from .complex_poly import UnitCirclePoint, node_angles, unit_points, wrap_angles
 from .errors import ShapeError, SpectralValidityError, WeightError
 from .tolerances import EIGEN_CLUSTER, SPECTRUM_RADIUS, UNIMODULAR, VERBLUNSKY_MARGIN, WEIGHT_SUM
 
-# Complex lists of at least this many coefficients are solved in float64 by
-# ``symmetric_rows``; below it the complex ``eigh`` of ``eigen_rows`` costs less
-# than forming S (the timing sweep is in CHANGES.md).
+# Lists of at least this many coefficients are solved through the factors'
+# symmetry: complex ones in float64 by ``symmetric_rows``, real data by the two
+# half-size ``eigh`` of ``reflection_rows``.  Below it ``eigen_rows`` costs less
+# than forming S, and no more than forming T and splitting it (the timing sweeps
+# are in CHANGES.md).
 SYMMETRIC_SOLVE_N = 20
 
 
@@ -95,9 +99,10 @@ class VerblunskySequence:
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         """(theta, rows): the node angles sorted in [0, 2 pi), and rows 0 and N of |V|^2 in their order.
 
-        Both come from one solve of the CMV matrix U: ``symmetric_rows`` for a
-        list with a non-zero imaginary part in some a_k or in omega and at
-        least SYMMETRIC_SOLVE_N coefficients, else ``eigen_rows``.  Row 0 holds
+        Both come from one solve of the CMV matrix U.  A list of at least
+        SYMMETRIC_SOLVE_N coefficients takes ``symmetric_rows`` if some a_k or
+        omega has a non-zero imaginary part, and ``reflection_rows`` if not and
+        omega is exactly 1 or -1; every other list takes ``eigen_rows``.  Row 0 holds
         the weights, row N the weights of the mirror dual; both arrays are
         read-only.  An eigenvalue whose radius drifts from one by more than
         SPECTRUM_RADIUS raises SpectralValidityError.  The angles pass
@@ -106,6 +111,8 @@ class VerblunskySequence:
         """
         if self.n >= SYMMETRIC_SOLVE_N and (self.a.imag.any() or self.omega.imag):
             lam, rows = symmetric_rows(self)
+        elif self.n >= SYMMETRIC_SOLVE_N and abs(self.omega.real) == 1.0:  # real data
+            lam, rows = reflection_rows(self)
         else:
             lam, rows = eigen_rows(cmv_matrix(self))
         drift = float(np.abs(np.abs(lam) - 1.0).max())
@@ -305,15 +312,20 @@ def _symmetric_blocks(v: VerblunskySequence) -> tuple[np.ndarray, "complex | Non
     """
     rho = np.sqrt(1.0 - np.abs(v.a) ** 2)  # as in ``factors``
     a, rho_odd = v.a[1::2], rho[1::2]
-    half = 0.5 * np.arctan2(rho_odd, a.real)
-    cos, sin = np.cos(half), np.sin(half)
     d0 = np.exp(-0.5j * np.arctan2(a.imag, np.hypot(a.real, rho_odd)))
-    d1 = 1j * d0.conj()
-    wt = np.empty((a.size, 2, 2), dtype=np.complex128)
-    wt[:, 0, 0], wt[:, 0, 1], wt[:, 1, 0], wt[:, 1, 1] = cos * d0, sin * d0, -sin * d1, cos * d1
+    wt = _half_turns(v, rho) * np.stack((d0, 1j * d0.conj()), axis=1)[:, :, None]  # rows 0 and 1 times d0 and d1
     last = np.sqrt(v.omega.conjugate()) if v.n % 2 else None
     m2 = _rows_by_blocks(_factor(v, 0, rho), wt, last)  # W^T M2, with no M1 built
     return wt, last, _rows_by_blocks(m2.T.copy(), wt, last)  # W^T (W^T M2)^T, as M2 is symmetric
+
+
+def _half_turns(v: VerblunskySequence, rho: np.ndarray) -> np.ndarray:
+    """The real 2x2 blocks R(psi_k / 2)^T = [[cos, sin], [-sin, cos]], psi_k = atan2(rho_k, Re a_k), for the odd k."""
+    half = 0.5 * np.arctan2(rho[1::2], v.a.real[1::2])
+    cos, sin = np.cos(half), np.sin(half)
+    gt = np.empty((cos.size, 2, 2))
+    gt[:, 0, 0], gt[:, 0, 1], gt[:, 1, 0], gt[:, 1, 1] = cos, sin, -sin, cos
+    return gt
 
 
 def _rows_by_blocks(x: np.ndarray, wt: np.ndarray, last: "complex | None") -> np.ndarray:
@@ -347,6 +359,65 @@ def symmetric_rows(v: VerblunskySequence) -> tuple[np.ndarray, np.ndarray]:
     if last is None:
         edge[1] = wt[-1, :, 1].conj() @ o[-2:]  # W[N, N-1:] is column 1 of W^T's last block
     return _split_close(c[1:] - c[:-1] < EIGEN_CLUSTER, o, so, lam, edge)
+
+
+def reflection_form(v: VerblunskySequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(G, d, T) for real a_k and omega = +-1: G^T M1 G = diag(d), d_k = +-1, and T = G^T M2 G.
+
+    M1 and M2 are then real symmetric reflections.  G is block-diagonal
+    orthogonal with M1's pattern: a leading 1, R(psi_k / 2) in place of each
+    block [[a, rho], [rho, -a]] = R(psi_k / 2) diag(1, -1) R(psi_k / 2)^T
+    (psi_k = atan2(rho_k, a_k), the half angle of W in ``symmetric_form``),
+    and 1 in place of a trailing omega, whose sign d keeps.  The dense
+    reference form that tests and ``scripts/verify_identities.py`` check;
+    ``reflection_rows`` never forms G.
+    """
+    gt, d, t = _reflection_blocks(v)
+    return _rows_by_blocks(np.eye(v.n + 1), gt, None).T, d, t
+
+
+def _reflection_blocks(v: VerblunskySequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(gt, d, T): the 2x2 blocks of G^T, the diagonal d of G^T M1 G and T = G^T M2 G, for real data."""
+    rho = np.sqrt(1.0 - np.abs(v.a) ** 2)  # as in ``factors``
+    gt = _half_turns(v, rho)
+    d = np.ones(v.n + 1)
+    d[2::2] = -1.0  # the second row of each block, row N among them at even n
+    if v.n % 2:
+        d[-1] = v.omega.real  # M1's trailing scalar
+    m2 = _rows_by_blocks(np.ascontiguousarray(_factor(v, 0, rho).real), gt, None)
+    return gt, d, _rows_by_blocks(m2.T.copy(), gt, None)  # G^T (G^T M2)^T, as M2 is symmetric
+
+
+def reflection_rows(v: VerblunskySequence) -> tuple[np.ndarray, np.ndarray]:
+    """``eigen_rows`` of the real orthogonal U of real data (real a_k, omega = +-1), by two half-size ``eigh``.
+
+    G^T U G = T D with D = diag(d) (``reflection_form``), and U + U^T
+    commutes with M1: G^T (U + U^T) G / 2 = (T D + D T) / 2 is block
+    diagonal, T_PP on P = {d = 1} and -T_MM on M = {d = -1}.  One ``eigh``
+    per block gives cos theta_s and an eigenbasis O of the whole, each column
+    in P or in M, and G O holds the unit eigenvectors of U.  A node pair
+    theta, -theta spans one vector of each block; sorted by cos theta, the two
+    sit side by side and are split on T D as ``eigen_rows`` splits them on U.
+    Row 0 of G O is O[0]; row N is O[N] at odd n and mixes rows N - 1 and N
+    of O by G's last block at even n.
+    """
+    gt, d, t = _reflection_blocks(v)
+    td = t * d  # T D, whose diagonal blocks are T_PP and -T_MM
+    plus, minus = (d > 0.0).nonzero()[0], (d < 0.0).nonzero()[0]
+    c_plus, o_plus = np.linalg.eigh(td.take(plus, 0).take(plus, 1))
+    c_minus, o_minus = np.linalg.eigh(td.take(minus, 0).take(minus, 1))
+    size, k = d.size, plus.size
+    o = np.zeros((size, size))
+    o[plus, :k], o[minus, k:] = o_plus, o_minus
+    c = np.concatenate((c_plus, c_minus))
+    order = c.argsort()
+    c, o = c.take(order), o.take(order, axis=1)
+    uv = td @ o
+    lam = np.vecdot(o, uv, axis=0).astype(np.complex128)
+    edge = o[:: size - 1].astype(np.complex128)  # rows 0 and N of O
+    if not v.n % 2:
+        edge[1] = gt[-1, :, 1] @ o[-2:]  # G[N, N-1:] is column 1 of G^T's last block
+    return _split_close(c[1:] - c[:-1] < EIGEN_CLUSTER, o, uv, lam, edge)
 
 
 def _split_close(

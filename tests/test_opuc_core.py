@@ -36,7 +36,15 @@ from popuc import (
     weights,
 )
 from popuc.complex_poly import node_angles, unit_points, wrap_angles
-from popuc.opuc_core import SYMMETRIC_SOLVE_N, eigen_rows, ladder_values, symmetric_form, symmetric_rows
+from popuc.opuc_core import (
+    SYMMETRIC_SOLVE_N,
+    eigen_rows,
+    ladder_values,
+    reflection_form,
+    reflection_rows,
+    symmetric_form,
+    symmetric_rows,
+)
 from popuc.tolerances import SPECTRUM_RADIUS
 
 
@@ -414,8 +422,12 @@ def test_single_moment_pairs_split_to_closed_form(n):
 
 def test_real_data_is_solved_in_real_arithmetic(monkeypatch):
     # U is real orthogonal for real a and omega = +-1, so its eigh runs on float64
-    # at every n; a complex list runs the complex eigh of U + U^H below
-    # SYMMETRIC_SOLVE_N and the float64 eigh of Re S from it on
+    # at every n: one eigh of U + U^T of size n + 1 below SYMMETRIC_SOLVE_N, and
+    # from it on one per eigenspace of M1, two whose sizes add up to n + 1; a real
+    # omega that is not exactly +-1 keeps eigen_rows.  A complex list runs the
+    # complex eigh of U + U^H below SYMMETRIC_SOLVE_N and the float64 eigh of Re S from it on
+    import popuc.opuc_core as opuc_core
+
     calls = count_calls(monkeypatch, np.linalg, "eigh")
     spectrum(single_moment(5).v)
     spectrum(free_family(5, 0.5).v)  # omega = -1 exactly, not exp(i pi) with its 1.2e-16 imaginary part
@@ -426,11 +438,88 @@ def test_real_data_is_solved_in_real_arithmetic(monkeypatch):
     spectrum(random_verblunsky(rng, SYMMETRIC_SOLVE_N - 1))
     spectrum(random_verblunsky(rng, SYMMETRIC_SOLVE_N))
     spectrum(krawtchouk_family(SYMMETRIC_SOLVE_N, np.exp(0.9j)).v)
-    for n in (SYMMETRIC_SOLVE_N - 1, SYMMETRIC_SOLVE_N, 64, 255):
-        spectrum(VerblunskySequence(rng.uniform(-0.85, 0.85, n), (-1.0) ** n))
-        spectrum(single_moment_persymmetric(n).v)
-    assert [args[0].dtype for args in calls] == [np.complex128] + [np.float64] * 10
-    assert [args[0].shape for args in calls[1:3]] == [(SYMMETRIC_SOLVE_N + 1,) * 2] * 2
+    assert [args[0].dtype for args in calls] == [np.complex128, np.float64, np.float64]
+    assert [args[0].shape for args in calls[1:]] == [(SYMMETRIC_SOLVE_N + 1,) * 2] * 2
+    for n in (SYMMETRIC_SOLVE_N - 1, SYMMETRIC_SOLVE_N, SYMMETRIC_SOLVE_N + 1, 64, 255):
+        a = rng.uniform(-0.85, 0.85, n)
+        for v in (VerblunskySequence(a, 1.0), VerblunskySequence(a, -1.0), single_moment_persymmetric(n).v):
+            calls.clear()
+            spectrum(v)
+            shapes = [args[0].shape for args in calls]
+            assert [args[0].dtype for args in calls] == [np.float64] * len(shapes)
+            assert all(rows == cols for rows, cols in shapes)
+            assert len(shapes) == (1 if n < SYMMETRIC_SOLVE_N else 2)
+            assert sum(rows for rows, _ in shapes) == n + 1
+    solves = count_calls(monkeypatch, opuc_core, "eigen_rows")
+    for omega in (1.0 - 1e-13, -1.0 + 1e-13):
+        calls.clear()
+        spectrum(VerblunskySequence(rng.uniform(-0.85, 0.85, SYMMETRIC_SOLVE_N), omega))
+        assert [(args[0].dtype, args[0].shape) for args in calls] == [(np.float64, (SYMMETRIC_SOLVE_N + 1,) * 2)]
+    assert len(solves) == 2
+
+
+def _mirror_free_gap(lam: np.ndarray) -> np.ndarray:
+    """For each eigenvalue, the cos theta distance to the nearest other one that is not its conjugate."""
+    gap = np.abs(lam.real[:, None] - lam.real)
+    np.fill_diagonal(gap, np.inf)
+    gap[np.abs(lam[:, None] - lam.conj()) <= 1e-8] = np.inf  # its partner at -theta
+    return gap.min(axis=0)
+
+
+def _assert_reflection_rows_match(v: VerblunskySequence) -> None:
+    # nodes within 1e-14 and rows 0 and N within 1e-11 of the one-eigh real
+    # solve; a node whose cos theta lies within about 1e-4 of a node other than
+    # its mirror image has its eigenvector fixed only to about eps / gap by any
+    # double-precision solve, the reference's too, which the second term allows
+    lam, rows = reflection_rows(v)
+    ref_lam, ref_rows = eigen_rows(cmv_matrix(v))
+    got, want = (np.argsort(wrap_angles(np.angle(x))) for x in (lam, ref_lam))
+    assert float(np.max(np.abs(lam[got] - ref_lam[want]))) <= 1e-14
+    bound = 1e-11 + 1e-15 / _mirror_free_gap(lam[got])
+    assert np.all(np.abs(rows[:, got] - ref_rows[:, want]) <= bound)
+
+
+def test_reflection_rows_match_the_one_eigh_real_solve():
+    # random real lists at both parities and both omegas, through the split on M1's eigenspaces
+    rng = np.random.default_rng(2409)
+    for n in range(SYMMETRIC_SOLVE_N, 71):
+        for omega in (1.0, -1.0):
+            _assert_reflection_rows_match(VerblunskySequence(rng.uniform(-0.85, 0.85, n), omega))
+
+
+@pytest.mark.parametrize("n", [20, 21, 255, 256])
+def test_real_families_split_on_m1_to_closed_form(n):
+    # omega = -1 for the single-moment families and free at nu = 1/2, omega = 1
+    # for free at nu = 0: at odd n M1's trailing omega joins the +1 eigenspace
+    # or the -1 one, at even n omega sits on M2's tail
+    for inst in (single_moment(n), single_moment_dual(n), single_moment_persymmetric(n),
+                 free_family(n, 0.0), free_family(n, 0.5)):
+        _assert_reflection_rows_match(inst.v)
+        _assert_closed_form(inst)
+
+
+@pytest.mark.parametrize("n", [20, 21, 64])
+def test_krawtchouk_at_omega_one_splits_on_m1(n):
+    inst = krawtchouk_family(n, 1.0)
+    _assert_reflection_rows_match(inst.v)
+    _assert_closed_form(inst)
+
+
+def test_reflection_form_diagonalises_m1_and_is_symmetric():
+    # G^T M1 G = diag(d), d = +-1, with G orthogonal and G[0] = e_0, and
+    # T = G^T M2 G = T^T, each to 1e-15, at both parities and both omegas
+    rng = np.random.default_rng(2410)
+    for n in (1, 2, 3, 20, 21, 64, 65):
+        for omega in (1.0, -1.0):
+            for a in (rng.uniform(-0.85, 0.85, n), np.full(n, 1 - 1e-9), np.full(n, -(1 - 1e-9))):
+                v = VerblunskySequence(a, omega)
+                m1, m2 = (m.real for m in factors(v))
+                g, d, t = reflection_form(v)
+                assert float(np.max(np.abs(g.T @ m1 @ g - np.diag(d)))) <= 1e-15
+                assert float(np.max(np.abs(g.T @ g - np.eye(n + 1)))) <= 1e-15
+                assert float(np.max(np.abs(t - t.T))) <= 1e-15
+                assert float(np.max(np.abs(t - g.T @ m2 @ g))) <= 1e-15
+                assert np.all(np.abs(d) == 1.0) and g[0, 0] == 1.0 and float(np.max(np.abs(g[0, 1:]))) == 0.0
 
 
 def _symmetric_form_corpus() -> list:
