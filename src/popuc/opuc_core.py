@@ -312,20 +312,20 @@ def _symmetric_blocks(v: VerblunskySequence) -> tuple[np.ndarray, "complex | Non
     """
     rho = np.sqrt(1.0 - np.abs(v.a) ** 2)  # as in ``factors``
     a, rho_odd = v.a[1::2], rho[1::2]
+    cos, sin = _half_angles(v, rho)
     d0 = np.exp(-0.5j * np.arctan2(a.imag, np.hypot(a.real, rho_odd)))
-    wt = _half_turns(v, rho) * np.stack((d0, 1j * d0.conj()), axis=1)[:, :, None]  # rows 0 and 1 times d0 and d1
+    d1 = 1j * d0.conj()
+    wt = np.empty((a.size, 2, 2), dtype=np.complex128)
+    wt[:, 0, 0], wt[:, 0, 1], wt[:, 1, 0], wt[:, 1, 1] = cos * d0, sin * d0, -sin * d1, cos * d1
     last = np.sqrt(v.omega.conjugate()) if v.n % 2 else None
     m2 = _rows_by_blocks(_factor(v, 0, rho), wt, last)  # W^T M2, with no M1 built
     return wt, last, _rows_by_blocks(m2.T.copy(), wt, last)  # W^T (W^T M2)^T, as M2 is symmetric
 
 
-def _half_turns(v: VerblunskySequence, rho: np.ndarray) -> np.ndarray:
-    """The real 2x2 blocks R(psi_k / 2)^T = [[cos, sin], [-sin, cos]], psi_k = atan2(rho_k, Re a_k), for the odd k."""
+def _half_angles(v: VerblunskySequence, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of psi_k / 2, psi_k = atan2(rho_k, Re a_k), for the odd k: the rotations in W's and G's blocks."""
     half = 0.5 * np.arctan2(rho[1::2], v.a.real[1::2])
-    cos, sin = np.cos(half), np.sin(half)
-    gt = np.empty((cos.size, 2, 2))
-    gt[:, 0, 0], gt[:, 0, 1], gt[:, 1, 0], gt[:, 1, 1] = cos, sin, -sin, cos
-    return gt
+    return np.cos(half), np.sin(half)
 
 
 def _rows_by_blocks(x: np.ndarray, wt: np.ndarray, last: "complex | None") -> np.ndarray:
@@ -379,7 +379,9 @@ def reflection_form(v: VerblunskySequence) -> tuple[np.ndarray, np.ndarray, np.n
 def _reflection_blocks(v: VerblunskySequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(gt, d, T): the 2x2 blocks of G^T, the diagonal d of G^T M1 G and T = G^T M2 G, for real data."""
     rho = np.sqrt(1.0 - np.abs(v.a) ** 2)  # as in ``factors``
-    gt = _half_turns(v, rho)
+    cos, sin = _half_angles(v, rho)
+    gt = np.empty((cos.size, 2, 2))  # R(psi_k / 2)^T
+    gt[:, 0, 0], gt[:, 0, 1], gt[:, 1, 0], gt[:, 1, 1] = cos, sin, -sin, cos
     d = np.ones(v.n + 1)
     d[2::2] = -1.0  # the second row of each block, row N among them at even n
     if v.n % 2:
