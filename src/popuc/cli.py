@@ -173,7 +173,7 @@ def _payload(v: VerblunskySequence, emit: str) -> dict[str, Any]:
             out["weights"] = weights(v, theta).weights
     if emit in ("cmv", "all"):
         m1, m2 = factors(v)
-        out["cmv"] = {"m1": m1, "m2": m2, "u": m2 @ m1}  # the product ``cmv_matrix`` forms
+        out["cmv"] = {"m1": m1, "m2": m2, "u": m2.dot(m1)}  # the product ``cmv_matrix`` forms
     return out
 
 

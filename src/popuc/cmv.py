@@ -42,7 +42,7 @@ def unitarity_residual(m: np.ndarray) -> float:
         i, j = np.unravel_index(np.argmin(finite), m.shape)
         raise ValueError(f"m[{i}, {j}] = {m[i, j].item()!r} is not finite")
     eye = np.eye(m.shape[0], dtype=np.complex128)
-    return float(np.abs(np.conj(m.T) @ m - eye).max())
+    return float(np.abs(np.conj(m.T).dot(m) - eye).max())
 
 
 def laurent_eigenvectors(v: VerblunskySequence, z: np.ndarray) -> np.ndarray:
@@ -127,7 +127,7 @@ def verify_mirror_relations(v: VerblunskySequence) -> MirrorRelationReport:
     give the same residuals; tau is the principal branch.
     """
     (m1, m2), (mh1, mh2) = factors(v), factors(mirror_dual(v))
-    u, uh = m2 @ m1, mh2 @ mh1  # the products ``cmv_matrix`` forms
+    u, uh = m2.dot(m1), mh2.dot(mh1)  # the products ``cmv_matrix`` forms
     odd = v.n % 2 == 1
     root = principal_sqrt_unimodular(v.omega)
     tau = np.conj(root) if odd else root

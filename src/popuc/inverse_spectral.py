@@ -7,6 +7,12 @@ are free.  The recovery solves the unitary inverse eigenvalue problem
 nodes as a set on the circle, through ``wrap_angles`` and a sort, and checks
 what it recovers before it returns: the mirror defect first, then the
 spectrum rebuilt forward.  ``ReconstructionResult`` is a plain record.
+
+A spectrum closed under conjugation with omega exactly 1 or -1 belongs to a
+real list, since the conjugate of the self-dual list is self-dual with the
+same nodes and omega; it is recovered as real data and rebuilt by the real
+solve.  Through the command line only ``--omega-arg 0`` gives such an omega:
+exp(i pi) keeps an imaginary part of 1.2e-16.
 """
 
 from __future__ import annotations
@@ -64,7 +70,10 @@ def reconstruct_persymmetric(
     gives the rest of the data, a_{N-1-k} = -omega conj(a_k).  A mirror
     defect above RECOVERED_DEFECT raises NotPersymmetricError before the
     system is built forward again; a rebuilt spectrum farther than RESIDUAL
-    from the nodes raises it too.
+    from the nodes raises it too.  Where omega is exactly 1 or -1, the nodes
+    lie within RESIDUAL of their conjugates and no recovered imaginary part
+    exceeds RECOVERED_DEFECT, those parts are dropped: the list is real, and
+    its rebuild runs in float64.
     """
     thetas = wrap_angles(node_angles(nodes))  # a new array, sorted in place
     thetas.sort()
@@ -103,11 +112,11 @@ def reconstruct_persymmetric(
         x = z * basis[k]
         np.conj(basis[k], out=conj_basis[k])
         q, q_conj = basis[: k + 1], conj_basis[: k + 1]
-        column = q_conj @ x  # H[:k+1, k] is column + again: classical Gram-Schmidt twice
-        x -= column @ q
-        again = q_conj @ x
-        x -= again @ q
-        r_kk = complex(row[: k + 1] @ (column + again))
+        column = q_conj.dot(x)  # H[:k+1, k] is column + again: classical Gram-Schmidt twice
+        x -= column.dot(q)
+        again = q_conj.dot(x)
+        x -= again.dot(q)
+        r_kk = complex(row[: k + 1].dot(column + again))
         a[k] = r_kk.conjugate()
         if abs(r_kk) >= 1.0 - VERBLUNSKY_MARGIN:
             raise SzegoClassError(f"recovered |a_{k}| = {abs(r_kk)!r} is not inside the disc")
@@ -117,6 +126,9 @@ def reconstruct_persymmetric(
             row[: k + 1] *= rho
             row[k + 1] = -r_kk
     a[free:] = mirrored(a[: n_top - free], w)
+    real = w.imag == 0.0 and abs(w.real) == 1.0 and float(np.abs(a.imag).max()) <= RECOVERED_DEFECT
+    if real and _conjugate_gap(z) <= RESIDUAL:
+        a = a.real  # its conjugate is self-dual with the same nodes and omega, so the list is real
     v = VerblunskySequence(a, w)
     defect = persymmetry_defect(v)
     if not defect <= RECOVERED_DEFECT:
@@ -129,3 +141,15 @@ def reconstruct_persymmetric(
             f"rebuilt spectrum misses the nodes by {spectrum_residual:.3e} (bound {RESIDUAL:.1e})"
         )
     return ReconstructionResult(v, log_h_final, spectrum_residual)
+
+
+def _conjugate_gap(z: np.ndarray) -> float:
+    """Largest distance between the angle-sorted nodes z and their conjugates, matched one to one.
+
+    conj(z[::-1]) lists the conjugates in angle order, except that a node at 1,
+    first in z, comes last there; the gap is the closer of the two matchings.
+    """
+    mirror_z = np.conj(z[::-1])
+    in_order = float(np.abs(mirror_z - z).max())
+    node_at_one = max(abs(complex(mirror_z[-1] - z[0])), float(np.abs(mirror_z[:-1] - z[1:]).max()))
+    return min(in_order, node_at_one)

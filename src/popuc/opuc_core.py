@@ -30,7 +30,10 @@ persymmetry checks and the sign pattern share ``quadrature``, and
 ``orthogonality_residual`` checks the weights against ``node_values``, the
 recurrence at the nodes.  No CMV factor is kept: ``cmv_matrix``, the mirror
 relations and ``generate --emit cmv`` each build M1 and M2 with ``factors``
-and form U as ``m2 @ m1``.  Every memo holds arrays only, so no reference
+and form U as ``m2.dot(m1)``.  Two-operand products call ``ndarray.dot``,
+which reaches the BLAS routine of ``@`` without the matmul gufunc's dispatch,
+bit for bit; ``_rows_by_blocks``' stacked product and ``_split_clusters``'
+V_g^H (U V_g) stay on ``@``.  Every memo holds arrays only, so no reference
 cycle keeps a solve alive.  ``_resolved`` checks each row of |V|^2 once,
 where ``weights`` (row 0) or ``mirror.dual_weights`` (row N) hands it out, so
 ``SpectralData`` is a plain record.  ``phis`` copies the rows of one
@@ -260,7 +263,7 @@ def _factor(v: VerblunskySequence, first: int, rho: np.ndarray) -> np.ndarray:
 def cmv_matrix(v: VerblunskySequence) -> np.ndarray:
     """The (N+1) x (N+1) unitary five-diagonal matrix U = M2 @ M1 of the pair ``factors`` builds."""
     m1, m2 = factors(v)
-    return m2 @ m1
+    return m2.dot(m1)
 
 
 def eigen_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -282,7 +285,7 @@ def eigen_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not u.imag.any():
         u = np.ascontiguousarray(u.real)
     c, vec = np.linalg.eigh(u + u.conj().T)
-    uv = u @ vec
+    uv = u.dot(vec)
     lam = np.vecdot(vec, uv, axis=0).astype(np.complex128, copy=False)
     edge = vec[:: vec.shape[0] - 1].astype(np.complex128, copy=False)  # rows 0 and N; a view for complex u
     return _split_close(c[1:] - c[:-1] < 2.0 * EIGEN_CLUSTER, vec, uv, lam, edge)
@@ -353,11 +356,11 @@ def symmetric_rows(v: VerblunskySequence) -> tuple[np.ndarray, np.ndarray]:
     """
     wt, last, s = _symmetric_blocks(v)
     c, o = np.linalg.eigh(s.real)
-    so = (o.T @ s.view(np.float64)).view(np.complex128).T  # (O^T S)^T = S O, S symmetric
+    so = o.T.dot(s.view(np.float64)).view(np.complex128).T  # (O^T S)^T = S O, S symmetric
     lam = np.vecdot(o, so, axis=0)
     edge = o[:: o.shape[0] - 1].astype(np.complex128)  # rows 0 and N of O
     if last is None:
-        edge[1] = wt[-1, :, 1].conj() @ o[-2:]  # W[N, N-1:] is column 1 of W^T's last block
+        edge[1] = wt[-1, :, 1].conj().dot(o[-2:])  # W[N, N-1:] is column 1 of W^T's last block
     return _split_close(c[1:] - c[:-1] < EIGEN_CLUSTER, o, so, lam, edge)
 
 
@@ -414,11 +417,11 @@ def reflection_rows(v: VerblunskySequence) -> tuple[np.ndarray, np.ndarray]:
     c = np.concatenate((c_plus, c_minus))
     order = c.argsort()
     c, o = c.take(order), o.take(order, axis=1)
-    uv = td @ o
+    uv = td.dot(o)
     lam = np.vecdot(o, uv, axis=0).astype(np.complex128)
     edge = o[:: size - 1].astype(np.complex128)  # rows 0 and N of O
     if not v.n % 2:
-        edge[1] = gt[-1, :, 1] @ o[-2:]  # G[N, N-1:] is column 1 of G^T's last block
+        edge[1] = gt[-1, :, 1].dot(o[-2:])  # G[N, N-1:] is column 1 of G^T's last block
     return _split_close(c[1:] - c[:-1] < EIGEN_CLUSTER, o, uv, lam, edge)
 
 
@@ -466,8 +469,8 @@ def _split_clusters(
     bounds = np.flatnonzero(np.diff(close, prepend=False, append=False)).reshape(-1, 2)
     for start, stop in bounds + [0, 1]:
         g = slice(start, stop)
-        lam[g], w = np.linalg.eig(vec[:, g].conj().T @ uv[:, g])
-        edge[:, g] = edge[:, g] @ w
+        lam[g], w = np.linalg.eig(vec[:, g].conj().T @ uv[:, g])  # ``dot`` would change its last bits
+        edge[:, g] = edge[:, g].dot(w)
 
 
 def ladder_values(v: VerblunskySequence, z: np.ndarray) -> np.ndarray:
@@ -576,7 +579,7 @@ def orthogonality_residual(v: VerblunskySequence, data: SpectralData) -> float:
     vals = v.node_values
     with np.errstate(over="raise", invalid="raise"):
         try:
-            gram = (vals * data.weights) @ np.conj(vals.T)
+            gram = (vals * data.weights).dot(np.conj(vals.T))
             gram.reshape(-1)[:: gram.shape[0] + 1] -= v.h  # the diagonal, as a view
             return float(np.abs(gram).max())
         except FloatingPointError:
