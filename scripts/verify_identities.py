@@ -34,7 +34,7 @@ from popuc import (
     verify_persymmetry_characterizations,
     weights,
 )
-from popuc.opuc_core import reflection_form, symmetric_form
+from popuc.opuc_core import symmetric_form
 from popuc.tolerances import (
     MIRROR_RELATIONS,
     ORTHOGONALITY,
@@ -52,20 +52,23 @@ def random_verblunsky(rng, n, max_mag=0.85):
 
 
 def symmetric_form_residual(v):
-    """Worst of |W W^T - M1|, |S - S^T|, W's unitarity and |U conj(W) - conj(W) S| for v's symmetric form."""
+    """Worst of |W diag(d) W^T - M1|, |S - S^T|, W's unitarity and |U conj(W) - conj(W) S diag(d)| for v's symmetric form."""
     m1, m2 = factors(v)
-    w, s = symmetric_form(v)
+    w, d, s = symmetric_form(v)
     u = m2 @ m1
     return max(
-        float(np.max(np.abs(w @ w.T - m1))),
+        float(np.max(np.abs((w * d) @ w.T - m1))),
         float(np.max(np.abs(s - s.T))),
         unitarity_residual(w),
-        float(np.max(np.abs(u @ w.conj() - w.conj() @ s))),
+        float(np.max(np.abs(u @ w.conj() - w.conj() @ (s * d)))),
     )
 
 
-def symmetric_form_rows(n_values):
-    """The symmetric form of the five families, and the nodes that its solve gives complex data, at each n."""
+def symmetric_form_rows(n_values, seed, count, n_max=70):
+    """The symmetric form of the five families and the six real ones at each n, and of count random real lists.
+
+    For the five families it also checks the nodes that the solve gives against the closed form.
+    """
     rows = []
     for n in n_values:
         families = (
@@ -75,6 +78,7 @@ def symmetric_form_rows(n_values):
             single_moment_persymmetric(n),
             krawtchouk_family(n, np.exp(0.9j)),
         )
+        real = (free_family(n, nu=0.0), free_family(n, nu=0.5), *families[1:4], krawtchouk_family(n, 1.0))
         worst = max(symmetric_form_residual(inst.v) for inst in families)
         nodes = max(
             float(np.max(np.abs(unit_points(spectrum(inst.v)) - unit_points(inst.closed_form_nodes))))
@@ -82,38 +86,16 @@ def symmetric_form_rows(n_values):
         )
         rows.append((f"symmetric form, five families n={n}", worst, RESIDUAL))
         rows.append((f"nodes against the closed form, five families n={n}", nodes, RESIDUAL))
-    return rows
-
-
-def reflection_form_residual(v):
-    """Worst of |G^T M1 G - D| and |T - T^T| for the reflection form of real data v (real a_k, omega = +-1)."""
-    m1 = factors(v)[0].real
-    g, d, t = reflection_form(v)
-    return max(float(np.max(np.abs(g.T @ m1 @ g - np.diag(d)))), float(np.max(np.abs(t - t.T))))
-
-
-def reflection_form_rows(n_values, seed, count, n_max=70):
-    """The reflection form of the six real families at each n, and of count random real lists with n <= n_max."""
-    rows = []
-    for n in n_values:
-        families = (
-            free_family(n, nu=0.0),
-            free_family(n, nu=0.5),
-            single_moment(n),
-            single_moment_dual(n),
-            single_moment_persymmetric(n),
-            krawtchouk_family(n, 1.0),
-        )
-        worst = max(reflection_form_residual(inst.v) for inst in families)
-        rows.append((f"reflection form, six real families n={n}", worst, RESIDUAL))
+        worst = max(symmetric_form_residual(inst.v) for inst in real)
+        rows.append((f"symmetric form, six real families n={n}", worst, RESIDUAL))
     rng = np.random.default_rng(seed)
     worst = max(
-        reflection_form_residual(
+        symmetric_form_residual(
             VerblunskySequence(rng.uniform(-0.85, 0.85, int(rng.integers(1, n_max + 1))), float(rng.choice((1.0, -1.0))))
         )
         for _ in range(count)
     )
-    rows.append((f"random real ({count} draws, n <= {n_max}): reflection form", worst, RESIDUAL))
+    rows.append((f"random real ({count} draws, n <= {n_max}): symmetric form", worst, RESIDUAL))
     return rows
 
 
@@ -199,8 +181,7 @@ def main():
 
     rows = []
     rows.extend(family_rows((2, 5, 9)))
-    rows.extend(symmetric_form_rows((20, 64, 255)))
-    rows.extend(reflection_form_rows((20, 64, 255), args.seed + 2, args.count))
+    rows.extend(symmetric_form_rows((20, 64, 255), args.seed + 2, args.count))
     rows.extend(random_rows(args.seed, args.count, args.n_max))
     rows.extend(persymmetric_rows(args.seed + 1, args.count, args.n_max))
 

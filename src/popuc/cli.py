@@ -34,7 +34,7 @@ import numpy as np
 
 from . import cmv as cmv_mod
 from . import families as fam_mod
-from .complex_poly import unit_points
+from .complex_poly import _exp_i, unit_points
 from .errors import (
     NotPersymmetricError,
     PopucError,
@@ -75,10 +75,10 @@ FAMILIES = {
 
 
 def _omega(arg: float) -> complex:
-    """exp(i arg) for ``--omega-arg``; an infinite arg raises ValueError before numpy warns."""
+    """exp(i arg) for ``--omega-arg``, exact at quarter turns; an infinite arg raises ValueError before numpy warns."""
     if math.isinf(arg):
         raise ValueError(f"omega-arg = {arg!r} must be finite")
-    return complex(np.exp(1j * arg))
+    return _exp_i(arg)
 
 
 def _array(arr: np.ndarray) -> str:

@@ -86,6 +86,12 @@ def unit_points(theta: np.ndarray) -> np.ndarray:
     return np.cos(theta) + 1j * np.sin(theta)
 
 
+def _exp_i(arg: float) -> complex:
+    """exp(i arg), exactly 1, i, -1 or -i with +0.0 parts at a whole number of quarter turns, so real data stay real."""
+    w = complex(np.exp(1j * arg))
+    return complex(round(w.real), round(w.imag)) if (4.0 * arg / TWO_PI).is_integer() else w
+
+
 def roots(coeffs: "np.ndarray | Sequence[complex]") -> list[complex]:
     """All complex roots of sum_k coeffs[k] z^k, as the eigenvalues of the companion matrix.
 

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .complex_poly import TWO_PI, unit_points, wrap_angles
+from .complex_poly import TWO_PI, _exp_i, unit_points, wrap_angles
 from .errors import ShapeError
 from .mirror import persymmetry_defect
 from .opuc_core import (
@@ -62,10 +62,7 @@ def free_family(n: int, nu: float = 0.0) -> FamilyInstance:
     if not math.isfinite(nu):
         raise ValueError(f"nu = {nu!r} must be finite")
     nu = math.fmod(nu, 1.0)  # exact, so s - nu below keeps s however large nu was
-    omega = complex(np.exp(2j * np.pi * nu))
-    if (4.0 * nu).is_integer():  # quarter turns: 1, i, -1 or -i exactly, +0.0 parts, so real data stay real
-        omega = complex(round(omega.real), round(omega.imag))
-    v = VerblunskySequence(np.zeros(n, dtype=np.complex128), omega)
+    v = VerblunskySequence(np.zeros(n, dtype=np.complex128), _exp_i(TWO_PI * nu))
     nodes = np.sort(wrap_angles(TWO_PI * (np.arange(n + 1) - nu) / (n + 1)))
     w = np.full(n + 1, 1.0 / (n + 1))
     return FamilyInstance("free", v, nodes, w, persymmetric=True)

@@ -11,8 +11,8 @@ spectrum rebuilt forward.  ``ReconstructionResult`` is a plain record.
 A spectrum closed under conjugation with omega exactly 1 or -1 belongs to a
 real list, since the conjugate of the self-dual list is self-dual with the
 same nodes and omega; it is recovered as real data and rebuilt by the real
-solve.  Through the command line only ``--omega-arg 0`` gives such an omega:
-exp(i pi) keeps an imaginary part of 1.2e-16.
+solve.  Through the command line ``--omega-arg`` gives such an omega at
+0 and at pi (3.141592653589793), which ``cli._omega`` rounds to exactly -1.
 """
 
 from __future__ import annotations

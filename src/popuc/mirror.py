@@ -18,15 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_poly import TWO_PI, node_angles, unit_points
+from .complex_poly import TWO_PI, _exp_i, node_angles, unit_points
 from .errors import NotPersymmetricError, ShapeError, WeightError
 from .opuc_core import VerblunskySequence, _resolved, inside_disc, spectrum, unimodular
 from .tolerances import SELF_DUAL_DEFECT
 
 
 def principal_sqrt_unimodular(w: complex) -> complex:
-    """exp(i arg(w) / 2) with arg taken in (-pi, pi]."""
-    return complex(np.exp(0.5j * np.arctan2(w.imag, w.real)))
+    """exp(i arg(w) / 2) with arg taken in (-pi, pi]; exactly i for -1 + 0j and -i for -1 - 0j."""
+    return _exp_i(0.5 * np.arctan2(w.imag, w.real))
 
 
 def mirrored(a: np.ndarray, omega: complex) -> np.ndarray:

@@ -16,12 +16,12 @@ unit-circle Golub-Welsch rule.  U is normal, so one Hermitian eigen-solve of
 U + U^H gives V (``eigen_rows``); row N of |V|^2 holds the weights of the
 mirror dual.  Real data (real a_k, omega = +-1) give a real orthogonal U,
 which ``eigen_rows`` solves in real arithmetic.  From SYMMETRIC_SOLVE_N
-coefficients on, the factors' symmetry cuts the solve.  M1 and M2 are complex
-symmetric, so U is unitarily similar to the complex symmetric unitary
-S = W^T M2 W, M1 = W W^T, whose real part one real ``eigh`` diagonalises
-(``symmetric_rows``, complex lists).  For real data M1 is a real reflection
-that U + U^T commutes with, so one half-size ``eigh`` per eigenspace of M1
-gives the same eigenvectors (``reflection_rows``).
+coefficients on, the factors' symmetry cuts the solve (``symmetric_rows``).
+M1 and M2 are complex symmetric, so U is unitarily similar to S D with
+S = W^T M2 W and M1 = W D W^T.  For complex data D = I, and one real ``eigh``
+of Re S diagonalises the complex symmetric unitary S.  For real data W and S
+are real and D = diag(+-1), since M1 is a real reflection; U + U^T commutes
+with it, so one half-size ``eigh`` per eigenspace of M1 gives the eigenvectors.
 
 The coefficient list is the system.  A ``VerblunskySequence`` builds its
 squared norms, solves U and runs the ladder at its own nodes once, however
@@ -53,10 +53,9 @@ from .errors import ShapeError, SpectralValidityError, WeightError
 from .tolerances import EIGEN_CLUSTER, SPECTRUM_RADIUS, UNIMODULAR, VERBLUNSKY_MARGIN, WEIGHT_SUM
 
 # Lists of at least this many coefficients are solved through the factors'
-# symmetry: complex ones in float64 by ``symmetric_rows``, real data by the two
-# half-size ``eigh`` of ``reflection_rows``.  Below it ``eigen_rows`` costs less
-# than forming S, and no more than forming T and splitting it (the timing sweeps
-# are in CHANGES.md).
+# symmetry by ``symmetric_rows``, in float64.  Below it ``eigen_rows`` costs less
+# than forming S, and no more than splitting real data on M1's eigenspaces (the
+# timing sweeps are in CHANGES.md).
 SYMMETRIC_SOLVE_N = 20
 
 
@@ -102,22 +101,15 @@ class VerblunskySequence:
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         """(theta, rows): the node angles sorted in [0, 2 pi), and rows 0 and N of |V|^2 in their order.
 
-        Both come from one solve of the CMV matrix U.  A list of at least
-        SYMMETRIC_SOLVE_N coefficients takes ``symmetric_rows`` if some a_k or
-        omega has a non-zero imaginary part, and ``reflection_rows`` if not and
-        omega is exactly 1 or -1; every other list takes ``eigen_rows``.  Row 0 holds
-        the weights, row N the weights of the mirror dual; both arrays are
-        read-only.  An eigenvalue whose radius drifts from one by more than
-        SPECTRUM_RADIUS raises SpectralValidityError.  The angles pass
-        ``wrap_angles``, so a node on the seam sorts first; two nodes equal in
-        double precision raise SpectralValidityError naming the pair.
+        Both come from one solve of the CMV matrix U: ``symmetric_rows`` for a
+        list of at least SYMMETRIC_SOLVE_N coefficients, ``eigen_rows`` below
+        it.  Row 0 holds the weights, row N the weights of the mirror dual;
+        both arrays are read-only.  An eigenvalue whose radius drifts from one
+        by more than SPECTRUM_RADIUS raises SpectralValidityError.  The angles
+        pass ``wrap_angles``, so a node on the seam sorts first; two nodes
+        equal in double precision raise SpectralValidityError naming the pair.
         """
-        if self.n >= SYMMETRIC_SOLVE_N and (self.a.imag.any() or self.omega.imag):
-            lam, rows = symmetric_rows(self)
-        elif self.n >= SYMMETRIC_SOLVE_N and abs(self.omega.real) == 1.0:  # real data
-            lam, rows = reflection_rows(self)
-        else:
-            lam, rows = eigen_rows(cmv_matrix(self))
+        lam, rows = symmetric_rows(self) if self.n >= SYMMETRIC_SOLVE_N else eigen_rows(cmv_matrix(self))
         drift = float(np.abs(np.abs(lam) - 1.0).max())
         if not drift <= SPECTRUM_RADIUS:
             raise SpectralValidityError(f"eigenvalue radius off the circle by {drift:.3e}")
@@ -291,44 +283,57 @@ def eigen_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _split_close(c[1:] - c[:-1] < 2.0 * EIGEN_CLUSTER, vec, uv, lam, edge)
 
 
-def symmetric_form(v: VerblunskySequence) -> tuple[np.ndarray, np.ndarray]:
-    """(W, S): a block-diagonal unitary W with W W^T = M1, and the complex symmetric unitary S = W^T M2 W.
+def symmetric_form(v: VerblunskySequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(W, d, S): a block-diagonal unitary W with W diag(d) W^T = M1, and the complex symmetric unitary S = W^T M2 W.
 
-    M1 and M2 of ``factors`` are complex symmetric, so U = M2 M1 = conj(W) S W^T
-    is unitarily similar to S, and ``symmetric_rows`` solves U through S.  The
-    dense reference form that tests and ``scripts/verify_identities.py`` check;
-    the solve reads W's blocks from ``_symmetric_blocks`` and never forms W.
+    M1 and M2 of ``factors`` are complex symmetric, so U = M2 M1 = conj(W) S diag(d) W^T
+    is unitarily similar to S diag(d), which ``symmetric_rows`` solves.  d = 1 for
+    complex data; real data (real a_k, omega = +-1) give a real W and S, d = +-1.
+    The dense reference form that tests and ``scripts/verify_identities.py``
+    check; the solve reads W's blocks from ``_symmetric_blocks`` and never forms W.
     """
     wt, last, s = _symmetric_blocks(v)
-    return _rows_by_blocks(np.eye(v.n + 1, dtype=np.complex128), wt, last).T, s
+    d = _signs(v) if s.dtype == np.float64 else np.ones(v.n + 1)
+    return _rows_by_blocks(np.eye(v.n + 1, dtype=wt.dtype), wt, last).T, d, s
 
 
 def _symmetric_blocks(v: VerblunskySequence) -> tuple[np.ndarray, "complex | None", np.ndarray]:
-    """(wt, last, S): the 2x2 blocks of W^T, W's trailing scalar (None at even n) and S = W^T M2 W.
+    """(wt, last, S): the 2x2 blocks of W^T, W's trailing scalar (None if W has none) and S = W^T M2 W.
 
     W has M1's block pattern.  Its leading entry is 1.  In place of each
     block theta_block(conj a) of M1, with a = x + iy and rho = sqrt(1 - |a|^2),
     it has R(psi / 2) diag(e^{-i phi / 2}, i e^{i phi / 2}), where
     psi = atan2(rho, x) and phi = atan2(y, hypot(x, rho)).  At odd n the
-    trailing conj(omega) of M1 becomes sqrt(conj(omega)).  S costs O(n^2): W^T
-    mixes the rows of M2 two at a time, then the rows of the transpose.
+    trailing conj(omega) of M1 becomes sqrt(conj(omega)).  Real data take the
+    real rotations R(psi / 2) alone and no trailing scalar (``_signs`` keeps
+    M1's), so S is real.  S costs O(n^2): W^T mixes the rows of M2 two at a
+    time, then the rows of the transpose.
     """
     rho = np.sqrt(1.0 - np.abs(v.a) ** 2)  # as in ``factors``
-    a, rho_odd = v.a[1::2], rho[1::2]
-    cos, sin = _half_angles(v, rho)
-    d0 = np.exp(-0.5j * np.arctan2(a.imag, np.hypot(a.real, rho_odd)))
-    d1 = 1j * d0.conj()
-    wt = np.empty((a.size, 2, 2), dtype=np.complex128)
-    wt[:, 0, 0], wt[:, 0, 1], wt[:, 1, 0], wt[:, 1, 1] = cos * d0, sin * d0, -sin * d1, cos * d1
-    last = np.sqrt(v.omega.conjugate()) if v.n % 2 else None
-    m2 = _rows_by_blocks(_factor(v, 0, rho), wt, last)  # W^T M2, with no M1 built
+    a, rho_odd, m2 = v.a[1::2], rho[1::2], _factor(v, 0, rho)  # M2, with no M1 built
+    half = 0.5 * np.arctan2(rho_odd, a.real)
+    cos, sin = np.cos(half), np.sin(half)
+    if v.a.imag.any() or v.omega not in (1.0, -1.0):
+        d0 = np.exp(-0.5j * np.arctan2(a.imag, np.hypot(a.real, rho_odd)))
+        d1 = 1j * d0.conj()
+        wt = np.empty((a.size, 2, 2), dtype=np.complex128)
+        wt[:, 0, 0], wt[:, 0, 1], wt[:, 1, 0], wt[:, 1, 1] = cos * d0, sin * d0, -sin * d1, cos * d1
+        last = np.sqrt(v.omega.conjugate()) if v.n % 2 else None
+    else:  # real data
+        wt = np.empty((a.size, 2, 2))
+        wt[:, 0, 0], wt[:, 0, 1], wt[:, 1, 0], wt[:, 1, 1] = cos, sin, -sin, cos
+        last, m2 = None, np.ascontiguousarray(m2.real)
+    m2 = _rows_by_blocks(m2, wt, last)  # W^T M2
     return wt, last, _rows_by_blocks(m2.T.copy(), wt, last)  # W^T (W^T M2)^T, as M2 is symmetric
 
 
-def _half_angles(v: VerblunskySequence, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of psi_k / 2, psi_k = atan2(rho_k, Re a_k), for the odd k: the rotations in W's and G's blocks."""
-    half = 0.5 * np.arctan2(rho[1::2], v.a.real[1::2])
-    return np.cos(half), np.sin(half)
+def _signs(v: VerblunskySequence) -> np.ndarray:
+    """d with W^T M1 W = diag(d) for real data: -1 at the second row of each block, omega at a trailing scalar, else 1."""
+    d = np.ones(v.n + 1)
+    d[2::2] = -1.0  # row N among them at even n
+    if v.n % 2:
+        d[-1] = v.omega.real
+    return d
 
 
 def _rows_by_blocks(x: np.ndarray, wt: np.ndarray, last: "complex | None") -> np.ndarray:
@@ -342,87 +347,42 @@ def _rows_by_blocks(x: np.ndarray, wt: np.ndarray, last: "complex | None") -> np
 
 
 def symmetric_rows(v: VerblunskySequence) -> tuple[np.ndarray, np.ndarray]:
-    """``eigen_rows`` of v's CMV matrix U = conj(W) S W^T in float64, through ``_symmetric_blocks``.
+    """``eigen_rows`` of v's CMV matrix U = conj(W) S D W^T in float64, through ``_symmetric_blocks``.
 
-    S is complex symmetric and unitary, so Re S and Im S are commuting real
-    symmetric matrices with one real orthogonal eigenbasis O: one real
-    ``eigh`` of Re S gives cos theta_s and O, and conj(W) O holds the unit
-    eigenvectors of U.  Row 0 of W is e_0, so row 0 of conj(W) O is O[0];
-    row N mixes rows N - 1 and N of O by W's last block at even n, and is
-    O[N] times a phase, which |.|^2 drops, at odd n.  The eigenvalues are the
-    Rayleigh quotients diag(O^T S O), from one real product of O^T with S
-    read as interleaved real and imaginary columns.  Clusters in cos theta
-    are split on S as ``eigen_rows`` splits them on U.
+    Complex data (D = I): Re S and Im S of the complex symmetric unitary S
+    commute, so one real ``eigh`` of Re S gives cos theta_s and a real
+    orthogonal eigenbasis O of S, and the eigenvalues are diag(O^T S O), read
+    off S as interleaved real and imaginary columns.  Real data (D = diag(d),
+    d = +-1): (S D + D S) / 2 is block diagonal, S_PP on P = {d = 1} and
+    -S_MM on M = {d = -1}, so one ``eigh`` per block gives O; a node pair
+    theta, -theta spans one column of each, side by side once sorted by cos theta.
+    conj(W) O holds the unit eigenvectors of U.  Its row 0 is O[0]; row N
+    mixes rows N - 1 and N of O by W's last block at even n, and is O[N] times
+    a phase, which |.|^2 drops, at odd n.  Clusters in cos theta are split on
+    S D as ``eigen_rows`` splits them on U.
     """
     wt, last, s = _symmetric_blocks(v)
-    c, o = np.linalg.eigh(s.real)
-    so = o.T.dot(s.view(np.float64)).view(np.complex128).T  # (O^T S)^T = S O, S symmetric
-    lam = np.vecdot(o, so, axis=0)
+    if s.dtype == np.float64:  # real data
+        d = _signs(v)
+        sd = s * d  # S D, whose diagonal blocks are S_PP and -S_MM
+        plus, minus = (d > 0.0).nonzero()[0], (d < 0.0).nonzero()[0]
+        c_plus, o_plus = np.linalg.eigh(sd.take(plus, 0).take(plus, 1))
+        c_minus, o_minus = np.linalg.eigh(sd.take(minus, 0).take(minus, 1))
+        o = np.zeros((d.size, d.size))
+        o[plus, : plus.size], o[minus, plus.size :] = o_plus, o_minus
+        c = np.concatenate((c_plus, c_minus))
+        order = c.argsort()
+        c, o = c.take(order), o.take(order, axis=1)
+        so = sd.dot(o)
+        lam = np.vecdot(o, so, axis=0).astype(np.complex128)
+    else:
+        c, o = np.linalg.eigh(s.real)
+        so = o.T.dot(s.view(np.float64)).view(np.complex128).T  # (O^T S)^T = S O, S symmetric
+        lam = np.vecdot(o, so, axis=0)
     edge = o[:: o.shape[0] - 1].astype(np.complex128)  # rows 0 and N of O
-    if last is None:
+    if not v.n % 2:
         edge[1] = wt[-1, :, 1].conj().dot(o[-2:])  # W[N, N-1:] is column 1 of W^T's last block
     return _split_close(c[1:] - c[:-1] < EIGEN_CLUSTER, o, so, lam, edge)
-
-
-def reflection_form(v: VerblunskySequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(G, d, T) for real a_k and omega = +-1: G^T M1 G = diag(d), d_k = +-1, and T = G^T M2 G.
-
-    M1 and M2 are then real symmetric reflections.  G is block-diagonal
-    orthogonal with M1's pattern: a leading 1, R(psi_k / 2) in place of each
-    block [[a, rho], [rho, -a]] = R(psi_k / 2) diag(1, -1) R(psi_k / 2)^T
-    (psi_k = atan2(rho_k, a_k), the half angle of W in ``symmetric_form``),
-    and 1 in place of a trailing omega, whose sign d keeps.  The dense
-    reference form that tests and ``scripts/verify_identities.py`` check;
-    ``reflection_rows`` never forms G.
-    """
-    gt, d, t = _reflection_blocks(v)
-    return _rows_by_blocks(np.eye(v.n + 1), gt, None).T, d, t
-
-
-def _reflection_blocks(v: VerblunskySequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(gt, d, T): the 2x2 blocks of G^T, the diagonal d of G^T M1 G and T = G^T M2 G, for real data."""
-    rho = np.sqrt(1.0 - np.abs(v.a) ** 2)  # as in ``factors``
-    cos, sin = _half_angles(v, rho)
-    gt = np.empty((cos.size, 2, 2))  # R(psi_k / 2)^T
-    gt[:, 0, 0], gt[:, 0, 1], gt[:, 1, 0], gt[:, 1, 1] = cos, sin, -sin, cos
-    d = np.ones(v.n + 1)
-    d[2::2] = -1.0  # the second row of each block, row N among them at even n
-    if v.n % 2:
-        d[-1] = v.omega.real  # M1's trailing scalar
-    m2 = _rows_by_blocks(np.ascontiguousarray(_factor(v, 0, rho).real), gt, None)
-    return gt, d, _rows_by_blocks(m2.T.copy(), gt, None)  # G^T (G^T M2)^T, as M2 is symmetric
-
-
-def reflection_rows(v: VerblunskySequence) -> tuple[np.ndarray, np.ndarray]:
-    """``eigen_rows`` of the real orthogonal U of real data (real a_k, omega = +-1), by two half-size ``eigh``.
-
-    G^T U G = T D with D = diag(d) (``reflection_form``), and U + U^T
-    commutes with M1: G^T (U + U^T) G / 2 = (T D + D T) / 2 is block
-    diagonal, T_PP on P = {d = 1} and -T_MM on M = {d = -1}.  One ``eigh``
-    per block gives cos theta_s and an eigenbasis O of the whole, each column
-    in P or in M, and G O holds the unit eigenvectors of U.  A node pair
-    theta, -theta spans one vector of each block; sorted by cos theta, the two
-    sit side by side and are split on T D as ``eigen_rows`` splits them on U.
-    Row 0 of G O is O[0]; row N is O[N] at odd n and mixes rows N - 1 and N
-    of O by G's last block at even n.
-    """
-    gt, d, t = _reflection_blocks(v)
-    td = t * d  # T D, whose diagonal blocks are T_PP and -T_MM
-    plus, minus = (d > 0.0).nonzero()[0], (d < 0.0).nonzero()[0]
-    c_plus, o_plus = np.linalg.eigh(td.take(plus, 0).take(plus, 1))
-    c_minus, o_minus = np.linalg.eigh(td.take(minus, 0).take(minus, 1))
-    size, k = d.size, plus.size
-    o = np.zeros((size, size))
-    o[plus, :k], o[minus, k:] = o_plus, o_minus
-    c = np.concatenate((c_plus, c_minus))
-    order = c.argsort()
-    c, o = c.take(order), o.take(order, axis=1)
-    uv = td.dot(o)
-    lam = np.vecdot(o, uv, axis=0).astype(np.complex128)
-    edge = o[:: size - 1].astype(np.complex128)  # rows 0 and N of O
-    if not v.n % 2:
-        edge[1] = gt[-1, :, 1].dot(o[-2:])  # G[N, N-1:] is column 1 of G^T's last block
-    return _split_close(c[1:] - c[:-1] < EIGEN_CLUSTER, o, uv, lam, edge)
 
 
 def _split_close(

@@ -309,6 +309,15 @@ def test_free_family_at_a_half_turn_prints_an_exact_omega(capsys):
     assert code == 0 and '"omega":[-1,0]' in out
 
 
+def test_omega_arg_at_a_half_turn_recovers_real_data(capsys):
+    # --omega-arg pi is omega = -1 exactly, so a real self-dual spectrum comes back as a real list
+    code, out, _ = run(capsys, "generate", "--family", "single_moment_persymmetric", "--n", "21", "--emit", "spectrum")
+    theta = json.loads(out)["payload"]["spectrum"]["theta"]
+    code, out, _ = run(capsys, "reconstruct", "--spectrum", json.dumps(theta), "--omega-arg", "3.141592653589793")
+    payload = json.loads(out)["payload"]
+    assert code == 0 and payload["omega"] == [-1, 0] and all(im == 0 for _, im in payload["a"])
+
+
 def test_reconstruct_missing_file(capsys):
     code, _, err = run(
         capsys, "reconstruct", "--spectrum", "/nonexistent/angles.json", "--omega-arg", "0.0"

@@ -40,8 +40,6 @@ from popuc.opuc_core import (
     SYMMETRIC_SOLVE_N,
     eigen_rows,
     ladder_values,
-    reflection_form,
-    reflection_rows,
     symmetric_form,
     symmetric_rows,
 )
@@ -423,9 +421,9 @@ def test_single_moment_pairs_split_to_closed_form(n):
 def test_real_data_is_solved_in_real_arithmetic(monkeypatch):
     # U is real orthogonal for real a and omega = +-1, so its eigh runs on float64
     # at every n: one eigh of U + U^T of size n + 1 below SYMMETRIC_SOLVE_N, and
-    # from it on one per eigenspace of M1, two whose sizes add up to n + 1; a real
-    # omega that is not exactly +-1 keeps eigen_rows.  A complex list runs the
-    # complex eigh of U + U^H below SYMMETRIC_SOLVE_N and the float64 eigh of Re S from it on
+    # from it on one per eigenspace of M1, two whose sizes add up to n + 1.  A
+    # complex list runs the complex eigh of U + U^H below SYMMETRIC_SOLVE_N and
+    # the float64 eigh of Re S from it on, as does a real omega not exactly +-1
     import popuc.opuc_core as opuc_core
 
     calls = count_calls(monkeypatch, np.linalg, "eigh")
@@ -450,7 +448,10 @@ def test_real_data_is_solved_in_real_arithmetic(monkeypatch):
             assert all(rows == cols for rows, cols in shapes)
             assert len(shapes) == (1 if n < SYMMETRIC_SOLVE_N else 2)
             assert sum(rows for rows, _ in shapes) == n + 1
-    solves = count_calls(monkeypatch, opuc_core, "eigen_rows")
+    calls.clear()
+    spectrum(make_persymmetric([0.3] * 10, -1.0, 0.5))  # n = 21, middle coefficient 1j * 0.5 * sqrt(-1) = -0.5
+    assert [args[0].dtype for args in calls] == [np.float64] * 2
+    solves = count_calls(monkeypatch, opuc_core, "symmetric_rows")
     for omega in (1.0 - 1e-13, -1.0 + 1e-13):
         calls.clear()
         spectrum(VerblunskySequence(rng.uniform(-0.85, 0.85, SYMMETRIC_SOLVE_N), omega))
@@ -466,25 +467,25 @@ def _mirror_free_gap(lam: np.ndarray) -> np.ndarray:
     return gap.min(axis=0)
 
 
-def _assert_reflection_rows_match(v: VerblunskySequence) -> None:
-    # nodes within 1e-14 and rows 0 and N within 1e-11 of the one-eigh real
-    # solve; a node whose cos theta lies within about 1e-4 of a node other than
+def _assert_symmetric_rows_match(v: VerblunskySequence) -> None:
+    # nodes within 1e-14 and rows 0 and N within 1e-13 of the one-eigh solve
+    # of U; a node whose cos theta lies within about 1e-4 of a node other than
     # its mirror image has its eigenvector fixed only to about eps / gap by any
     # double-precision solve, the reference's too, which the second term allows
-    lam, rows = reflection_rows(v)
+    lam, rows = symmetric_rows(v)
     ref_lam, ref_rows = eigen_rows(cmv_matrix(v))
     got, want = (np.argsort(wrap_angles(np.angle(x))) for x in (lam, ref_lam))
     assert float(np.max(np.abs(lam[got] - ref_lam[want]))) <= 1e-14
-    bound = 1e-11 + 1e-15 / _mirror_free_gap(lam[got])
+    bound = 1e-13 + 1e-15 / _mirror_free_gap(lam[got])
     assert np.all(np.abs(rows[:, got] - ref_rows[:, want]) <= bound)
 
 
-def test_reflection_rows_match_the_one_eigh_real_solve():
+def test_symmetric_rows_match_the_one_eigh_real_solve():
     # random real lists at both parities and both omegas, through the split on M1's eigenspaces
     rng = np.random.default_rng(2409)
     for n in range(SYMMETRIC_SOLVE_N, 71):
         for omega in (1.0, -1.0):
-            _assert_reflection_rows_match(VerblunskySequence(rng.uniform(-0.85, 0.85, n), omega))
+            _assert_symmetric_rows_match(VerblunskySequence(rng.uniform(-0.85, 0.85, n), omega))
 
 
 @pytest.mark.parametrize("n", [20, 21, 255, 256])
@@ -494,32 +495,15 @@ def test_real_families_split_on_m1_to_closed_form(n):
     # or the -1 one, at even n omega sits on M2's tail
     for inst in (single_moment(n), single_moment_dual(n), single_moment_persymmetric(n),
                  free_family(n, 0.0), free_family(n, 0.5)):
-        _assert_reflection_rows_match(inst.v)
+        _assert_symmetric_rows_match(inst.v)
         _assert_closed_form(inst)
 
 
 @pytest.mark.parametrize("n", [20, 21, 64])
 def test_krawtchouk_at_omega_one_splits_on_m1(n):
     inst = krawtchouk_family(n, 1.0)
-    _assert_reflection_rows_match(inst.v)
+    _assert_symmetric_rows_match(inst.v)
     _assert_closed_form(inst)
-
-
-def test_reflection_form_diagonalises_m1_and_is_symmetric():
-    # G^T M1 G = diag(d), d = +-1, with G orthogonal and G[0] = e_0, and
-    # T = G^T M2 G = T^T, each to 1e-15, at both parities and both omegas
-    rng = np.random.default_rng(2410)
-    for n in (1, 2, 3, 20, 21, 64, 65):
-        for omega in (1.0, -1.0):
-            for a in (rng.uniform(-0.85, 0.85, n), np.full(n, 1 - 1e-9), np.full(n, -(1 - 1e-9))):
-                v = VerblunskySequence(a, omega)
-                m1, m2 = (m.real for m in factors(v))
-                g, d, t = reflection_form(v)
-                assert float(np.max(np.abs(g.T @ m1 @ g - np.diag(d)))) <= 1e-15
-                assert float(np.max(np.abs(g.T @ g - np.eye(n + 1)))) <= 1e-15
-                assert float(np.max(np.abs(t - t.T))) <= 1e-15
-                assert float(np.max(np.abs(t - g.T @ m2 @ g))) <= 1e-15
-                assert np.all(np.abs(d) == 1.0) and g[0, 0] == 1.0 and float(np.max(np.abs(g[0, 1:]))) == 0.0
 
 
 def _symmetric_form_corpus() -> list:
@@ -532,17 +516,30 @@ def _symmetric_form_corpus() -> list:
     return corpus + [fam.v for fam in (free_family(20, 0.3), krawtchouk_family(21, np.exp(0.9j)))]
 
 
+def _real_form_corpus() -> list:
+    # real a_k and omega = +-1 at both parities, random and within 1e-9 of +-1
+    rng = np.random.default_rng(2410)
+    return [VerblunskySequence(a, omega) for n in (1, 2, 3, 20, 21, 64, 65) for omega in (1.0, -1.0)
+            for a in (rng.uniform(-0.85, 0.85, n), np.full(n, 1 - 1e-9), np.full(n, -(1 - 1e-9)))]
+
+
 def test_symmetric_form_factors_m1_and_is_symmetric_and_unitary():
-    # W W^T = M1 with W unitary, and S = W^T M2 W = S^T, each to 1e-15, on
-    # random lists, on a_k within 1e-9 of +-1 and +-i, and at both parities of n
-    for v in _symmetric_form_corpus():
+    # W diag(d) W^T = M1 with W unitary, S = W^T M2 W = S^T and
+    # U = conj(W) S diag(d) W^T, each to 1e-15, on random lists, on a_k within
+    # 1e-9 of +-1 and +-i, and at both parities of n: d = 1 for complex data,
+    # and for real data d = +-1 with W orthogonal and S real
+    for v in _symmetric_form_corpus() + _real_form_corpus():
         m1, m2 = factors(v)
-        w, s = symmetric_form(v)
-        assert float(np.max(np.abs(w @ w.T - m1))) <= 1e-15
+        w, d, s = symmetric_form(v)
+        real = not v.a.imag.any() and v.omega in (1.0, -1.0)
+        assert (w.dtype, s.dtype) == ((np.float64,) * 2 if real else (np.complex128,) * 2)
+        assert np.all(np.abs(d) == 1.0) and (real or np.all(d == 1.0))
+        assert float(np.max(np.abs((w * d) @ w.T - m1))) <= 1e-15
         assert unitarity_residual(w) <= 1e-15
         assert float(np.max(np.abs(s - s.T))) <= 1e-15
         assert float(np.max(np.abs(s - w.T @ m2 @ w))) <= 1e-15
-        assert float(np.max(np.abs(w[0]))) == 1.0 and w[0, 0] == 1.0  # W fixes e_0, so row 0 of V is O[0]
+        assert float(np.max(np.abs(w.conj() @ (s * d) @ w.T - m2 @ m1))) <= 1e-15
+        assert w[0, 0] == 1.0 and not w[0, 1:].any()  # W fixes e_0, so row 0 of V is O[0]
 
 
 def test_symmetric_form_builds_s_from_m2_alone_bit_for_bit():
@@ -558,19 +555,10 @@ def test_symmetric_form_builds_s_from_m2_alone_bit_for_bit():
 
 def test_symmetric_rows_match_the_complex_solve():
     # the float64 solve of S gives the eigenvalues and rows 0 and N of the
-    # complex solve of U; rows agree to about eps / gap, gap the cos theta
-    # distance to the nearest other node, as any double-precision solve does
+    # complex solve of U
     rng = np.random.default_rng(2407)
     for n in (1, 2, 3, 19, 20, 21, 33, 64):
-        v = random_verblunsky(rng, n)
-        lam, rows = symmetric_rows(v)
-        ref_lam, ref_rows = eigen_rows(cmv_matrix(v))
-        got, want = np.argsort(np.angle(lam)), np.argsort(np.angle(ref_lam))
-        assert float(np.max(np.abs(lam[got] - ref_lam[want]))) <= 1e-14
-        cos = lam[got].real
-        gap = np.abs(cos[:, None] - cos)
-        np.fill_diagonal(gap, np.inf)
-        assert np.all(np.abs(rows[:, got] - ref_rows[:, want]) <= 1e-13 + 1e-15 / gap.min(axis=0))
+        _assert_symmetric_rows_match(random_verblunsky(rng, n))
 
 
 def test_near_real_pairs_are_split_on_s(monkeypatch):
@@ -603,15 +591,26 @@ def test_real_data_matches_the_cmv_eigenproblem(n):
     # nodes 9e-11 apart across the seam (omega = -1) and 3e-7 apart at pi (omega = 1)
     rng = np.random.default_rng([n, 1])
     for omega in (1.0, -1.0):
-        v = VerblunskySequence(rng.uniform(-0.85, 0.85, n), omega)
-        theta, rows = v.quadrature
-        lam, vecs = np.linalg.eig(cmv_matrix(v))
-        order = np.argsort(wrap_angles(np.angle(lam)))
-        z = unit_points(theta)
-        assert float(np.max(np.abs(z - lam[order]))) <= 1e-12
-        dist = np.abs(z[:, None] - z)
-        np.fill_diagonal(dist, np.inf)
-        assert np.all(np.abs(rows - np.abs(vecs[[0, -1]][:, order]) ** 2) <= 1e-10 + 1e-14 / dist.min(axis=0))
+        _assert_matches_cmv_eig(VerblunskySequence(rng.uniform(-0.85, 0.85, n), omega))
+
+
+@pytest.mark.parametrize("n", [20, 21, 64, 65, 128])
+def test_real_data_off_exact_omega_matches_the_cmv_eigenproblem(n):
+    # real a_k with a real omega 1e-13 off +-1: the complex branch of symmetric_rows
+    rng = np.random.default_rng([n, 2])
+    for omega in (1.0 - 1e-13, -1.0 + 1e-13):
+        _assert_matches_cmv_eig(VerblunskySequence(rng.uniform(-0.85, 0.85, n), omega))
+
+
+def _assert_matches_cmv_eig(v: VerblunskySequence) -> None:
+    theta, rows = v.quadrature
+    lam, vecs = np.linalg.eig(cmv_matrix(v))
+    order = np.argsort(wrap_angles(np.angle(lam)))
+    z = unit_points(theta)
+    assert float(np.max(np.abs(z - lam[order]))) <= 1e-12
+    dist = np.abs(z[:, None] - z)
+    np.fill_diagonal(dist, np.inf)
+    assert np.all(np.abs(rows - np.abs(vecs[[0, -1]][:, order]) ** 2) <= 1e-10 + 1e-14 / dist.min(axis=0))
 
 
 def test_cluster_of_five_is_split_on_u(monkeypatch):
