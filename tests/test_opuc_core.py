@@ -523,17 +523,31 @@ def _real_form_corpus() -> list:
             for a in (rng.uniform(-0.85, 0.85, n), np.full(n, 1 - 1e-9), np.full(n, -(1 - 1e-9)))]
 
 
+def test_reflection_form_diagonalises_m1_and_is_symmetric():
+    # real data: G^T M1 G = diag(d), d = +-1, with G orthogonal and G[0] = e_0,
+    # T = G^T M2 G = T^T and U = G T diag(d) G^T, each to 1e-15, at both
+    # parities and both omegas; (G, d, T) is symmetric_form's (W, d, S), real
+    for v in _real_form_corpus():
+        m1, m2 = (m.real for m in factors(v))
+        g, d, t = symmetric_form(v)
+        assert (g.dtype, t.dtype) == (np.float64, np.float64)
+        assert float(np.max(np.abs(g.T @ m1 @ g - np.diag(d)))) <= 1e-15
+        assert float(np.max(np.abs(g.T @ g - np.eye(v.n + 1)))) <= 1e-15
+        assert float(np.max(np.abs(t - t.T))) <= 1e-15
+        assert float(np.max(np.abs(t - g.T @ m2 @ g))) <= 1e-15
+        assert float(np.max(np.abs(g @ (t * d) @ g.T - m2 @ m1))) <= 1e-15
+        assert np.all(np.abs(d) == 1.0) and g[0, 0] == 1.0 and float(np.max(np.abs(g[0, 1:]))) == 0.0
+
+
 def test_symmetric_form_factors_m1_and_is_symmetric_and_unitary():
-    # W diag(d) W^T = M1 with W unitary, S = W^T M2 W = S^T and
-    # U = conj(W) S diag(d) W^T, each to 1e-15, on random lists, on a_k within
-    # 1e-9 of +-1 and +-i, and at both parities of n: d = 1 for complex data,
-    # and for real data d = +-1 with W orthogonal and S real
-    for v in _symmetric_form_corpus() + _real_form_corpus():
+    # W W^T = M1 with W unitary, S = W^T M2 W = S^T and U = conj(W) S W^T,
+    # each to 1e-15, on random lists, on a_k within 1e-9 of +-1 and +-i, and
+    # at both parities of n: d = 1 for complex data
+    for v in _symmetric_form_corpus():
         m1, m2 = factors(v)
         w, d, s = symmetric_form(v)
-        real = not v.a.imag.any() and v.omega in (1.0, -1.0)
-        assert (w.dtype, s.dtype) == ((np.float64,) * 2 if real else (np.complex128,) * 2)
-        assert np.all(np.abs(d) == 1.0) and (real or np.all(d == 1.0))
+        assert (w.dtype, s.dtype) == (np.complex128, np.complex128)
+        assert np.all(d == 1.0)
         assert float(np.max(np.abs((w * d) @ w.T - m1))) <= 1e-15
         assert unitarity_residual(w) <= 1e-15
         assert float(np.max(np.abs(s - s.T))) <= 1e-15
