@@ -12,7 +12,6 @@ from .cmv import (
     MirrorRelationReport,
     laurent_eigenvectors,
     persymmetric_sign_pattern,
-    quasi_reflection,
     unitarity_residual,
     verify_mirror_relations,
 )
@@ -60,7 +59,6 @@ from .opuc_core import (
     orthogonality_residual,
     paraorthogonality_residual,
     spectrum,
-    theta_block,
     weights,
 )
 
@@ -96,13 +94,11 @@ __all__ = [
     "persymmetry_defect",
     "phi_n_values",
     "principal_sqrt_unimodular",
-    "quasi_reflection",
     "reconstruct_persymmetric",
     "single_moment",
     "single_moment_dual",
     "single_moment_persymmetric",
     "spectrum",
-    "theta_block",
     "unit_points",
     "unitarity_residual",
     "verify_family",

@@ -4,15 +4,14 @@ The unitary matrix U = M2 @ M1 acts on the Laurent-polynomial basis built
 from the ladder; its eigenvalues are exactly the spectrum of the final
 polynomial, and ``opuc_core.spectrum`` computes the nodes that way.  The
 checks here take the coefficient list and read the nodes and ladder values
-it keeps, or build its factors where they read them; they apply Q(tau),
-which ``quasi_reflection`` returns as a plain matrix, as a scaled reversal.
-The builder (``theta_block``, ``factors``, ``cmv_matrix``) lives in
-``opuc_core``.  Two entry conventions for the 2x2 rotation blocks circulate
-in the literature, differing by conjugation of the coefficient.  The one
-built (conjugated coefficient on the upper-left, plain negated coefficient
-on the lower-right, scalar tail conj(omega)) is the one that reproduces the
-spectrum; the calibration test demonstrates the other choice produces the
-conjugate system.
+it keeps, or build its factors where they read them; they apply the
+antidiagonal Q(tau) as a scaled reversal (``_reflect``), never as a matrix.
+The builder (``factors``, ``cmv_matrix``) lives in ``opuc_core``.  Two entry
+conventions for the 2x2 rotation blocks circulate in the literature,
+differing by conjugation of the coefficient.  The one built (conjugated
+coefficient on the upper-left, plain negated coefficient on the lower-right,
+scalar tail conj(omega)) is the one that reproduces the spectrum; the
+calibration test demonstrates the other choice produces the conjugate system.
 """
 
 from __future__ import annotations
@@ -24,19 +23,21 @@ import numpy as np
 from .complex_poly import unit_points
 from .errors import PersymmetryViolationError, ShapeError
 from .mirror import _persymmetry_gate, mirror_dual, principal_sqrt_unimodular
-from .opuc_core import VerblunskySequence, factors, ladder_values, spectrum, unimodular
+from .opuc_core import VerblunskySequence, factors, ladder_values, spectrum
 from .tolerances import SIGN_SLACK, TRANSPORT_RESIDUAL, UNIMODULAR
 
 
 def unitarity_residual(m: np.ndarray) -> float:
     """Max deviation of m* m from the identity.
 
-    m must be a square two-dimensional array (else ShapeError) of finite
-    entries (else ValueError naming the first entry that is not).
+    m must be a square two-dimensional integer, float or complex array (else
+    ShapeError) of finite entries (else ValueError naming the first that is not).
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"need a square matrix, got shape {m.shape}")
+    if m.dtype.kind not in "fciu":
+        raise ShapeError(f"need a numeric matrix, got dtype {m.dtype}")
     finite = np.isfinite(m)
     if not finite.all():
         i, j = np.unravel_index(np.argmin(finite), m.shape)
@@ -86,18 +87,6 @@ def _reflection_diagonal(tau: complex, size: int) -> np.ndarray:
 def _reflect(d_left: np.ndarray, m: np.ndarray, d_right: np.ndarray) -> np.ndarray:
     """Q @ m @ Q', with Q and Q' given by their ``_reflection_diagonal`` and applied as a reversal."""
     return d_left[:, None] * m[::-1, ::-1] * d_right[::-1]
-
-
-def quasi_reflection(n: int, tau: complex) -> np.ndarray:
-    """Antidiagonal matrix Q(tau) of size n + 1: row i holds tau (i even) or 1/tau (i odd).
-
-    tau must be unimodular.  For n odd the matrix squares to the identity;
-    for n even Q(tau) Q(1/tau) is the identity and Q(tau) is symmetric.
-    The dense reference form that tests compare ``_reflect`` against; no pipeline stage calls it.
-    """
-    if n < 0:
-        raise ShapeError("size must be positive")
-    return np.fliplr(np.diag(_reflection_diagonal(unimodular("tau", tau), n + 1)))
 
 
 @dataclass(frozen=True)

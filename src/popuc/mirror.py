@@ -107,8 +107,8 @@ def persymmetric_weights(nodes: np.ndarray, h_final: float) -> np.ndarray:
     No normalization is applied; for valid input the sum comes out as one on
     its own, and silently rescaling would hide bugs.
     """
-    if not h_final > 0.0:
-        raise ValueError("h_final must be positive")
+    if not 0.0 < h_final < np.inf:
+        raise ValueError("h_final must be positive and finite")
     return _weights_at(node_angles(nodes), h_final)
 
 
@@ -138,8 +138,8 @@ def phi_n_values(
     """
     if epsilon not in (-1, 1):
         raise ValueError("epsilon must be +1 or -1")
-    if not h_final > 0.0:
-        raise ValueError("h_final must be positive")
+    if not 0.0 < h_final < np.inf:
+        raise ValueError("h_final must be positive and finite")
     omega = unimodular("omega", omega)
     thetas = node_angles(nodes)
     if thetas[0] < 0.0 or thetas[-1] >= TWO_PI:

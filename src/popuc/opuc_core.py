@@ -213,23 +213,13 @@ def build_system(v: VerblunskySequence) -> VerblunskySequence:
     return v
 
 
-def theta_block(a: complex) -> np.ndarray:
-    """2x2 rotation block [[a, rho], [rho, -conj(a)]] with rho = sqrt(1 - |a|^2).
-
-    The dense reference form that tests compare ``factors`` against; no pipeline stage calls it.
-    """
-    a = np.complex128(a)
-    inside_disc("a", a)
-    rho = np.sqrt(1.0 - np.abs(a) ** 2)  # numpy's modulus, as in ``factors``
-    return np.array([[a, rho], [rho, -np.conj(a)]], dtype=np.complex128)
-
-
 def factors(v: VerblunskySequence) -> tuple[np.ndarray, np.ndarray]:
     """Block-diagonal unitary factors (M1, M2) of the CMV matrix U = M2 @ M1.
 
-    Block k sits at rows k, k+1 and is theta_block(conj(a_k)); M1 carries a
-    leading scalar 1 and the odd-index blocks, M2 the even-index blocks.
-    Whichever factor runs out of blocks first ends in the scalar conj(omega).
+    Block k sits at rows k, k+1 and is [[conj a_k, rho_k], [rho_k, -a_k]] with
+    rho_k = sqrt(1 - |a_k|^2); M1 carries a leading scalar 1 and the odd-index
+    blocks, M2 the even-index blocks.  Whichever factor runs out of blocks
+    first ends in the scalar conj(omega).
     """
     rho = np.sqrt(1.0 - np.abs(v.a) ** 2)
     return _factor(v, 1, rho), _factor(v, 0, rho)
@@ -283,25 +273,12 @@ def eigen_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _split_close(c[1:] - c[:-1] < 2.0 * EIGEN_CLUSTER, vec, uv, lam, edge)
 
 
-def symmetric_form(v: VerblunskySequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(W, d, S): a block-diagonal unitary W with W diag(d) W^T = M1, and the complex symmetric unitary S = W^T M2 W.
-
-    M1 and M2 of ``factors`` are complex symmetric, so U = M2 M1 = conj(W) S diag(d) W^T
-    is unitarily similar to S diag(d), which ``symmetric_rows`` solves.  d = 1 for
-    complex data; real data (real a_k, omega = +-1) give a real W and S, d = +-1.
-    The dense reference form that tests and ``scripts/verify_identities.py``
-    check; the solve reads W's blocks from ``_symmetric_blocks`` and never forms W.
-    """
-    wt, last, s = _symmetric_blocks(v)
-    d = _signs(v) if s.dtype == np.float64 else np.ones(v.n + 1)
-    return _rows_by_blocks(np.eye(v.n + 1, dtype=wt.dtype), wt, last).T, d, s
-
-
 def _symmetric_blocks(v: VerblunskySequence) -> tuple[np.ndarray, "complex | None", np.ndarray]:
     """(wt, last, S): the 2x2 blocks of W^T, W's trailing scalar (None if W has none) and S = W^T M2 W.
 
-    W has M1's block pattern.  Its leading entry is 1.  In place of each
-    block theta_block(conj a) of M1, with a = x + iy and rho = sqrt(1 - |a|^2),
+    W D W^T = M1, with D = I for complex data and diag(``_signs``) for real data,
+    and W has M1's block pattern.  Its leading entry is 1.  In place of each
+    block [[conj a, rho], [rho, -a]] of M1, with a = x + iy and rho = sqrt(1 - |a|^2),
     it has R(psi / 2) diag(e^{-i phi / 2}, i e^{i phi / 2}), where
     psi = atan2(rho, x) and phi = atan2(y, hypot(x, rho)).  At odd n the
     trailing conj(omega) of M1 becomes sqrt(conj(omega)).  Real data take the

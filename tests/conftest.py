@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import settings
 
 from popuc import ShapeError, VerblunskySequence, make_persymmetric
+from popuc.opuc_core import _rows_by_blocks, _signs, _symmetric_blocks
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -72,3 +73,23 @@ def characteristic_polynomial(m: np.ndarray) -> np.ndarray:
         aux = m @ (aux + coeffs[size - k + 1] * eye)
         coeffs[size - k] = -np.trace(aux) / k
     return coeffs
+
+
+def theta_block(a: complex) -> np.ndarray:
+    """The dense 2x2 rotation block [[a, rho], [rho, -conj(a)]], rho = sqrt(1 - |a|^2), that ``factors`` places."""
+    rho = np.sqrt(1.0 - np.abs(a) ** 2)  # numpy's modulus, as in ``factors``
+    return np.array([[a, rho], [rho, -np.conj(a)]], dtype=np.complex128)
+
+
+def quasi_reflection(n: int, tau: complex) -> np.ndarray:
+    """The dense antidiagonal Q(tau) of size n + 1: row i holds tau (i even) or 1/tau (i odd)."""
+    d = np.empty(n + 1, dtype=np.complex128)
+    d[::2], d[1::2] = tau, 1.0 / tau
+    return np.fliplr(np.diag(d))
+
+
+def symmetric_form(v: VerblunskySequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dense (W, d, S) of the solve: W diag(d) W^T = M1 and S = W^T M2 W, from ``_symmetric_blocks``."""
+    wt, last, s = _symmetric_blocks(v)
+    d = _signs(v) if s.dtype == np.float64 else np.ones(v.n + 1)
+    return _rows_by_blocks(np.eye(v.n + 1, dtype=wt.dtype), wt, last).T, d, s

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from conftest import characteristic_polynomial, eigenpair_residual, random_persymmetric, random_verblunsky
+from conftest import characteristic_polynomial, eigenpair_residual, quasi_reflection, random_persymmetric, random_verblunsky
 from popuc import (
     NotPersymmetricError,
     VerblunskySequence,
@@ -25,7 +25,6 @@ from popuc import (
     paraorthogonality_residual,
     persymmetric_sign_pattern,
     principal_sqrt_unimodular,
-    quasi_reflection,
     reconstruct_persymmetric,
     single_moment,
     single_moment_dual,

@@ -126,6 +126,7 @@ def test_names_the_benchmark_reads():
     import types
 
     import popuc
+    import popuc.cmv as cmv
     import popuc.complex_poly as cp
     import popuc.errors as errors
     import popuc.opuc_core as oc
@@ -146,3 +147,6 @@ def test_names_the_benchmark_reads():
     assert sorted(popuc.__all__) == sorted(public)
     retired = ("UnitCirclePoint", "roots", "from_roots", "lagrange_interpolate", "build_system", "ConvergenceError")
     assert not any(hasattr(popuc, name) for name in retired)
+    # the dense reference forms live in the tests' conftest, as no stage builds them
+    forms = ("theta_block", "quasi_reflection", "symmetric_form")
+    assert not any(hasattr(module, name) for module in (popuc, cmv, oc) for name in forms)

@@ -195,6 +195,11 @@ def test_non_finite_input_is_rejected_up_front():
         persymmetric_weights(nodes, float("nan"))
     with pytest.raises(ValueError, match="h_final must be positive"):
         phi_n_values(nodes, 1.0, float("nan"), 1)
+    # an infinite h_final used to come back as inf weights and +-inf+-infj values
+    with pytest.raises(ValueError, match="h_final must be positive and finite"):
+        persymmetric_weights(nodes, float("inf"))
+    with pytest.raises(ValueError, match="h_final must be positive and finite"):
+        phi_n_values(nodes, 1.0, float("inf"), 1)
 
 
 def test_log_h_final_matches_recovered_coefficients():

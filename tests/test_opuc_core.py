@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import KEPT, count_calls, random_persymmetric, random_verblunsky
+from conftest import KEPT, count_calls, random_persymmetric, random_verblunsky, symmetric_form
 from popuc import (
     ShapeError,
     SpectralValidityError,
@@ -22,14 +22,12 @@ from popuc import (
     persymmetric_sign_pattern,
     persymmetric_weights,
     phi_n_values,
-    quasi_reflection,
     reconstruct_persymmetric,
     single_moment,
     single_moment_dual,
     single_moment_persymmetric,
     spectrum,
     krawtchouk_family,
-    theta_block,
     unitarity_residual,
     verify_mirror_relations,
     verify_persymmetry_characterizations,
@@ -40,7 +38,6 @@ from popuc.opuc_core import (
     SYMMETRIC_SOLVE_N,
     eigen_rows,
     ladder_values,
-    symmetric_form,
     symmetric_rows,
 )
 from popuc.tolerances import SPECTRUM_RADIUS
@@ -62,21 +59,19 @@ def test_verblunsky_validation():
     [
         (lambda: VerblunskySequence([0.1, 0.2], np.nan), ValueError, r"omega = \(nan\+0j\) is not unimodular"),
         (lambda: VerblunskySequence([0.1, np.nan], 1.0), ValueError, r"\|a_1\| = nan must stay strictly inside"),
-        (lambda: quasi_reflection(3, np.nan), ValueError, r"tau = \(nan\+0j\) is not unimodular"),
         (lambda: make_persymmetric([0.1], complex(np.nan, 0.0)), ValueError, r"omega = \(nan\+0j\) is not unimodular"),
         (lambda: make_persymmetric([np.nan], 1.0), ValueError, r"\|free_params_0\| = nan must stay strictly inside"),
         (lambda: krawtchouk_family(4, complex(np.nan, np.nan)), ValueError, r"omega = \(nan\+nanj\) is not unimodular"),
         (lambda: free_family(3, np.nan), ValueError, r"nu = nan must be finite"),
         (lambda: reconstruct_persymmetric(np.array([0.5, 2.0, 4.0]), np.nan), ValueError, r"omega = \(nan\+0j\)"),
-        (lambda: theta_block(np.nan), ValueError, r"\|a\| = nan must stay strictly inside the unit disc"),
         (lambda: persymmetric_weights(np.array([0.1, np.nan]), 1.0), ValueError, r"theta\[1\] is nan"),
         (lambda: phi_n_values(np.array([0.1, np.nan]), 1, 1.0, 1), ValueError, r"theta\[1\] is nan"),
         (lambda: persymmetric_weights(np.array([0.1, 0.1, 2.0]), 1.0), ShapeError, r"strictly increasing in theta; theta 0\.1 is given twice$"),
         (lambda: phi_n_values(np.array([0.1, 0.1, 2.0]), 1, 1.0, 1), ShapeError, r"strictly increasing in theta; theta 0\.1 is given twice$"),
     ],
-    ids=["VerblunskySequence", "VerblunskySequence_a", "quasi_reflection", "make_persymmetric",
+    ids=["VerblunskySequence", "VerblunskySequence_a", "make_persymmetric",
          "make_persymmetric_free_params", "krawtchouk_family", "free_family_nu", "reconstruct_persymmetric",
-         "theta_block", "persymmetric_weights_nan", "phi_n_values_nan", "persymmetric_weights_repeated",
+         "persymmetric_weights_nan", "phi_n_values_nan", "persymmetric_weights_repeated",
          "phi_n_values_repeated"],
 )
 def test_nan_fails_every_unimodular_and_disc_gate(gate, error, message):
