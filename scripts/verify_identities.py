@@ -34,7 +34,7 @@ from popuc import (
     verify_persymmetry_characterizations,
     weights,
 )
-from popuc.opuc_core import _rows_by_blocks, _signs, _symmetric_blocks
+from popuc.opuc_core import _rows_by_blocks, _symmetric_blocks
 from popuc.tolerances import (
     MIRROR_RELATIONS,
     ORTHOGONALITY,
@@ -54,9 +54,8 @@ def random_verblunsky(rng, n, max_mag=0.85):
 def symmetric_form_residual(v):
     """Worst of |W diag(d) W^T - M1|, |S - S^T|, W's unitarity and |U conj(W) - conj(W) S diag(d)| for v's symmetric form."""
     m1, m2 = factors(v)
-    wt, last, s = _symmetric_blocks(v)
+    wt, last, d, s = _symmetric_blocks(v)
     w = _rows_by_blocks(np.eye(v.n + 1, dtype=wt.dtype), wt, last).T
-    d = _signs(v) if s.dtype == np.float64 else np.ones(v.n + 1)
     u = m2 @ m1
     return max(
         float(np.max(np.abs((w * d) @ w.T - m1))),

@@ -30,12 +30,12 @@ from .tolerances import SIGN_SLACK, TRANSPORT_RESIDUAL, UNIMODULAR
 def unitarity_residual(m: np.ndarray) -> float:
     """Max deviation of m* m from the identity.
 
-    m must be a square two-dimensional integer, float or complex array (else
-    ShapeError) of finite entries (else ValueError naming the first that is not).
+    m must be a non-empty square two-dimensional integer, float or complex
+    array (else ShapeError) of finite entries (else ValueError naming the first that is not).
     """
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError(f"need a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise ShapeError(f"need a non-empty square matrix, got shape {m.shape}")
     if m.dtype.kind not in "fciu":
         raise ShapeError(f"need a numeric matrix, got dtype {m.dtype}")
     finite = np.isfinite(m)

@@ -87,9 +87,15 @@ def unit_points(theta: np.ndarray) -> np.ndarray:
 
 
 def _exp_i(arg: float) -> complex:
-    """exp(i arg), exactly 1, i, -1 or -i with +0.0 parts at a whole number of quarter turns, so real data stay real."""
+    """exp(i arg), exactly 1, i, -1 or -i with +0.0 parts at a whole number of quarter turns, so real data stay real.
+
+    That is 4 arg / 2 pi whole and exp(i arg) within UNIMODULAR of it: from |arg| ~ 1e14 far floats pass the first.
+    """
     w = complex(np.exp(1j * arg))
-    return complex(round(w.real), round(w.imag)) if (4.0 * arg / TWO_PI).is_integer() else w
+    if not (4.0 * arg / TWO_PI).is_integer():  # NaN too
+        return w
+    r = complex(round(w.real), round(w.imag))
+    return r if abs(w - r) <= UNIMODULAR else w
 
 
 def roots(coeffs: "np.ndarray | Sequence[complex]") -> list[complex]:

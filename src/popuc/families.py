@@ -32,7 +32,7 @@ from .tolerances import KRAWTCHOUK_CLOSURE, KRAWTCHOUK_DEGENERATE, KRAWTCHOUK_HA
 
 @dataclass(frozen=True, eq=False)
 class FamilyInstance:
-    """Coefficient data plus its closed forms; closed_form_nodes is sorted in [0, 2 pi) and made read-only."""
+    """Coefficient data plus its closed forms, both made read-only; closed_form_nodes is sorted in [0, 2 pi)."""
 
     name: str
     v: VerblunskySequence
@@ -41,7 +41,7 @@ class FamilyInstance:
     persymmetric: bool = False
 
     def __post_init__(self) -> None:
-        self.closed_form_nodes.flags.writeable = False
+        self.closed_form_nodes.flags.writeable = self.closed_form_weights.flags.writeable = False
 
     @cached_property
     def closed_form_phis(self) -> tuple[np.ndarray, ...] | None:

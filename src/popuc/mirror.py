@@ -55,10 +55,8 @@ def _persymmetry_gate(v: VerblunskySequence, self_dual: bool = True) -> None:
     NotPersymmetricError names a mirror defect above SELF_DUAL_DEFECT (when self_dual); WeightError
     names the first h_k that underflows to 0.0, by whose square root the forms divide.
     """
-    if self_dual:
-        defect = persymmetry_defect(v)
-        if not defect <= SELF_DUAL_DEFECT:
-            raise NotPersymmetricError(f"coefficient list has mirror defect {defect:.3e}")
+    if self_dual and not is_persymmetric(v):
+        raise NotPersymmetricError(f"coefficient list has mirror defect {persymmetry_defect(v):.3e}")
     if not v.h[-1] > 0.0:
         k = int(np.argmax(v.h <= 0.0))
         raise WeightError(f"squared norm h_{k} underflows to 0, so the persymmetric forms are undefined")

@@ -14,8 +14,8 @@ Phi_{N+1} (Cantero-Moral-Velazquez 2003): the nodes are its eigenvalues and
 the weight of node s is |V[0, s]|^2 for the unit eigenvector v_s, the
 unit-circle Golub-Welsch rule.  U is normal, so one Hermitian eigen-solve of
 U + U^H gives V (``eigen_rows``); row N of |V|^2 holds the weights of the
-mirror dual.  Real data (real a_k, omega = +-1) give a real orthogonal U,
-which ``eigen_rows`` solves in real arithmetic.  From SYMMETRIC_SOLVE_N
+mirror dual.  Real data (real a_k, omega exactly +-1: ``_real_data``) give
+a real orthogonal U, solved in real arithmetic.  From SYMMETRIC_SOLVE_N
 coefficients on, the factors' symmetry cuts the solve (``symmetric_rows``).
 M1 and M2 are complex symmetric, so U is unitarily similar to S D with
 S = W^T M2 W and M1 = W D W^T.  For complex data D = I, and one real ``eigh``
@@ -103,13 +103,17 @@ class VerblunskySequence:
 
         Both come from one solve of the CMV matrix U: ``symmetric_rows`` for a
         list of at least SYMMETRIC_SOLVE_N coefficients, ``eigen_rows`` below
-        it.  Row 0 holds the weights, row N the weights of the mirror dual;
-        both arrays are read-only.  An eigenvalue whose radius drifts from one
-        by more than SPECTRUM_RADIUS raises SpectralValidityError.  The angles
-        pass ``wrap_angles``, so a node on the seam sorts first; two nodes
-        equal in double precision raise SpectralValidityError naming the pair.
+        it, on U's real part where ``_real_data`` holds.  Row 0 holds the
+        weights, row N the weights of the mirror dual; both are read-only.  An
+        eigenvalue whose radius drifts from one by more than SPECTRUM_RADIUS
+        raises SpectralValidityError.  The angles pass ``wrap_angles``, so a
+        node on the seam sorts first; two nodes equal in double precision
+        raise SpectralValidityError naming the pair.
         """
-        lam, rows = symmetric_rows(self) if self.n >= SYMMETRIC_SOLVE_N else eigen_rows(cmv_matrix(self))
+        if self.n >= SYMMETRIC_SOLVE_N:
+            lam, rows = symmetric_rows(self)
+        else:
+            lam, rows = eigen_rows(cmv_matrix(self).real.copy() if _real_data(self) else cmv_matrix(self))
         drift = float(np.abs(np.abs(lam) - 1.0).max())
         if not drift <= SPECTRUM_RADIUS:
             raise SpectralValidityError(f"eigenvalue radius off the circle by {drift:.3e}")
@@ -258,14 +262,12 @@ def eigen_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     data) eigh may return any basis of their span, and u is diagonalised
     again on it: pairs in closed form and all at once, or, where some
     cluster holds three or more, every cluster by ``eig`` of V_g^H u V_g.
-    Only the two rows are kept, not V.  A u with no non-zero imaginary entry
-    (real Verblunsky data and omega = +-1) is solved in real arithmetic: a
-    real orthogonal u gives a real symmetric u + u^T, whose ``eigh`` is
-    cheaper than the complex one.  The split stays complex, since a real
-    eigenvector pair spans theta and -theta.
+    Only the two rows are kept, not V.  u is solved in its own dtype: a real
+    orthogonal u, which ``quadrature`` hands over where ``_real_data`` holds,
+    gives a real symmetric u + u^T, whose ``eigh`` is cheaper than the
+    complex one.  The split stays complex, since a real eigenvector pair
+    spans theta and -theta.
     """
-    if not u.imag.any():
-        u = np.ascontiguousarray(u.real)
     c, vec = np.linalg.eigh(u + u.conj().T)
     uv = u.dot(vec)
     lam = np.vecdot(vec, uv, axis=0).astype(np.complex128, copy=False)
@@ -273,44 +275,44 @@ def eigen_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _split_close(c[1:] - c[:-1] < 2.0 * EIGEN_CLUSTER, vec, uv, lam, edge)
 
 
-def _symmetric_blocks(v: VerblunskySequence) -> tuple[np.ndarray, "complex | None", np.ndarray]:
-    """(wt, last, S): the 2x2 blocks of W^T, W's trailing scalar (None if W has none) and S = W^T M2 W.
+def _real_data(v: VerblunskySequence) -> bool:
+    """The one rule by which both solves take v as real data: real a_k and omega exactly 1 or -1."""
+    return not v.a.imag.any() and v.omega in (1.0, -1.0)
 
-    W D W^T = M1, with D = I for complex data and diag(``_signs``) for real data,
-    and W has M1's block pattern.  Its leading entry is 1.  In place of each
-    block [[conj a, rho], [rho, -a]] of M1, with a = x + iy and rho = sqrt(1 - |a|^2),
-    it has R(psi / 2) diag(e^{-i phi / 2}, i e^{i phi / 2}), where
-    psi = atan2(rho, x) and phi = atan2(y, hypot(x, rho)).  At odd n the
-    trailing conj(omega) of M1 becomes sqrt(conj(omega)).  Real data take the
-    real rotations R(psi / 2) alone and no trailing scalar (``_signs`` keeps
-    M1's), so S is real.  S costs O(n^2): W^T mixes the rows of M2 two at a
-    time, then the rows of the transpose.
+
+def _symmetric_blocks(v: VerblunskySequence) -> tuple[np.ndarray, "complex | None", np.ndarray, np.ndarray]:
+    """(wt, last, d, S): the 2x2 blocks of W^T, W's trailing scalar (None if W has none), D's diagonal and S = W^T M2 W.
+
+    W D W^T = M1, and W has M1's block pattern.  Its leading entry is 1.  In
+    place of each block [[conj a, rho], [rho, -a]] of M1, with a = x + iy and
+    rho = sqrt(1 - |a|^2), it has R(psi / 2) diag(e^{-i phi / 2}, i e^{i phi / 2}),
+    where psi = atan2(rho, x) and phi = atan2(y, hypot(x, rho)).  At odd n the
+    trailing conj(omega) of M1 becomes sqrt(conj(omega)); D = I.  Real data
+    (``_real_data``) take the real rotations R(psi / 2) alone and no trailing
+    scalar, so S is real, and d keeps M1's signs: -1 at the second row of each
+    block, omega at a trailing scalar, else 1.  S costs O(n^2): W^T mixes the
+    rows of M2 two at a time, then the rows of the transpose.
     """
     rho = np.sqrt(1.0 - np.abs(v.a) ** 2)  # as in ``factors``
     a, rho_odd, m2 = v.a[1::2], rho[1::2], _factor(v, 0, rho)  # M2, with no M1 built
     half = 0.5 * np.arctan2(rho_odd, a.real)
     cos, sin = np.cos(half), np.sin(half)
-    if v.a.imag.any() or v.omega not in (1.0, -1.0):
+    d = np.ones(v.n + 1)
+    if _real_data(v):
+        wt = np.empty((a.size, 2, 2))
+        wt[:, 0, 0], wt[:, 0, 1], wt[:, 1, 0], wt[:, 1, 1] = cos, sin, -sin, cos
+        last, m2 = None, np.ascontiguousarray(m2.real)
+        d[2::2] = -1.0  # row N among them at even n
+        if v.n % 2:
+            d[-1] = v.omega.real
+    else:
         d0 = np.exp(-0.5j * np.arctan2(a.imag, np.hypot(a.real, rho_odd)))
         d1 = 1j * d0.conj()
         wt = np.empty((a.size, 2, 2), dtype=np.complex128)
         wt[:, 0, 0], wt[:, 0, 1], wt[:, 1, 0], wt[:, 1, 1] = cos * d0, sin * d0, -sin * d1, cos * d1
         last = np.sqrt(v.omega.conjugate()) if v.n % 2 else None
-    else:  # real data
-        wt = np.empty((a.size, 2, 2))
-        wt[:, 0, 0], wt[:, 0, 1], wt[:, 1, 0], wt[:, 1, 1] = cos, sin, -sin, cos
-        last, m2 = None, np.ascontiguousarray(m2.real)
     m2 = _rows_by_blocks(m2, wt, last)  # W^T M2
-    return wt, last, _rows_by_blocks(m2.T.copy(), wt, last)  # W^T (W^T M2)^T, as M2 is symmetric
-
-
-def _signs(v: VerblunskySequence) -> np.ndarray:
-    """d with W^T M1 W = diag(d) for real data: -1 at the second row of each block, omega at a trailing scalar, else 1."""
-    d = np.ones(v.n + 1)
-    d[2::2] = -1.0  # row N among them at even n
-    if v.n % 2:
-        d[-1] = v.omega.real
-    return d
+    return wt, last, d, _rows_by_blocks(m2.T.copy(), wt, last)  # W^T (W^T M2)^T, as M2 is symmetric
 
 
 def _rows_by_blocks(x: np.ndarray, wt: np.ndarray, last: "complex | None") -> np.ndarray:
@@ -338,9 +340,8 @@ def symmetric_rows(v: VerblunskySequence) -> tuple[np.ndarray, np.ndarray]:
     a phase, which |.|^2 drops, at odd n.  Clusters in cos theta are split on
     S D as ``eigen_rows`` splits them on U.
     """
-    wt, last, s = _symmetric_blocks(v)
+    wt, last, d, s = _symmetric_blocks(v)
     if s.dtype == np.float64:  # real data
-        d = _signs(v)
         sd = s * d  # S D, whose diagonal blocks are S_PP and -S_MM
         plus, minus = (d > 0.0).nonzero()[0], (d < 0.0).nonzero()[0]
         c_plus, o_plus = np.linalg.eigh(sd.take(plus, 0).take(plus, 1))
@@ -441,27 +442,19 @@ def spectrum(v: VerblunskySequence) -> np.ndarray:
     return v.quadrature[0]
 
 
-def _own_nodes(v: VerblunskySequence, nodes: np.ndarray) -> None:
-    """ValueError unless nodes are the angles ``spectrum(v)``, where v keeps its weights and ladder values.
-
-    nodes has one legal value: this stays only for the two-argument calls of ``bench/workloads.py``.
-    """
-    theta = v.quadrature[0]
-    if nodes is not theta and not np.array_equal(node_angles(nodes), theta):
-        raise ValueError("weights are defined at the system's own nodes only: pass spectrum(v)")
-
-
 def weights(v: VerblunskySequence, nodes: np.ndarray) -> SpectralData:
     """Quadrature weights |V[0, s]|^2 at the system's own nodes ``spectrum(v)``.
 
     v_s is the unit eigenvector of U at node s, so these are the Gauss
     weights of the unit-circle Golub-Welsch rule, read off the solve that
-    gave the nodes.  nodes must be those angles, else ValueError.  The
-    SpectralData holds the read-only arrays of ``v.quadrature``, which the
-    solve made sorted, distinct and finite, once ``_resolved`` passes row 0.
+    gave the nodes.  nodes must be those angles, else ValueError: the
+    argument stays only for ``bench/workloads.py``.  The SpectralData holds the
+    read-only arrays of ``v.quadrature``, made sorted, distinct and finite by
+    the solve, once ``_resolved`` passes row 0.
     """
-    _own_nodes(v, nodes)
     theta, rows = v.quadrature
+    if nodes is not theta and not np.array_equal(node_angles(nodes), theta):
+        raise ValueError("weights are defined at the system's own nodes only: pass spectrum(v)")
     return SpectralData(theta, _resolved(rows[0], "0"))
 
 
@@ -509,14 +502,17 @@ def orthogonality_residual(v: VerblunskySequence, data: SpectralData) -> float:
     """Max deviation of the weighted Gram matrix of Phi_0 .. Phi_N from diag(h).
 
     The values come from the recurrence, not from the eigenvectors, so this
-    checks the weights independently of the solve that produced them.  data
-    must come from ``weights(v, spectrum(v))``, else ValueError.  An overflow raises OverflowError.
+    checks the weights independently of the solve that produced them.  The
+    Gram reads v's own weights, row 0 of ``v.quadrature``: data must come from
+    ``weights(v, spectrum(v))``, else ValueError.  An overflow raises OverflowError.
     """
-    _own_nodes(v, data.theta)
+    w = v.quadrature[1][0]
+    if not np.array_equal(data.weights, w):
+        raise ValueError("orthogonality check: data holds other weights than the system's own")
     vals = v.node_values
     with np.errstate(over="raise", invalid="raise"):
         try:
-            gram = (vals * data.weights).dot(np.conj(vals.T))
+            gram = (vals * w).dot(np.conj(vals.T))
             gram.reshape(-1)[:: gram.shape[0] + 1] -= v.h  # the diagonal, as a view
             return float(np.abs(gram).max())
         except FloatingPointError:

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import settings
 
 from popuc import ShapeError, VerblunskySequence, make_persymmetric
-from popuc.opuc_core import _rows_by_blocks, _signs, _symmetric_blocks
+from popuc.opuc_core import _rows_by_blocks, _symmetric_blocks
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -90,6 +90,5 @@ def quasi_reflection(n: int, tau: complex) -> np.ndarray:
 
 def symmetric_form(v: VerblunskySequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The dense (W, d, S) of the solve: W diag(d) W^T = M1 and S = W^T M2 W, from ``_symmetric_blocks``."""
-    wt, last, s = _symmetric_blocks(v)
-    d = _signs(v) if s.dtype == np.float64 else np.ones(v.n + 1)
+    wt, last, d, s = _symmetric_blocks(v)
     return _rows_by_blocks(np.eye(v.n + 1, dtype=wt.dtype), wt, last).T, d, s

@@ -207,6 +207,13 @@ def test_reconstruct_wrong_omega_fails(capsys):
     assert "reconstruction failed" in err
 
 
+def test_reconstruct_of_a_pair_closer_than_the_disc_allows_fails_with_exit_3(capsys):
+    # omega-arg pi - (2 + 1e-11) gives omega = -exp(-i(2 + 1e-11)), consistent with the two nodes
+    code, out, err = run(capsys, "reconstruct", "--spectrum", "[1.0, 1.00000000001]", "--omega-arg", repr(np.pi - 2.00000000001))
+    assert (code, out) == (3, "")
+    assert err == "reconstruction failed: recovered |a_0| = 1.0 is not inside the disc\n"
+
+
 def test_reconstruct_krawtchouk_spectrum_at_n36(capsys):
     # valid Krawtchouk nodes at n = 36 come back as the family's coefficients
     code, out, _ = run(

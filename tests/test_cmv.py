@@ -90,20 +90,22 @@ def test_factor_layout_even():
 @pytest.mark.parametrize(
     "m, error, message",
     [
-        (np.ones((3, 2)), ShapeError, r"^need a square matrix, got shape \(3, 2\)$"),
-        (np.ones(3), ShapeError, r"^need a square matrix, got shape \(3,\)$"),
-        (np.ones((2, 2, 2)), ShapeError, r"^need a square matrix, got shape \(2, 2, 2\)$"),
+        (np.ones((3, 2)), ShapeError, r"^need a non-empty square matrix, got shape \(3, 2\)$"),
+        (np.ones(3), ShapeError, r"^need a non-empty square matrix, got shape \(3,\)$"),
+        (np.ones((2, 2, 2)), ShapeError, r"^need a non-empty square matrix, got shape \(2, 2, 2\)$"),
+        (np.ones((0, 0)), ShapeError, r"^need a non-empty square matrix, got shape \(0, 0\)$"),
         (np.array([[1.0, 0.0], [np.nan, 1.0]]), ValueError, r"^m\[1, 0\] = nan is not finite$"),
         (np.array([[1.0, np.inf], [np.nan, 1.0]], dtype=complex), ValueError, r"^m\[0, 1\] = \(inf\+0j\) is not finite$"),
         (np.array([["a"]]), ShapeError, r"^need a numeric matrix, got dtype <U1$"),
         (np.array([[1.0]], dtype=object), ShapeError, r"^need a numeric matrix, got dtype object$"),
     ],
-    ids=["3x2", "1d", "3d", "nan", "inf_before_nan", "str", "object"],
+    ids=["3x2", "1d", "3d", "0x0", "nan", "inf_before_nan", "str", "object"],
 )
 def test_unitarity_residual_checks_its_input(m, error, message):
     # a non-square array used to raise numpy's unrelated broadcast error or, in
-    # one dimension, return 3.0; a NaN entry used to come back as nan, and a
-    # string or object array raised numpy's TypeError from isfinite
+    # one dimension, return 3.0; a NaN entry used to come back as nan, a
+    # string or object array raised numpy's TypeError from isfinite, and a 0x0
+    # array numpy's "zero-size array to reduction operation maximum"
     with pytest.raises(error, match=message):
         unitarity_residual(m)
 

@@ -5,8 +5,15 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from conftest import random_verblunsky
-from popuc import DegenerateNodesError, ShapeError, reconstruct_persymmetric, single_moment_persymmetric, spectrum
-from popuc.complex_poly import UnitCirclePoint, from_roots, lagrange_interpolate, roots
+from popuc import (
+    DegenerateNodesError,
+    ShapeError,
+    principal_sqrt_unimodular,
+    reconstruct_persymmetric,
+    single_moment_persymmetric,
+    spectrum,
+)
+from popuc.complex_poly import UnitCirclePoint, _exp_i, from_roots, lagrange_interpolate, roots
 from popuc.errors import ConvergenceError
 
 
@@ -110,6 +117,31 @@ def test_lagrange_rejects_duplicates():
         lagrange_interpolate([1.0, 1.0 + 1e-14], [0.0, 1.0])
     with pytest.raises(ShapeError):
         lagrange_interpolate([1.0, 2.0], [1.0])
+
+
+def test_quarter_turns_are_exact_and_large_args_keep_exp_i():
+    # 4 arg / 2 pi is a whole number for a growing share of floats from |arg| ~ 1e14 and
+    # for every float from 2^52 quarter turns (~7.07e15); rounding those gave omega = 1 for
+    # arg = 3e16, where exp(i arg) = 0.896 + 0.443i, and -1 + 1j for arg = 1e16
+    rng = np.random.default_rng(38)
+    args = np.concatenate(
+        (np.logspace(14, 300, 2000), rng.uniform(1e14, 1e15, 2000), rng.uniform(1.8e15, 7e15, 2000), [1e16, 3e16])
+    )
+    for arg in np.concatenate((args, -args)).tolist():
+        assert _exp_i(arg) == complex(np.exp(1j * arg))
+    # the seam cases stay exact, each 0 a +0.0 (test_families checks free_family at quarter nu)
+    exact = [
+        (_exp_i(np.pi), (-1.0, 0.0)),
+        (_exp_i(-np.pi), (-1.0, 0.0)),
+        (_exp_i(np.pi / 2), (0.0, 1.0)),
+        (_exp_i(-np.pi / 2), (0.0, -1.0)),
+        (_exp_i(2 * np.pi), (1.0, 0.0)),
+        (principal_sqrt_unimodular(complex(-1.0, 0.0)), (0.0, 1.0)),
+        (principal_sqrt_unimodular(complex(-1.0, -0.0)), (0.0, -1.0)),
+    ]
+    for w, parts in exact:
+        assert (w.real, w.imag) == parts
+        assert np.signbit([w.real, w.imag]).tolist() == np.signbit(parts).tolist()
 
 
 def test_unit_circle_point():

@@ -151,9 +151,14 @@ def test_free_family_omega_is_exact_at_quarter_turns(nu, parts):
 
 @FAMILIES
 def test_closed_form_nodes_are_one_sorted_read_only_theta_array(make):
-    nodes = make().closed_form_nodes
+    # the weights are read-only too: a caller's write would change the oracle verify_family checks against
+    inst = make()
+    nodes, w = inst.closed_form_nodes, inst.closed_form_weights
     assert isinstance(nodes, np.ndarray) and nodes.dtype == np.float64 and not nodes.flags.writeable
     assert nodes[0] >= 0.0 and nodes[-1] < 2.0 * np.pi and np.all(np.diff(nodes) > 0.0)
+    assert isinstance(w, np.ndarray) and w.shape == nodes.shape and not w.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        w[0] = 1.0
 
 
 @pytest.mark.parametrize("sigma", [1e-9, -1e-9, 1e-6])

@@ -12,6 +12,7 @@ from popuc import (
     NotPersymmetricError,
     ShapeError,
     SpectrumInconsistencyError,
+    SzegoClassError,
     VerblunskySequence,
     free_family,
     krawtchouk_family,
@@ -166,6 +167,14 @@ def test_reconstruct_rejects_inconsistent_omega():
     nodes = spectrum(v)
     with pytest.raises(SpectrumInconsistencyError):
         reconstruct_persymmetric(nodes, v.omega * np.exp(0.3j))
+
+
+def test_two_nodes_closer_than_the_disc_allows_are_a_szego_class_error():
+    # two nodes 1e-11 apart, above NODE_SEPARATION, with their consistent omega = -exp(-i(2 + 1e-11)):
+    # the peel's first step lands on the circle, so a_0 is not inside the disc
+    theta = np.array([1.0, 1.0 + 1e-11])
+    with pytest.raises(SzegoClassError, match=r"^recovered \|a_0\| = 1\.0 is not inside the disc$"):
+        reconstruct_persymmetric(theta, -np.exp(-1j * (2.0 + 1e-11)))
 
 
 def test_reconstruct_input_gates():

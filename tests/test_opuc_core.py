@@ -382,6 +382,19 @@ def test_weights_are_read_at_the_systems_own_nodes_only():
         weights(v, nodes + 1e-3)
 
 
+def test_gram_check_reads_the_systems_own_weights_only():
+    # the single-moment list and its mirror dual share their nodes but not their weights:
+    # the dual's weights once gave a Gram residual of 0.3125 for single_moment(3)
+    v, d = single_moment(3).v, single_moment_dual(3).v
+    assert np.array_equal(spectrum(v), spectrum(d))
+    with pytest.raises(ValueError, match="other weights than the system's own"):
+        orthogonality_residual(v, weights(d, spectrum(d)))
+    data = weights(v, spectrum(v))
+    own = orthogonality_residual(v, data)
+    assert own <= 1e-14
+    assert orthogonality_residual(v, type(data)(data.theta, data.weights.copy())) == own
+
+
 def test_weight_below_eigenvector_resolution_is_a_typed_error():
     # at n = 256 some first components round to exactly 0.0 in the solve
     v = random_verblunsky(np.random.default_rng([256, 0]), 256)
@@ -414,11 +427,12 @@ def test_single_moment_pairs_split_to_closed_form(n):
 
 
 def test_real_data_is_solved_in_real_arithmetic(monkeypatch):
-    # U is real orthogonal for real a and omega = +-1, so its eigh runs on float64
-    # at every n: one eigh of U + U^T of size n + 1 below SYMMETRIC_SOLVE_N, and
-    # from it on one per eigenspace of M1, two whose sizes add up to n + 1.  A
-    # complex list runs the complex eigh of U + U^H below SYMMETRIC_SOLVE_N and
-    # the float64 eigh of Re S from it on, as does a real omega not exactly +-1
+    # one rule, _real_data, decides real data at every n: real a and omega exactly
+    # +-1.  U is then real orthogonal, so its eigh runs on float64: one eigh of
+    # U + U^T of size n + 1 below SYMMETRIC_SOLVE_N, and from it on one per
+    # eigenspace of M1, two whose sizes add up to n + 1.  Every other list, a real
+    # omega a rounding off +-1 among them, runs the complex eigh of U + U^H below
+    # SYMMETRIC_SOLVE_N and the float64 eigh of Re S from it on
     import popuc.opuc_core as opuc_core
 
     calls = count_calls(monkeypatch, np.linalg, "eigh")
@@ -556,7 +570,7 @@ def test_symmetric_form_builds_s_from_m2_alone_bit_for_bit():
     from popuc.opuc_core import _rows_by_blocks, _symmetric_blocks
 
     for v in _symmetric_form_corpus():
-        wt, last, s = _symmetric_blocks(v)
+        wt, last, _, s = _symmetric_blocks(v)
         m2 = _rows_by_blocks(factors(v)[1], wt, last)
         want = _rows_by_blocks(m2.T.copy(), wt, last)
         assert s.tobytes() == want.tobytes()
@@ -603,12 +617,18 @@ def test_real_data_matches_the_cmv_eigenproblem(n):
         _assert_matches_cmv_eig(VerblunskySequence(rng.uniform(-0.85, 0.85, n), omega))
 
 
-@pytest.mark.parametrize("n", [20, 21, 64, 65, 128])
-def test_real_data_off_exact_omega_matches_the_cmv_eigenproblem(n):
-    # real a_k with a real omega 1e-13 off +-1: the complex branch of symmetric_rows
+@pytest.mark.parametrize("n", [2, 9, 19, 20, 21, 64, 65, 128])
+def test_real_data_off_exact_omega_matches_the_cmv_eigenproblem(monkeypatch, n):
+    # real a_k with a real omega 1e-13 off +-1 have a real U, but they are complex data at
+    # every n: the complex eigh of U + U^H below SYMMETRIC_SOLVE_N, and from it on the
+    # complex branch of symmetric_rows, one float64 eigh of Re S
+    calls = count_calls(monkeypatch, np.linalg, "eigh")
+    dtype = np.complex128 if n < SYMMETRIC_SOLVE_N else np.float64
     rng = np.random.default_rng([n, 2])
     for omega in (1.0 - 1e-13, -1.0 + 1e-13):
+        calls.clear()
         _assert_matches_cmv_eig(VerblunskySequence(rng.uniform(-0.85, 0.85, n), omega))
+        assert [(args[0].dtype, args[0].shape) for args in calls] == [(dtype, (n + 1, n + 1))]
 
 
 def _assert_matches_cmv_eig(v: VerblunskySequence) -> None:
